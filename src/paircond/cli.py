@@ -174,7 +174,7 @@ def _exp_dc(cfg, seed, threads):
     w = build_w(cfg.get("w"), mask)
     _check_keys(cfg, {"domain", "w", "tol"}, "config")
     res = onset_threshold(mask, w, tol=float(cfg.get("tol", 1e-10)))
-    return None, {
+    return {
         "dc": res.eigenvalue,
         "residual": res.residual,
         "iterations": res.iterations,
@@ -190,7 +190,7 @@ def _exp_relative(cfg, seed, threads):
         n=int(cfg.get("n", 4001)),
         tol=float(cfg.get("tol", 1e-10)),
     )
-    return None, {
+    return {
         "E_b": gs.E_b,
         "rho_star": gs.rho_star,
         "g_bcs": gs.g_bcs,
@@ -220,7 +220,7 @@ def _exp_gp_min(cfg, seed, threads):
                          mode=mode)
     theta, ub = gp.one_mode_upper_bound(prob, mode=mode)
     norm_sq = float(np.sum(sol.psi.values**2) * mask.grid.node_weight)
-    return None, {
+    return {
         "energy": sol.energy,
         "el_residual": sol.el_residual,
         "iterations": sol.iterations,
@@ -241,7 +241,7 @@ def _exp_continuity(cfg, seed, threads):
     prob = gp.GPProblem(mask, w, d_val, float(cfg.get("g", 1.0)))
     ells = [float(e) for e in _require(cfg, "ells", "config")]
     report = gp.continuity_scan(prob, ells, tol=float(cfg.get("tol", 1e-9)))
-    return report, report.metadata | report.fit_summary()
+    return report
 
 
 def _exp_twobody(cfg, seed, threads):
@@ -259,7 +259,7 @@ def _exp_twobody(cfg, seed, threads):
     )
     h_list = [float(h) for h in _require(cfg, "h_list", "config")]
     report = twobody.asymptotic_scan(scan_cfg, h_list)
-    return report, report.metadata | report.fit_summary()
+    return report
 
 
 def _bcs_setup(cfg):
@@ -310,7 +310,7 @@ def _exp_bcs_trial(cfg, seed, threads):
     )
     report.fits["difference"] = fit_power_law([r[0] for r in rows],
                                               [r[3] for r in rows])
-    return report, report.metadata | report.fit_summary()
+    return report
 
 
 def _exp_semiclassics(cfg, seed, threads):
@@ -348,7 +348,7 @@ def _exp_semiclassics(cfg, seed, threads):
     hs = [r[0] for r in rows]
     for name, col in (("field", 2), ("quartic_energy", 3), ("quartic", 4)):
         report.fits[name] = fit_power_law(hs, [r[col] for r in rows])
-    return report, report.metadata | report.fit_summary()
+    return report
 
 
 def _exp_hardy(cfg, seed, threads):
@@ -367,9 +367,9 @@ def _exp_hardy(cfg, seed, threads):
     report = ScanReport(
         columns=["n", "mu_hat", "hardy_constant"],
         rows=rows,
-        metadata={"lambda_offset": lam},
+        metadata={"lambda_offset": lam, "mu_max": max(r[1] for r in rows)},
     )
-    return report, report.metadata | {"mu_max": max(r[1] for r in rows)}
+    return report
 
 
 def _exp_density(cfg, seed, threads):
@@ -416,10 +416,11 @@ def _exp_density(cfg, seed, threads):
         metadata={"D": d_val, "gp_energy": sol.energy, "q": q},
     )
     ordered = sorted(rows)
-    return report, report.metadata | {
-        "monotone": bool(np.all(np.diff([r[1] for r in ordered]) > 0)
-                         and np.all(np.diff([r[2] for r in ordered]) > 0))
-    }
+    report.metadata["monotone"] = bool(
+        np.all(np.diff([r[1] for r in ordered]) > 0)
+        and np.all(np.diff([r[2] for r in ordered]) > 0)
+    )
+    return report
 
 
 DRIVERS = {
@@ -451,7 +452,7 @@ def run(experiment: str, config: dict, out_dir: str, seed: int = 0,
         return 2
     t0 = time.time()
     try:
-        report, summary = DRIVERS[experiment](config, seed, threads)
+        result = DRIVERS[experiment](config, seed, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -459,6 +460,8 @@ def run(experiment: str, config: dict, out_dir: str, seed: int = 0,
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
+    # scan experiments return their report, the others a plain summary
+    report = result if isinstance(result, ScanReport) else None
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "experiment": experiment,
@@ -466,7 +469,8 @@ def run(experiment: str, config: dict, out_dir: str, seed: int = 0,
         "seed": seed,
         "version": __version__,
         "wall_time_s": time.time() - t0,
-        "summary": summary,
+        "summary": result if report is None else report.metadata,
+        "fits": {} if report is None else report.fit_summary(),
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=float)

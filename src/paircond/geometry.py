@@ -221,20 +221,6 @@ def convexity_probe(mask: DomainMask, pairs: int = 2000, seed: int = 0) -> bool:
     return bool(np.all(dist_to_mask[tuple(nodes.T)] <= tol))
 
 
-def coarsen(mask: DomainMask) -> DomainMask:
-    """Every-other-node subsample, used to bootstrap eigensolver shifts."""
-    grid = mask.grid
-    slices = tuple(slice(0, None, 2) for _ in range(grid.dim))
-    inside = mask.inside[slices]
-    axes = [grid.axis(a)[::2] for a in range(grid.dim)]
-    sub = Grid(
-        tuple(float(ax[0]) for ax in axes),
-        tuple(float(ax[-1]) for ax in axes),
-        tuple(int(ax.size) for ax in axes),
-    )
-    return DomainMask(sub, inside, convex_hint=mask.convex_hint)
-
-
 # ---------------------------------------------------------------------------
 # builtin domains
 

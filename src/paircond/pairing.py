@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import DomainMask
 from .grid import Grid, ScalarField, fourier_samples, momentum_lattice
-from .spectral import assemble_dirichlet, smallest_eigenpair
+from .spectral import assemble_dirichlet, gershgorin_factor, smallest_eigenpair
 
 
 class PairingError(RuntimeError):
@@ -198,11 +199,11 @@ def spectral_gap(gs: RelativeGroundState, tol: float = 1e-8) -> float:
             mask.grid,
             np.where(mask.inside, vfun(pts if gs.dim > 1 else pts[..., 0]), 0.0),
         )
-        op = assemble_dirichlet(mask, -1.0, vf)
-        from scipy.sparse.linalg import eigsh
-
-        vals = eigsh(op.matrix, k=2, which="SA", tol=tol, return_eigenvectors=False)
-        vals = np.sort(vals)
+        mat = assemble_dirichlet(mask, -1.0, vf).matrix
+        sigma, lu = gershgorin_factor(mat)
+        vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
+                             OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
+                             return_eigenvectors=False))
         gs.spectral_gap = float(vals[1] - vals[0])
     return gs.spectral_gap
 

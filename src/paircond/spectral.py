@@ -2,9 +2,12 @@
 
 Operators are second-order central-difference stencils restricted to the
 interior nodes of a mask, with zero Dirichlet values on the outside. The
-smallest eigenpair is found by shifted inverse iteration; the shift is
-bootstrapped from a coarse-grid solve of the same operator (two-grid) and
-refreshed from the Rayleigh quotient as the iteration converges.
+smallest eigenpair is found by ARPACK in shift-invert mode (Ericsson & Ruhe
+1980; Lehoucq, Sorensen & Yang 1998) around a shift just below the Gershgorin
+lower bound of the matrix. No eigenvalue lies below that shift, so the one
+nearest to it is the smallest: the result is certified by construction, and
+the positive pivots of the one symmetric LU factor of the shifted matrix
+confirm it by Sylvester's law of inertia.
 
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, splu
 
-from .geometry import DomainMask, GeometryError, coarsen
+from .geometry import DomainMask, GeometryError
 from .grid import ScalarField
 
 
@@ -40,9 +43,6 @@ class StencilOperator:
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, interior_values: np.ndarray) -> np.ndarray:
-        return self.matrix @ interior_values
 
     def apply_field(self, f: ScalarField) -> ScalarField:
         if f.grid != self.mask.grid:
@@ -120,41 +120,42 @@ def _quad_norm(mask: DomainMask, vec: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(vec) ** 2)) * np.sqrt(mask.grid.node_weight))
 
 
-def _coarse_operator(op: StencilOperator) -> StencilOperator | None:
+def _factor_positive_definite(mat: sparse.spmatrix) -> SuperLU:
+    """Sparse LU of a matrix that must be symmetric positive definite.
+
+    The ordering is minimum degree on A^T + A, applied symmetrically, and the
+    pivots stay on the diagonal, so U = D L^T. By Sylvester's law of inertia
+    the matrix is positive definite exactly when every pivot (diagonal entry
+    of U) is positive; that is checked here, at no extra factorization.
+    """
     try:
-        cmask = coarsen(op.mask)
-        if cmask.count < 2 or not (~cmask.inside).any():
-            return None
-        cpot = None
-        if op.potential is not None:
-            slices = tuple(slice(0, None, 2) for _ in range(op.mask.grid.dim))
-            cpot = ScalarField(cmask.grid, np.asarray(op.potential.values)[slices])
-        return assemble_dirichlet(cmask, op.laplacian_coefficient, cpot, op.shift)
-    except (GeometryError, SpectralError):
-        return None
+        lu = splu(sparse.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: exactly singular
+        raise SpectralError(f"matrix is not positive definite: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SpectralError("symmetric LU pivoted off the diagonal")
+    if not np.all(lu.U.diagonal() > 0):
+        raise SpectralError("matrix is not positive definite: "
+                            "its symmetric LU has a nonpositive pivot")
+    return lu
 
 
-def _bootstrap_shift(op: StencilOperator) -> float:
-    """Two-grid bootstrap: solve on the coarsened mask, else use Gershgorin."""
-    coarse = op
-    while coarse.n_unknowns > 1500:
-        nxt = _coarse_operator(coarse)
-        if nxt is None or nxt.n_unknowns >= coarse.n_unknowns:
-            break
-        coarse = nxt
-    try:
-        if coarse.n_unknowns <= 1500:
-            lam = float(
-                np.min(np.linalg.eigvalsh(coarse.matrix.toarray()))
-            )
-        else:
-            lam = float(eigsh(coarse.matrix, k=1, which="SA", tol=1e-6,
-                              return_eigenvectors=False)[0])
-    except Exception:
-        m = op.matrix
-        row_abs = np.asarray(np.abs(m).sum(axis=1)).ravel()
-        lam = float(np.min(m.diagonal() - (row_abs - np.abs(m.diagonal()))))
-    return lam
+def gershgorin_factor(mat: sparse.spmatrix) -> tuple[float, SuperLU]:
+    """Shift sigma below every eigenvalue of ``mat`` and the certified LU
+    factor of ``mat - sigma I``.
+
+    sigma lies just under the Gershgorin lower bound, so ``mat - sigma I`` is
+    strictly diagonally dominant with a positive diagonal; the factor's
+    positive pivots confirm it. In shift-invert mode the eigenvalue nearest
+    sigma is then the smallest.
+    """
+    diag = mat.diagonal()
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    lower = float(np.min(diag - radius))
+    sigma = lower - 1e-3 * (abs(lower) + 1.0)
+    ident = sparse.identity(mat.shape[0], format="csc")
+    return sigma, _factor_positive_definite(mat - sigma * ident)
 
 
 def smallest_eigenpair(
@@ -163,9 +164,11 @@ def smallest_eigenpair(
     max_iter: int = 400,
     v0: np.ndarray | None = None,
 ) -> EigenResult:
-    """Lowest eigenpair by shifted inverse iteration with CSR LU factorizations.
+    """Lowest eigenpair by ARPACK shift-invert on one certified LU factor.
 
-    ``tol`` is relative: the iteration stops when ||A v - lam v||_2 <= tol * ||A||_est.
+    ``tol`` is relative: the returned unit vector has
+    ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est).
+    ``max_iter`` caps the number of LU solves; ``iterations`` reports them.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
@@ -179,53 +182,41 @@ def smallest_eigenpair(
         field = op.mask.field(vec / _quad_norm(op.mask, vec))
         return EigenResult(lam, field, 0.0, 0)
 
-    lam_guess = _bootstrap_shift(op)
+    sigma, lu = gershgorin_factor(mat)
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
     # below the floating-point floor eps * ||A||
     eps_floor = 32 * np.finfo(float).eps * norm_est
-    target = max(tol * min(norm_est, max(1.0, abs(lam_guess))), eps_floor)
-    margin = max(1e-3 * (abs(lam_guess) + 1.0), 1e-10 * norm_est)
-    sigma = lam_guess - margin
+    # ARPACK stops when the Ritz estimate of (A - sigma I)^-1 is below
+    # arpack_tol * |theta|, which bounds ||A v - lam v|| by
+    # ||A - sigma I|| * arpack_tol: aim at the smallest target lam allows
+    arpack_tol = max(tol * min(norm_est, 1.0), eps_floor) / (norm_est + abs(sigma))
+    solves = 0
 
-    rng = np.random.default_rng(0)
-    v = v0.copy() if v0 is not None else rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    def solve(b):
+        nonlocal solves
+        if solves == max_iter:
+            raise SpectralError(
+                f"eigensolver did not converge in {max_iter} LU solves "
+                f"(shift {sigma:.6g})"
+            )
+        solves += 1
+        return lu.solve(b)
 
-    lu = None
-    lam = lam_guess
-    residual = np.inf
-    refactor = True
-    for it in range(1, max_iter + 1):
-        if refactor:
-            ident = sparse.identity(n, format="csc")
-            try:
-                lu = splu((mat - sigma * ident).tocsc())
-            except RuntimeError:
-                sigma -= max(1.0, abs(sigma)) * 1e-6
-                lu = splu((mat - sigma * ident).tocsc())
-            refactor = False
-        w = lu.solve(v)
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0:
-            sigma -= margin
-            refactor = True
-            continue
-        v = w / nw
-        av = mat @ v
-        lam = float(v @ av)
-        residual = float(np.linalg.norm(av - lam * v))
-        if residual <= target:
-            break
-        # refresh the shift once the Rayleigh quotient is trustworthy
-        if it % 4 == 0:
-            new_sigma = lam - max(2.0 * residual, 1e-8 * (abs(lam) + 1.0))
-            if abs(new_sigma - sigma) > 1e-3 * (abs(lam) + 1.0):
-                sigma = new_sigma
-                refactor = True
-    else:
+    try:
+        _, vecs = eigsh(mat, k=1, sigma=sigma, which="LM", v0=v0, tol=arpack_tol,
+                        OPinv=LinearOperator(mat.shape, matvec=solve, dtype=float),
+                        rng=0)
+    except ArpackError as exc:
+        raise SpectralError(f"eigensolver failed (shift {sigma:.6g}): {exc}") from exc
+    v = vecs[:, 0]
+    av = mat @ v
+    lam = float(v @ av)
+    residual = float(np.linalg.norm(av - lam * v))
+    target = max(tol * min(norm_est, max(1.0, abs(lam))), eps_floor)
+    if residual > target:
         raise SpectralError(
-            f"eigensolver did not converge in {max_iter} iterations "
-            f"(residual {residual:.3e}, target {target:.3e})"
+            f"eigensolver did not converge in {solves} LU solves "
+            f"(residual {residual:.3e}, target {target:.3e}, shift {sigma:.6g})"
         )
 
     # sign fix: nonnegative integral
@@ -234,7 +225,7 @@ def smallest_eigenpair(
     qn = _quad_norm(op.mask, v)
     field = op.mask.field(v / qn)
     # v has unit Euclidean norm, so the L2-normalized residual equals this one
-    return EigenResult(lam, field, residual, it)
+    return EigenResult(lam, field, residual, solves)
 
 
 def onset_threshold(
@@ -266,12 +257,6 @@ def hardy_quotient(
     caps the (never attained) continuum supremum on the grid.
     """
     stiff = assemble_dirichlet(mask, -1.0, None, lambda_offset)
-    if lambda_offset < 0:
-        ground = smallest_eigenpair(stiff, tol=1e-8)
-        if ground.eigenvalue <= 0:
-            raise SpectralError(
-                "offset makes the gradient form indefinite; increase lambda_offset"
-            )
     d = mask.dist[mask.inside]
     weight = np.zeros_like(d)
     ok = d >= min(mask.grid.spacing)
@@ -279,7 +264,13 @@ def hardy_quotient(
     if not ok.any():
         raise SpectralError("no interior nodes clear of the boundary band")
 
-    lu = splu(stiff.matrix.tocsc())
+    try:
+        lu = _factor_positive_definite(stiff.matrix)
+    except SpectralError as exc:
+        raise SpectralError(
+            f"offset makes the gradient form indefinite ({exc}); "
+            "increase lambda_offset"
+        ) from exc
     rng = np.random.default_rng(1)
     v = rng.standard_normal(mask.count)
     v /= np.linalg.norm(v)

@@ -145,8 +145,8 @@ class TestRun:
         }
         assert cli.run("bcs-trial", cfg, str(tmp_path)) == 0
         with open(tmp_path / "report.json") as fh:
-            s = json.load(fh)["summary"]
-        assert s["difference"]["exponent"] >= 0.8
+            fits = json.load(fh)["fits"]
+        assert fits["difference"]["exponent"] >= 0.8
         assert (tmp_path / "rows.csv").exists()
 
     def test_semiclassics_experiment(self, tmp_path):
@@ -160,8 +160,8 @@ class TestRun:
         }
         assert cli.run("semiclassics", cfg, str(tmp_path)) == 0
         with open(tmp_path / "report.json") as fh:
-            s = json.load(fh)["summary"]
-        assert s["field"]["exponent"] >= 0.8
+            fits = json.load(fh)["fits"]
+        assert fits["field"]["exponent"] >= 0.8
 
     def test_density_experiment(self, tmp_path):
         cfg = {
@@ -176,6 +176,20 @@ class TestRun:
         with open(tmp_path / "report.json") as fh:
             s = json.load(fh)["summary"]
         assert s["monotone"] is True
+
+    def test_twobody_scan_keeps_threshold(self, tmp_path):
+        # the linear fit named "threshold" goes under "fits" and must not
+        # replace the domain threshold D_c in the summary
+        cfg = {"potential": {"kind": "poschl_teller", "depth": 2.0},
+               "a": 0.0, "b": 1.0, "h_list": [0.1, 0.07, 0.05],
+               "micro_step": 0.125, "q": 1.5, "richardson": False}
+        assert cli.run("twobody-scan", cfg, str(tmp_path)) == 0
+        with open(tmp_path / "report.json") as fh:
+            payload = json.load(fh)
+        threshold = payload["summary"]["threshold"]
+        assert isinstance(threshold, float)
+        assert abs(threshold - np.pi**2 / 4) < 5e-3
+        assert payload["fits"]["threshold"]["model"] == "linear"
 
     def test_threads_match_sequential(self, tmp_path):
         cfg = {

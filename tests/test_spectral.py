@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
+from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
 from paircond import spectral as sp
 from paircond.grid import Grid, ScalarField
@@ -104,6 +108,38 @@ class TestEigenSolver:
         op = sp.assemble_dirichlet(m, -1.0)
         with pytest.raises(sp.SpectralError, match="converge"):
             sp.smallest_eigenpair(op, tol=1e-16, max_iter=2)
+
+    def test_narrow_well_ground_state(self):
+        # a single-node well far below the rest of the spectrum: the ground
+        # state lives on one node of 4001
+        m = interval_mask(4001)
+        w = np.zeros(4001)
+        w[1001] = -2e4
+        res = sp.onset_threshold(m, ScalarField(m.grid, w))
+        inv_h2 = 1.0 / m.grid.spacing[0] ** 2
+        ref = eigvalsh_tridiagonal(0.5 * inv_h2 + w[m.inside],
+                                   np.full(m.count - 1, -0.25 * inv_h2),
+                                   select="i", select_range=(0, 0))[0]
+        assert ref < -24.0
+        assert abs(res.eigenvalue - ref) < 1e-8 * abs(ref)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+           coefficient=st.sampled_from([-1.0, -0.25]),
+           scale=st.sampled_from([0.0, 1.0, 1e2, 1e4]),
+           well=st.floats(-2e4, 0.0))
+    def test_matches_dense_spectrum(self, seed, dim, coefficient, scale, well):
+        # random masks of at most 400 nodes with a rough potential and one
+        # single-node well: the solver must return the smallest eigenvalue
+        rng = np.random.default_rng(seed)
+        m = random_1d_mask(rng, n=48) if dim == 1 else random_2d_mask(rng, n=20)
+        w = scale * rng.standard_normal(m.grid.shape)
+        w.flat[rng.choice(np.flatnonzero(m.inside))] += well
+        op = sp.assemble_dirichlet(m, coefficient, ScalarField(m.grid, w))
+        res = sp.smallest_eigenpair(op)
+        ref = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        slack = 64 * np.finfo(float).eps * op.norm_estimate()
+        assert abs(res.eigenvalue - ref) <= res.residual + slack
 
     def test_threshold_continuity_under_approximation(self):
         # |D_c^pm(ell) - D_c| decays linearly for a convex domain
