@@ -12,6 +12,7 @@ of variables is a relabeling of kernel entries, with quadrature weights
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .geometry import DomainMask, erode
+from .gp import gradient_energy
 from .grid import Grid, PairKernel, ScalarField
 from .pairing import (
     MatchedRelativeState,
@@ -27,6 +29,7 @@ from .pairing import (
     lattice_pair_energy,
     lattice_pair_field,
     matched_relative_state,
+    potential_from_descriptor,
     smoothstep_cutoff,
     solve_relative,
 )
@@ -154,14 +157,6 @@ class COMFrame:
         i, j = i[keep], j[keep]
         return i, j, i - j
 
-    def midpoint_mask(self) -> np.ndarray:
-        """Which center nodes carry a nonempty fiber."""
-        ok = np.zeros(2 * self.n - 1, dtype=bool)
-        for u in range(2 * self.n - 1):
-            i, _, _ = self.pair_indices(u)
-            ok[u] = i.size > 0
-        return ok
-
     def interpolate_to_centers(self, psi: ScalarField) -> np.ndarray:
         """Linear interpolation of a domain field onto the center lattice."""
         if psi.grid != self.cfg.mask.grid:
@@ -184,12 +179,6 @@ class TrialState:
     a_psi: PairKernel
     gamma_psi: PairKernel
     admissibility: tuple  # (min, max) eigenvalue of the block state
-
-    def kernel_matrix(self) -> np.ndarray:
-        return self.a_psi.values
-
-    def gamma_matrix(self) -> np.ndarray:
-        return self.gamma_psi.values
 
 
 def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
@@ -305,8 +294,6 @@ def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
     hmat = _one_body_matrix(cfg)
     gamma = state.gamma_psi.values
     tr_one_body = float(np.sum((hmat @ gamma).diagonal())) * dv
-
-    from .pairing import potential_from_descriptor
 
     vfun = potential_from_descriptor(cfg.potential)
     rr = cfg.mask.grid.axis(0)
@@ -427,8 +414,6 @@ def _field_norms(psi: ScalarField) -> dict:
     grid = psi.grid
     vals = np.asarray(psi.values, dtype=float)
     w = grid.weights()
-    from .gp import gradient_energy
-
     return {
         "l2_sq": float(np.sum(vals**2 * w)),
         "grad_sq": gradient_energy(psi),
@@ -476,8 +461,6 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
     a_norm_sq = float(np.sum(a_lat**2) * matched.step)
     a_energy = lattice_pair_energy(matched, a_lat)
     norms = _field_norms(psi)
-
-    from .pairing import potential_from_descriptor
 
     vfun = potential_from_descriptor(cfg.potential)
 
@@ -542,8 +525,6 @@ def _full_line_laplacian(frame: COMFrame) -> sparse.csr_matrix:
 def export_kernel(path: str, kernel: PairKernel, h: float, kind: str):
     """Write a kernel as a binary row-major float64 array plus a JSON
     sidecar {n, grid, h, kind} at path + '.json'."""
-    import json
-
     vals = np.ascontiguousarray(np.asarray(kernel.values, dtype=np.float64))
     vals.tofile(path)
     sidecar = {
@@ -563,8 +544,6 @@ def export_kernel(path: str, kernel: PairKernel, h: float, kind: str):
 def import_kernel(path: str) -> tuple:
     """Read a kernel written by ``export_kernel``; returns (PairKernel, h,
     kind)."""
-    import json
-
     with open(path + ".json", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     g = sidecar["grid"]
@@ -583,8 +562,6 @@ def com_trace_identity(cfg: BCSConfig, alpha: PairKernel) -> dict:
     dx = frame.dx
 
     hmat = _one_body_matrix(cfg)
-    from .pairing import potential_from_descriptor
-
     vfun = potential_from_descriptor(cfg.potential)
     rr = frame.x[:, None] - frame.x[None, :]
     vmat = vfun(rr / cfg.h)

@@ -1,10 +1,9 @@
 """Experiment orchestration: JSON run configs in, CSV scan rows and JSON fit
 reports out.
 
-Usage: paircond <experiment> --config cfg.json [--out DIR] [--seed N]
-[--threads N]. Exit codes: 0 success, 2 config validation error, 3 solver
-failure. Setting PAIRCOND_TEST_MODE=1 forces single-threaded deterministic
-reductions regardless of --threads.
+Usage: paircond <experiment> --config cfg.json [--out DIR] [--seed N].
+Exit codes: 0 success, 2 config validation error, 3 solver failure. A fixed
+config and seed reproduce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -14,24 +13,27 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from . import bcs, gp, pairing, twobody
+from . import bcs, geometry, gp, pairing, twobody
 from .geometry import (
+    BUILTIN_DOMAINS,
+    DomainMask,
     GeometryError,
-    box_mask,
-    disk,
-    interval,
-    lshape,
+    erode,
     mask_from_json,
-    slit_square,
 )
-from .grid import Grid, GridError, ScalarField
+from .grid import GridError, ScalarField
 from .reporting import FitError, ScanReport, fit_power_law
-from .spectral import SpectralError, hardy_quotient, onset_threshold
+from .spectral import (
+    EigenResult,
+    SpectralError,
+    hardy_quotient,
+    onset_threshold,
+)
 
 
 class ConfigError(ValueError):
@@ -47,18 +49,6 @@ SOLVER_ERRORS = (
     bcs.BCSError,
     twobody.TwoBodyError,
     FitError,
-)
-
-EXPERIMENTS = (
-    "dc",
-    "relative",
-    "gp-min",
-    "continuity",
-    "twobody-scan",
-    "bcs-trial",
-    "semiclassics",
-    "hardy",
-    "density",
 )
 
 
@@ -78,47 +68,60 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _coerce(value, like, where: str):
+    """``value`` as finite numbers of the type of ``like`` (int or float): a
+    number when ``like`` is a number, a nonempty list when ``like`` is a list
+    (a single number then counts as a list of one)."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be numeric, got {value!r}") from exc
+    if arr.ndim > np.ndim(like) or arr.size == 0:
+        shape = "a nonempty list" if isinstance(like, list) else "a number"
+        raise ConfigError(f"{where} must be {shape}, got {value!r}")
+    kind = int if np.asarray(like).dtype.kind == "i" else float
+    limit = np.iinfo(np.int64).max if kind is int else np.inf
+    if not np.all(np.abs(arr) < limit):  # false for NaN too
+        raise ConfigError(f"{where} must be finite and in range, got {value!r}")
+    if isinstance(like, list):
+        return [kind(v) for v in np.atleast_1d(arr)]
+    return kind(arr)
+
+
+def _number(section: dict, key: str, default, where: str = "config"):
+    """Optional numeric key, coerced to the type and shape of its default."""
+    return _coerce(section.get(key, default), default, f"{key} in {where}")
+
+
 def build_domain(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError("domain must be an object")
     if "mask_file" in spec:
         _check_keys(spec, {"mask_file"}, "domain")
+        path = spec["mask_file"]
+        if not isinstance(path, str):  # open() would take an int as an fd
+            raise ConfigError(f"mask_file must be a path, got {path!r}")
         try:
-            with open(spec["mask_file"], encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 return mask_from_json(fh.read())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or mask
             raise ConfigError(f"cannot read mask file: {exc}") from exc
     builtin = _require(spec, "builtin", "domain")
+    if not isinstance(builtin, str) or builtin not in BUILTIN_DOMAINS:
+        raise ConfigError(f"unknown builtin domain {builtin!r}")
+    make, defaults = BUILTIN_DOMAINS[builtin]
     params = {k: v for k, v in spec.items() if k != "builtin"}
+    _check_keys(params, set(defaults), "domain")
+    kwargs = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        kwargs[key] = None if value is None else _coerce(value, default,
+                                                         f"{key} in domain")
     try:
-        if builtin == "interval":
-            _check_keys(params, {"a", "b", "n", "margin"}, "domain")
-            a, b = float(params.get("a", 0.0)), float(params.get("b", 1.0))
-            n = int(params.get("n", 801))
-            margin = params.get("margin")
-            grid = Grid.box(a - (margin or 0.0), b + (margin or 0.0), n)
-            return interval(a, b, grid=grid)
-        if builtin == "box":
-            _check_keys(params, {"lower", "upper", "n", "margin"}, "domain")
-            lower = params.get("lower", [0.0, 0.0])
-            upper = params.get("upper", [1.0, 1.0])
-            return box_mask(lower, upper, n=params.get("n", 201),
-                            margin=params.get("margin", 0.0))
-        if builtin == "disk":
-            _check_keys(params, {"center", "radius", "n", "margin"}, "domain")
-            return disk(params.get("center", [0.0, 0.0]),
-                        float(params.get("radius", 1.0)),
-                        n=int(params.get("n", 201)),
-                        margin=params.get("margin"))
-        if builtin == "lshape":
-            _check_keys(params, {"n"}, "domain")
-            return lshape(n=int(params.get("n", 201)))
-        if builtin == "slit_square":
-            _check_keys(params, {"n"}, "domain")
-            return slit_square(n=int(params.get("n", 241)))
+        # looked up on the module, so that a wrapper rebound there sees it
+        return getattr(geometry, make.__name__)(**kwargs)
     except (GridError, GeometryError) as exc:
         raise ConfigError(f"cannot build domain: {exc}") from exc
-    raise ConfigError(f"unknown builtin domain {builtin!r}")
 
 
 def build_w(spec, mask) -> ScalarField | None:
@@ -134,18 +137,19 @@ def build_w(spec, mask) -> ScalarField | None:
         return None
     if kind == "constant":
         _check_keys(params, {"value"}, "w")
-        vals = np.full(mask.grid.shape, float(_require(params, "value", "w")))
+        value = _coerce(_require(params, "value", "w"), 0.0, "value in w")
+        vals = np.full(mask.grid.shape, value)
     elif kind == "bump":
         _check_keys(params, {"height", "center", "width"}, "w")
-        height = float(params.get("height", 1.0))
-        center = np.atleast_1d(np.asarray(params.get("center", 0.5), dtype=float))
-        width = float(params.get("width", 0.2))
+        height = _number(params, "height", 1.0, "w")
+        center = np.asarray(_number(params, "center", [0.5], "w"))
+        width = _number(params, "width", 0.2, "w")
         r2 = sum((mesh[a] - center[min(a, center.size - 1)]) ** 2
                  for a in range(mask.grid.dim))
         vals = height * np.exp(-r2 / width**2)
     else:
         raise ConfigError(f"unknown w kind {kind!r}")
-    return ScalarField(mask.grid, np.where(mask.inside, vals, 0.0))
+    return mask.field(vals)
 
 
 def validate_potential(spec) -> dict:
@@ -162,18 +166,11 @@ def validate_potential(spec) -> dict:
 # experiment drivers
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or os.environ.get("PAIRCOND_TEST_MODE") == "1":
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _exp_dc(cfg, seed, threads):
+def _exp_dc(cfg, seed):
     mask = build_domain(_require(cfg, "domain", "config"))
     w = build_w(cfg.get("w"), mask)
     _check_keys(cfg, {"domain", "w", "tol"}, "config")
-    res = onset_threshold(mask, w, tol=float(cfg.get("tol", 1e-10)))
+    res = onset_threshold(mask, w, tol=_number(cfg, "tol", 1e-10))
     return {
         "dc": res.eigenvalue,
         "residual": res.residual,
@@ -181,14 +178,14 @@ def _exp_dc(cfg, seed, threads):
     }
 
 
-def _exp_relative(cfg, seed, threads):
+def _exp_relative(cfg, seed):
     _check_keys(cfg, {"potential", "L", "n", "tol"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
     gs = pairing.solve_relative(
         pot,
-        L=float(cfg.get("L", 20.0)),
-        n=int(cfg.get("n", 4001)),
-        tol=float(cfg.get("tol", 1e-10)),
+        L=_number(cfg, "L", 20.0),
+        n=_number(cfg, "n", 4001),
+        tol=_number(cfg, "tol", 1e-10),
     )
     return {
         "E_b": gs.E_b,
@@ -199,27 +196,33 @@ def _exp_relative(cfg, seed, threads):
     }
 
 
-def _resolve_d(cfg, mask, w) -> tuple:
-    """D may be absolute ('D') or an offset above the domain threshold
-    ('D_offset')."""
+def _resolve_d(cfg, threshold: float) -> float:
+    """D may be absolute ('D') or an offset above the threshold ('D_offset',
+    default 1)."""
     if "D" in cfg and "D_offset" in cfg:
         raise ConfigError("give either D or D_offset, not both")
-    mode = onset_threshold(mask, w, tol=1e-11)
     if "D" in cfg:
-        return float(cfg["D"]), mode
-    return mode.eigenvalue + float(cfg.get("D_offset", 1.0)), mode
+        return _number(cfg, "D", 0.0)
+    return threshold + _number(cfg, "D_offset", 1.0)
 
 
-def _exp_gp_min(cfg, seed, threads):
-    _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "tol"}, "config")
+def _gp_setup(cfg):
+    """Domain, W, the onset mode and the GP problem of the condensate
+    experiments."""
     mask = build_domain(_require(cfg, "domain", "config"))
     w = build_w(cfg.get("w"), mask)
-    d_val, mode = _resolve_d(cfg, mask, w)
-    prob = gp.GPProblem(mask, w, d_val, float(cfg.get("g", 1.0)))
-    sol = gp.minimize_gp(prob, tol=float(cfg.get("tol", 1e-9)), seed=seed,
+    mode = onset_threshold(mask, w, tol=1e-11)
+    d_val = _resolve_d(cfg, mode.eigenvalue)
+    return gp.GPProblem(mask, w, d_val, _number(cfg, "g", 1.0)), mode
+
+
+def _exp_gp_min(cfg, seed):
+    _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "tol"}, "config")
+    prob, mode = _gp_setup(cfg)
+    sol = gp.minimize_gp(prob, tol=_number(cfg, "tol", 1e-9), seed=seed,
                          mode=mode)
     theta, ub = gp.one_mode_upper_bound(prob, mode=mode)
-    norm_sq = float(np.sum(sol.psi.values**2) * mask.grid.node_weight)
+    norm_sq = float(np.sum(sol.psi.values**2) * prob.mask.grid.node_weight)
     return {
         "energy": sol.energy,
         "el_residual": sol.el_residual,
@@ -227,123 +230,124 @@ def _exp_gp_min(cfg, seed, threads):
         "psi_norm_sq": norm_sq,
         "one_mode_energy": ub,
         "one_mode_theta": theta,
-        "D": d_val,
+        "D": prob.D,
         "threshold": mode.eigenvalue,
     }
 
 
-def _exp_continuity(cfg, seed, threads):
+def _exp_continuity(cfg, seed):
     _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "ells", "tol"},
                 "config")
-    mask = build_domain(_require(cfg, "domain", "config"))
-    w = build_w(cfg.get("w"), mask)
-    d_val, _ = _resolve_d(cfg, mask, w)
-    prob = gp.GPProblem(mask, w, d_val, float(cfg.get("g", 1.0)))
-    ells = [float(e) for e in _require(cfg, "ells", "config")]
-    report = gp.continuity_scan(prob, ells, tol=float(cfg.get("tol", 1e-9)))
-    return report
+    prob, _ = _gp_setup(cfg)
+    ells = _coerce(_require(cfg, "ells", "config"), [0.0], "ells")
+    return gp.continuity_scan(prob, ells, tol=_number(cfg, "tol", 1e-9))
 
 
-def _exp_twobody(cfg, seed, threads):
-    _check_keys(cfg, {"potential", "a", "b", "w", "h_list", "micro_step",
-                      "q", "tol", "richardson"}, "config")
+def _exp_twobody(cfg, seed):
+    _check_keys(cfg, {"potential", "a", "b", "h_list", "micro_step", "q",
+                      "tol", "richardson"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
     scan_cfg = twobody.TwoBodyScanConfig(
-        a=float(cfg.get("a", 0.0)),
-        b=float(cfg.get("b", 1.0)),
+        a=_number(cfg, "a", 0.0),
+        b=_number(cfg, "b", 1.0),
         potential=pot,
-        micro_step=float(cfg.get("micro_step", 0.125)),
-        q=float(cfg.get("q", 1.5)),
-        tol=float(cfg.get("tol", 1e-9)),
+        micro_step=_number(cfg, "micro_step", 0.125),
+        q=_number(cfg, "q", 1.5),
+        tol=_number(cfg, "tol", 1e-9),
         richardson=bool(cfg.get("richardson", True)),
     )
-    h_list = [float(h) for h in _require(cfg, "h_list", "config")]
-    report = twobody.asymptotic_scan(scan_cfg, h_list)
-    return report
+    h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
+    return twobody.asymptotic_scan(scan_cfg, h_list)
 
 
-def _bcs_setup(cfg):
+@dataclass
+class _PairSetup:
+    """What the pair-state experiments share: the 1D domain, W, the potential,
+    its relative ground state, q, the h list (largest first), and the onset
+    mode on the domain eroded by ell(h) at the largest h."""
+
+    mask: DomainMask
+    w: ScalarField | None
+    potential: dict
+    relative: pairing.RelativeGroundState
+    q: float
+    h_list: list
+    inner: DomainMask
+    mode: EigenResult
+
+    def bcs_config(self, h: float, d_val: float) -> bcs.BCSConfig:
+        return bcs.BCSConfig(self.mask, self.potential, self.w, h=h, D=d_val,
+                             q=self.q, relative=self.relative)
+
+
+def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
+    """Read the shared pair-state keys; the onset mode includes W only when
+    ``mode_with_w``."""
     mask = build_domain(_require(cfg, "domain", "config"))
     if mask.grid.dim != 1:
         raise ConfigError("pair-state experiments need a 1D domain")
     w = build_w(cfg.get("w"), mask)
     pot = validate_potential(_require(cfg, "potential", "config"))
+    q = _number(cfg, "q", q_default)
+    h_list = sorted(_coerce(_require(cfg, "h_list", "config"), [0.0], "h_list"),
+                    reverse=True)
     gs = pairing.solve_relative(pot)
-    return mask, w, pot, gs
+    ell = bcs.BCSConfig(mask, pot, w, h=h_list[0], D=0.0, q=q, relative=gs).ell
+    inner = erode(mask, ell)
+    mode = onset_threshold(inner, w if mode_with_w else None, tol=1e-10)
+    return _PairSetup(mask, w, pot, gs, q, h_list, inner, mode)
 
 
-def _exp_bcs_trial(cfg, seed, threads):
+def _exp_bcs_trial(cfg, seed):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "amplitude", "h_list"}, "config")
-    mask, w, pot, gs = _bcs_setup(cfg)
-    q = float(cfg.get("q", 1.5))
-    h_list = sorted((float(h) for h in _require(cfg, "h_list", "config")),
-                    reverse=True)
-    amp = float(cfg.get("amplitude", 0.3))
-
-    from .geometry import erode
-
-    cfg0 = bcs.BCSConfig(mask, pot, w, h=h_list[0], D=0.0, q=q, relative=gs)
-    inner = erode(mask, cfg0.ell)
-    mode = onset_threshold(inner, w, tol=1e-10)
-    if "D" in cfg:
-        d_val = float(cfg["D"])
-    else:
-        d_val = mode.eigenvalue + float(cfg.get("D_offset", 1.0))
-    psi = ScalarField(mask.grid, amp * mode.eigenvector.values)
-    prob = gp.GPProblem(mask, w, d_val, gs.g_bcs)
-    e_gp = gp.gp_energy(prob, psi)
+    setup = _pair_setup(cfg, 1.5, mode_with_w=True)
+    d_val = _resolve_d(cfg, setup.mode.eigenvalue)
+    amp = _number(cfg, "amplitude", 0.3)
+    psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)
+    g_bcs = setup.relative.g_bcs
+    e_gp = gp.gp_energy(gp.GPProblem(setup.mask, setup.w, d_val, g_bcs), psi)
 
     def point(h):
-        c = bcs.BCSConfig(mask, pot, w, h=h, D=d_val, q=q, relative=gs)
+        c = setup.bcs_config(h, d_val)
         state = bcs.build_trial_state(c, psi)
         e_bcs = bcs.bcs_energy(c, state)
         lo, hi = state.admissibility
         return (h, e_bcs / h**3, e_gp, abs(e_bcs / h**3 - e_gp), lo, hi)
 
-    rows = _map_ordered(point, h_list, threads)
+    rows = [point(h) for h in setup.h_list]
     report = ScanReport(
         columns=["h", "bcs_energy_h3", "gp_energy", "difference",
                  "adm_min", "adm_max"],
         rows=rows,
-        metadata={"D": d_val, "g_bcs": gs.g_bcs, "q": q, "amplitude": amp},
+        metadata={"D": d_val, "g_bcs": g_bcs, "q": setup.q, "amplitude": amp},
     )
     report.fits["difference"] = fit_power_law([r[0] for r in rows],
                                               [r[3] for r in rows])
     return report
 
 
-def _exp_semiclassics(cfg, seed, threads):
+def _exp_semiclassics(cfg, seed):
     _check_keys(cfg, {"domain", "w", "potential", "D", "q", "amplitude",
                       "h_list"}, "config")
-    mask, w, pot, gs = _bcs_setup(cfg)
-    if w is None:
+    setup = _pair_setup(cfg, 1.0, mode_with_w=False)
+    if setup.w is None:
         raise ConfigError("semiclassics needs a nonzero w (field term)")
-    q = float(cfg.get("q", 1.0))
-    d_val = float(cfg.get("D", 1.0))
-    amp = float(cfg.get("amplitude", 0.5))
-    h_list = sorted((float(h) for h in _require(cfg, "h_list", "config")),
-                    reverse=True)
-
-    from .geometry import erode
-
-    cfg0 = bcs.BCSConfig(mask, pot, w, h=h_list[0], D=d_val, q=q, relative=gs)
-    inner = erode(mask, cfg0.ell)
-    mode = onset_threshold(inner, tol=1e-10)
-    psi = ScalarField(mask.grid, amp * mode.eigenvector.values)
+    d_val = _number(cfg, "D", 1.0)
+    amp = _number(cfg, "amplitude", 0.5)
+    psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)
 
     def point(h):
-        c = bcs.BCSConfig(mask, pot, w, h=h, D=d_val, q=q, relative=gs)
-        rep = bcs.semiclassics_check(c, psi)
+        rep = bcs.semiclassics_check(setup.bcs_config(h, d_val), psi)
         return (h, rep.identity_residual, rep.field_residual,
                 rep.quartic_energy_residual, rep.quartic_residual)
 
-    rows = _map_ordered(point, h_list, threads)
+    rows = [point(h) for h in setup.h_list]
     report = ScanReport(
         columns=["h", "identity_residual", "field_residual",
                  "quartic_energy_residual", "quartic_residual"],
         rows=rows,
-        metadata={"D": d_val, "q": q, "amplitude": amp},
+        metadata={"D": d_val, "q": setup.q, "amplitude": amp},
     )
     hs = [r[0] for r in rows]
     for name, col in (("field", 2), ("quartic_energy", 3), ("quartic", 4)):
@@ -351,46 +355,34 @@ def _exp_semiclassics(cfg, seed, threads):
     return report
 
 
-def _exp_hardy(cfg, seed, threads):
+def _exp_hardy(cfg, seed):
     _check_keys(cfg, {"domain", "lambda_offset", "n_list", "tol"}, "config")
     spec = _require(cfg, "domain", "config")
-    lam = float(cfg.get("lambda_offset", 0.0))
-    n_list = [int(n) for n in cfg.get("n_list", [101, 201, 401])]
+    if not isinstance(spec, dict):
+        raise ConfigError("domain must be an object")
+    lam = _number(cfg, "lambda_offset", 0.0)
+    tol = _number(cfg, "tol", 1e-8)
     rows = []
-    for n in n_list:
-        localized = dict(spec)
-        localized["n"] = n
-        mask = build_domain(localized)
-        mu = hardy_quotient(mask, lambda_offset=lam,
-                            tol=float(cfg.get("tol", 1e-8)))
+    for n in _number(cfg, "n_list", [101, 201, 401]):
+        mask = build_domain({**spec, "n": n})
+        mu = hardy_quotient(mask, lambda_offset=lam, tol=tol)
         rows.append((n, mu, 2.0 / np.sqrt(mu)))
-    report = ScanReport(
+    return ScanReport(
         columns=["n", "mu_hat", "hardy_constant"],
         rows=rows,
         metadata={"lambda_offset": lam, "mu_max": max(r[1] for r in rows)},
     )
-    return report
 
 
-def _exp_density(cfg, seed, threads):
+def _exp_density(cfg, seed):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "h_list"}, "config")
-    mask, w, pot, gs = _bcs_setup(cfg)
-    q = float(cfg.get("q", 1.5))
-    h_list = sorted((float(h) for h in _require(cfg, "h_list", "config")),
-                    reverse=True)
-
-    from .geometry import erode
-
-    cfg0 = bcs.BCSConfig(mask, pot, w, h=h_list[0], D=0.0, q=q, relative=gs)
-    inner = erode(mask, cfg0.ell)
-    mode_inner = onset_threshold(inner, tol=1e-10)
-    if "D" in cfg:
-        d_val = float(cfg["D"])
-    else:
-        d_val = mode_inner.eigenvalue + float(cfg.get("D_offset", 1.0))
-    sol = gp.minimize_gp(gp.GPProblem(inner, None, d_val, gs.g_bcs),
-                         mode=mode_inner)
+    setup = _pair_setup(cfg, 1.5, mode_with_w=False)
+    mask = setup.mask
+    d_val = _resolve_d(cfg, setup.mode.eigenvalue)
+    sol = gp.minimize_gp(
+        gp.GPProblem(setup.inner, None, d_val, setup.relative.g_bcs),
+        mode=setup.mode)
     psi_star = ScalarField(mask.grid, sol.psi.values)
     dv = mask.grid.node_weight
     ind = np.where(mask.inside, 1.0, 0.0)
@@ -398,8 +390,7 @@ def _exp_density(cfg, seed, threads):
     psi_sq = float(np.sum(psi_star.values**2) * dv)
 
     def point(h):
-        c = bcs.BCSConfig(mask, pot, w, h=h, D=d_val, q=q, relative=gs)
-        state = bcs.build_trial_state(c, psi_star)
+        state = bcs.build_trial_state(setup.bcs_config(h, d_val), psi_star)
         rho = bcs.one_body_density(state).values
         err1 = abs(np.sum(rho * ind) * dv / h
                    - np.sum(psi_star.values**2 * ind) * dv)
@@ -408,12 +399,12 @@ def _exp_density(cfg, seed, threads):
         n_part = float(np.sum(rho) * dv)
         return (h, err1, err2, n_part, h * psi_sq)
 
-    rows = _map_ordered(point, h_list, threads)
+    rows = [point(h) for h in setup.h_list]
     report = ScanReport(
         columns=["h", "weak_error_indicator", "weak_error_mode",
                  "particle_number", "particle_number_gp"],
         rows=rows,
-        metadata={"D": d_val, "gp_energy": sol.energy, "q": q},
+        metadata={"D": d_val, "gp_energy": sol.energy, "q": setup.q},
     )
     ordered = sorted(rows)
     report.metadata["monotone"] = bool(
@@ -434,14 +425,14 @@ DRIVERS = {
     "hardy": _exp_hardy,
     "density": _exp_density,
 }
+EXPERIMENTS = tuple(DRIVERS)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
-def run(experiment: str, config: dict, out_dir: str, seed: int = 0,
-        threads: int = 1) -> int:
+def run(experiment: str, config: dict, out_dir: str, seed: int = 0) -> int:
     """Run one experiment; returns the process exit code."""
     if experiment not in DRIVERS:
         print(f"unknown experiment {experiment!r}; choose from "
@@ -452,7 +443,7 @@ def run(experiment: str, config: dict, out_dir: str, seed: int = 0,
         return 2
     t0 = time.time()
     try:
-        result = DRIVERS[experiment](config, seed, threads)
+        result = DRIVERS[experiment](config, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -492,7 +483,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="paircond-out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -500,7 +490,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    return run(args.experiment, config, args.out, args.seed, args.threads)
+    return run(args.experiment, config, args.out, args.seed)
 
 
 if __name__ == "__main__":

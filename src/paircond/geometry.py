@@ -29,7 +29,6 @@ class DomainMask:
 
     grid: Grid
     inside: np.ndarray = field(repr=False)
-    convex_hint: bool | None = None
     _dist: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,7 +127,7 @@ def erode(mask: DomainMask, ell: float) -> DomainMask:
     inside = mask.inside & (mask.dist > ell)
     if not inside.any():
         raise GeometryError(f"erosion by {ell} leaves no nodes")
-    return DomainMask(mask.grid, inside, convex_hint=mask.convex_hint)
+    return DomainMask(mask.grid, inside)
 
 
 def dilate(mask: DomainMask, ell: float) -> DomainMask:
@@ -142,14 +141,14 @@ def dilate(mask: DomainMask, ell: float) -> DomainMask:
             f"(margin {_box_margin(mask):.3g})"
         )
     if ell == 0:
-        return DomainMask(mask.grid, mask.inside.copy(), convex_hint=mask.convex_hint)
+        return DomainMask(mask.grid, mask.inside.copy())
     dist_to_mask = ndimage.distance_transform_edt(
         ~mask.inside, sampling=mask.grid.spacing
     )
     # inclusive threshold: node-center distances overshoot the continuum
     # distance by up to one spacing, so <= keeps the result within one cell
     inside = mask.inside | (dist_to_mask <= ell)
-    return DomainMask(mask.grid, inside, convex_hint=mask.convex_hint)
+    return DomainMask(mask.grid, inside)
 
 
 def minkowski_average(mask: DomainMask) -> DomainMask:
@@ -172,19 +171,9 @@ def minkowski_average(mask: DomainMask) -> DomainMask:
         idx = np.rint((mids - lower) / spacing).astype(int)
         np.clip(idx, 0, nmax, out=idx)
         inside[tuple(idx.reshape(-1, grid.dim).T)] = True
-    if inside[_boundary_shell(grid)].any():
+    if inside[grid.boundary_shell()].any():
         raise GeometryError("Minkowski average touches the bounding box")
-    return DomainMask(grid, inside, convex_hint=mask.convex_hint)
-
-
-def _boundary_shell(grid: Grid) -> np.ndarray:
-    shell = np.zeros(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        idx = [slice(None)] * grid.dim
-        for edge in (0, -1):
-            idx[a] = edge
-            shell[tuple(idx)] = True
-    return shell
+    return DomainMask(grid, inside)
 
 
 def cutoff_eta(mask: DomainMask, ell: float) -> ScalarField:
@@ -202,7 +191,7 @@ def convexity_probe(mask: DomainMask, pairs: int = 2000, seed: int = 0) -> bool:
     """Sampled segment test: midpoints of inside-node pairs must land on
     inside nodes (up to the cell quantization). Exact convexity is ill-posed
     at grid resolution, so this is a probe for small grids, not a decision
-    procedure; ``convex_hint`` remains configuration-declared.
+    procedure.
     """
     _check_nontrivial(mask)
     pts = mask.interior_points()
@@ -233,7 +222,7 @@ def interval(a: float, b: float, grid: Grid | None = None, n: int = 401,
         grid = Grid.box(a - pad, b + pad, n)
     x = grid.axis(0)
     inside = (x > a) & (x < b)
-    return DomainMask(grid, inside, convex_hint=True)
+    return DomainMask(grid, inside)
 
 
 def box_mask(lower, upper, grid: Grid | None = None, n=201,
@@ -248,18 +237,20 @@ def box_mask(lower, upper, grid: Grid | None = None, n=201,
     inside = np.ones(grid.shape, dtype=bool)
     for a in range(grid.dim):
         inside &= (mesh[a] > lo[a]) & (mesh[a] < up[a])
-    return DomainMask(grid, inside, convex_hint=True)
+    return DomainMask(grid, inside)
 
 
 def disk(center, radius: float, grid: Grid | None = None, n: int = 201,
          margin: float | None = None) -> DomainMask:
     c = np.asarray(center, dtype=float)
+    if c.shape != (2,):
+        raise GeometryError(f"disk center needs 2 coordinates, got {center!r}")
     if grid is None:
         pad = margin if margin is not None else 0.25 * radius
         grid = Grid.box(c - radius - pad, c + radius + pad, [n, n])
     mesh = grid.meshgrid()
     r2 = sum((mesh[a] - c[a]) ** 2 for a in range(2))
-    return DomainMask(grid, r2 < radius**2, convex_hint=True)
+    return DomainMask(grid, r2 < radius**2)
 
 
 def lshape(grid: Grid | None = None, n: int = 201) -> DomainMask:
@@ -269,7 +260,7 @@ def lshape(grid: Grid | None = None, n: int = 201) -> DomainMask:
     xx, yy = grid.meshgrid()
     inside = (xx > 0) & (xx < 1) & (yy > 0) & (yy < 1)
     inside &= ~((xx > 0.5) & (yy > 0.5))
-    return DomainMask(grid, inside, convex_hint=False)
+    return DomainMask(grid, inside)
 
 
 def slit_square(grid: Grid | None = None, n: int = 241) -> DomainMask:
@@ -289,15 +280,19 @@ def slit_square(grid: Grid | None = None, n: int = 241) -> DomainMask:
     slit = np.zeros(grid.shape, dtype=bool)
     slit[:, j0] = xx[:, j0] <= 0
     inside &= ~slit
-    return DomainMask(grid, inside, convex_hint=False)
+    return DomainMask(grid, inside)
 
 
+# config name -> (constructor, keyword defaults); the defaults name the
+# parameters a config may set, and a list default takes a number or a list
 BUILTIN_DOMAINS = {
-    "interval": interval,
-    "box": box_mask,
-    "disk": disk,
-    "lshape": lshape,
-    "slit_square": slit_square,
+    "interval": (interval, {"a": 0.0, "b": 1.0, "n": 801, "margin": None}),
+    "box": (box_mask, {"lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                       "n": [201, 201], "margin": 0.0}),
+    "disk": (disk, {"center": [0.0, 0.0], "radius": 1.0, "n": 201,
+                    "margin": None}),
+    "lshape": (lshape, {"n": 201}),
+    "slit_square": (slit_square, {"n": 241}),
 }
 
 
@@ -343,8 +338,6 @@ def mask_to_json(mask: DomainMask) -> str:
         "n": list(mask.grid.n),
         "inside": _rle_encode(mask.inside.ravel()),
     }
-    if mask.convex_hint is not None:
-        payload["convex_hint"] = mask.convex_hint
     return json.dumps(payload)
 
 
@@ -361,4 +354,4 @@ def mask_from_json(text: str) -> DomainMask:
         inside = _rle_decode(payload["inside"], grid.size).reshape(grid.shape)
     except (KeyError, TypeError, GridError) as exc:
         raise GeometryError(f"malformed mask JSON: {exc}") from exc
-    return DomainMask(grid, inside, convex_hint=payload.get("convex_hint"))
+    return DomainMask(grid, inside)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .geometry import DomainMask, dilate, erode
@@ -127,12 +128,6 @@ def _el_residual_norm(prob: GPProblem, lap, vals: np.ndarray) -> float:
     return float(np.linalg.norm(r)) * np.sqrt(prob.mask.grid.node_weight)
 
 
-def _h1_norm(prob: GPProblem, psi: ScalarField) -> float:
-    l2sq = float(np.sum(np.asarray(psi.values)[prob.mask.inside] ** 2)) * \
-        prob.mask.grid.node_weight
-    return float(np.sqrt(gradient_energy(psi) + l2sq))
-
-
 def minimize_gp(
     prob: GPProblem,
     tol: float = 1e-9,
@@ -159,8 +154,7 @@ def minimize_gp(
     dv = mask.grid.node_weight
 
     if mode is None:
-        wfield = prob.W if prob.W is not None else None
-        mode = onset_threshold(mask, wfield, tol=1e-11)
+        mode = onset_threshold(mask, prob.W, tol=1e-11)
     d_c = mode.eigenvalue
 
     rng = np.random.default_rng(seed)
@@ -179,10 +173,8 @@ def minimize_gp(
     # preconditioner: quarter-Laplacian + positive curvature floor
     shift = max(1.0, prob.D - float(np.min(w)) if w.size else prob.D, 1e-2)
     stiff = -0.25 * lap
-    from scipy import sparse as _sp
-
-    precond = splu((stiff + _sp.diags(np.maximum(w - prob.D, 0.0))
-                    + shift * _sp.identity(mask.count, format="csr")).tocsc())
+    precond = splu((stiff + sparse.diags(np.maximum(w - prob.D, 0.0))
+                    + shift * sparse.identity(mask.count, format="csr")).tocsc())
 
     def energy_of(v):
         quad = float(np.sum((w - prob.D) * v**2) * dv)
@@ -238,7 +230,7 @@ def minimize_gp(
     for _ in range(max(30, max_iter - phase1_cap)):
         if res <= tol * (1.0 + h1):
             break
-        hess = (stiff + _sp.diags(w - prob.D + 6.0 * prob.g * vals**2)).tocsc()
+        hess = (stiff + sparse.diags(w - prob.D + 6.0 * prob.g * vals**2)).tocsc()
         try:
             delta = splu(hess).solve(-el)
         except RuntimeError:

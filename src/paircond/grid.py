@@ -107,6 +107,16 @@ class Grid:
             w = w * wa.reshape(shape)
         return w
 
+    def boundary_shell(self) -> np.ndarray:
+        """Indicator of the nodes on the faces of the box."""
+        shell = np.zeros(self.shape, dtype=bool)
+        for a in range(self.dim):
+            idx = [slice(None)] * self.dim
+            for edge in (0, -1):
+                idx[a] = edge
+                shell[tuple(idx)] = True
+        return shell
+
 
 @dataclass
 class ScalarField:
@@ -179,10 +189,6 @@ def inner_product(f: ScalarField, g: ScalarField) -> complex | float:
     return float(total)
 
 
-def norm_l2(f: ScalarField) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2 * f.grid.weights())))
-
-
 def fourier_samples(f: ScalarField, momenta) -> np.ndarray:
     """Direct-quadrature Fourier transform f_hat(p) = int exp(-i p.x) f dx.
 
@@ -203,13 +209,7 @@ def fourier_samples(f: ScalarField, momenta) -> np.ndarray:
     vals = f.values
     interior_max = np.max(np.abs(vals))
     if interior_max > 0:
-        boundary = np.zeros(grid.shape, dtype=bool)
-        for a in range(grid.dim):
-            idx = [slice(None)] * grid.dim
-            for edge in (0, -1):
-                idx[a] = edge
-                boundary[tuple(idx)] = True
-        bmax = np.max(np.abs(vals[boundary]))
+        bmax = np.max(np.abs(vals[grid.boundary_shell()]))
         if bmax > 1e-6 * interior_max:
             warnings.warn(
                 "field has not decayed at the box boundary; Fourier samples "

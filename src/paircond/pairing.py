@@ -16,9 +16,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .geometry import DomainMask
+from .geometry import DomainMask, box_mask
 from .grid import Grid, ScalarField, fourier_samples, momentum_lattice
-from .spectral import assemble_dirichlet, gershgorin_factor, smallest_eigenpair
+from .spectral import (
+    StencilOperator,
+    assemble_dirichlet,
+    gershgorin_factor,
+    smallest_eigenpair,
+)
 
 
 class PairingError(RuntimeError):
@@ -119,15 +124,14 @@ class RelativeGroundState:
         return out
 
 
-def _box_mask(dim: int, L: float, n: int) -> DomainMask:
-    grid = Grid.box([-L] * dim, [L] * dim, [n] * dim)
-    inside = np.ones(grid.shape, dtype=bool)
-    for a in range(dim):
-        sl = [slice(None)] * dim
-        for edge in (0, -1):
-            sl[a] = edge
-            inside[tuple(sl)] = False
-    return DomainMask(grid, inside, convex_hint=True)
+def _box_operator(potential: dict, dim: int, L: float, n: int,
+                  shift: float = 0.0) -> StencilOperator:
+    """-Lap + V (+ shift) on [-L, L]^dim, n nodes per axis, Dirichlet walls."""
+    mask = box_mask([-L] * dim, [L] * dim, n=[n] * dim)
+    grid = mask.grid
+    pts = grid.points().reshape(grid.shape + (dim,))
+    vvals = potential_from_descriptor(potential)(pts if dim > 1 else pts[..., 0])
+    return assemble_dirichlet(mask, -1.0, mask.field(vvals), shift=shift)
 
 
 def solve_relative(
@@ -143,14 +147,7 @@ def solve_relative(
     Raises when the smallest eigenvalue is nonnegative (no bound state) or
     when the state has not decayed at the box boundary (box too small).
     """
-    vfun = potential_from_descriptor(potential)
-    mask = _box_mask(dim, L, n)
-    grid = mask.grid
-    pts = grid.points().reshape(grid.shape + (dim,))
-    vvals = vfun(pts if dim > 1 else pts[..., 0])
-    vfield = ScalarField(grid, np.where(mask.inside, vvals, 0.0))
-
-    op = assemble_dirichlet(mask, -1.0, vfield)
+    op = _box_operator(potential, dim, L, n)
     res = smallest_eigenpair(op, tol=tol)
     if res.eigenvalue >= 0:
         raise PairingError(
@@ -161,7 +158,7 @@ def solve_relative(
         raise PairingError("ground state is not positive after sign fixing")
 
     amax = np.max(np.abs(alpha.values))
-    shell = _outermost_interior_amplitude(mask, alpha.values)
+    shell = _outermost_interior_amplitude(op.mask, alpha.values)
     if shell > 1e-6 * amax:
         raise PairingError(
             f"pair wavefunction has not decayed at the box boundary "
@@ -192,14 +189,7 @@ def _outermost_interior_amplitude(mask: DomainMask, values: np.ndarray) -> float
 def spectral_gap(gs: RelativeGroundState, tol: float = 1e-8) -> float:
     """Gap between the two lowest eigenvalues of -Lap + V (cached)."""
     if gs.spectral_gap is None:
-        vfun = potential_from_descriptor(gs.potential)
-        mask = _box_mask(gs.dim, gs.L, gs.grid.n[0])
-        pts = mask.grid.points().reshape(mask.grid.shape + (gs.dim,))
-        vf = ScalarField(
-            mask.grid,
-            np.where(mask.inside, vfun(pts if gs.dim > 1 else pts[..., 0]), 0.0),
-        )
-        mat = assemble_dirichlet(mask, -1.0, vf).matrix
+        mat = _box_operator(gs.potential, gs.dim, gs.L, gs.grid.n[0]).matrix
         sigma, lu = gershgorin_factor(mat)
         vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
                              OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
@@ -397,10 +387,6 @@ class MatchedRelativeState:
     def norm_sq(self) -> float:
         return float(np.sum(self.samples**2) * self.step)
 
-    def as_field(self) -> ScalarField:
-        grid = Grid.box(-self.halfwidth, self.halfwidth, self.samples.size)
-        return ScalarField(grid, self.samples.copy())
-
 
 def matched_relative_state(
     potential: dict, step: float, halfwidth: float = 20.0, tol: float = 1e-12
@@ -415,12 +401,7 @@ def matched_relative_state(
     k_max = int(round(halfwidth / step))
     if k_max < 8:
         raise PairingError("micro lattice too coarse for the box halfwidth")
-    n = 2 * k_max + 1
-    vfun = potential_from_descriptor(potential)
-    mask = _box_mask(1, k_max * step, n)
-    s = mask.grid.axis(0)
-    vf = ScalarField(mask.grid, np.where(mask.inside, vfun(s), 0.0))
-    op = assemble_dirichlet(mask, -1.0, vf)
+    op = _box_operator(potential, 1, k_max * step, 2 * k_max + 1)
     res = smallest_eigenpair(op, tol=tol)
     if res.eigenvalue >= 0:
         raise PairingError(
@@ -442,6 +423,15 @@ def lattice_pair_field(matched: MatchedRelativeState, phi_h: float,
     return smoothstep_cutoff(s / phi_h) * h * matched.samples
 
 
+def _lattice_neg_laplacian(a: np.ndarray, step: float) -> np.ndarray:
+    """Three-point -Lap of micro-lattice samples, zero beyond both ends."""
+    d = np.zeros_like(a)
+    d[1:-1] = (2.0 * a[1:-1] - a[2:] - a[:-2]) / step**2
+    d[0] = (2.0 * a[0] - a[1]) / step**2
+    d[-1] = (2.0 * a[-1] - a[-2]) / step**2
+    return d
+
+
 def lattice_couplings(matched: MatchedRelativeState, a: np.ndarray) -> tuple:
     """Exact lattice counterparts of the quartic couplings of ``a``.
 
@@ -453,11 +443,7 @@ def lattice_couplings(matched: MatchedRelativeState, a: np.ndarray) -> tuple:
     """
     step = matched.step
     c = np.correlate(a, a, mode="full")
-    d = np.zeros_like(a)
-    d[1:-1] = (2.0 * a[1:-1] - a[2:] - a[:-2]) / step**2
-    d[0] = (2.0 * a[0] - a[1]) / step**2
-    d[-1] = (2.0 * a[-1] - a[-2]) / step**2
-    cd = np.correlate(d, a, mode="full")
+    cd = np.correlate(_lattice_neg_laplacian(a, step), a, mode="full")
     g_0 = float(np.sum(c * c)) * step**3
     g_bcs = float(np.sum(cd * c)) * step**3 + matched.E_b * g_0
     return g_bcs, g_0
@@ -468,12 +454,8 @@ def lattice_pair_energy(matched: MatchedRelativeState, a: np.ndarray) -> float:
     eigenvector, up to solver precision)."""
     step = matched.step
     vfun = potential_from_descriptor(matched.potential)
-    k = np.arange(-matched.k_max, matched.k_max + 1)
-    s = k * step
-    lap_a = np.zeros_like(a)
-    lap_a[1:-1] = (2.0 * a[1:-1] - a[2:] - a[:-2]) / step**2
-    lap_a[0] = (2.0 * a[0] - a[1]) / step**2
-    lap_a[-1] = (2.0 * a[-1] - a[-2]) / step**2
+    s = np.arange(-matched.k_max, matched.k_max + 1) * step
+    lap_a = _lattice_neg_laplacian(a, step)
     return float(np.sum(a * (lap_a + (vfun(s) + matched.E_b) * a)) * step)
 
 
@@ -512,14 +494,7 @@ def cutoff_diagnostics(gs: RelativeGroundState, phi_h: float) -> CutoffDiagnosti
     g_bcs_defect = abs(g_bcs_cut - gs.g_bcs)
     g_0_defect = abs(g_0_cut - gs.g_0)
 
-    vfun = potential_from_descriptor(gs.potential)
-    mask = _box_mask(gs.dim, gs.L, gs.grid.n[0])
-    pts = mask.grid.points().reshape(mask.grid.shape + (gs.dim,))
-    vf = ScalarField(
-        mask.grid,
-        np.where(mask.inside, vfun(pts if gs.dim > 1 else pts[..., 0]), 0.0),
-    )
-    op = assemble_dirichlet(mask, -1.0, vf, shift=gs.E_b)
-    avals = state.a_field.values[mask.inside]
-    energy = float(avals @ (op.matrix @ avals)) * mask.grid.node_weight
+    op = _box_operator(gs.potential, gs.dim, gs.L, gs.grid.n[0], shift=gs.E_b)
+    avals = state.a_field.values[op.mask.inside]
+    energy = float(avals @ (op.matrix @ avals)) * op.mask.grid.node_weight
     return CutoffDiagnostics(norm_defect, g_bcs_defect, g_0_defect, energy)

@@ -3,7 +3,6 @@ experiment drivers."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +70,6 @@ class ScanReport:
     def sorted_rows(self) -> list:
         return sorted(self.rows, key=lambda r: r[0])
 
-    def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.sorted_rows()], dtype=float)
-
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.sorted_rows():
@@ -83,15 +78,3 @@ class ScanReport:
 
     def fit_summary(self) -> dict:
         return {name: fit.to_dict() for name, fit in self.fits.items()}
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "columns": self.columns,
-                "rows": [list(map(float, row)) for row in self.sorted_rows()],
-                "fits": self.fit_summary(),
-                "metadata": self.metadata,
-            },
-            indent=2,
-            default=float,
-        )

@@ -35,9 +35,6 @@ class StencilOperator:
     """Symmetric stencil c * Laplacian + potential + shift on a mask."""
 
     mask: DomainMask
-    laplacian_coefficient: float
-    potential: ScalarField | None
-    shift: float
     matrix: sparse.csr_matrix
 
     @property
@@ -105,7 +102,7 @@ def assemble_dirichlet(
         mat = mat + sparse.diags(np.asarray(potential.values)[mask.inside])
     if shift != 0.0:
         mat = mat + shift * sparse.identity(mask.count, format="csr")
-    return StencilOperator(mask, laplacian_coefficient, potential, shift, mat.tocsr())
+    return StencilOperator(mask, mat.tocsr())
 
 
 @dataclass

@@ -62,8 +62,8 @@ class TwoBodyProblem:
             raise TwoBodyError("product eigensolves are supported in d=1 only")
         if self.mask.count**2 > MAX_PRODUCT_UNKNOWNS:
             raise TwoBodyError(
-                f"product grid has {self.mask.count**2} unknowns, over the "
-                f"{MAX_PRODUCT_UNKNOWNS} budget"
+                f"product grid at h={self.h} has {self.mask.count**2} "
+                f"unknowns, over the {MAX_PRODUCT_UNKNOWNS} budget"
             )
         if self.W is not None and self.W.grid != self.mask.grid:
             raise TwoBodyError("W lives on a different grid")
@@ -95,10 +95,8 @@ class TwoBodyProblem:
             if self.W is not None:
                 w = np.asarray(self.W.values)
                 pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
-            pot = np.where(pmask.inside, pot, 0.0)
-            self._op = assemble_dirichlet(
-                pmask, -0.5 * self.h**2, ScalarField(pmask.grid, pot)
-            )
+            self._op = assemble_dirichlet(pmask, -0.5 * self.h**2,
+                                          pmask.field(pot))
         return self._op
 
     def com_threshold(self) -> float:
@@ -203,7 +201,7 @@ def _resample_w(W: ScalarField | None, mask: DomainMask) -> ScalarField | None:
     x_old = W.grid.axis(0)
     x_new = mask.grid.axis(0)
     vals = np.interp(x_new, x_old, np.asarray(W.values))
-    return ScalarField(mask.grid, np.where(mask.inside, vals, 0.0))
+    return mask.field(vals)
 
 
 @dataclass
@@ -229,11 +227,6 @@ def problem_at(cfg: TwoBodyScanConfig, h: float) -> TwoBodyProblem:
     n = max(int(round(width / dx_target)) + 1, 17)
     grid = Grid.box(cfg.a, cfg.b, n)
     mask = interval(cfg.a, cfg.b, grid=grid)
-    if mask.count**2 > MAX_PRODUCT_UNKNOWNS:
-        raise TwoBodyError(
-            f"h={h} with micro step {cfg.micro_step} needs {mask.count}^2 "
-            "unknowns, over the memory budget"
-        )
     w = None
     if cfg.w_profile is not None:
         x = grid.axis(0)

@@ -92,21 +92,17 @@ class TestRun:
         assert abs(summary["rho_star"] - 1.0) < 0.02
 
     def test_reproducible_csv(self, tmp_path):
-        os.environ["PAIRCOND_TEST_MODE"] = "1"
-        try:
-            cfg = {
-                "domain": {"builtin": "interval", "a": 0.0, "b": 1.0,
-                           "n": 401, "margin": 0.3},
-                "w": None, "D_offset": 1.0, "g": 1.0,
-                "ells": [0.02, 0.04, 0.06],
-            }
-            assert cli.run("continuity", cfg, str(tmp_path / "r1"), seed=7) == 0
-            assert cli.run("continuity", cfg, str(tmp_path / "r2"), seed=7) == 0
-            b1 = (tmp_path / "r1" / "rows.csv").read_bytes()
-            b2 = (tmp_path / "r2" / "rows.csv").read_bytes()
-            assert b1 == b2
-        finally:
-            os.environ.pop("PAIRCOND_TEST_MODE", None)
+        cfg = {
+            "domain": {"builtin": "interval", "a": 0.0, "b": 1.0,
+                       "n": 401, "margin": 0.3},
+            "w": None, "D_offset": 1.0, "g": 1.0,
+            "ells": [0.02, 0.04, 0.06],
+        }
+        assert cli.run("continuity", cfg, str(tmp_path / "r1"), seed=7) == 0
+        assert cli.run("continuity", cfg, str(tmp_path / "r2"), seed=7) == 0
+        b1 = (tmp_path / "r1" / "rows.csv").read_bytes()
+        b2 = (tmp_path / "r2" / "rows.csv").read_bytes()
+        assert b1 == b2
 
     def test_mask_file_domain(self, tmp_path):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 801))
@@ -191,20 +187,70 @@ class TestRun:
         assert abs(threshold - np.pi**2 / 4) < 5e-3
         assert payload["fits"]["threshold"]["model"] == "linear"
 
-    def test_threads_match_sequential(self, tmp_path):
-        cfg = {
-            "domain": {"builtin": "interval", "a": 0.0, "b": 4.0, "n": 604,
-                       "margin": 0.05},
-            "w": None,
-            "potential": {"kind": "poschl_teller", "depth": 2.0},
-            "D": 2.0, "q": 1.5, "amplitude": 0.3,
-            "h_list": [0.1, 0.07, 0.05],
-        }
-        assert cli.run("bcs-trial", cfg, str(tmp_path / "seq"), threads=1) == 0
-        assert cli.run("bcs-trial", cfg, str(tmp_path / "par"), threads=2) == 0
-        b1 = (tmp_path / "seq" / "rows.csv").read_bytes()
-        b2 = (tmp_path / "par" / "rows.csv").read_bytes()
-        assert b1 == b2
+    def test_mask_json_with_convex_hint_loads(self, tmp_path):
+        # mask files written by older versions carry a "convex_hint" field
+        text = json.dumps({"dim": 1, "lower": [0.0], "upper": [1.0],
+                           "n": [801], "inside": [1, 799, 1],
+                           "convex_hint": True})
+        mask = geo.mask_from_json(text)
+        assert mask.count == 799
+        mask_path = tmp_path / "mask.json"
+        mask_path.write_text(text)
+        cfg = {"domain": {"mask_file": str(mask_path)}, "w": None}
+        assert cli.run("dc", cfg, str(tmp_path / "out")) == 0
+        with open(tmp_path / "out" / "report.json") as fh:
+            assert abs(json.load(fh)["summary"]["dc"] - 2.4674) < 5e-3
+
+    def test_twobody_scan_rejects_w(self, tmp_path):
+        cfg = {"potential": {"kind": "poschl_teller", "depth": 2.0},
+               "h_list": [0.1, 0.07, 0.05],
+               "w": {"kind": "constant", "value": 1.0}}
+        assert cli.run("twobody-scan", cfg, str(tmp_path)) == 2
+        assert not os.path.exists(tmp_path / "report.json")
+
+    @pytest.mark.parametrize("experiment", ["gp-min", "continuity",
+                                            "bcs-trial", "density"])
+    def test_d_and_d_offset_rejected(self, tmp_path, capsys, experiment):
+        cfg = {"domain": {"builtin": "interval", "n": 101}, "w": None,
+               "D": 2.0, "D_offset": 1.0}
+        if experiment == "continuity":
+            cfg["ells"] = [0.02, 0.04, 0.06]
+        if experiment in ("bcs-trial", "density"):
+            cfg["potential"] = {"kind": "poschl_teller", "depth": 2.0}
+            cfg["h_list"] = [0.1, 0.07, 0.05]
+        assert cli.run(experiment, cfg, str(tmp_path)) == 2
+        assert "either D or D_offset" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.json")
+
+    @pytest.mark.parametrize("experiment, cfg", [
+        ("dc", {"domain": {"builtin": "interval", "n": "abc"}, "w": None}),
+        ("dc", {"domain": {"builtin": "box", "n": "abc"}, "w": None}),
+        ("dc", {"domain": {"builtin": "interval", "n": 1e300}, "w": None}),
+        ("dc", {"domain": {"builtin": "interval", "a": float("nan")},
+                "w": None}),
+        ("dc", {"domain": {"builtin": "disk", "center": 0.5}, "w": None}),
+        ("dc", {"domain": {"builtin": ["interval"]}, "w": None}),
+        ("dc", {"domain": {"mask_file": ["mask.json"]}, "w": None}),
+        ("dc", {"domain": {"builtin": "interval", "n": 201},
+                "w": {"kind": "bump", "height": "x"}}),
+        ("dc", {"domain": {"builtin": "interval", "n": 201},
+                "w": {"kind": "constant", "value": float("inf")}}),
+        ("dc", {"domain": {"builtin": "interval", "n": 201}, "w": None,
+                "tol": float("nan")}),
+        ("relative", {"potential": {"kind": "poschl_teller"}, "n": [401]}),
+        ("continuity", {"domain": {"builtin": "interval", "n": 201},
+                        "w": None, "ells": ["x"]}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.1, 0.07, float("nan")]}),
+        ("hardy", {"domain": "interval"}),
+        ("hardy", {"domain": {"builtin": "interval"}, "n_list": []}),
+        ("density", {"domain": {"builtin": "interval", "n": 201}, "w": None,
+                     "potential": {"kind": "poschl_teller"}, "h_list": []}),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
+        assert cli.run(experiment, cfg, str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.json")
 
     def test_main_entry(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
