@@ -105,7 +105,7 @@ class BCSConfig:
         return self.h**2 * lam - self.mu
 
     def validate_scale(self, slack: float = 1e-9):
-        """Check the small-h admissibility precondition on the one-body part."""
+        """Check the small-h admissibility condition on the one-body part."""
         floor = self.one_body_floor()
         bound = self.matched_state().E_b / 2.0
         if floor < bound - slack:
@@ -465,7 +465,8 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
     vfun = potential_from_descriptor(cfg.potential)
 
     # (i) quadratic trace: free product Laplacian, kernels vanish well inside
-    lap_full = _full_line_laplacian(frame)
+    grid = cfg.mask.grid
+    lap_full = dirichlet_laplacian_matrix(DomainMask(grid, np.ones(grid.shape, bool)))
     ka = -(h**2) * 0.5 * (lap_full @ a_mat + a_mat @ lap_full.T)
     lhs_i = float(np.sum((ka - cfg.mu * a_mat) * a_mat)) * dv * dv
     rr = frame.x[:, None] - frame.x[None, :]
@@ -509,16 +510,6 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
         quartic_energy_lhs=tr_qh, quartic_energy_rhs=rhs_qh,
         quartic_energy_residual=res_qh,
         quartic_lhs=tr_q, quartic_rhs=rhs_q, quartic_residual=res_q,
-    )
-
-
-def _full_line_laplacian(frame: COMFrame) -> sparse.csr_matrix:
-    n = frame.n
-    inv = 1.0 / frame.dx**2
-    return sparse.diags(
-        [np.full(n - 1, inv), np.full(n, -2.0 * inv), np.full(n - 1, inv)],
-        offsets=[-1, 0, 1],
-        format="csr",
     )
 
 

@@ -1,9 +1,9 @@
 """Experiment orchestration: JSON run configs in, CSV scan rows and JSON fit
 reports out.
 
-Usage: paircond <experiment> --config cfg.json [--out DIR] [--seed N].
+Usage: paircond <experiment> --config cfg.json [--out DIR].
 Exit codes: 0 success, 2 config validation error, 3 solver failure. A fixed
-config and seed reproduce byte-identical CSV output.
+config reproduces byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def validate_potential(spec) -> dict:
 # experiment drivers
 
 
-def _exp_dc(cfg, seed):
+def _exp_dc(cfg):
     mask = build_domain(_require(cfg, "domain", "config"))
     w = build_w(cfg.get("w"), mask)
     _check_keys(cfg, {"domain", "w", "tol"}, "config")
@@ -178,7 +178,7 @@ def _exp_dc(cfg, seed):
     }
 
 
-def _exp_relative(cfg, seed):
+def _exp_relative(cfg):
     _check_keys(cfg, {"potential", "L", "n", "tol"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
     gs = pairing.solve_relative(
@@ -216,11 +216,10 @@ def _gp_setup(cfg):
     return gp.GPProblem(mask, w, d_val, _number(cfg, "g", 1.0)), mode
 
 
-def _exp_gp_min(cfg, seed):
+def _exp_gp_min(cfg):
     _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "tol"}, "config")
     prob, mode = _gp_setup(cfg)
-    sol = gp.minimize_gp(prob, tol=_number(cfg, "tol", 1e-9), seed=seed,
-                         mode=mode)
+    sol = gp.minimize_gp(prob, tol=_number(cfg, "tol", 1e-9), mode=mode)
     theta, ub = gp.one_mode_upper_bound(prob, mode=mode)
     norm_sq = float(np.sum(sol.psi.values**2) * prob.mask.grid.node_weight)
     return {
@@ -235,18 +234,22 @@ def _exp_gp_min(cfg, seed):
     }
 
 
-def _exp_continuity(cfg, seed):
+def _exp_continuity(cfg):
     _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "ells", "tol"},
                 "config")
-    prob, _ = _gp_setup(cfg)
+    prob, mode = _gp_setup(cfg)
     ells = _coerce(_require(cfg, "ells", "config"), [0.0], "ells")
-    return gp.continuity_scan(prob, ells, tol=_number(cfg, "tol", 1e-9))
+    return gp.continuity_scan(prob, ells, tol=_number(cfg, "tol", 1e-9),
+                              mode=mode)
 
 
-def _exp_twobody(cfg, seed):
+def _exp_twobody(cfg):
     _check_keys(cfg, {"potential", "a", "b", "h_list", "micro_step", "q",
                       "tol", "richardson"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
+    richardson = cfg.get("richardson", True)
+    if not isinstance(richardson, bool):
+        raise ConfigError(f"richardson must be true or false, got {richardson!r}")
     scan_cfg = twobody.TwoBodyScanConfig(
         a=_number(cfg, "a", 0.0),
         b=_number(cfg, "b", 1.0),
@@ -254,7 +257,7 @@ def _exp_twobody(cfg, seed):
         micro_step=_number(cfg, "micro_step", 0.125),
         q=_number(cfg, "q", 1.5),
         tol=_number(cfg, "tol", 1e-9),
-        richardson=bool(cfg.get("richardson", True)),
+        richardson=richardson,
     )
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
     return twobody.asymptotic_scan(scan_cfg, h_list)
@@ -298,7 +301,7 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
     return _PairSetup(mask, w, pot, gs, q, h_list, inner, mode)
 
 
-def _exp_bcs_trial(cfg, seed):
+def _exp_bcs_trial(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "amplitude", "h_list"}, "config")
     setup = _pair_setup(cfg, 1.5, mode_with_w=True)
@@ -327,7 +330,7 @@ def _exp_bcs_trial(cfg, seed):
     return report
 
 
-def _exp_semiclassics(cfg, seed):
+def _exp_semiclassics(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "q", "amplitude",
                       "h_list"}, "config")
     setup = _pair_setup(cfg, 1.0, mode_with_w=False)
@@ -355,7 +358,7 @@ def _exp_semiclassics(cfg, seed):
     return report
 
 
-def _exp_hardy(cfg, seed):
+def _exp_hardy(cfg):
     _check_keys(cfg, {"domain", "lambda_offset", "n_list", "tol"}, "config")
     spec = _require(cfg, "domain", "config")
     if not isinstance(spec, dict):
@@ -374,7 +377,7 @@ def _exp_hardy(cfg, seed):
     )
 
 
-def _exp_density(cfg, seed):
+def _exp_density(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "h_list"}, "config")
     setup = _pair_setup(cfg, 1.5, mode_with_w=False)
@@ -432,7 +435,7 @@ EXPERIMENTS = tuple(DRIVERS)
 # entry point
 
 
-def run(experiment: str, config: dict, out_dir: str, seed: int = 0) -> int:
+def run(experiment: str, config: dict, out_dir: str) -> int:
     """Run one experiment; returns the process exit code."""
     if experiment not in DRIVERS:
         print(f"unknown experiment {experiment!r}; choose from "
@@ -443,7 +446,7 @@ def run(experiment: str, config: dict, out_dir: str, seed: int = 0) -> int:
         return 2
     t0 = time.time()
     try:
-        result = DRIVERS[experiment](config, seed)
+        result = DRIVERS[experiment](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -457,7 +460,6 @@ def run(experiment: str, config: dict, out_dir: str, seed: int = 0) -> int:
     payload = {
         "experiment": experiment,
         "config": config,
-        "seed": seed,
         "version": __version__,
         "wall_time_s": time.time() - t0,
         "summary": result if report is None else report.metadata,
@@ -482,7 +484,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="paircond-out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -490,7 +491,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    return run(args.experiment, config, args.out, args.seed)
+    return run(args.experiment, config, args.out)
 
 
 if __name__ == "__main__":

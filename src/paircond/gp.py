@@ -5,10 +5,11 @@ over the box, with psi zero outside the mask. Gradients are forward
 differences of the zero-extended field, which makes the quadratic part agree
 exactly (summation by parts) with the masked second-difference Laplacian.
 
-The minimizer is found by preconditioned descent restricted to nonnegative
-real fields: minimizers are unique up to a global phase, and taking the
-modulus never increases the discrete energy, so the nonnegative
-representative is picked from the start.
+The minimizer is found by a globalized Newton iteration restricted to
+nonnegative real fields: minimizers are unique up to a global phase, and
+taking the modulus never increases the discrete energy, so the nonnegative
+representative is picked from the start. That start is the optimal
+single-mode field, or a given field such as the minimizer on a nearby mask.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.sparse.linalg import splu
 from .geometry import DomainMask, dilate, erode
 from .grid import ScalarField
 from .reporting import ScanReport, fit_power_law
-from .spectral import EigenResult, assemble_dirichlet, onset_threshold
+from .spectral import SYMMETRIC_LU, EigenResult, assemble_dirichlet, onset_threshold
 
 
 class GPError(RuntimeError):
@@ -101,13 +102,9 @@ def gp_energy(prob: GPProblem, psi: ScalarField) -> float:
     return 0.25 * gradient_energy(psi) + quad + quart
 
 
-def _el_interior(prob: GPProblem, lap, vals: np.ndarray) -> np.ndarray:
+def _el_interior(prob: GPProblem, stiff, vals: np.ndarray) -> np.ndarray:
     """-(1/4) Lap psi + (W - D) psi + 2 g psi^3 on the interior nodes."""
-    return (
-        -0.25 * (lap @ vals)
-        + (prob.w_interior() - prob.D) * vals
-        + 2.0 * prob.g * vals**3
-    )
+    return stiff @ vals + (prob.w_interior() - prob.D) * vals + 2.0 * prob.g * vals**3
 
 
 def gp_gradient(prob: GPProblem, psi: ScalarField) -> ScalarField:
@@ -118,151 +115,103 @@ def gp_gradient(prob: GPProblem, psi: ScalarField) -> ScalarField:
     quartic functionals of a real field).
     """
     _check_dirichlet(prob, psi)
-    lap = assemble_dirichlet(prob.mask, 1.0).matrix
     vals = np.asarray(psi.values, dtype=float)[prob.mask.inside]
-    return prob.mask.field(_el_interior(prob, lap, vals))
-
-
-def _el_residual_norm(prob: GPProblem, lap, vals: np.ndarray) -> float:
-    r = _el_interior(prob, lap, vals)
-    return float(np.linalg.norm(r)) * np.sqrt(prob.mask.grid.node_weight)
+    stiff = assemble_dirichlet(prob.mask, -0.25).matrix
+    return prob.mask.field(_el_interior(prob, stiff, vals))
 
 
 def minimize_gp(
     prob: GPProblem,
     tol: float = 1e-9,
     max_iter: int = 2000,
-    seed: int | None = 0,
     initial: ScalarField | None = None,
     mode: EigenResult | None = None,
 ) -> GPSolution:
-    """Descend to the nonnegative minimizer.
+    """Globalized Newton iteration to the nonnegative minimizer.
 
-    Preconditioned gradient descent: direction -(K + s)^{-1} grad E with K
-    the quarter-Laplacian plus the positive part of (W - D), an Armijo
-    backtracking line search, and a projection onto nonnegative fields
-    (which never increases the energy). Converged when the Euler-Lagrange
-    residual is below tol * (1 + |psi|_H1).
+    Each step solves with the Hessian K + diag(W - D + 6 g psi^2), K the
+    quarter-Laplacian; where that factor fails or gives no descent direction,
+    with K + diag(max(W - D + 6 g psi^2, 0)), which is positive definite.
+    The step, projected onto nonnegative fields, is halved until the energy
+    meets Armijo or the Euler-Lagrange residual falls (below the energy's
+    floating-point noise only the residual shows progress). Converged when
+    the residual is below tol * (1 + |psi|_H1); ``iterations`` counts Newton
+    steps.
 
-    Initialization follows the one-mode bound: theta * (ground mode) when D
-    exceeds the threshold, else a small random field to probe for descent
-    directions.
+    The start is ``|initial|`` when given, else theta * |psi_1| from the
+    onset eigenpair ``mode`` (solved when absent). When D <= D_c the
+    minimizer is zero: E(psi) >= (D_c - D)|psi|^2 + g|psi|^4 >= 0.
     """
     mask = prob.mask
-    lap = assemble_dirichlet(mask, 1.0).matrix  # plain Laplacian, interior
+    stiff = assemble_dirichlet(mask, -0.25).matrix  # quarter-Laplacian
     w = prob.w_interior()
     dv = mask.grid.node_weight
 
-    if mode is None:
-        mode = onset_threshold(mask, prob.W, tol=1e-11)
-    d_c = mode.eigenvalue
-
-    rng = np.random.default_rng(seed)
     if initial is not None:
         _check_dirichlet(prob, initial)
         vals = np.abs(np.asarray(initial.values, dtype=float)[mask.inside])
     else:
-        mode_vals = np.asarray(mode.eigenvector.values)[mask.inside]
-        if prob.D > d_c:
-            quart = float(np.sum(mode_vals**4) * dv)
-            theta = np.sqrt((prob.D - d_c) / (2.0 * prob.g * quart))
-            vals = theta * np.abs(mode_vals)
-        else:
-            vals = 1e-4 * np.abs(rng.standard_normal(mask.count))
+        if mode is None:
+            mode = onset_threshold(mask, prob.W, tol=1e-11)
+        if prob.D <= mode.eigenvalue:
+            return GPSolution(mask.field(np.zeros(mask.count)), 0.0, 0.0, 0)
+        theta, _ = one_mode_upper_bound(prob, mode)
+        vals = theta * np.abs(np.asarray(mode.eigenvector.values)[mask.inside])
 
-    # preconditioner: quarter-Laplacian + positive curvature floor
-    shift = max(1.0, prob.D - float(np.min(w)) if w.size else prob.D, 1e-2)
-    stiff = -0.25 * lap
-    precond = splu((stiff + sparse.diags(np.maximum(w - prob.D, 0.0))
-                    + shift * sparse.identity(mask.count, format="csr")).tocsc())
-
-    def energy_of(v):
+    def evaluate(v):
+        """Energy, Euler-Lagrange field, its norm and |v|_H1."""
+        el = _el_interior(prob, stiff, v)
+        kin = float(v @ (stiff @ v)) * dv
         quad = float(np.sum((w - prob.D) * v**2) * dv)
-        quart = float(prob.g * np.sum(v**4) * dv)
-        kin = 0.25 * float(v @ (-lap @ v)) * dv
-        return kin + quad + quart
+        energy = kin + quad + float(prob.g * np.sum(v**4) * dv)
+        h1 = float(np.sqrt(4.0 * kin + np.sum(v**2) * dv))
+        return energy, el, float(np.linalg.norm(el)) * np.sqrt(dv), h1
 
-    def norms_of(v):
-        el = _el_interior(prob, lap, v)
-        res = float(np.linalg.norm(el)) * np.sqrt(dv)
-        h1 = float(np.sqrt(float(v @ (-lap @ v)) * dv + np.sum(v**2) * dv))
-        return el, res, h1
+    def newton_direction(curvature, el):
+        hess = (stiff + sparse.diags(curvature)).tocsc()
+        return splu(hess, **SYMMETRIC_LU).solve(-el)
 
-    e = energy_of(vals)
-    step = 1.0
+    e, el, res, h1 = evaluate(vals)
+    e_start = e
     it = 0
-    stalled = False
-    # phase 1: monotone preconditioned descent with Armijo backtracking;
-    # the Newton phase below owns the endgame, so this only needs to reach
-    # the basin of the minimizer
-    phase1_cap = min(max_iter, 120)
-    for it in range(1, phase1_cap + 1):
-        el, res, h1 = norms_of(vals)
-        if res <= tol * (1.0 + h1) or stalled:
-            break
-        grad = 2.0 * el  # Gateaux derivative
-        direction = -precond.solve(grad)
-        slope = float(grad @ direction) * dv
-        if slope >= 0:
-            direction = -grad
-            slope = float(grad @ direction) * dv
-        alpha = min(step * 1.5, 1.5)
-        accepted = False
-        for _ in range(60):
+    while res > tol * (1.0 + h1) and it < max_iter:
+        curvature = w - prob.D + 6.0 * prob.g * vals**2
+        try:
+            direction = newton_direction(curvature, el)
+        except RuntimeError:  # SuperLU: exactly singular
+            direction = np.zeros_like(el)
+        if not float(el @ direction) < 0.0:  # no descent direction (or NaN)
+            direction = newton_direction(np.maximum(curvature, 0.0), el)
+        # the Gateaux derivative along the direction is 2 <el, direction> dv
+        slope = 2.0 * float(el @ direction) * dv
+        alpha = 1.0
+        for _ in range(40):
             trial = np.maximum(vals + alpha * direction, 0.0)
-            e_trial = energy_of(trial)
-            if e_trial <= e + 1e-4 * alpha * slope:
-                accepted = True
+            e_trial, el_t, res_t, h1_t = evaluate(trial)
+            if e_trial <= e + 1e-4 * alpha * slope or res_t < res:
                 break
             alpha *= 0.5
-        if not accepted:
-            # improvements are below the fp resolution of the energy;
-            # hand over to the Newton refinement
-            stalled = True
-            continue
-        if e_trial > e + 1e-14 * max(abs(e), 1.0):
-            raise GPError("descent step increased the energy")
-        vals, e, step = trial, e_trial, alpha
-
-    # phase 2: damped Newton on the Euler-Lagrange system, immune to the
-    # energy-comparison floor that stalls the line search
-    el, res, h1 = norms_of(vals)
-    for _ in range(max(30, max_iter - phase1_cap)):
-        if res <= tol * (1.0 + h1):
-            break
-        hess = (stiff + sparse.diags(w - prob.D + 6.0 * prob.g * vals**2)).tocsc()
-        try:
-            delta = splu(hess).solve(-el)
-        except RuntimeError:
-            break
-        improved = False
-        damp = 1.0
-        for _ in range(12):
-            trial = np.maximum(vals + damp * delta, 0.0)
-            el_t, res_t, h1_t = norms_of(trial)
-            if res_t < res:
-                vals, el, res, h1 = trial, el_t, res_t, h1_t
-                improved = True
-                break
-            damp *= 0.5
-        if not improved:
-            break
+        else:
+            break  # no progress left at this precision
+        vals, e, el, res, h1 = trial, e_trial, el_t, res_t, h1_t
         it += 1
-    e = energy_of(vals)
     if res > tol * (1.0 + h1):
         raise GPError(
-            f"minimizer did not converge (residual {res:.3e}, "
-            f"target {tol * (1.0 + h1):.3e}); the target may sit below "
-            "the floating-point floor of this grid"
+            f"minimizer did not converge in {it} Newton steps (residual "
+            f"{res:.3e}, target {tol * (1.0 + h1):.3e}); the target may sit "
+            "below the floating-point floor of this grid"
+        )
+    if e > e_start + 1e-12 * max(1.0, abs(e_start)):
+        raise GPError(
+            f"minimizer ended above its start energy ({e:.6e} > {e_start:.6e}): "
+            "it converged to a critical point that is not the minimum"
         )
 
     # zero is always admissible; below threshold the minimizer is zero
     if e >= -1e-14 * (1.0 + abs(prob.D)):
         vals = np.zeros_like(vals)
         e = 0.0
-    psi = mask.field(vals)
-    res = _el_residual_norm(prob, lap, vals)
-    return GPSolution(psi, e, res, it)
+    return GPSolution(mask.field(vals), e, evaluate(vals)[2], it)
 
 
 def one_mode_upper_bound(prob: GPProblem, mode: EigenResult | None = None) -> tuple:
@@ -289,6 +238,7 @@ def continuity_scan(
     ells,
     tol: float = 1e-9,
     fit_window: tuple | None = None,
+    mode: EigenResult | None = None,
 ) -> ScanReport:
     """Energy differences under interior and exterior domain approximations.
 
@@ -297,16 +247,27 @@ def continuity_scan(
     diff_interior, diff_exterior) and the fitted power laws of both
     difference columns are attached (a refused fit is kept, flagged).
     The orderings E(dilated) <= E(domain) <= E(eroded) are enforced.
+
+    ``mode`` is the onset eigenpair of the base mask, as in ``minimize_gp``.
+    The minimizations on the eroded and dilated masks start from the base
+    minimizer, restricted or zero-extended; when that minimizer is zero they
+    start from their own onset mode, since a dilated mask may lie above its
+    threshold while the base does not.
     """
-    base = minimize_gp(prob, tol=tol)
+    base = minimize_gp(prob, tol=tol, mode=mode)
+
+    def energy_on(mask: DomainMask) -> float:
+        start = mask.field(base.psi.values) if base.energy < 0.0 else None
+        return minimize_gp(prob.with_mask(mask), tol=tol, initial=start).energy
+
     rows = []
     slack = max(1e-10, 100 * tol)
     for ell in sorted(float(e) for e in ells):
         if ell == 0.0:
             e_int = e_ext = base.energy
         else:
-            e_int = minimize_gp(prob.with_mask(erode(prob.mask, ell)), tol=tol).energy
-            e_ext = minimize_gp(prob.with_mask(dilate(prob.mask, ell)), tol=tol).energy
+            e_int = energy_on(erode(prob.mask, ell))
+            e_ext = energy_on(dilate(prob.mask, ell))
         if e_ext > base.energy + slack or base.energy > e_int + slack:
             raise GPError(
                 f"domain-monotonicity ordering violated at ell={ell}: "

@@ -117,6 +117,12 @@ def _quad_norm(mask: DomainMask, vec: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(vec) ** 2)) * np.sqrt(mask.grid.node_weight))
 
 
+# SuperLU options for symmetric matrices: minimum-degree ordering of A^T + A,
+# applied on both sides, with the pivots kept on the diagonal
+SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                "options": {"SymmetricMode": True}}
+
+
 def _factor_positive_definite(mat: sparse.spmatrix) -> SuperLU:
     """Sparse LU of a matrix that must be symmetric positive definite.
 
@@ -126,8 +132,7 @@ def _factor_positive_definite(mat: sparse.spmatrix) -> SuperLU:
     of U) is positive; that is checked here, at no extra factorization.
     """
     try:
-        lu = splu(sparse.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(sparse.csc_matrix(mat), **SYMMETRIC_LU)
     except RuntimeError as exc:  # SuperLU: exactly singular
         raise SpectralError(f"matrix is not positive definite: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from paircond import cli
+from paircond import cli, gp
 from paircond import geometry as geo
 from paircond.grid import Grid
 from paircond.reporting import FitError, fit_power_law
+from paircond.spectral import onset_threshold
 
 
 class TestFitPowerLaw:
@@ -98,11 +99,27 @@ class TestRun:
             "w": None, "D_offset": 1.0, "g": 1.0,
             "ells": [0.02, 0.04, 0.06],
         }
-        assert cli.run("continuity", cfg, str(tmp_path / "r1"), seed=7) == 0
-        assert cli.run("continuity", cfg, str(tmp_path / "r2"), seed=7) == 0
+        assert cli.run("continuity", cfg, str(tmp_path / "r1")) == 0
+        assert cli.run("continuity", cfg, str(tmp_path / "r2")) == 0
         b1 = (tmp_path / "r1" / "rows.csv").read_bytes()
         b2 = (tmp_path / "r2" / "rows.csv").read_bytes()
         assert b1 == b2
+
+    def test_continuity_solves_one_onset(self, tmp_path, monkeypatch):
+        # the set-up's onset mode serves the base minimization, and the
+        # eroded and dilated masks start from the base minimizer
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return onset_threshold(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "onset_threshold", counting)
+        monkeypatch.setattr(gp, "onset_threshold", counting)
+        cfg = {"domain": {"builtin": "slit_square", "n": 41}, "w": None,
+               "D_offset": 1.0, "ells": [0.03, 0.05, 0.07]}
+        assert cli.run("continuity", cfg, str(tmp_path)) == 0
+        assert len(calls) == 1
 
     def test_mask_file_domain(self, tmp_path):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 801))
@@ -246,6 +263,10 @@ class TestRun:
         ("hardy", {"domain": {"builtin": "interval"}, "n_list": []}),
         ("density", {"domain": {"builtin": "interval", "n": 201}, "w": None,
                      "potential": {"kind": "poschl_teller"}, "h_list": []}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 0.1], "richardson": "false"}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 0.1], "richardson": 0}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2

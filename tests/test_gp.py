@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
 from paircond import gp
 from paircond.grid import Grid, ScalarField, inner_product
@@ -30,6 +33,19 @@ def gradient_flow_oracle(n, D, g, tau=2e-3, iters=30000):
     padded = np.concatenate([[0.0], psi, [0.0]])
     kinetic = 0.25 * np.sum(np.diff(padded) ** 2) / dx
     return kinetic + np.sum(-D * psi**2 + g * psi**4) * dx
+
+
+def check_minimizer(prob, sol, mode, tol=1e-9):
+    """Nonnegative, meets the residual contract, reports its own energy and
+    lies at or below the single-mode bound."""
+    vals = sol.psi.values
+    h1 = np.sqrt(gp.gradient_energy(sol.psi)
+                 + np.sum(vals**2) * prob.mask.grid.node_weight)
+    assert np.min(vals) >= 0.0
+    assert sol.el_residual <= tol * (1 + h1)
+    assert abs(sol.energy - gp.gp_energy(prob, sol.psi)) <= 1e-9 * (1 + abs(sol.energy))
+    _, ub = gp.one_mode_upper_bound(prob, mode=mode)
+    assert sol.energy <= ub + 1e-12 * (1 + abs(ub))
 
 
 class TestEnergy:
@@ -146,6 +162,28 @@ class TestMinimize:
         sol = gp.minimize_gp(prob)
         assert np.min(sol.psi.values) >= 0.0
 
+    def test_slit_square_far_above_threshold(self):
+        # far above threshold the Hessian is indefinite along the way: a
+        # Newton iteration that only asks the residual to fall fails here
+        mask = geo.slit_square(n=61)
+        mode = onset_threshold(mask, tol=1e-11)
+        prob = gp.GPProblem(mask, None, mode.eigenvalue + 20.0, 1.0)
+        check_minimizer(prob, gp.minimize_gp(prob, mode=mode), mode)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+           w_scale=st.sampled_from([0.0, 1.0, 1e2]),
+           gap=st.floats(0.1, 50.0), g_val=st.floats(0.1, 10.0))
+    def test_random_masks(self, seed, dim, w_scale, gap, g_val):
+        # masks of at most 400 nodes with a rough W, from just above the
+        # threshold to far above it
+        rng = np.random.default_rng(seed)
+        m = random_1d_mask(rng, n=48) if dim == 1 else random_2d_mask(rng, n=20)
+        w = m.field(w_scale * rng.standard_normal(m.grid.shape))
+        mode = onset_threshold(m, w, tol=1e-11)
+        prob = gp.GPProblem(m, w, mode.eigenvalue + gap, g_val)
+        check_minimizer(prob, gp.minimize_gp(prob, mode=mode), mode)
+
     def test_max_iter_diagnostic(self, unit_interval):
         prob = gp.GPProblem(unit_interval, None, 5.0, 1.0)
         with pytest.raises(gp.GPError, match="converge"):
@@ -189,6 +227,29 @@ class TestContinuity:
         base = rep.metadata["base_energy"]
         for row in rows:
             assert row[2] <= base + 1e-9 <= row[1] + 2e-9
+
+    def test_one_onset_solve(self, padded_interval, monkeypatch):
+        # the eroded and dilated masks start from the base minimizer
+        masks = []
+
+        def counting(mask, *args, **kwargs):
+            masks.append(mask.count)
+            return onset_threshold(mask, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "onset_threshold", counting)
+        prob = gp.GPProblem(padded_interval, None, D_C_INTERVAL + 1.0, 1.0)
+        gp.continuity_scan(prob, [0.01, 0.02, 0.04])
+        assert masks == [padded_interval.count]
+
+    def test_zero_base_dilated_above_threshold(self):
+        # below the base threshold, above the dilated one: the dilated
+        # minimizer is not zero even though the base minimizer is
+        mask = geo.interval(0.2, 0.8, grid=Grid.box(0.0, 1.0, 401))
+        d_val = 0.5 * (onset_threshold(mask).eigenvalue
+                       + onset_threshold(geo.dilate(mask, 0.05)).eigenvalue)
+        rep = gp.continuity_scan(gp.GPProblem(mask, None, d_val, 1.0), [0.05])
+        assert rep.metadata["base_energy"] == 0.0
+        assert rep.sorted_rows()[0][2] < 0.0
 
     def test_monotone_under_enlargement(self):
         rng = np.random.default_rng(21)
