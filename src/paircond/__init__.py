@@ -10,7 +10,6 @@ from .grid import (  # noqa: F401
     GridError,
     PairKernel,
     ScalarField,
-    fourier_samples,
     inner_product,
     integrate,
 )

@@ -256,18 +256,21 @@ def _check_support(cfg: BCSConfig, psi: ScalarField):
 
 
 def admissibility_spectrum(state: TrialState) -> tuple:
-    """Extreme eigenvalues of the block state [[gamma, a], [a, 1-gamma]].
+    """Extreme eigenvalues of the block state [[Gamma, A], [A, 1 - Gamma]].
 
-    Kernels act on L2 with the flat interior weight, so the operator matrix
-    is dx * kernel matrix.
+    Kernels act on L2 with the flat interior weight, so the operators are
+    A = dx * a and Gamma = dx * gamma. ``build_trial_state`` makes Gamma the
+    polynomial A^2 + (1 + sqrt(h)) A^4 of the real symmetric A, so in an
+    eigenbasis of A (eigenvalue s) the block splits into 2x2 blocks
+    [[g, s], [s, 1 - g]] with g = s^2 + (1 + sqrt(h)) s^4, whose eigenvalues
+    are 1/2 -+ sqrt((g - 1/2)^2 + s^2). One n x n eigvalsh of A thus gives
+    the whole block spectrum; ``state.gamma_psi`` is not read.
     """
     dv = state.cfg.mask.grid.spacing[0]
-    a = dv * state.a_psi.values
-    g = dv * state.gamma_psi.values
-    n = a.shape[0]
-    block = np.block([[g, a], [a, np.eye(n) - g]])
-    vals = np.linalg.eigvalsh(block)
-    return float(vals[0]), float(vals[-1])
+    s = np.linalg.eigvalsh(dv * state.a_psi.values)
+    g = s**2 + (1.0 + math.sqrt(state.cfg.h)) * s**4
+    r = float(np.max(np.sqrt((g - 0.5) ** 2 + s**2)))
+    return 0.5 - r, 0.5 + r
 
 
 def _one_body_matrix(cfg: BCSConfig) -> sparse.csr_matrix:
@@ -541,34 +544,3 @@ def import_kernel(path: str) -> tuple:
     grid = Grid.box(g["lower"], g["upper"], g["n"])
     vals = np.fromfile(path, dtype=np.float64).reshape(sidecar["n"])
     return PairKernel(grid, grid, vals), sidecar["h"], sidecar["kind"]
-
-
-def com_trace_identity(cfg: BCSConfig, alpha: PairKernel) -> dict:
-    """Quadratic-trace bookkeeping check: the product-grid evaluation of
-    Tr(h alpha alphabar) + V-term against the same sum relabeled in
-    (center, separation) indices. Exact up to roundoff by construction."""
-    gs = cfg.relative_state()
-    frame = COMFrame.build(cfg)
-    a_mat = np.asarray(alpha.values, dtype=float)
-    dx = frame.dx
-
-    hmat = _one_body_matrix(cfg)
-    vfun = potential_from_descriptor(cfg.potential)
-    rr = frame.x[:, None] - frame.x[None, :]
-    vmat = vfun(rr / cfg.h)
-    lhs = float(np.sum(((hmat @ a_mat) + vmat * a_mat) * a_mat)) * dx * dx
-
-    # relabeled sum: same stencil entries grouped by fibers, weights
-    # (dx/2) * (2 dx)
-    total = 0.0
-    ham_dense = hmat.toarray()
-    for u in range(2 * frame.n - 1):
-        i, j, v = frame.pair_indices(u)
-        if i.size == 0:
-            continue
-        col = a_mat[:, j]  # alpha(. , y_j)
-        hcol = ham_dense @ col
-        integrand = a_mat[i, j] * (hcol[i, np.arange(i.size)]
-                                   + vfun(v * dx / cfg.h) * a_mat[i, j])
-        total += float(np.sum(integrand)) * (2.0 * dx) * (dx / 2.0)
-    return {"xy_value": lhs, "com_value": total, "gap": lhs - total}

@@ -181,12 +181,12 @@ def _exp_dc(cfg):
 def _exp_relative(cfg):
     _check_keys(cfg, {"potential", "L", "n", "tol"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
-    gs = pairing.solve_relative(
-        pot,
-        L=_number(cfg, "L", 20.0),
-        n=_number(cfg, "n", 4001),
-        tol=_number(cfg, "tol", 1e-10),
-    )
+    L, n = _number(cfg, "L", 20.0), _number(cfg, "n", 4001)
+    tol = _number(cfg, "tol", 1e-10)
+    try:
+        gs = pairing.solve_relative(pot, L=L, n=n, tol=tol)
+    except GridError as exc:  # the box grid refused L or n
+        raise ConfigError(f"cannot build the relative box: {exc}") from exc
     return {
         "E_b": gs.E_b,
         "rho_star": gs.rho_star,

@@ -1,17 +1,23 @@
-"""Uniform Cartesian lattices, fields on them, quadrature and Fourier sampling.
+"""Uniform Cartesian lattices, fields and pair kernels on them, and
+quadrature.
 
 Grids are node-centered: the first and last node of every axis sit exactly on
 the box bounds. Quadrature is the tensor trapezoid rule, which reduces to a
 plain ``prod(spacing)`` node sum for every field that vanishes on the box
-boundary (all physically relevant fields here do).
+boundary (all physically relevant fields here do). A grid refuses more than
+``MAX_GRID_NODES`` nodes when it is constructed, before any array exists.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# 32 MiB per float64 field; about ten times the largest product grid that
+# twobody builds within its unknowns budget
+MAX_GRID_NODES = 2**22
 
 
 class GridError(ValueError):
@@ -46,6 +52,11 @@ class Grid:
                 raise GridError("need at least 3 nodes per axis")
             if not up > lo:
                 raise GridError("upper bound must exceed lower bound")
+        nodes = math.prod(int(k) for k in self.n)
+        if nodes > MAX_GRID_NODES:
+            raise GridError(
+                f"grid of {nodes} nodes exceeds the {MAX_GRID_NODES}-node budget"
+            )
 
     @staticmethod
     def box(lower, upper, n) -> "Grid":
@@ -187,70 +198,3 @@ def inner_product(f: ScalarField, g: ScalarField) -> complex | float:
     if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
         return total
     return float(total)
-
-
-def fourier_samples(f: ScalarField, momenta) -> np.ndarray:
-    """Direct-quadrature Fourier transform f_hat(p) = int exp(-i p.x) f dx.
-
-    ``momenta`` is an (M, dim) array (or a flat list for 1D grids). With this
-    convention Plancherel reads (2 pi)^-d int |f_hat|^2 dp = int |f|^2 dx.
-    A warning is emitted when |f| has not decayed at the box boundary, and
-    when a requested momentum exceeds the grid Nyquist limit pi/spacing
-    (beyond it the quadrature only returns aliases).
-    """
-    f.check_finite()
-    grid = f.grid
-    p = np.asarray(momenta, dtype=float)
-    if p.ndim == 1:
-        p = p.reshape(-1, 1) if grid.dim == 1 else p.reshape(1, -1)
-    if p.ndim != 2 or p.shape[1] != grid.dim:
-        raise GridError(f"momenta must be (M, {grid.dim})")
-
-    vals = f.values
-    interior_max = np.max(np.abs(vals))
-    if interior_max > 0:
-        bmax = np.max(np.abs(vals[grid.boundary_shell()]))
-        if bmax > 1e-6 * interior_max:
-            warnings.warn(
-                "field has not decayed at the box boundary; Fourier samples "
-                f"may be unreliable (boundary/interior = {bmax / interior_max:.2e})",
-                stacklevel=2,
-            )
-    nyq = np.pi / np.min(grid.spacing)
-    if np.max(np.abs(p)) > nyq:
-        warnings.warn(
-            f"momenta beyond the Nyquist limit {nyq:.3g} alias back into the band",
-            stacklevel=2,
-        )
-
-    x = grid.points()
-    fw = (vals * grid.weights()).ravel()
-    out = np.empty(p.shape[0], dtype=complex)
-    # chunked to keep the phase matrix small
-    chunk = max(1, int(2**22 // max(x.shape[0], 1)))
-    for start in range(0, p.shape[0], chunk):
-        pc = p[start : start + chunk]
-        phase = np.exp(-1j * (pc @ x.T))
-        out[start : start + chunk] = phase @ fw
-    return out
-
-
-def momentum_lattice(p_max: float, n_p: int, dim: int = 1) -> tuple:
-    """Uniform momentum grid over [-p_max, p_max]^dim with trapezoid weights.
-
-    Returns (points (M, dim), weights (M,)).
-    """
-    axis = np.linspace(-p_max, p_max, n_p)
-    dp = axis[1] - axis[0]
-    w1 = np.full(n_p, dp)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    if dim == 1:
-        return axis.reshape(-1, 1), w1
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    ws = np.meshgrid(*([w1] * dim), indexing="ij")
-    w = np.ones(n_p**dim)
-    for g in ws:
-        w = w * g.ravel()
-    return pts, w

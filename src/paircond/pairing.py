@@ -1,8 +1,8 @@
-"""Relative two-body problem on a truncated box: binding energy, normalized
+"""Relative two-body problem on a truncated line: binding energy, normalized
 pair wavefunction, its L2 decay rate, the quartic couplings, and the smooth
 radial cutoff used by trial states.
 
-The whole-space problem is truncated to a Dirichlet box [-L, L]^d. The pair
+The whole-line problem is truncated to a Dirichlet box [-L, L]. The pair
 wavefunction decays exponentially, so the truncation error is below any
 tolerance of interest once exp(-2*rho*L) is negligible; ``solve_relative``
 checks the boundary amplitude after the fact.
@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import DomainMask, box_mask
-from .grid import Grid, ScalarField, fourier_samples, momentum_lattice
+from .grid import Grid, ScalarField
 from .spectral import (
     StencilOperator,
     assemble_dirichlet,
@@ -35,7 +35,8 @@ class PairingError(RuntimeError):
 
 
 def potential_from_descriptor(desc: dict):
-    """Return a vectorized callable V(x) from a JSON-style descriptor.
+    """Return a callable V(x), applied elementwise to an array of
+    separations, from a JSON-style descriptor.
 
     Supported kinds: poschl_teller {depth, width}, square_well {depth,
     halfwidth}, gaussian_well {depth, width}, table {x, v} (radial linear
@@ -48,10 +49,7 @@ def potential_from_descriptor(desc: dict):
     params = {k: v for k, v in desc.items() if k != "kind"}
 
     def radius(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim >= 1 and x.shape[-1] <= 3 and x.ndim > 1:
-            return np.sqrt(np.sum(x**2, axis=-1))
-        return np.abs(x)
+        return np.abs(np.asarray(x, dtype=float))
 
     if kind == "poschl_teller":
         depth = float(params.pop("depth", 2.0))
@@ -106,15 +104,9 @@ class RelativeGroundState:
     def grid(self) -> Grid:
         return self.alpha_star.grid
 
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
-
     def evaluate(self, points) -> np.ndarray:
-        """Sample the pair wavefunction at arbitrary 1D points (spline, zero
+        """Sample the pair wavefunction at arbitrary points (spline, zero
         outside the box)."""
-        if self.dim != 1:
-            raise PairingError("pointwise evaluation is implemented for d=1")
         if self._spline is None:
             self._spline = CubicSpline(self.grid.axis(0), self.alpha_star.values)
         pts = np.asarray(points, dtype=float)
@@ -124,13 +116,11 @@ class RelativeGroundState:
         return out
 
 
-def _box_operator(potential: dict, dim: int, L: float, n: int,
+def _box_operator(potential: dict, L: float, n: int,
                   shift: float = 0.0) -> StencilOperator:
-    """-Lap + V (+ shift) on [-L, L]^dim, n nodes per axis, Dirichlet walls."""
-    mask = box_mask([-L] * dim, [L] * dim, n=[n] * dim)
-    grid = mask.grid
-    pts = grid.points().reshape(grid.shape + (dim,))
-    vvals = potential_from_descriptor(potential)(pts if dim > 1 else pts[..., 0])
+    """-Lap + V (+ shift) on [-L, L], n nodes, Dirichlet walls."""
+    mask = box_mask([-L], [L], n=n)
+    vvals = potential_from_descriptor(potential)(mask.grid.axis(0))
     return assemble_dirichlet(mask, -1.0, mask.field(vvals), shift=shift)
 
 
@@ -138,16 +128,15 @@ def solve_relative(
     potential: dict,
     L: float = 20.0,
     n: int = 4001,
-    dim: int = 1,
     tol: float = 1e-10,
     couplings: bool = True,
 ) -> RelativeGroundState:
-    """Ground state of -Lap + V on [-L, L]^dim with Dirichlet walls.
+    """Ground state of -Lap + V on [-L, L] with Dirichlet walls.
 
     Raises when the smallest eigenvalue is nonnegative (no bound state) or
     when the state has not decayed at the box boundary (box too small).
     """
-    op = _box_operator(potential, dim, L, n)
+    op = _box_operator(potential, L, n)
     res = smallest_eigenpair(op, tol=tol)
     if res.eigenvalue >= 0:
         raise PairingError(
@@ -189,7 +178,7 @@ def _outermost_interior_amplitude(mask: DomainMask, values: np.ndarray) -> float
 def spectral_gap(gs: RelativeGroundState, tol: float = 1e-8) -> float:
     """Gap between the two lowest eigenvalues of -Lap + V (cached)."""
     if gs.spectral_gap is None:
-        mat = _box_operator(gs.potential, gs.dim, gs.L, gs.grid.n[0]).matrix
+        mat = _box_operator(gs.potential, gs.L, gs.grid.n[0]).matrix
         sigma, lu = gershgorin_factor(mat)
         vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
                              OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
@@ -259,53 +248,32 @@ def fit_decay_rate(
 # quartic couplings
 
 
-def coupling_integrals(
-    field: ScalarField,
-    E_b: float,
-    p_max: float | None = None,
-    n_p: int = 2048,
-) -> tuple:
-    """Momentum quadrature of (2 pi)^-d int (p^2 + E_b)|f_hat|^4 and
-    (2 pi)^-d int |f_hat|^4 for a box-supported field."""
-    grid = field.grid
-    if p_max is None:
-        p_max = max(10.0, 10.0 * np.sqrt(max(E_b, 1e-12)))
-    nyq = np.pi / max(grid.spacing)
-    if p_max > nyq:
-        raise PairingError(
-            f"p_max {p_max:.3g} exceeds the grid Nyquist limit {nyq:.3g}"
-        )
-    if n_p < 512:
-        raise PairingError("need at least 512 momentum nodes per axis")
-    pts, w = momentum_lattice(p_max, n_p, grid.dim)
-    fhat = fourier_samples(field, pts)
-    dens = np.abs(fhat) ** 4
-    p2 = np.sum(pts**2, axis=-1)
-    pref = (2 * np.pi) ** (-grid.dim)
-    g_bcs = pref * float(np.sum((p2 + E_b) * dens * w))
-    g_0 = pref * float(np.sum(dens * w))
-
-    # tail check: halving p_max must not change the result materially
-    inner = np.max(np.abs(pts), axis=-1) <= 0.5 * p_max
-    g_bcs_half = pref * float(np.sum(((p2 + E_b) * dens * w)[inner]))
-    g_0_half = pref * float(np.sum((dens * w)[inner]))
-    scale = max(abs(g_bcs), 1e-300)
-    if abs(g_bcs - g_bcs_half) > 1e-4 * scale or (
-        g_0 > 0 and abs(g_0 - g_0_half) > 1e-4 * g_0
-    ):
-        raise PairingError(
-            "momentum quadrature has not converged; increase p_max"
-        )
+def _correlation_couplings(a: np.ndarray, step: float, E_b: float) -> tuple:
+    """Quartic couplings of lattice samples ``a`` in real-space correlation
+    form: with c(m) = sum_k a(k) a(k+m) and d the three-point (-Lap) of a,
+    g_0 = step^3 * sum_m c(m)^2 and g_bcs = step^3 * sum_m c_d(m) c(m) +
+    E_b * g_0."""
+    c = np.correlate(a, a, mode="full")
+    cd = np.correlate(_lattice_neg_laplacian(a, step), a, mode="full")
+    g_0 = float(np.sum(c * c)) * step**3
+    g_bcs = float(np.sum(cd * c)) * step**3 + E_b * g_0
     return g_bcs, g_0
 
 
-def compute_couplings(
-    gs: RelativeGroundState, p_max: float | None = None, n_p: int = 2048
-) -> tuple:
-    """Quartic couplings of the normalized pair wavefunction; cached on gs."""
-    g_bcs, g_0 = coupling_integrals(gs.alpha_star, gs.E_b, p_max=p_max, n_p=n_p)
-    gs.g_bcs, gs.g_0 = g_bcs, g_0
-    return g_bcs, g_0
+def compute_couplings(gs: RelativeGroundState) -> tuple:
+    """Quartic couplings g_bcs = (2 pi)^-1 int (p^2 + E_b) |alpha_hat|^4 dp
+    and g_0 = (2 pi)^-1 int |alpha_hat|^4 dp of the pair wavefunction;
+    cached on gs.
+
+    By Plancherel, |alpha_hat|^2 is the transform of the autocorrelation
+    alpha * alpha, and p^2 |alpha_hat|^2 that of (-alpha'') * alpha. Both
+    integrals are therefore evaluated on the grid in the correlation form of
+    ``lattice_couplings``, which converges quadratically in the spacing.
+    """
+    gs.g_bcs, gs.g_0 = _correlation_couplings(
+        gs.alpha_star.values, gs.grid.spacing[0], gs.E_b
+    )
+    return gs.g_bcs, gs.g_0
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +369,7 @@ def matched_relative_state(
     k_max = int(round(halfwidth / step))
     if k_max < 8:
         raise PairingError("micro lattice too coarse for the box halfwidth")
-    op = _box_operator(potential, 1, k_max * step, 2 * k_max + 1)
+    op = _box_operator(potential, k_max * step, 2 * k_max + 1)
     res = smallest_eigenpair(op, tol=tol)
     if res.eigenvalue >= 0:
         raise PairingError(
@@ -435,18 +403,11 @@ def _lattice_neg_laplacian(a: np.ndarray, step: float) -> np.ndarray:
 def lattice_couplings(matched: MatchedRelativeState, a: np.ndarray) -> tuple:
     """Exact lattice counterparts of the quartic couplings of ``a``.
 
-    Real-space correlation form: with c(m) = sum_k a(k) a(k+m) and d the
-    three-point (-Lap) of a, g_0 = step^3 * sum_m c(m)^2 and
-    g_bcs = step^3 * sum_m c_d(m) c(m) + E_b * g_0. These match the lattice
-    quartic traces exactly and converge quadratically to the continuum
-    momentum integrals.
+    The real-space correlation form (``_correlation_couplings``) at the
+    matched step and binding energy matches the lattice quartic traces
+    exactly and converges quadratically to the continuum momentum integrals.
     """
-    step = matched.step
-    c = np.correlate(a, a, mode="full")
-    cd = np.correlate(_lattice_neg_laplacian(a, step), a, mode="full")
-    g_0 = float(np.sum(c * c)) * step**3
-    g_bcs = float(np.sum(cd * c)) * step**3 + matched.E_b * g_0
-    return g_bcs, g_0
+    return _correlation_couplings(a, matched.step, matched.E_b)
 
 
 def lattice_pair_energy(matched: MatchedRelativeState, a: np.ndarray) -> float:
@@ -490,11 +451,13 @@ def cutoff_diagnostics(gs: RelativeGroundState, phi_h: float) -> CutoffDiagnosti
         compute_couplings(gs)
 
     norm_defect = abs(state.norm_sq() - 1.0)
-    g_bcs_cut, g_0_cut = coupling_integrals(state.a_field, gs.E_b)
+    g_bcs_cut, g_0_cut = _correlation_couplings(
+        state.a_field.values, gs.grid.spacing[0], gs.E_b
+    )
     g_bcs_defect = abs(g_bcs_cut - gs.g_bcs)
     g_0_defect = abs(g_0_cut - gs.g_0)
 
-    op = _box_operator(gs.potential, gs.dim, gs.L, gs.grid.n[0], shift=gs.E_b)
+    op = _box_operator(gs.potential, gs.L, gs.grid.n[0], shift=gs.E_b)
     avals = state.a_field.values[op.mask.inside]
     energy = float(avals @ (op.matrix @ avals)) * op.mask.grid.node_weight
     return CutoffDiagnostics(norm_defect, g_bcs_defect, g_0_defect, energy)

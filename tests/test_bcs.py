@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import POSCHL_TELLER
 from paircond import bcs
@@ -226,13 +228,29 @@ class TestExtraction:
         assert c_fit < 10.0 / np.sqrt(h)
 
 
-class TestComIdentity:
-    def test_relabeling_exact(self, trial_setup, pt_state):
-        cfg, psi = trial_setup
-        alpha, _ = product_kernel(cfg, psi, pt_state)
-        out = bcs.com_trace_identity(cfg, alpha)
-        scale = max(abs(out["xy_value"]), 1e-300)
-        assert abs(out["gap"]) < 1e-8 * max(scale, 1.0)
+class TestAdmissibility:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
+           h=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
+           scale=st.floats(0.0, 1.5))
+    def test_matches_dense_block(self, seed, n, h, scale):
+        rng = np.random.default_rng(seed)
+        mask = geo.interval(0.0, 1.0, n=n)
+        cfg = bcs.BCSConfig(mask, POSCHL_TELLER, None, h=h, D=0.0)
+        dv = mask.grid.spacing[0]
+        m = rng.standard_normal((n, n))
+        a_op = m + m.T
+        a_op *= scale / max(np.max(np.abs(np.linalg.eigvalsh(a_op))), 1e-300)
+        g_op = a_op @ a_op + (1.0 + np.sqrt(h)) * np.linalg.matrix_power(a_op, 4)
+        grid = mask.grid
+        state = bcs.TrialState(cfg, mask.field(np.zeros(mask.count)),
+                               PairKernel(grid, grid, a_op / dv),
+                               PairKernel(grid, grid, g_op / dv), (np.nan, np.nan))
+        block = np.block([[g_op, a_op], [a_op, np.eye(n) - g_op]])
+        dense = np.linalg.eigvalsh(block)
+        lo, hi = bcs.admissibility_spectrum(state)
+        assert abs(lo - dense[0]) < 1e-12
+        assert abs(hi - dense[-1]) < 1e-12
 
 
 class TestSemiclassics:

@@ -267,6 +267,9 @@ class TestRun:
                           "h_list": [0.2, 0.15, 0.1], "richardson": "false"}),
         ("twobody-scan", {"potential": {"kind": "poschl_teller"},
                           "h_list": [0.2, 0.15, 0.1], "richardson": 0}),
+        ("dc", {"domain": {"builtin": "interval", "n": 1e12}, "w": None}),
+        ("dc", {"domain": {"builtin": "box", "n": [1e6, 1e6]}, "w": None}),
+        ("relative", {"potential": {"kind": "poschl_teller"}, "n": 1e12}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2

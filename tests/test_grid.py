@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from paircond.grid import (
     Grid,
     GridError,
     ScalarField,
-    fourier_samples,
     inner_product,
     integrate,
-    momentum_lattice,
 )
 
 
@@ -85,46 +82,6 @@ class TestInnerProduct:
         g = field_1d(21, np.ones_like)
         with pytest.raises(GridError):
             inner_product(f, g)
-
-
-class TestFourier:
-    def test_gaussian_at_zero(self):
-        f = field_1d(601, lambda x: np.exp(-(x**2) / 2), lo=-12.0, hi=12.0)
-        got = fourier_samples(f, [0.0])[0]
-        assert abs(got - np.sqrt(2 * np.pi)) < 1e-6
-
-    def test_real_even_gives_real_even(self):
-        f = field_1d(601, lambda x: np.exp(-(x**2) / 2), lo=-12.0, hi=12.0)
-        p = np.linspace(-4, 4, 41)
-        fh = fourier_samples(f, p)
-        assert np.max(np.abs(fh.imag)) < 1e-10
-        assert_allclose(fh, fh[::-1], atol=1e-10)
-
-    def test_zero_field(self):
-        f = field_1d(64, np.zeros_like, lo=-2.0, hi=2.0)
-        assert np.all(fourier_samples(f, [0.0, 1.0, 2.0]) == 0)
-
-    def test_boundary_decay_warning(self):
-        f = field_1d(64, np.ones_like)
-        with pytest.warns(UserWarning, match="boundary"):
-            fourier_samples(f, [0.0])
-
-    def test_plancherel(self):
-        # p grid covers the transform support and resolves scale 1/L
-        f = field_1d(601, lambda x: np.exp(-(x**2) / 2), lo=-12.0, hi=12.0)
-        pts, w = momentum_lattice(8.0, 512, dim=1)
-        fh = fourier_samples(f, pts)
-        lhs = np.sum(np.abs(fh) ** 2 * w) / (2 * np.pi)
-        rhs = integrate(ScalarField(f.grid, np.abs(f.values) ** 2))
-        assert abs(lhs - rhs) < 1e-4 * rhs
-
-    def test_2d_gaussian(self):
-        g = Grid.box([-8.0, -8.0], [8.0, 8.0], [161, 161])
-        xx, yy = g.meshgrid()
-        f = ScalarField(g, np.exp(-(xx**2 + yy**2) / 2))
-        got = fourier_samples(f, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert abs(got[0] - 2 * np.pi) < 1e-5
-        assert abs(got[1] - 2 * np.pi * np.exp(-0.5)) < 1e-5
 
 
 class TestGridBasics:

@@ -140,26 +140,25 @@ class TestCouplings:
         s = 2.0
         g = Grid.box(-40.0, 40.0, 8001)
         x = g.axis(0)
-        resc = ScalarField(g, 1.0 / np.cosh(x / s) / np.sqrt(2.0 * s))
-        gb, g0 = pr.coupling_integrals(resc, 1.0 / s**2, p_max=12.0)
+        resc = pr.RelativeGroundState(
+            potential=POSCHL_TELLER, E_b=1.0 / s**2,
+            alpha_star=ScalarField(g, 1.0 / np.cosh(x / s) / np.sqrt(2.0 * s)),
+            L=40.0, residual=0.0,
+        )
+        gb, g0 = pr.compute_couplings(resc)
         assert abs(g0 - s * PT_G_0) < 1e-4 * s * PT_G_0
 
     def test_zero_field(self):
         g = Grid.box(-10.0, 10.0, 801)
-        zero = ScalarField(g, np.zeros(801))
-        gb, g0 = pr.coupling_integrals(zero, 1.0)
+        zero = pr.RelativeGroundState(
+            potential=POSCHL_TELLER, E_b=1.0,
+            alpha_star=ScalarField(g, np.zeros(801)), L=10.0, residual=0.0,
+        )
+        gb, g0 = pr.compute_couplings(zero)
         assert gb == 0.0 and g0 == 0.0
 
     def test_domination(self, pt_state):
         assert pt_state.g_bcs >= pt_state.E_b * pt_state.g_0
-
-    def test_nyquist_guard(self, pt_state):
-        with pytest.raises(pr.PairingError, match="Nyquist"):
-            pr.coupling_integrals(pt_state.alpha_star, 1.0, p_max=1e4)
-
-    def test_small_p_grid_rejected(self, pt_state):
-        with pytest.raises(pr.PairingError, match="512"):
-            pr.coupling_integrals(pt_state.alpha_star, 1.0, n_p=128)
 
 
 class TestCutoff:
