@@ -26,7 +26,7 @@ from .geometry import (
     erode,
     mask_from_json,
 )
-from .grid import GridError, ScalarField
+from .grid import MAX_GRID_NODES, GridError, ScalarField
 from .reporting import FitError, ScanReport, fit_power_law
 from .spectral import (
     EigenResult,
@@ -260,6 +260,13 @@ def _exp_twobody(cfg):
         richardson=richardson,
     )
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
+    if min(h_list) <= 0.0:
+        raise ConfigError(f"h_list values must be positive, got {h_list}")
+    try:  # every product grid against the budgets, before the first solve
+        for h in h_list:
+            twobody.problem_at(scan_cfg, h)
+    except (twobody.TwoBodyError, GridError, GeometryError) as exc:
+        raise ConfigError(str(exc)) from exc
     return twobody.asymptotic_scan(scan_cfg, h_list)
 
 
@@ -289,6 +296,10 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
     mask = build_domain(_require(cfg, "domain", "config"))
     if mask.grid.dim != 1:
         raise ConfigError("pair-state experiments need a 1D domain")
+    n = mask.grid.n[0]
+    if n**2 > MAX_GRID_NODES:  # the dense n x n pair kernels
+        raise ConfigError(f"pair kernels of {n}x{n} entries exceed the "
+                          f"{MAX_GRID_NODES}-entry budget")
     w = build_w(cfg.get("w"), mask)
     pot = validate_potential(_require(cfg, "potential", "config"))
     q = _number(cfg, "q", q_default)

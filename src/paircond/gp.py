@@ -10,6 +10,7 @@ nonnegative real fields: minimizers are unique up to a global phase, and
 taking the modulus never increases the discrete energy, so the nonnegative
 representative is picked from the start. That start is the optimal
 single-mode field, or a given field such as the minimizer on a nearby mask.
+Each connected component of the mask is minimized on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import ndimage, sparse
 from scipy.sparse.linalg import splu
 
 from .geometry import DomainMask, dilate, erode
@@ -138,19 +139,45 @@ def minimize_gp(
     the residual is below tol * (1 + |psi|_H1); ``iterations`` counts Newton
     steps.
 
-    The start is ``|initial|`` when given, else theta * |psi_1| from the
-    onset eigenpair ``mode`` (solved when absent). When D <= D_c the
-    minimizer is zero: E(psi) >= (D_c - D)|psi|^2 + g|psi|^4 >= 0.
+    The start is ``|initial|`` when given and nonzero, else theta * |psi_1|
+    from the onset eigenpair ``mode`` (solved when absent). When D <= D_c
+    the minimizer is zero: E(psi) >= (D_c - D)|psi|^2 + g|psi|^4 >= 0.
+
+    The stencil couples 4-neighbours only, so the functional is a sum over
+    the 4-connected components of the mask. A mask with several components
+    is minimized one component at a time, each with this rule and its own
+    onset mode (``mode`` is not used then): a single start would leave psi
+    at zero on every component it misses. The energies add, psi is the sum
+    of the parts, the residual is their root sum of squares and
+    ``iterations`` their total. Each part is solved to tol / sqrt(count),
+    which keeps the residual of the whole within its target.
     """
     mask = prob.mask
+    if initial is not None:
+        _check_dirichlet(prob, initial)
+    labels, count = ndimage.label(mask.inside)
+    if count > 1:
+        parts = []
+        for k in range(1, count + 1):
+            part = prob.with_mask(DomainMask(mask.grid, labels == k))
+            start = None if initial is None else part.mask.field(initial.values)
+            parts.append(minimize_gp(part, tol / np.sqrt(count), max_iter,
+                                     initial=start))
+        return GPSolution(
+            ScalarField(mask.grid, sum(np.asarray(p.psi.values) for p in parts)),
+            sum(p.energy for p in parts),
+            float(np.sqrt(sum(p.el_residual**2 for p in parts))),
+            sum(p.iterations for p in parts),
+        )
+
     stiff = assemble_dirichlet(mask, -0.25).matrix  # quarter-Laplacian
     w = prob.w_interior()
     dv = mask.grid.node_weight
 
+    vals = None
     if initial is not None:
-        _check_dirichlet(prob, initial)
         vals = np.abs(np.asarray(initial.values, dtype=float)[mask.inside])
-    else:
+    if vals is None or not vals.any():
         if mode is None:
             mode = onset_threshold(mask, prob.W, tol=1e-11)
         if prob.D <= mode.eigenvalue:
@@ -250,14 +277,16 @@ def continuity_scan(
 
     ``mode`` is the onset eigenpair of the base mask, as in ``minimize_gp``.
     The minimizations on the eroded and dilated masks start from the base
-    minimizer, restricted or zero-extended; when that minimizer is zero they
-    start from their own onset mode, since a dilated mask may lie above its
-    threshold while the base does not.
+    minimizer, restricted or zero-extended. Erosion can split a component
+    and dilation can join components, so ``minimize_gp`` takes each
+    component of the new mask apart; a component where that start is zero
+    (a dilated mask may lie above its threshold while the base does not)
+    starts from its own onset mode.
     """
     base = minimize_gp(prob, tol=tol, mode=mode)
 
     def energy_on(mask: DomainMask) -> float:
-        start = mask.field(base.psi.values) if base.energy < 0.0 else None
+        start = mask.field(base.psi.values)
         return minimize_gp(prob.with_mask(mask), tol=tol, initial=start).energy
 
     rows = []

@@ -25,7 +25,10 @@ class GridError(ValueError):
 
 
 def _as_axis_tuple(value, dim, dtype):
-    arr = np.asarray(value, dtype=dtype).reshape(-1)
+    try:
+        arr = np.asarray(value, dtype=dtype).reshape(-1)
+    except OverflowError as exc:
+        raise GridError("per-axis value beyond the int64 range") from exc
     if arr.size == 1:
         arr = np.repeat(arr, dim)
     if arr.size != dim:

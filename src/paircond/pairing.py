@@ -21,7 +21,8 @@ from .grid import Grid, ScalarField
 from .spectral import (
     StencilOperator,
     assemble_dirichlet,
-    gershgorin_factor,
+    gershgorin_shift,
+    shifted_factor,
     smallest_eigenpair,
 )
 
@@ -179,7 +180,8 @@ def spectral_gap(gs: RelativeGroundState, tol: float = 1e-8) -> float:
     """Gap between the two lowest eigenvalues of -Lap + V (cached)."""
     if gs.spectral_gap is None:
         mat = _box_operator(gs.potential, gs.L, gs.grid.n[0]).matrix
-        sigma, lu = gershgorin_factor(mat)
+        sigma = gershgorin_shift(mat)
+        lu = shifted_factor(mat, sigma)
         vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
                              OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
                              return_eigenvectors=False))

@@ -4,10 +4,11 @@ Operators are second-order central-difference stencils restricted to the
 interior nodes of a mask, with zero Dirichlet values on the outside. The
 smallest eigenpair is found by ARPACK in shift-invert mode (Ericsson & Ruhe
 1980; Lehoucq, Sorensen & Yang 1998) around a shift just below the Gershgorin
-lower bound of the matrix. No eigenvalue lies below that shift, so the one
-nearest to it is the smallest: the result is certified by construction, and
-the positive pivots of the one symmetric LU factor of the shifted matrix
-confirm it by Sylvester's law of inertia.
+lower bound of the matrix, or of a matrix whose spectrum contains its own. No
+eigenvalue lies below that shift, so the one nearest to it is the smallest:
+the result is certified by construction, and the positive pivots of the one
+symmetric LU factor of the shifted matrix confirm it by Sylvester's law of
+inertia.
 
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
@@ -143,21 +144,23 @@ def _factor_positive_definite(mat: sparse.spmatrix) -> SuperLU:
     return lu
 
 
-def gershgorin_factor(mat: sparse.spmatrix) -> tuple[float, SuperLU]:
-    """Shift sigma below every eigenvalue of ``mat`` and the certified LU
-    factor of ``mat - sigma I``.
-
-    sigma lies just under the Gershgorin lower bound, so ``mat - sigma I`` is
-    strictly diagonally dominant with a positive diagonal; the factor's
-    positive pivots confirm it. In shift-invert mode the eigenvalue nearest
-    sigma is then the smallest.
-    """
+def gershgorin_shift(mat: sparse.spmatrix) -> float:
+    """Shift sigma just under the Gershgorin lower bound of ``mat``, so below
+    every eigenvalue: ``mat - sigma I`` is strictly diagonally dominant with a
+    positive diagonal. The bound holds as well for any matrix whose spectrum
+    lies inside that of ``mat``."""
     diag = mat.diagonal()
     radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
     lower = float(np.min(diag - radius))
-    sigma = lower - 1e-3 * (abs(lower) + 1.0)
+    return lower - 1e-3 * (abs(lower) + 1.0)
+
+
+def shifted_factor(mat: sparse.spmatrix, sigma: float) -> SuperLU:
+    """Certified LU factor of ``mat - sigma I``: its positive pivots confirm
+    that sigma lies below every eigenvalue of ``mat``. In shift-invert mode
+    the eigenvalue nearest sigma is then the smallest."""
     ident = sparse.identity(mat.shape[0], format="csc")
-    return sigma, _factor_positive_definite(mat - sigma * ident)
+    return _factor_positive_definite(mat - sigma * ident)
 
 
 def smallest_eigenpair(
@@ -165,12 +168,17 @@ def smallest_eigenpair(
     tol: float = 1e-10,
     max_iter: int = 400,
     v0: np.ndarray | None = None,
+    sigma: float | None = None,
 ) -> EigenResult:
     """Lowest eigenpair by ARPACK shift-invert on one certified LU factor.
 
     ``tol`` is relative: the returned unit vector has
     ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est).
     ``max_iter`` caps the number of LU solves; ``iterations`` reports them.
+    ``sigma`` defaults to the Gershgorin shift of A. A caller may pass a
+    shift it knows to lie below the spectrum, such as the Gershgorin shift of
+    a matrix whose spectrum contains that of A; the pivot check of the factor
+    refuses any shift that does not.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
@@ -184,7 +192,9 @@ def smallest_eigenpair(
         field = op.mask.field(vec / _quad_norm(op.mask, vec))
         return EigenResult(lam, field, 0.0, 0)
 
-    sigma, lu = gershgorin_factor(mat)
+    if sigma is None:
+        sigma = gershgorin_shift(mat)
+    lu = shifted_factor(mat, sigma)
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
     # below the floating-point floor eps * ||A||
     eps_floor = 32 * np.finfo(float).eps * norm_est

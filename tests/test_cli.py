@@ -270,10 +270,29 @@ class TestRun:
         ("dc", {"domain": {"builtin": "interval", "n": 1e12}, "w": None}),
         ("dc", {"domain": {"builtin": "box", "n": [1e6, 1e6]}, "w": None}),
         ("relative", {"potential": {"kind": "poschl_teller"}, "n": 1e12}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 0.001]}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 0.0]}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 1e-300]}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.json")
+
+    @pytest.mark.parametrize("experiment", ["bcs-trial", "density",
+                                            "semiclassics"])
+    def test_pair_kernel_budget(self, tmp_path, capsys, experiment):
+        # 10^5 nodes pass the grid budget; the 10^10-entry kernels must not
+        cfg = {"domain": {"builtin": "interval", "a": 0.0, "b": 4.0,
+                          "n": 100_001},
+               "w": {"kind": "bump", "height": 10.0, "center": 2.0},
+               "potential": {"kind": "poschl_teller"}, "D": 1.0,
+               "h_list": [0.1, 0.07, 0.05]}
+        assert cli.run(experiment, cfg, str(tmp_path)) == 2
+        assert "pair kernels" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.json")
 
     def test_main_entry(self, tmp_path):

@@ -190,6 +190,68 @@ class TestMinimize:
             gp.minimize_gp(prob, tol=1e-16, max_iter=3)
 
 
+def separated_parts(rng, dim):
+    """Two to four rectangles (intervals in 1D) in separate cells of a box of
+    at most 400 nodes, each at least one node clear of its cell's edges."""
+    if dim == 1:
+        grid = Grid.box(0.0, 1.0, int(rng.integers(60, 401)))
+        cells = [(slice(a, a + grid.n[0] // 4),)
+                 for a in range(0, 4 * (grid.n[0] // 4), grid.n[0] // 4)]
+    else:
+        grid = Grid.box([0.0, 0.0], [1.0, 1.0], [20, 20])
+        cells = [(slice(a, a + 10), slice(b, b + 10))
+                 for a in (0, 10) for b in (0, 10)]
+    parts = []
+    for k in rng.choice(4, size=int(rng.integers(2, 5)), replace=False):
+        inside = np.zeros(grid.shape, dtype=bool)
+        box = []
+        for sl in cells[k]:
+            size = sl.stop - sl.start
+            lo = int(rng.integers(1, size - 3))
+            box.append(slice(sl.start + lo,
+                             sl.start + int(rng.integers(lo + 2, size))))
+        inside[tuple(box)] = True
+        parts.append(geo.DomainMask(grid, inside))
+    return grid, parts
+
+
+class TestComponents:
+    def test_two_intervals(self):
+        # the onset mode lives on the longer interval; a single start from
+        # it ends at that interval's minimum, -19.8007
+        grid = Grid.box(0.0, 1.0, 401)
+        parts = [geo.interval(0.1, 0.4, grid=grid),
+                 geo.interval(0.5, 0.9, grid=grid)]
+        union = geo.DomainMask(grid, parts[0].inside | parts[1].inside)
+        d_val = max(onset_threshold(m, tol=1e-11).eigenvalue for m in parts) + 5
+        sol = gp.minimize_gp(gp.GPProblem(union, None, d_val, 1.0))
+        assert abs(sol.energy + 21.0570) < 1e-4
+        total = sum(gp.minimize_gp(gp.GPProblem(m, None, d_val, 1.0)).energy
+                    for m in parts)
+        assert abs(sol.energy - total) <= 1e-12 * abs(total)
+        # the continuity scan's base minimization takes the same rule
+        rep = gp.continuity_scan(gp.GPProblem(union, None, d_val, 1.0), [0.01])
+        assert abs(rep.metadata["base_energy"] - total) <= 1e-12 * abs(total)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+           w_scale=st.sampled_from([0.0, 10.0]), gap=st.floats(0.1, 30.0))
+    def test_union_energy_is_sum_of_parts(self, seed, dim, w_scale, gap):
+        # D sits above the threshold of one random part; parts whose own
+        # threshold is higher contribute zero
+        rng = np.random.default_rng(seed)
+        grid, parts = separated_parts(rng, dim)
+        union = geo.DomainMask(grid, np.any([m.inside for m in parts], axis=0))
+        w = union.field(w_scale * rng.standard_normal(grid.shape))
+        d_val = onset_threshold(parts[0], w, tol=1e-11).eigenvalue + gap
+        prob = gp.GPProblem(union, w, d_val, 1.0)
+        sol = gp.minimize_gp(prob)
+        check_minimizer(prob, sol, onset_threshold(union, w, tol=1e-11))
+        total = sum(gp.minimize_gp(gp.GPProblem(m, w, d_val, 1.0)).energy
+                    for m in parts)
+        assert abs(sol.energy - total) <= 1e-9 * (1.0 + abs(total))
+
+
 class TestOneMode:
     def test_below_threshold(self, unit_interval):
         prob = gp.GPProblem(unit_interval, None, 0.5, 1.0)

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import POSCHL_TELLER
+from conftest import POSCHL_TELLER, random_1d_mask
 from paircond import geometry as geo
 from paircond import twobody as tb
 from paircond.grid import Grid, ScalarField
+from paircond.spectral import smallest_eigenpair
+
+POTENTIALS = [
+    POSCHL_TELLER,
+    {"kind": "square_well", "depth": 3.0, "halfwidth": 0.6},
+    {"kind": "gaussian_well", "depth": 2.5, "width": 0.7},
+    {"kind": "table", "x": [0.0, 0.5, 1.5], "v": [-3.0, -1.0, 0.0]},
+]
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +54,29 @@ class TestGroundEnergy:
         dx = mask.grid.spacing[0]
         lam1 = 4.0 / dx**2 * np.sin(np.pi * dx / 2) ** 2  # discrete mode
         assert abs(res.eigenvalue - 0.1**2 * lam1) < 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), pot=st.sampled_from(POTENTIALS),
+           w_scale=st.sampled_from([0.0, 1.0, 20.0]),
+           h_cells=st.floats(6.0, 12.0))
+    def test_half_solve_matches_full_operator(self, seed, pot, w_scale,
+                                              h_cells):
+        # masks of one or two intervals with at most 20 nodes, h of 6 to 12
+        # cells (the scans run at 8); the half solve must find the smallest
+        # eigenvalue of the full product matrix, return an exactly symmetric
+        # field, and take no more LU solves than the full operator at its
+        # own Gershgorin shift
+        rng = np.random.default_rng(seed)
+        mask = random_1d_mask(rng, n=22)
+        w = mask.field(w_scale * rng.standard_normal(22))
+        prob = tb.TwoBodyProblem(mask, pot, w, h_cells * mask.grid.spacing[0])
+        res = tb.ground_energy(prob, tol=1e-9)
+        ref = np.linalg.eigvalsh(prob.operator().matrix.toarray())[0]
+        assert abs(res.eigenvalue - ref) <= 1e-10 * max(1.0, abs(ref))
+        v = np.asarray(res.eigenvector.values)
+        assert np.array_equal(v, v.T)
+        full = smallest_eigenpair(prob.operator(), tol=1e-9)
+        assert res.iterations <= full.iterations
 
     def test_memory_guard(self):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 1001))
