@@ -39,7 +39,6 @@ from .spectral import (  # noqa: F401
     smallest_eigenpair,
 )
 from .pairing import (  # noqa: F401
-    CutoffState,
     PairingError,
     RelativeGroundState,
     compute_couplings,

@@ -23,14 +23,12 @@ from .geometry import DomainMask, erode
 from .gp import gradient_energy
 from .grid import Grid, PairKernel, ScalarField
 from .pairing import (
-    MatchedRelativeState,
     RelativeGroundState,
     lattice_couplings,
     lattice_pair_energy,
     lattice_pair_field,
     matched_relative_state,
     potential_from_descriptor,
-    smoothstep_cutoff,
     solve_relative,
 )
 from .spectral import dirichlet_laplacian_matrix, smallest_eigenpair, assemble_dirichlet
@@ -58,7 +56,7 @@ class BCSConfig:
     D: float
     q: float = 6.0
     relative: RelativeGroundState | None = None
-    matched: MatchedRelativeState | None = None
+    matched: RelativeGroundState | None = None
 
     def __post_init__(self):
         if self.mask.grid.dim != 1:
@@ -85,16 +83,20 @@ class BCSConfig:
     def micro_step(self) -> float:
         return self.mask.grid.spacing[0] / self.h
 
+    @property
+    def micro_halfwidth(self) -> float:
+        """Box of the matched state: room for the cutoff support 1.5 phi."""
+        return max(20.0, 1.75 * self.phi)
+
     def relative_state(self) -> RelativeGroundState:
         if self.relative is None:
             self.relative = solve_relative(self.potential)
         return self.relative
 
-    def matched_state(self) -> MatchedRelativeState:
+    def matched_state(self) -> RelativeGroundState:
         if self.matched is None or abs(self.matched.step - self.micro_step) > 1e-12:
-            halfwidth = max(20.0, 1.75 * self.phi)
             self.matched = matched_relative_state(
-                self.potential, self.micro_step, halfwidth
+                self.potential, self.micro_step, self.micro_halfwidth
             )
         return self.matched
 
@@ -161,11 +163,17 @@ class COMFrame:
         """Linear interpolation of a domain field onto the center lattice."""
         if psi.grid != self.cfg.mask.grid:
             raise BCSError("field lives on a different grid")
-        vals = np.asarray(psi.values, dtype=float)
-        out = np.empty(2 * self.n - 1)
-        out[0::2] = vals
-        out[1::2] = 0.5 * (vals[:-1] + vals[1:])
-        return out
+        return center_values(psi.values)
+
+
+def center_values(vals) -> np.ndarray:
+    """Node values of a 1D field and their midpoint means, interleaved: the
+    field on the half-spacing center lattice."""
+    vals = np.asarray(vals, dtype=float)
+    out = np.empty(2 * vals.size - 1)
+    out[0::2] = vals
+    out[1::2] = 0.5 * (vals[:-1] + vals[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +189,32 @@ class TrialState:
     admissibility: tuple  # (min, max) eigenvalue of the block state
 
 
+def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
+                inside: np.ndarray) -> np.ndarray:
+    """K[i, j] = psi_half[i + j] * wave(i - j) where nodes i and j are both
+    inside, zero elsewhere: a center field on the half-spacing lattice
+    (``center_values``) times a pair wave sampled at the separation counts
+    v = -k..k (zero beyond), gathered by v.
+    """
+    n = inside.size
+    k = (wave.size - 1) // 2
+    pad = max(n - 1 - k, 0)
+    # the wave at v = -(n - 1)..(n - 1); v = 0 sits at k + pad once padded
+    by_separation = np.pad(wave, pad)[k + pad - (n - 1):k + pad + n]
+    idx = np.arange(n)
+    kern = (psi_half[idx[:, None] + idx[None, :]]
+            * by_separation[idx[:, None] - idx[None, :] + n - 1])
+    kern[~(inside[:, None] & inside[None, :])] = 0.0
+    return kern
+
+
 def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
                         pair_wave_lattice, frame: COMFrame) -> np.ndarray:
-    """Assemble K[i, j] = psi((x_i+x_j)/2) * pair_wave(i - j) over the
-    interior node pairs (zero elsewhere); the pair wave is indexed by the
-    separation count v = i - j (r = v * dx)."""
+    """``pair_kernel`` for a pair wave given as a function of the separation
+    count v (the continuum state's spline, say), sampled once per v."""
     n = frame.n
-    idx = np.arange(n)
-    uu = idx[:, None] + idx[None, :]
-    vv = idx[:, None] - idx[None, :]
-    kern = psi_half[uu] * pair_wave_lattice(vv)
-    both = frame.inside[:, None] & frame.inside[None, :]
-    kern[~both] = 0.0
-    return kern
+    return pair_kernel(psi_half, pair_wave_lattice(np.arange(1 - n, n)),
+                       frame.inside)
 
 
 def build_trial_state(cfg: BCSConfig, psi: ScalarField,
@@ -207,19 +228,10 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField,
     discretization. ``psi`` must vanish outside the ell(h)-eroded domain;
     the assembled block state is checked to have spectrum in [0, 1].
     """
-    matched = cfg.matched_state()
-    frame = COMFrame.build(cfg)
     _check_support(cfg, psi)
-    psi_half = frame.interpolate_to_centers(psi)
-
-    ell = cfg.ell
-    dx = frame.dx
-
-    def pair_wave(v):
-        return smoothstep_cutoff(v * dx / ell) * matched.evaluate_lattice(v)
-
-    a_mat = _pair_kernel_matrix(cfg, psi_half, pair_wave, frame)
-    dv = frame.dx
+    wave = lattice_pair_field(cfg.matched_state(), cfg.phi, 1.0)
+    a_mat = pair_kernel(center_values(psi.values), wave, cfg.mask.inside)
+    dv = cfg.mask.grid.spacing[0]
     aa = (a_mat @ a_mat) * dv
     gamma = aa + (1.0 + math.sqrt(cfg.h)) * (aa @ aa) * dv
 
@@ -331,30 +343,32 @@ def extract_order_parameter(cfg: BCSConfig, alpha: PairKernel):
     if alpha.grid_x != cfg.mask.grid or alpha.grid_y != cfg.mask.grid:
         raise BCSError("kernel lives on a different grid")
     alpha.check_symmetric(tol=1e-10)
-    gs = cfg.relative_state()
     frame = COMFrame.build(cfg)
     a_mat = np.asarray(alpha.values, dtype=float)
     both = frame.inside[:, None] & frame.inside[None, :]
     if np.any(np.abs(a_mat[~both]) > 0):
         raise BCSError("kernel has support outside the product domain")
 
-    h = cfg.h
-    dx = frame.dx
-    n = frame.n
-    psi_vals = np.zeros(2 * n - 1)
+    psi_vals = np.zeros(2 * frame.n - 1)
     xi = np.zeros_like(a_mat)
-    for u in range(2 * n - 1):
-        i, j, v = frame.pair_indices(u)
-        if i.size == 0:
-            continue
-        a_fiber = gs.evaluate(v * dx / h)
+    for u, i, j, a_fiber in _fibers(cfg, frame):
         slice_vals = a_mat[i, j]
         # psi(X) = h^{-1} int alpha_*(r/h) alpha~(X, r) dr over the fiber
-        psi_vals[u] = float(np.sum(a_fiber * slice_vals)) * (2.0 * dx) / h
+        psi_vals[u] = (float(np.sum(a_fiber * slice_vals)) * (2.0 * frame.dx)
+                       / cfg.h)
         xi[i, j] = slice_vals - psi_vals[u] * a_fiber  # h^{1-d} = 1 at d=1
-    hg = frame.half_grid()
-    psi_field = ScalarField(hg, psi_vals)
+    psi_field = ScalarField(frame.half_grid(), psi_vals)
     return psi_field, PairKernel(cfg.mask.grid, cfg.mask.grid, xi)
+
+
+def _fibers(cfg: BCSConfig, frame: COMFrame):
+    """Each nonempty center fiber u: (u, i, j, alpha_*((x_i - x_j)/h)), the
+    pair wave from the spline of the continuum relative state."""
+    gs = cfg.relative_state()
+    for u in range(2 * frame.n - 1):
+        i, j, v = frame.pair_indices(u)
+        if i.size:
+            yield u, i, j, gs.evaluate(v * frame.dx / cfg.h)
 
 
 def com_norm_split(cfg: BCSConfig, alpha: PairKernel, psi: ScalarField,
@@ -376,18 +390,10 @@ def com_norm_split(cfg: BCSConfig, alpha: PairKernel, psi: ScalarField,
 def fiber_orthogonality(cfg: BCSConfig, xi: PairKernel) -> float:
     """Largest fiber inner product <alpha_*(./h), xi(X, .)>; zero up to the
     sampled-normalization wobble."""
-    gs = cfg.relative_state()
     frame = COMFrame.build(cfg)
-    dx = frame.dx
-    worst = 0.0
     xim = np.asarray(xi.values)
-    for u in range(2 * frame.n - 1):
-        i, j, v = frame.pair_indices(u)
-        if i.size == 0:
-            continue
-        a_fiber = gs.evaluate(v * dx / cfg.h)
-        worst = max(worst, abs(float(np.sum(a_fiber * xim[i, j])) * 2.0 * dx))
-    return worst
+    return max((abs(float(np.sum(a_fiber * xim[i, j])) * 2.0 * frame.dx)
+                for _, i, j, a_fiber in _fibers(cfg, frame)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +449,11 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
     if phi_h is None:
         phi_h = cfg.phi
     h = cfg.h
-    frame = COMFrame.build(cfg)
     _check_support(cfg, psi)
-    psi_half = frame.interpolate_to_centers(psi)
-
     a_lat = lattice_pair_field(matched, phi_h, h)
-    k_max = matched.k_max
-
-    def pair_wave(v):
-        out = np.zeros(v.shape, dtype=float)
-        ok = np.abs(v) <= k_max
-        out[ok] = a_lat[v[ok] + k_max] / h
-        return out
-
-    a_mat = _pair_kernel_matrix(cfg, psi_half, pair_wave, frame)
-    dx = frame.dx
-    dv = dx
+    a_mat = pair_kernel(center_values(psi.values), a_lat / h, cfg.mask.inside)
+    grid = cfg.mask.grid
+    dv = grid.spacing[0]
 
     # lattice quadratures of the cutoff pair function
     a_norm_sq = float(np.sum(a_lat**2) * matched.step)
@@ -468,12 +463,11 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
     vfun = potential_from_descriptor(cfg.potential)
 
     # (i) quadratic trace: free product Laplacian, kernels vanish well inside
-    grid = cfg.mask.grid
     lap_full = dirichlet_laplacian_matrix(DomainMask(grid, np.ones(grid.shape, bool)))
     ka = -(h**2) * 0.5 * (lap_full @ a_mat + a_mat @ lap_full.T)
     lhs_i = float(np.sum((ka - cfg.mu * a_mat) * a_mat)) * dv * dv
-    rr = frame.x[:, None] - frame.x[None, :]
-    vmat = vfun(rr / h)
+    x = grid.axis(0)
+    vmat = vfun((x[:, None] - x[None, :]) / h)
     lhs_i += float(np.sum(vmat * a_mat**2)) * dv * dv
     rhs_i = (
         norms["l2_sq"] * a_energy / h

@@ -88,9 +88,14 @@ def _coerce(value, like, where: str):
     return kind(arr)
 
 
-def _number(section: dict, key: str, default, where: str = "config"):
-    """Optional numeric key, coerced to the type and shape of its default."""
-    return _coerce(section.get(key, default), default, f"{key} in {where}")
+def _number(section: dict, key: str, default, where: str = "config",
+            positive: bool = False):
+    """Optional numeric key, coerced to the type and shape of its default;
+    with ``positive``, a scalar that must be positive."""
+    value = _coerce(section.get(key, default), default, f"{key} in {where}")
+    if positive and not value > 0:
+        raise ConfigError(f"{key} in {where} must be positive, got {value!r}")
+    return value
 
 
 def build_domain(spec: dict):
@@ -115,8 +120,9 @@ def build_domain(spec: dict):
     kwargs = {}
     for key, default in defaults.items():
         value = params.get(key, default)
-        kwargs[key] = None if value is None else _coerce(value, default,
-                                                         f"{key} in domain")
+        # None stands for "not given" only where the default is None
+        kwargs[key] = (None if value is None and default is None
+                       else _coerce(value, default, f"{key} in domain"))
     try:
         # looked up on the module, so that a wrapper rebound there sees it
         return getattr(geometry, make.__name__)(**kwargs)
@@ -254,18 +260,19 @@ def _exp_twobody(cfg):
         a=_number(cfg, "a", 0.0),
         b=_number(cfg, "b", 1.0),
         potential=pot,
-        micro_step=_number(cfg, "micro_step", 0.125),
-        q=_number(cfg, "q", 1.5),
+        micro_step=_number(cfg, "micro_step", 0.125, positive=True),
+        q=_number(cfg, "q", 1.5, positive=True),
         tol=_number(cfg, "tol", 1e-9),
         richardson=richardson,
     )
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
     if min(h_list) <= 0.0:
         raise ConfigError(f"h_list values must be positive, got {h_list}")
-    try:  # every product grid against the budgets, before the first solve
+    try:  # every product grid and micro lattice, before the first solve
         for h in h_list:
-            twobody.problem_at(scan_cfg, h)
-    except (twobody.TwoBodyError, GridError, GeometryError) as exc:
+            pairing.micro_lattice_k_max(twobody.problem_at(scan_cfg, h).micro_step)
+    except (twobody.TwoBodyError, GridError, GeometryError,
+            pairing.PairingError) as exc:
         raise ConfigError(str(exc)) from exc
     return twobody.asymptotic_scan(scan_cfg, h_list)
 
@@ -302,12 +309,17 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
                           f"{MAX_GRID_NODES}-entry budget")
     w = build_w(cfg.get("w"), mask)
     pot = validate_potential(_require(cfg, "potential", "config"))
-    q = _number(cfg, "q", q_default)
+    q = _number(cfg, "q", q_default, positive=True)
     h_list = sorted(_coerce(_require(cfg, "h_list", "config"), [0.0], "h_list"),
                     reverse=True)
+    try:  # every h and its micro lattice, before the first solve
+        configs = [bcs.BCSConfig(mask, pot, w, h=h, D=0.0, q=q) for h in h_list]
+        for c in configs:
+            pairing.micro_lattice_k_max(c.micro_step, c.micro_halfwidth)
+    except (bcs.BCSError, pairing.PairingError) as exc:
+        raise ConfigError(str(exc)) from exc
     gs = pairing.solve_relative(pot)
-    ell = bcs.BCSConfig(mask, pot, w, h=h_list[0], D=0.0, q=q, relative=gs).ell
-    inner = erode(mask, ell)
+    inner = erode(mask, configs[0].ell)
     mode = onset_threshold(inner, w if mode_with_w else None, tol=1e-10)
     return _PairSetup(mask, w, pot, gs, q, h_list, inner, mode)
 

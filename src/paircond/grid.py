@@ -55,6 +55,9 @@ class Grid:
                 raise GridError("need at least 3 nodes per axis")
             if not up > lo:
                 raise GridError("upper bound must exceed lower bound")
+            # stencils divide by the squared spacing
+            if not 1e-150 < (up - lo) / (k - 1) < 1e150:
+                raise GridError(f"grid spacing on [{lo}, {up}] is out of range")
         nodes = math.prod(int(k) for k in self.n)
         if nodes > MAX_GRID_NODES:
             raise GridError(

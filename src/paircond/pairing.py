@@ -1,23 +1,28 @@
-"""Relative two-body problem on a truncated line: binding energy, normalized
-pair wavefunction, its L2 decay rate, the quartic couplings, and the smooth
-radial cutoff used by trial states.
+"""The relative two-body problem -Lap + V on a Dirichlet box [-L, L] and its
+bound state alpha_*: binding energy, pair wavefunction, L2 decay rate,
+quartic couplings, and the smooth radial cutoff of trial states.
 
-The whole-line problem is truncated to a Dirichlet box [-L, L]. The pair
-wavefunction decays exponentially, so the truncation error is below any
-tolerance of interest once exp(-2*rho*L) is negligible; ``solve_relative``
-checks the boundary amplitude after the fact.
+One type, ``RelativeGroundState``, holds the state; one set of lattice sums
+works on its samples. ``solve_relative`` solves a fine box for continuum
+values; ``matched_relative_state`` solves the micro lattice (spacing / h)
+whose three-point stencil the product-grid kernels induce, where the
+couplings, the cut pair field and its energy are exact. A spline
+(``evaluate``) samples the state off its nodes, for extraction. The state
+decays exponentially, and ``solve_relative`` checks that it has at the box
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .geometry import DomainMask, box_mask
-from .grid import Grid, ScalarField
+from .geometry import box_mask
+from .grid import MAX_GRID_NODES, Grid, ScalarField
 from .spectral import (
     StencilOperator,
     assemble_dirichlet,
@@ -88,22 +93,47 @@ def _reject_extra(kind, params):
 
 @dataclass
 class RelativeGroundState:
-    """Bound-state data of the relative operator -Lap + V on the box."""
+    """Bound state of the relative operator -Lap + V on the box [-L, L].
+
+    On an odd node count the nodes are the lattice s = k * step, |k| <=
+    k_max, which the lattice accessors index. The decay rate and the pair
+    (g_bcs, g_0) are computed when first read, then cached.
+    """
 
     potential: dict
     E_b: float
     alpha_star: ScalarField
     L: float
     residual: float
-    rho_star: float | None = None
-    g_bcs: float | None = None
-    g_0: float | None = None
-    spectral_gap: float | None = None
     _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
         return self.alpha_star.grid
+
+    @property
+    def step(self) -> float:
+        return self.grid.spacing[0]
+
+    @property
+    def k_max(self) -> int:
+        return (self.grid.n[0] - 1) // 2
+
+    @cached_property
+    def rho_star(self) -> float:
+        return fit_decay_rate(self)
+
+    @cached_property
+    def _couplings(self) -> tuple:
+        return compute_couplings(self)
+
+    @property
+    def g_bcs(self) -> float:
+        return self._couplings[0]
+
+    @property
+    def g_0(self) -> float:
+        return self._couplings[1]
 
     def evaluate(self, points) -> np.ndarray:
         """Sample the pair wavefunction at arbitrary points (spline, zero
@@ -116,13 +146,24 @@ class RelativeGroundState:
         out[ok] = self._spline(pts[ok])
         return out
 
+    def evaluate_lattice(self, k) -> np.ndarray:
+        """Values at lattice indices k (s = k * step); zero beyond the box."""
+        k = np.asarray(k)
+        out = np.zeros(k.shape, dtype=float)
+        ok = np.abs(k) <= self.k_max
+        out[ok] = self.alpha_star.values[k[ok] + self.k_max]
+        return out
 
-def _box_operator(potential: dict, L: float, n: int,
-                  shift: float = 0.0) -> StencilOperator:
-    """-Lap + V (+ shift) on [-L, L], n nodes, Dirichlet walls."""
+    def norm_sq(self) -> float:
+        """Lattice L2 norm (node sum times step); 1 for a solved state."""
+        return float(np.sum(self.alpha_star.values**2) * self.step)
+
+
+def _box_operator(potential: dict, L: float, n: int) -> StencilOperator:
+    """-Lap + V on [-L, L], n nodes, Dirichlet walls."""
     mask = box_mask([-L], [L], n=n)
     vvals = potential_from_descriptor(potential)(mask.grid.axis(0))
-    return assemble_dirichlet(mask, -1.0, mask.field(vvals), shift=shift)
+    return assemble_dirichlet(mask, -1.0, mask.field(vvals))
 
 
 def solve_relative(
@@ -130,7 +171,6 @@ def solve_relative(
     L: float = 20.0,
     n: int = 4001,
     tol: float = 1e-10,
-    couplings: bool = True,
 ) -> RelativeGroundState:
     """Ground state of -Lap + V on [-L, L] with Dirichlet walls.
 
@@ -147,46 +187,63 @@ def solve_relative(
     if np.min(alpha.values) < -1e-7 * np.max(np.abs(alpha.values)):
         raise PairingError("ground state is not positive after sign fixing")
 
-    amax = np.max(np.abs(alpha.values))
-    shell = _outermost_interior_amplitude(op.mask, alpha.values)
+    vals = np.abs(alpha.values)
+    amax = np.max(vals)
+    shell = max(np.max(vals[1:3]), np.max(vals[-3:-1]))  # next to the walls
     if shell > 1e-6 * amax:
         raise PairingError(
             f"pair wavefunction has not decayed at the box boundary "
             f"(edge/interior = {shell / amax:.2e}); increase L"
         )
-
-    gs = RelativeGroundState(
-        potential=potential,
-        E_b=-res.eigenvalue,
-        alpha_star=alpha,
-        L=L,
-        residual=res.residual,
-    )
-    gs.rho_star = fit_decay_rate(gs)
-    if couplings:
-        gs.g_bcs, gs.g_0 = compute_couplings(gs)
-    return gs
+    return RelativeGroundState(potential=potential, E_b=-res.eigenvalue,
+                               alpha_star=alpha, L=L, residual=res.residual)
 
 
-def _outermost_interior_amplitude(mask: DomainMask, values: np.ndarray) -> float:
-    eroded_inside = mask.inside & (mask.dist > 2.01 * max(mask.grid.spacing))
-    ring = mask.inside & ~eroded_inside
-    if not ring.any():
-        return 0.0
-    return float(np.max(np.abs(values[ring])))
+def micro_lattice_k_max(step: float, halfwidth: float = 20.0) -> int:
+    """k_max = round(halfwidth / step) of the micro lattice s = k * step.
+    Refuses, before any array exists, a nonpositive step, k_max < 8 and more
+    than ``MAX_GRID_NODES`` nodes (2 k_max + 1 <= M exactly when halfwidth /
+    step < (M - 1)/2, which also refuses an infinite ratio)."""
+    if not step > 0:
+        raise PairingError("lattice step must be positive")
+    ratio = halfwidth / step
+    if not ratio < (MAX_GRID_NODES - 1) / 2:
+        raise PairingError(
+            f"micro lattice of step {step:.3g} over the halfwidth "
+            f"{halfwidth:.3g} exceeds the {MAX_GRID_NODES}-node budget"
+        )
+    k_max = int(round(ratio))
+    if k_max < 8:
+        raise PairingError("micro lattice too coarse for the box halfwidth")
+    return k_max
+
+
+def matched_relative_state(
+    potential: dict, step: float, halfwidth: float = 20.0, tol: float = 1e-12
+) -> RelativeGroundState:
+    """Ground state of -Lap + V on the micro lattice of the given step, on
+    the box of halfwidth k_max * step (``micro_lattice_k_max``).
+
+    Product-grid pair kernels induce a relative problem whose Laplacian is
+    the three-point stencil at the micro step (domain spacing / h). Sampling
+    the pair function from this discrete eigenproblem, and pairing it with
+    the discrete binding energy, makes the large kinetic-plus-potential
+    cancellation in pair-state energies exact at the discrete level; both
+    converge to their continuum values quadratically in the step.
+    """
+    k_max = micro_lattice_k_max(step, halfwidth)
+    return solve_relative(potential, k_max * step, 2 * k_max + 1, tol)
 
 
 def spectral_gap(gs: RelativeGroundState, tol: float = 1e-8) -> float:
-    """Gap between the two lowest eigenvalues of -Lap + V (cached)."""
-    if gs.spectral_gap is None:
-        mat = _box_operator(gs.potential, gs.L, gs.grid.n[0]).matrix
-        sigma = gershgorin_shift(mat)
-        lu = shifted_factor(mat, sigma)
-        vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
-                             OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
-                             return_eigenvectors=False))
-        gs.spectral_gap = float(vals[1] - vals[0])
-    return gs.spectral_gap
+    """Gap between the two lowest eigenvalues of -Lap + V on the box of gs."""
+    mat = _box_operator(gs.potential, gs.L, gs.grid.n[0]).matrix
+    sigma = gershgorin_shift(mat)
+    lu = shifted_factor(mat, sigma)
+    vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
+                         OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
+                         return_eigenvectors=False))
+    return float(vals[1] - vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +254,9 @@ def shell_masses(gs: RelativeGroundState, n_shells: int = 60):
     """L2 mass of the pair wavefunction in radial shells of equal width."""
     grid = gs.grid
     r = np.abs(gs.alpha_star.values) ** 2 * grid.weights()
-    radii = np.sqrt(np.sum(grid.points() ** 2, axis=-1)).reshape(grid.shape)
     edges = np.linspace(0.0, gs.L, n_shells + 1)
-    idx = np.clip(np.digitize(radii.ravel(), edges) - 1, 0, n_shells - 1)
-    mass = np.bincount(idx, weights=r.ravel(), minlength=n_shells)
+    idx = np.clip(np.digitize(np.abs(grid.axis(0)), edges) - 1, 0, n_shells - 1)
+    mass = np.bincount(idx, weights=r, minlength=n_shells)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, mass
 
@@ -250,32 +306,31 @@ def fit_decay_rate(
 # quartic couplings
 
 
-def _correlation_couplings(a: np.ndarray, step: float, E_b: float) -> tuple:
-    """Quartic couplings of lattice samples ``a`` in real-space correlation
-    form: with c(m) = sum_k a(k) a(k+m) and d the three-point (-Lap) of a,
-    g_0 = step^3 * sum_m c(m)^2 and g_bcs = step^3 * sum_m c_d(m) c(m) +
-    E_b * g_0."""
+def compute_couplings(gs: RelativeGroundState, a: np.ndarray | None = None) -> tuple:
+    """Quartic couplings (g_bcs, g_0) of lattice samples ``a`` at the step
+    and binding energy of ``gs``; ``a`` defaults to the pair wavefunction.
+
+    For the pair wavefunction these are g_bcs = (2 pi)^-1 int (p^2 + E_b)
+    |alpha_hat|^4 dp and g_0 = (2 pi)^-1 int |alpha_hat|^4 dp. By Plancherel,
+    |alpha_hat|^2 is the transform of the autocorrelation c(m) =
+    sum_k a(k) a(k+m), and p^2 |alpha_hat|^2 that of c_d, the correlation of
+    the three-point (-Lap a) with a: g_0 = step^3 sum_m c(m)^2 and
+    g_bcs = step^3 sum_m c_d(m) c(m) + E_b g_0. On the micro lattice these
+    are exactly the lattice quartic traces; they converge quadratically in
+    the step to the momentum integrals.
+    """
+    if a is None:
+        a = gs.alpha_star.values
+    step = gs.step
     c = np.correlate(a, a, mode="full")
     cd = np.correlate(_lattice_neg_laplacian(a, step), a, mode="full")
     g_0 = float(np.sum(c * c)) * step**3
-    g_bcs = float(np.sum(cd * c)) * step**3 + E_b * g_0
+    g_bcs = float(np.sum(cd * c)) * step**3 + gs.E_b * g_0
     return g_bcs, g_0
 
 
-def compute_couplings(gs: RelativeGroundState) -> tuple:
-    """Quartic couplings g_bcs = (2 pi)^-1 int (p^2 + E_b) |alpha_hat|^4 dp
-    and g_0 = (2 pi)^-1 int |alpha_hat|^4 dp of the pair wavefunction;
-    cached on gs.
-
-    By Plancherel, |alpha_hat|^2 is the transform of the autocorrelation
-    alpha * alpha, and p^2 |alpha_hat|^2 that of (-alpha'') * alpha. Both
-    integrals are therefore evaluated on the grid in the correlation form of
-    ``lattice_couplings``, which converges quadratically in the spacing.
-    """
-    gs.g_bcs, gs.g_0 = _correlation_couplings(
-        gs.alpha_star.values, gs.grid.spacing[0], gs.E_b
-    )
-    return gs.g_bcs, gs.g_0
+# the same function, named for callers that pass the samples of a cut state
+lattice_couplings = compute_couplings
 
 
 # ---------------------------------------------------------------------------
@@ -288,138 +343,34 @@ def smoothstep_cutoff(r) -> np.ndarray:
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-CHI_PROFILE = ("quintic smoothstep S((3/2 - |r|)/(1/2)) with "
-               "S(t) = 6 t^5 - 15 t^4 + 10 t^3 clamped to [0, 1]; "
-               "1 on the unit ball, supported in the 3/2 ball")
-
-
-@dataclass
-class CutoffState:
-    """Radially cut pair function chi(r/phi_h) * h * alpha_star(r)."""
-
-    gs: RelativeGroundState
-    phi_h: float
-    h: float
-    a_field: ScalarField
-    chi_profile: str = CHI_PROFILE
-
-    def norm_sq(self) -> float:
-        w = self.a_field.grid.weights()
-        return float(np.sum(np.abs(self.a_field.values) ** 2 * w))
-
-    def evaluate(self, points) -> np.ndarray:
-        """chi(r/phi_h) * h * alpha_star(r) at arbitrary 1D points."""
-        pts = np.asarray(points, dtype=float)
-        return smoothstep_cutoff(pts / self.phi_h) * self.h * self.gs.evaluate(pts)
-
-
-def cutoff_state(gs: RelativeGroundState, phi_h: float, h: float = 1.0) -> CutoffState:
+def cutoff_state(gs: RelativeGroundState, phi_h: float,
+                 h: float = 1.0) -> RelativeGroundState:
+    """The cut pair function chi(s/phi_h) * h * alpha_*(s), as a state with
+    the potential, binding energy and box of ``gs``."""
     if phi_h <= 0:
         raise PairingError("cutoff radius must be positive")
-    grid = gs.grid
-    radii = np.sqrt(np.sum(grid.points() ** 2, axis=-1)).reshape(grid.shape)
-    chi = smoothstep_cutoff(radii / phi_h)
-    vals = chi * h * gs.alpha_star.values
-    return CutoffState(gs, phi_h, h, ScalarField(grid, vals))
+    cut = ScalarField(gs.grid, lattice_pair_field(gs, phi_h, h))
+    return RelativeGroundState(gs.potential, gs.E_b, cut, gs.L, gs.residual)
 
 
-@dataclass
-class MatchedRelativeState:
-    """Relative ground state of the three-point discretization at a fixed
-    lattice step.
-
-    Product-grid pair kernels induce a relative problem whose Laplacian is
-    the three-point stencil at the micro step (domain spacing / h). Sampling
-    the pair function from this discrete eigenproblem, and pairing it with
-    the discrete binding energy, makes the large kinetic-plus-potential
-    cancellation in pair-state energies exact at the discrete level; both
-    converge to their continuum values quadratically in the step.
-    """
-
-    potential: dict
-    step: float
-    halfwidth: float
-    E_b: float
-    samples: np.ndarray = field(repr=False)  # values at k*step, k in [-K, K]
-
-    @property
-    def k_max(self) -> int:
-        return (self.samples.size - 1) // 2
-
-    def evaluate_lattice(self, k) -> np.ndarray:
-        """Values at lattice indices k (s = k * step); zero beyond the box."""
-        k = np.asarray(k)
-        out = np.zeros(k.shape, dtype=float)
-        ok = np.abs(k) <= self.k_max
-        out[ok] = self.samples[k[ok] + self.k_max]
-        return out
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.samples**2) * self.step)
-
-
-def matched_relative_state(
-    potential: dict, step: float, halfwidth: float = 20.0, tol: float = 1e-12
-) -> MatchedRelativeState:
-    """Solve -Lap + V on the micro lattice of the given step (d=1).
-
-    The eigenvector is normalized in the lattice L2 norm (sum * step) and
-    sign-fixed positive; raises when no bound state exists at this step.
-    """
-    if step <= 0:
-        raise PairingError("lattice step must be positive")
-    k_max = int(round(halfwidth / step))
-    if k_max < 8:
-        raise PairingError("micro lattice too coarse for the box halfwidth")
-    op = _box_operator(potential, k_max * step, 2 * k_max + 1)
-    res = smallest_eigenpair(op, tol=tol)
-    if res.eigenvalue >= 0:
-        raise PairingError(
-            f"no bound state on the step-{step} lattice "
-            f"(eigenvalue {res.eigenvalue:.6g})"
-        )
-    vals = np.asarray(res.eigenvector.values, dtype=float)
-    nrm = np.sqrt(np.sum(vals**2) * step)
-    return MatchedRelativeState(
-        potential, step, k_max * step, -res.eigenvalue, vals / nrm
-    )
-
-
-def lattice_pair_field(matched: MatchedRelativeState, phi_h: float,
+def lattice_pair_field(gs: RelativeGroundState, phi_h: float,
                        h: float) -> np.ndarray:
-    """Cutoff pair samples chi(s/phi_h) * h * alpha(s) on the micro lattice."""
-    k = np.arange(-matched.k_max, matched.k_max + 1)
-    s = k * matched.step
-    return smoothstep_cutoff(s / phi_h) * h * matched.samples
+    """Cut pair samples chi(s/phi_h) * h * alpha(s) on the nodes of ``gs``."""
+    return smoothstep_cutoff(gs.grid.axis(0) / phi_h) * h * gs.alpha_star.values
 
 
 def _lattice_neg_laplacian(a: np.ndarray, step: float) -> np.ndarray:
-    """Three-point -Lap of micro-lattice samples, zero beyond both ends."""
-    d = np.zeros_like(a)
-    d[1:-1] = (2.0 * a[1:-1] - a[2:] - a[:-2]) / step**2
-    d[0] = (2.0 * a[0] - a[1]) / step**2
-    d[-1] = (2.0 * a[-1] - a[-2]) / step**2
-    return d
+    """Three-point -Lap of lattice samples, zero beyond both ends."""
+    padded = np.pad(a, 1)
+    return (2.0 * a - padded[2:] - padded[:-2]) / step**2
 
 
-def lattice_couplings(matched: MatchedRelativeState, a: np.ndarray) -> tuple:
-    """Exact lattice counterparts of the quartic couplings of ``a``.
-
-    The real-space correlation form (``_correlation_couplings``) at the
-    matched step and binding energy matches the lattice quartic traces
-    exactly and converges quadratically to the continuum momentum integrals.
-    """
-    return _correlation_couplings(a, matched.step, matched.E_b)
-
-
-def lattice_pair_energy(matched: MatchedRelativeState, a: np.ndarray) -> float:
-    """<a, (-Lap + E_b + V) a> on the micro lattice (zero for the uncut
+def lattice_pair_energy(gs: RelativeGroundState, a: np.ndarray) -> float:
+    """<a, (-Lap + E_b + V) a> on the nodes of ``gs`` (zero for the uncut
     eigenvector, up to solver precision)."""
-    step = matched.step
-    vfun = potential_from_descriptor(matched.potential)
-    s = np.arange(-matched.k_max, matched.k_max + 1) * step
-    lap_a = _lattice_neg_laplacian(a, step)
-    return float(np.sum(a * (lap_a + (vfun(s) + matched.E_b) * a)) * step)
+    vvals = potential_from_descriptor(gs.potential)(gs.grid.axis(0))
+    lap_a = _lattice_neg_laplacian(a, gs.step)
+    return float(np.sum(a * (lap_a + (vvals + gs.E_b) * a)) * gs.step)
 
 
 @dataclass
@@ -448,18 +399,10 @@ def cutoff_diagnostics(gs: RelativeGroundState, phi_h: float) -> CutoffDiagnosti
         raise PairingError(
             f"cutoff support 1.5*{phi_h} exceeds the truncation box {gs.L}"
         )
-    state = cutoff_state(gs, phi_h, h=1.0)
-    if gs.g_bcs is None or gs.g_0 is None:
-        compute_couplings(gs)
-
-    norm_defect = abs(state.norm_sq() - 1.0)
-    g_bcs_cut, g_0_cut = _correlation_couplings(
-        state.a_field.values, gs.grid.spacing[0], gs.E_b
+    cut = cutoff_state(gs, phi_h)
+    return CutoffDiagnostics(
+        norm_defect=abs(cut.norm_sq() - 1.0),
+        g_bcs_defect=abs(cut.g_bcs - gs.g_bcs),
+        g_0_defect=abs(cut.g_0 - gs.g_0),
+        energy_defect=lattice_pair_energy(gs, cut.alpha_star.values),
     )
-    g_bcs_defect = abs(g_bcs_cut - gs.g_bcs)
-    g_0_defect = abs(g_0_cut - gs.g_0)
-
-    op = _box_operator(gs.potential, gs.L, gs.grid.n[0], shift=gs.E_b)
-    avals = state.a_field.values[op.mask.inside]
-    energy = float(avals @ (op.matrix @ avals)) * op.mask.grid.node_weight
-    return CutoffDiagnostics(norm_defect, g_bcs_defect, g_0_defect, energy)

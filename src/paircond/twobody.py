@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .bcs import center_values, pair_kernel
 from .geometry import DomainMask, erode, interval
 from .grid import Grid, ScalarField
 from .pairing import (
-    MatchedRelativeState,
+    RelativeGroundState,
+    lattice_pair_field,
     matched_relative_state,
     potential_from_descriptor,
-    smoothstep_cutoff,
     solve_relative,
 )
 from .reporting import ScanReport, fit_power_law
@@ -63,7 +64,7 @@ class TwoBodyProblem:
     _op: StencilOperator | None = field(default=None, repr=False)
     _half: tuple | None = field(default=None, repr=False)
     _pmask: DomainMask | None = field(default=None, repr=False)
-    _matched: MatchedRelativeState | None = field(default=None, repr=False)
+    _matched: RelativeGroundState | None = field(default=None, repr=False)
     _threshold: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -81,7 +82,7 @@ class TwoBodyProblem:
     def micro_step(self) -> float:
         return self.mask.grid.spacing[0] / self.h
 
-    def matched_state(self) -> MatchedRelativeState:
+    def matched_state(self) -> RelativeGroundState:
         if self._matched is None:
             self._matched = matched_relative_state(self.potential, self.micro_step)
         return self._matched
@@ -176,7 +177,7 @@ def decoupled_lower_bound(prob: TwoBodyProblem, matched: bool = False,
     elif matched:
         e_b = prob.matched_state().E_b
     else:
-        e_b = solve_relative(prob.potential, couplings=False).E_b
+        e_b = solve_relative(prob.potential).E_b
     return -e_b + prob.h**2 * prob.com_threshold()
 
 
@@ -195,20 +196,10 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
         raise TwoBodyError(f"ell(h)={ell:.4g} under-resolved (4 dx = {4 * dx:.4g})")
     inner = erode(prob.mask, ell)
     mode = onset_threshold(inner, tol=1e-11)
-    full = np.asarray(mode.eigenvector.values)
-
-    matched = prob.matched_state()
-    n = prob.mask.grid.n[0]
-    vals_half = np.empty(2 * n - 1)
-    vals_half[0::2] = full
-    vals_half[1::2] = 0.5 * (full[:-1] + full[1:])
-    idx = np.arange(n)
-    psi_mid = vals_half[idx[:, None] + idx[None, :]]
-    v_idx = idx[:, None] - idx[None, :]
-    trial = psi_mid * smoothstep_cutoff(v_idx * dx / ell) \
-        * matched.evaluate_lattice(v_idx)
+    wave = lattice_pair_field(prob.matched_state(), ell / h, 1.0)
+    trial = pair_kernel(center_values(mode.eigenvector.values), wave,
+                        prob.mask.inside)
     pmask = prob.product_mask()
-    trial[~pmask.inside] = 0.0
 
     tvec = trial[pmask.inside]
     nrm = float(tvec @ tvec)
@@ -291,7 +282,7 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     if len(h_list) < 3:
         raise TwoBodyError("need at least 3 scale ratios")
-    e_b_continuum = solve_relative(cfg.potential, couplings=False).E_b
+    e_b_continuum = solve_relative(cfg.potential).E_b
     rows = []
     residuals = []
     d_c = None

@@ -42,7 +42,7 @@ def test_01_dirichlet_constant():
 
 def test_02_bound_state():
     t0 = time.monotonic()
-    gs = pr.solve_relative(POSCHL_TELLER, L=20.0, n=4001, couplings=False)
+    gs = pr.solve_relative(POSCHL_TELLER, L=20.0, n=4001)
     gs.rho_star = pr.fit_decay_rate(gs)
     x = gs.grid.axis(0)
     sup_err = float(np.max(np.abs(gs.alpha_star.values

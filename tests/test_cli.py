@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paircond import cli, gp
 from paircond import geometry as geo
@@ -276,6 +281,19 @@ class TestRun:
                           "h_list": [0.2, 0.15, 0.0]}),
         ("twobody-scan", {"potential": {"kind": "poschl_teller"},
                           "h_list": [0.2, 0.15, 1e-300]}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 1e300]}),
+        ("bcs-trial", {"domain": {"builtin": "interval", "n": 200}, "w": None,
+                       "potential": {"kind": "poschl_teller"},
+                       "h_list": [0.1, 0.07, 1e-9]}),
+        ("relative", {"potential": {"kind": "poschl_teller"}, "L": 1e300,
+                      "n": 801}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 0.1], "micro_step": 0}),
+        ("bcs-trial", {"domain": {"builtin": "interval", "n": 200}, "w": None,
+                       "potential": {"kind": "poschl_teller"}, "q": 0,
+                       "h_list": [0.2, 0.15, 0.1]}),
+        ("dc", {"domain": {"builtin": "interval", "a": None}, "w": None}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2
@@ -307,3 +325,48 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert cli.main(["dc", "--config", str(cfg_path)]) == 2
+
+
+# small valid configs; each fuzz example replaces one key of one of them.
+# Every combination runs in milliseconds and allocates no large array.
+FUZZ_BASE = {
+    "relative": {"potential": {"kind": "poschl_teller", "depth": 2.0},
+                 "L": 16.0, "n": 801},
+    "twobody-scan": {"potential": {"kind": "poschl_teller", "depth": 2.0},
+                     "a": 0.0, "b": 1.0, "h_list": [0.2, 0.15, 0.1],
+                     "micro_step": 0.25, "q": 1.5, "richardson": False},
+    "bcs-trial": {"domain": {"builtin": "interval", "a": 0.0, "b": 2.0,
+                             "n": 121, "margin": 0.05},
+                  "w": None, "potential": {"kind": "poschl_teller"},
+                  "D": 2.0, "q": 1.5, "amplitude": 0.3,
+                  "h_list": [0.2, 0.15, 0.1]},
+    "semiclassics": {"domain": {"builtin": "interval", "a": 0.0, "b": 2.0,
+                                "n": 121, "margin": 0.05},
+                     "w": {"kind": "bump", "height": 10.0, "center": 1.0,
+                           "width": 0.5},
+                     "potential": {"kind": "poschl_teller"},
+                     "D": 1.0, "q": 1.0, "amplitude": 0.5,
+                     "h_list": [0.2, 0.15, 0.1]},
+}
+FUZZ_KEYS = [(exp, key) for exp, base in FUZZ_BASE.items() for key in base]
+FUZZ_KEYS += [(exp, ("domain", key)) for exp in ("bcs-trial", "semiclassics")
+              for key in ("a", "b", "n")]
+FUZZ_VALUES = [None, "x", [], {}, -1, 0, 1e300, [1e300]]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_config_never_tracebacks(where, value):
+    experiment, key = where
+    cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+    if isinstance(key, tuple):
+        cfg[key[0]][key[1]] = value
+    else:
+        cfg[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.run(experiment, cfg, out)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

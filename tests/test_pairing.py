@@ -222,3 +222,60 @@ class TestMatchedState:
     def test_lattice_normalization(self):
         m = pr.matched_relative_state(POSCHL_TELLER, 0.1)
         assert abs(m.norm_sq() - 1.0) < 1e-12
+
+    def test_is_the_solved_box_state(self):
+        step = 0.2
+        m = pr.matched_relative_state(POSCHL_TELLER, step)
+        k = int(round(20.0 / step))
+        gs = pr.solve_relative(POSCHL_TELLER, k * step, 2 * k + 1, tol=1e-12)
+        assert isinstance(m, pr.RelativeGroundState)
+        assert m.k_max == k and abs(m.step - step) < 1e-15
+        assert m.E_b == gs.E_b
+        assert np.array_equal(m.alpha_star.values, gs.alpha_star.values)
+
+    def test_undecayed_box_refused(self):
+        # a shallow well binds weakly: its state still fills a small box
+        shallow = {"kind": "gaussian_well", "depth": 0.3, "width": 1.0}
+        with pytest.raises(pr.PairingError, match="increase L"):
+            pr.matched_relative_state(shallow, 0.1, halfwidth=4.0)
+
+    @pytest.mark.parametrize("step, match", [
+        (0.0, "positive"), (3.0, "too coarse"), (1e-300, "budget"),
+    ])
+    def test_micro_lattice_refused_before_solving(self, step, match):
+        with pytest.raises(pr.PairingError, match=match):
+            pr.micro_lattice_k_max(step, 20.0)
+
+    def test_couplings_computed_once(self, monkeypatch):
+        gs = pr.solve_relative(POSCHL_TELLER, L=20.0, n=2001)
+        calls = []
+
+        def counting(*args, **kwargs):  # lattice_couplings: the unpatched name
+            calls.append(args)
+            return pr.lattice_couplings(*args, **kwargs)
+
+        monkeypatch.setattr(pr, "compute_couplings", counting)
+        g_bcs, g_0 = gs.g_bcs, gs.g_0
+        assert len(calls) == 1
+        assert (g_bcs, g_0) == pr.lattice_couplings(gs)
+        assert gs.g_bcs == g_bcs and len(calls) == 1
+
+    def test_energy_defect_is_the_sparse_form(self):
+        # the coarse matched lattice keeps the rounding of the three-point
+        # differences far below the defect
+        from scipy import sparse
+
+        gs = pr.matched_relative_state(POSCHL_TELLER, 0.25)
+        phi = 3.0
+        a = pr.cutoff_state(gs, phi).alpha_star.values[1:-1]
+        dx = gs.step
+        x = gs.grid.axis(0)[1:-1]
+        v = pr.potential_from_descriptor(POSCHL_TELLER)(x)
+        op = sparse.diags(
+            [np.full(a.size - 1, -1.0 / dx**2),
+             2.0 / dx**2 + v + gs.E_b,
+             np.full(a.size - 1, -1.0 / dx**2)], [-1, 0, 1])
+        expected = float(a @ (op @ a)) * dx
+        got = pr.cutoff_diagnostics(gs, phi).energy_defect
+        assert abs(expected) > 1e-3
+        assert abs(got - expected) <= 1e-12 * abs(expected)

@@ -95,7 +95,7 @@ class TestBounds:
     def test_decoupled_closed_form(self, pt_problem):
         from paircond.pairing import solve_relative
 
-        e_b = solve_relative(POSCHL_TELLER, couplings=False).E_b
+        e_b = solve_relative(POSCHL_TELLER).E_b
         val = tb.decoupled_lower_bound(pt_problem, binding_energy=e_b)
         d_c = pt_problem.com_threshold()
         assert abs(val - (-e_b + pt_problem.h**2 * d_c)) < 1e-14
