@@ -268,9 +268,12 @@ def _exp_twobody(cfg):
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
     if min(h_list) <= 0.0:
         raise ConfigError(f"h_list values must be positive, got {h_list}")
-    try:  # every product grid and micro lattice, before the first solve
+    # each h's product grid, micro lattice and trial support, before any solve
+    try:
         for h in h_list:
-            pairing.micro_lattice_k_max(twobody.problem_at(scan_cfg, h).micro_step)
+            prob = twobody.problem_at(scan_cfg, h)
+            pairing.micro_lattice_k_max(prob.micro_step)
+            twobody.trial_support(prob, scan_cfg.q)
     except (twobody.TwoBodyError, GridError, GeometryError,
             pairing.PairingError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -312,14 +315,15 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
     q = _number(cfg, "q", q_default, positive=True)
     h_list = sorted(_coerce(_require(cfg, "h_list", "config"), [0.0], "h_list"),
                     reverse=True)
-    try:  # every h and its micro lattice, before the first solve
+    # each h's micro lattice and the eroded domain, before any solve
+    try:
         configs = [bcs.BCSConfig(mask, pot, w, h=h, D=0.0, q=q) for h in h_list]
         for c in configs:
             pairing.micro_lattice_k_max(c.micro_step, c.micro_halfwidth)
-    except (bcs.BCSError, pairing.PairingError) as exc:
+        inner = erode(mask, configs[0].ell)
+    except (bcs.BCSError, pairing.PairingError, GeometryError) as exc:
         raise ConfigError(str(exc)) from exc
     gs = pairing.solve_relative(pot)
-    inner = erode(mask, configs[0].ell)
     mode = onset_threshold(inner, w if mode_with_w else None, tol=1e-10)
     return _PairSetup(mask, w, pot, gs, q, h_list, inner, mode)
 
@@ -458,6 +462,12 @@ EXPERIMENTS = tuple(DRIVERS)
 # entry point
 
 
+def _non_finite(summary: dict) -> list:
+    """Keys of the NaN or infinite numbers in ``summary``."""
+    return [key for key, value in summary.items()
+            if isinstance(value, float) and not np.isfinite(value)]
+
+
 def run(experiment: str, config: dict, out_dir: str) -> int:
     """Run one experiment; returns the process exit code."""
     if experiment not in DRIVERS:
@@ -479,6 +489,16 @@ def run(experiment: str, config: dict, out_dir: str) -> int:
 
     # scan experiments return their report, the others a plain summary
     report = result if isinstance(result, ScanReport) else None
+    bad = _non_finite(result if report is None else report.metadata)
+    if report is not None:
+        bad += [f"row {k}" for k, row in enumerate(report.sorted_rows())
+                if not np.all(np.isfinite(row))]
+        bad += [f"fit {name!r}" for name, fit in report.fits.items()
+                if _non_finite(fit.to_dict())]
+    if bad:
+        print(f"solver error: non-finite numbers in {', '.join(bad)}",
+              file=sys.stderr)
+        return 3
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "experiment": experiment,

@@ -11,6 +11,13 @@ taking the modulus never increases the discrete energy, so the nonnegative
 representative is picked from the start. That start is the optimal
 single-mode field, or a given field such as the minimizer on a nearby mask.
 Each connected component of the mask is minimized on its own.
+
+Newton steps are inexact after the first: the loop keeps its last sparse
+Hessian factor and solves each later step by conjugate gradients
+preconditioned with it, to a relative residual min(0.1, sqrt(residual))
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). Near the
+minimizer the Hessian changes little between steps, so a few CG iterations
+replace a factorization. The Hessian is factored anew only when CG fails.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ from .geometry import DomainMask, dilate, erode
 from .grid import ScalarField
 from .reporting import ScanReport, fit_power_law
 from .spectral import SYMMETRIC_LU, EigenResult, assemble_dirichlet, onset_threshold
+
+
+# CG iterations of an inexact Newton step before the Hessian is factored anew
+CG_MAX_ITER = 8
 
 
 class GPError(RuntimeError):
@@ -130,9 +141,16 @@ def minimize_gp(
 ) -> GPSolution:
     """Globalized Newton iteration to the nonnegative minimizer.
 
-    Each step solves with the Hessian K + diag(W - D + 6 g psi^2), K the
-    quarter-Laplacian; where that factor fails or gives no descent direction,
-    with K + diag(max(W - D + 6 g psi^2, 0)), which is positive definite.
+    Each step solves with the Hessian H = K + diag(W - D + 6 g psi^2), K the
+    quarter-Laplacian. The first step factors H; where that factor fails or
+    gives no descent direction, it factors K + diag(max(W - D + 6 g psi^2,
+    0)), which is positive definite, and solves with that. The last factor
+    built, of either kind, is kept: each later step solves with H by CG
+    preconditioned with it, at most ``CG_MAX_ITER`` iterations, to the
+    relative residual min(0.1, sqrt(residual)). The Hessian is factored
+    again, by the rule of the first step and after the old factor is
+    dropped, when CG meets nonpositive curvature, misses its target within
+    the cap, or returns no descent direction.
     The step, projected onto nonnegative fields, is halved until the energy
     meets Armijo or the Euler-Lagrange residual falls (below the energy's
     floating-point noise only the residual shows progress). Converged when
@@ -194,21 +212,54 @@ def minimize_gp(
         h1 = float(np.sqrt(4.0 * kin + np.sum(v**2) * dv))
         return energy, el, float(np.linalg.norm(el)) * np.sqrt(dv), h1
 
-    def newton_direction(curvature, el):
-        hess = (stiff + sparse.diags(curvature)).tocsc()
-        return splu(hess, **SYMMETRIC_LU).solve(-el)
+    def factorize(curvature):
+        return splu((stiff + sparse.diags(curvature)).tocsc(), **SYMMETRIC_LU)
+
+    def preconditioned_cg(factor, curvature, rhs, eta):
+        """Solution of the Hessian system to relative residual eta, or None
+        when CG meets nonpositive curvature (of the Hessian or of the kept
+        factor) or misses eta within its cap."""
+        d = np.zeros_like(rhs)
+        r = rhs
+        target = eta * np.linalg.norm(rhs)
+        z = factor.solve(r)
+        p, rz = z, float(r @ z)
+        for _ in range(CG_MAX_ITER):
+            hp = stiff @ p + curvature * p
+            php = float(p @ hp)
+            if not (php > 0.0 and rz > 0.0):
+                return None
+            alpha = rz / php
+            d = d + alpha * p
+            r = r - alpha * hp
+            if np.linalg.norm(r) <= target:
+                return d
+            z = factor.solve(r)
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+        return None
 
     e, el, res, h1 = evaluate(vals)
     e_start = e
+    factor = None  # the last Hessian factor: CG's preconditioner
     it = 0
     while res > tol * (1.0 + h1) and it < max_iter:
         curvature = w - prob.D + 6.0 * prob.g * vals**2
-        try:
-            direction = newton_direction(curvature, el)
-        except RuntimeError:  # SuperLU: exactly singular
-            direction = np.zeros_like(el)
-        if not float(el @ direction) < 0.0:  # no descent direction (or NaN)
-            direction = newton_direction(np.maximum(curvature, 0.0), el)
+        direction = None
+        if factor is not None:
+            direction = preconditioned_cg(factor, curvature, -el,
+                                          min(0.1, np.sqrt(res)))
+        if direction is None or not float(el @ direction) < 0.0:
+            factor = None  # dropped before the new one is built
+            try:
+                factor = factorize(curvature)
+                direction = factor.solve(-el)
+            except RuntimeError:  # SuperLU: exactly singular
+                direction = np.zeros_like(el)
+            if not float(el @ direction) < 0.0:  # no descent direction (or NaN)
+                factor = None
+                factor = factorize(np.maximum(curvature, 0.0))
+                direction = factor.solve(-el)
         # the Gateaux derivative along the direction is 2 <el, direction> dv
         slope = 2.0 * float(el @ direction) * dv
         alpha = 1.0
@@ -255,8 +306,12 @@ def one_mode_upper_bound(prob: GPProblem, mode: EigenResult | None = None) -> tu
         return 0.0, 0.0
     vals = np.asarray(mode.eigenvector.values)[prob.mask.inside]
     quart = float(np.sum(vals**4)) * prob.mask.grid.node_weight
-    theta = float(np.sqrt((prob.D - d_c) / (2.0 * prob.g * quart)))
-    energy = -((prob.D - d_c) ** 2) / (4.0 * prob.g * quart)
+    gap = prob.D - d_c
+    theta = float(np.sqrt(gap / (2.0 * prob.g * quart)))
+    energy = -gap * (gap / (4.0 * prob.g * quart))
+    if not np.isfinite(energy):
+        raise GPError(f"single-mode energy overflows (D - D_c = {gap:.3g}, "
+                      f"g = {prob.g:.3g})")
     return theta, float(energy)
 
 

@@ -47,6 +47,7 @@ from .spectral import (
 )
 
 MAX_PRODUCT_UNKNOWNS = 400_000
+MIN_AXIS_NODES = 17  # coarsest domain grid of a scan's product problem
 
 
 class TwoBodyError(RuntimeError):
@@ -181,6 +182,16 @@ def decoupled_lower_bound(prob: TwoBodyProblem, matched: bool = False,
     return -e_b + prob.h**2 * prob.com_threshold()
 
 
+def trial_support(prob: TwoBodyProblem, q: float) -> tuple:
+    """ell = q h ln(1/h), checked against the grid, and the domain eroded by
+    ell, where the trial state's centre-of-mass mode lives."""
+    ell = q * prob.h * math.log(1.0 / prob.h)
+    dx = prob.mask.grid.spacing[0]
+    if ell < 4 * dx:
+        raise TwoBodyError(f"ell(h)={ell:.4g} under-resolved (4 dx = {4 * dx:.4g})")
+    return ell, erode(prob.mask, ell)
+
+
 def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
     """Rayleigh quotient of the diamond trial state
     psi_ell((x+y)/2) chi((x-y)/ell) alpha((x-y)/h) with ell = q h ln(1/h).
@@ -190,11 +201,7 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
     on the product-domain boundary by construction.
     """
     h = prob.h
-    ell = q * h * math.log(1.0 / h)
-    dx = prob.mask.grid.spacing[0]
-    if ell < 4 * dx:
-        raise TwoBodyError(f"ell(h)={ell:.4g} under-resolved (4 dx = {4 * dx:.4g})")
-    inner = erode(prob.mask, ell)
+    ell, inner = trial_support(prob, q)
     mode = onset_threshold(inner, tol=1e-11)
     wave = lattice_pair_field(prob.matched_state(), ell / h, 1.0)
     trial = pair_kernel(center_values(mode.eigenvector.values), wave,
@@ -257,10 +264,22 @@ class TwoBodyScanConfig:
 
 
 def problem_at(cfg: TwoBodyScanConfig, h: float) -> TwoBodyProblem:
-    """Build the product problem at this h with the template's micro step."""
+    """Build the product problem at this h with the template's micro step;
+    refused when that step leaves fewer than ``MIN_AXIS_NODES`` nodes on
+    [a, b]."""
     width = cfg.b - cfg.a
     dx_target = cfg.micro_step * h
-    n = max(int(round(width / dx_target)) + 1, 17)
+    steps = width / dx_target if dx_target > 0 else math.inf
+    if not math.isfinite(steps):
+        raise TwoBodyError(f"micro step {cfg.micro_step} at h={h} is too "
+                           "small to lay a grid")
+    n = int(round(steps)) + 1
+    if n < MIN_AXIS_NODES:
+        raise TwoBodyError(
+            f"micro step {cfg.micro_step} at h={h} leaves {n} of the "
+            f"{MIN_AXIS_NODES} nodes the product grid needs on "
+            f"[{cfg.a}, {cfg.b}]"
+        )
     grid = Grid.box(cfg.a, cfg.b, n)
     mask = interval(cfg.a, cfg.b, grid=grid)
     w = None

@@ -313,6 +313,34 @@ class TestRun:
         assert "pair kernels" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.json")
 
+    @pytest.mark.parametrize("experiment, key, value, code, message", [
+        # overflow in the kernel traces: rows and fits of nan
+        ("semiclassics", "amplitude", 1e300, 3, "non-finite numbers in row 0"),
+        # micro steps the 17-node floor of the product grid would override
+        ("twobody-scan", "micro_step", 1e300, 2, "leaves 1 of the 17"),
+        ("twobody-scan", "micro_step", 0.5, 2, "leaves 11 of the 17"),
+        # config values that empty the eroded or the given domain
+        ("twobody-scan", "q", 1e300, 2, "leaves no nodes"),
+        ("bcs-trial", ("domain", "b"), 0, 2, "no inside nodes"),
+        ("semiclassics", ("domain", "b"), 0, 2, "no inside nodes"),
+        # the single-mode start overflows (was an OverflowError traceback)
+        ("continuity", "D_offset", 1e300, 3, "single-mode energy overflows"),
+    ])
+    def test_exit_code_of_degenerate_values(self, tmp_path, capsys, experiment,
+                                            key, value, code, message):
+        cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+        if isinstance(key, tuple):
+            cfg[key[0]][key[1]] = value
+        else:
+            cfg[key] = value
+        with np.errstate(all="ignore"):
+            assert cli.run(experiment, cfg, str(tmp_path)) == code
+        err = capsys.readouterr().err
+        kind = "solver error: " if code == 3 else "config error: "
+        assert kind in err and message in err
+        assert "Traceback" not in err
+        assert not os.listdir(tmp_path)
+
     def test_main_entry(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
@@ -347,10 +375,13 @@ FUZZ_BASE = {
                      "potential": {"kind": "poschl_teller"},
                      "D": 1.0, "q": 1.0, "amplitude": 0.5,
                      "h_list": [0.2, 0.15, 0.1]},
+    "continuity": {"domain": {"builtin": "slit_square", "n": 41}, "w": None,
+                   "D_offset": 1.0, "g": 1.0, "ells": [0.03, 0.07, 0.11]},
 }
 FUZZ_KEYS = [(exp, key) for exp, base in FUZZ_BASE.items() for key in base]
 FUZZ_KEYS += [(exp, ("domain", key)) for exp in ("bcs-trial", "semiclassics")
               for key in ("a", "b", "n")]
+FUZZ_KEYS += [("continuity", ("domain", "n"))]
 FUZZ_VALUES = [None, "x", [], {}, -1, 0, 1e300, [1e300]]
 
 

@@ -328,6 +328,63 @@ class TestContinuity:
             assert e_large <= e_small + 1e-10
 
 
+# continuity_scan rows of the n = 41 slit square at D = D_c + 30, g = 1, ells
+# 0.03, 0.07 and 0.11, as computed with a fresh Hessian factor at every
+# Newton step (before the factor was kept)
+SLIT_41_ROWS = [
+    (0.03, -666.4719034982834, -666.4719034982834, 0.0, 0.0),
+    (0.07, -536.9153437781725, -852.734456250706, 129.55655972011084,
+     186.2625527524226),
+    (0.11, -533.1639758012298, -856.1049841442709, 133.30792769705363,
+     189.63308064598755),
+]
+
+
+@pytest.fixture
+def gp_counts(monkeypatch):
+    """Counts Hessian factorizations, minimizations and Newton steps."""
+    counts = {"factorizations": 0, "minimizations": 0, "steps": 0}
+    splu, minimize = gp.splu, gp.minimize_gp
+
+    def counting_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_minimize(*args, **kwargs):
+        sol = minimize(*args, **kwargs)
+        counts["minimizations"] += 1
+        counts["steps"] += sol.iterations
+        return sol
+
+    monkeypatch.setattr(gp, "splu", counting_splu)
+    monkeypatch.setattr(gp, "minimize_gp", counting_minimize)
+    return counts
+
+
+class TestKeptFactor:
+    def test_disk_scan_factors_rarely(self, gp_counts):
+        # later Newton steps run CG on the kept factor
+        mask = geo.disk([0, 0], 1.5, grid=Grid.box([-1.85, -1.85],
+                                                   [1.85, 1.85], [81, 81]))
+        dx = mask.grid.spacing[0]
+        mode = onset_threshold(mask, tol=1e-11)
+        prob = gp.GPProblem(mask, None, mode.eigenvalue + 1.0, 1.0)
+        gp.continuity_scan(prob, [2 * dx, 3 * dx, 4 * dx], mode=mode)
+        assert gp_counts["minimizations"] == 7
+        assert gp_counts["factorizations"] < gp_counts["steps"] / 2
+
+    def test_slit_square_rows_pinned(self, gp_counts):
+        # the early Hessians are indefinite here: CG meets negative curvature
+        # or misses its target, and the loop factors again
+        mask = geo.slit_square(n=41)
+        mode = onset_threshold(mask, tol=1e-11)
+        prob = gp.GPProblem(mask, None, mode.eigenvalue + 30.0, 1.0)
+        rep = gp.continuity_scan(prob, [0.03, 0.07, 0.11], mode=mode)
+        np.testing.assert_allclose(rep.sorted_rows(), SLIT_41_ROWS,
+                                   rtol=1e-12, atol=0.0)
+        assert gp_counts["factorizations"] > gp_counts["minimizations"]
+
+
 class TestElResidualBound:
     def test_module_wide_constant(self):
         # |Lap psi| <= C (1 + |D|)(|psi|_H1 + |psi|_H1^3) across problems
