@@ -12,9 +12,9 @@ of variables is a relabeling of kernel entries, with quadrature weights
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -24,7 +24,7 @@ from .gp import gradient_energy
 from .grid import Grid, PairKernel, ScalarField
 from .pairing import (
     RelativeGroundState,
-    lattice_couplings,
+    compute_couplings,
     lattice_pair_energy,
     lattice_pair_field,
     matched_relative_state,
@@ -46,7 +46,8 @@ class BCSConfig:
     E_b is the binding energy of the micro-lattice relative problem matched
     to this grid and h (see ``matched_relative_state``); it converges to the
     continuum binding energy quadratically in spacing/h. The domain shrink
-    used by trial supports is ell(h) = q h ln(1/h).
+    used by trial supports is ell(h) = q h ln(1/h). ``relative`` may pass
+    the continuum relative state, solved when first needed otherwise.
     """
 
     mask: DomainMask
@@ -56,7 +57,6 @@ class BCSConfig:
     D: float
     q: float = 6.0
     relative: RelativeGroundState | None = None
-    matched: RelativeGroundState | None = None
 
     def __post_init__(self):
         if self.mask.grid.dim != 1:
@@ -94,11 +94,12 @@ class BCSConfig:
         return self.relative
 
     def matched_state(self) -> RelativeGroundState:
-        if self.matched is None or abs(self.matched.step - self.micro_step) > 1e-12:
-            self.matched = matched_relative_state(
-                self.potential, self.micro_step, self.micro_halfwidth
-            )
-        return self.matched
+        return self._matched
+
+    @cached_property
+    def _matched(self) -> RelativeGroundState:
+        return matched_relative_state(self.potential, self.micro_step,
+                                      self.micro_halfwidth)
 
     def one_body_floor(self) -> float:
         """Smallest eigenvalue of -h^2 Lap + h^2 W - mu on the mask."""
@@ -106,11 +107,11 @@ class BCSConfig:
         lam = smallest_eigenpair(op, tol=1e-8).eigenvalue
         return self.h**2 * lam - self.mu
 
-    def validate_scale(self, slack: float = 1e-9):
+    def validate_scale(self):
         """Check the small-h admissibility condition on the one-body part."""
         floor = self.one_body_floor()
         bound = self.matched_state().E_b / 2.0
-        if floor < bound - slack:
+        if floor < bound - 1e-9:
             raise BCSError(
                 f"h={self.h} too large: one-body operator floor {floor:.4g} "
                 f"is below half the binding energy {bound:.4g}"
@@ -217,8 +218,7 @@ def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
                        frame.inside)
 
 
-def build_trial_state(cfg: BCSConfig, psi: ScalarField,
-                      validate: bool = True) -> TrialState:
+def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     """Pair kernel a(x,y) = h^-1 psi((x+y)/2) * chi(|x-y|/ell) * h *
     alpha((x-y)/h) and the matching one-body kernel
     gamma = a a + (1 + sqrt(h)) (a a)^2.
@@ -243,14 +243,13 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField,
         PairKernel(grid, grid, gamma),
         admissibility=(np.nan, np.nan),
     )
-    if validate:
-        lo, hi = admissibility_spectrum(state)
-        if lo < -1e-9 or hi > 1 + 1e-9:
-            raise BCSError(
-                f"h={cfg.h} too large for admissibility: block spectrum "
-                f"[{lo:.3e}, {hi:.3e}] leaves [0, 1]"
-            )
-        state.admissibility = (lo, hi)
+    lo, hi = admissibility_spectrum(state)
+    if lo < -1e-9 or hi > 1 + 1e-9:
+        raise BCSError(
+            f"h={cfg.h} too large for admissibility: block spectrum "
+            f"[{lo:.3e}, {hi:.3e}] leaves [0, 1]"
+        )
+    state.admissibility = (lo, hi)
     return state
 
 
@@ -430,27 +429,24 @@ def _field_norms(psi: ScalarField) -> dict:
     }
 
 
-def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
-                       phi_h: float | None = None) -> SemiclassicsReport:
+def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     """Term-by-term comparison of product-grid traces with their separated
     center-of-mass evaluations.
 
     The kernel is a_psi(x,y) = h^-d psi((x+y)/2) a((x-y)/h) with ``a`` the
-    cutoff pair function chi(s/phi_h) h alpha(s), sampled from the matched
-    lattice state. Three comparisons: (identity) the quadratic trace against
-    relative-energy plus center-of-mass terms; (field) the external field
-    trace against its factorized form; (quartic) both quartic traces against
-    the coupling-constant form. Right-hand sides use the lattice couplings
-    of the same pair function, so every residual is a genuine
-    center-of-mass expansion error: dimensionless, and O(h) for the field
-    and quartic comparisons.
+    cutoff pair function chi(s/phi) h alpha(s), phi = ``cfg.phi``, sampled
+    from the matched lattice state. Three comparisons: (identity) the
+    quadratic trace against relative-energy plus center-of-mass terms;
+    (field) the external field trace against its factorized form; (quartic)
+    both quartic traces against the coupling-constant form. Right-hand
+    sides use the lattice couplings of the same pair function, so every
+    residual is a genuine center-of-mass expansion error: dimensionless, and
+    O(h) for the field and quartic comparisons.
     """
     matched = cfg.matched_state()
-    if phi_h is None:
-        phi_h = cfg.phi
     h = cfg.h
     _check_support(cfg, psi)
-    a_lat = lattice_pair_field(matched, phi_h, h)
+    a_lat = lattice_pair_field(matched, cfg.phi, h)
     a_mat = pair_kernel(center_values(psi.values), a_lat / h, cfg.mask.inside)
     grid = cfg.mask.grid
     dv = grid.spacing[0]
@@ -494,7 +490,7 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
     hker = -(h**2) * (lap_full @ aa) + (matched.E_b + (h**2) * wdiag)[:, None] * aa
     tr_qh = float(np.sum(hker * aa.T)) * dv * dv
 
-    g_bcs_a, g_0_a = lattice_couplings(matched, a_lat)
+    g_bcs_a, g_0_a = compute_couplings(matched, a_lat)
     rhs_qh = g_bcs_a / h * norms["l4_4"]
     rhs_q = g_0_a / h * norms["l4_4"]
     res_qh = abs(tr_qh - rhs_qh) / max(abs(rhs_qh), 1e-300)
@@ -508,33 +504,3 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField,
         quartic_energy_residual=res_qh,
         quartic_lhs=tr_q, quartic_rhs=rhs_q, quartic_residual=res_q,
     )
-
-
-def export_kernel(path: str, kernel: PairKernel, h: float, kind: str):
-    """Write a kernel as a binary row-major float64 array plus a JSON
-    sidecar {n, grid, h, kind} at path + '.json'."""
-    vals = np.ascontiguousarray(np.asarray(kernel.values, dtype=np.float64))
-    vals.tofile(path)
-    sidecar = {
-        "n": list(vals.shape),
-        "grid": {
-            "lower": list(kernel.grid_x.lower),
-            "upper": list(kernel.grid_x.upper),
-            "n": list(kernel.grid_x.n),
-        },
-        "h": h,
-        "kind": kind,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
-
-
-def import_kernel(path: str) -> tuple:
-    """Read a kernel written by ``export_kernel``; returns (PairKernel, h,
-    kind)."""
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    g = sidecar["grid"]
-    grid = Grid.box(g["lower"], g["upper"], g["n"])
-    vals = np.fromfile(path, dtype=np.float64).reshape(sidecar["n"])
-    return PairKernel(grid, grid, vals), sidecar["h"], sidecar["kind"]

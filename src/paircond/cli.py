@@ -23,6 +23,7 @@ from .geometry import (
     BUILTIN_DOMAINS,
     DomainMask,
     GeometryError,
+    dilate,
     erode,
     mask_from_json,
 )
@@ -149,10 +150,11 @@ def build_w(spec, mask) -> ScalarField | None:
         _check_keys(params, {"height", "center", "width"}, "w")
         height = _number(params, "height", 1.0, "w")
         center = np.asarray(_number(params, "center", [0.5], "w"))
-        width = _number(params, "width", 0.2, "w")
+        width = _number(params, "width", 0.2, "w", positive=True)
         r2 = sum((mesh[a] - center[min(a, center.size - 1)]) ** 2
                  for a in range(mask.grid.dim))
-        vals = height * np.exp(-r2 / width**2)
+        # a float64 square: inf for a huge width, where a float raises
+        vals = height * np.exp(-r2 / np.float64(width) ** 2)
     else:
         raise ConfigError(f"unknown w kind {kind!r}")
     return mask.field(vals)
@@ -176,7 +178,7 @@ def _exp_dc(cfg):
     mask = build_domain(_require(cfg, "domain", "config"))
     w = build_w(cfg.get("w"), mask)
     _check_keys(cfg, {"domain", "w", "tol"}, "config")
-    res = onset_threshold(mask, w, tol=_number(cfg, "tol", 1e-10))
+    res = onset_threshold(mask, w, tol=_number(cfg, "tol", 1e-10, positive=True))
     return {
         "dc": res.eigenvalue,
         "residual": res.residual,
@@ -188,7 +190,7 @@ def _exp_relative(cfg):
     _check_keys(cfg, {"potential", "L", "n", "tol"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
     L, n = _number(cfg, "L", 20.0), _number(cfg, "n", 4001)
-    tol = _number(cfg, "tol", 1e-10)
+    tol = _number(cfg, "tol", 1e-10, positive=True)
     try:
         gs = pairing.solve_relative(pot, L=L, n=n, tol=tol)
     except GridError as exc:  # the box grid refused L or n
@@ -202,30 +204,43 @@ def _exp_relative(cfg):
     }
 
 
-def _resolve_d(cfg, threshold: float) -> float:
-    """D may be absolute ('D') or an offset above the threshold ('D_offset',
-    default 1)."""
+def _resolve_d(cfg):
+    """D as a function of the onset threshold: absolute ('D') or an offset
+    above it ('D_offset', default 1)."""
     if "D" in cfg and "D_offset" in cfg:
         raise ConfigError("give either D or D_offset, not both")
     if "D" in cfg:
-        return _number(cfg, "D", 0.0)
-    return threshold + _number(cfg, "D_offset", 1.0)
+        d_val = _number(cfg, "D", 0.0)
+        return lambda threshold: d_val
+    offset = _number(cfg, "D_offset", 1.0)
+    return lambda threshold: threshold + offset
 
 
-def _gp_setup(cfg):
+def _gp_setup(cfg, ells=()):
     """Domain, W, the onset mode and the GP problem of the condensate
-    experiments."""
+    experiments; the domain eroded and dilated by each nonzero ell in
+    ``ells`` is built once before the onset solve, to refuse an ell that
+    empties the domain or leaves its box."""
     mask = build_domain(_require(cfg, "domain", "config"))
     w = build_w(cfg.get("w"), mask)
+    g = _number(cfg, "g", 1.0, positive=True)
+    d_of = _resolve_d(cfg)
+    try:
+        for ell in ells:
+            if ell != 0.0:  # continuity_scan reuses the base minimizer there
+                erode(mask, ell)
+                dilate(mask, ell)
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from exc
     mode = onset_threshold(mask, w, tol=1e-11)
-    d_val = _resolve_d(cfg, mode.eigenvalue)
-    return gp.GPProblem(mask, w, d_val, _number(cfg, "g", 1.0)), mode
+    return gp.GPProblem(mask, w, d_of(mode.eigenvalue), g), mode
 
 
 def _exp_gp_min(cfg):
     _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "tol"}, "config")
+    tol = _number(cfg, "tol", 1e-9, positive=True)
     prob, mode = _gp_setup(cfg)
-    sol = gp.minimize_gp(prob, tol=_number(cfg, "tol", 1e-9), mode=mode)
+    sol = gp.minimize_gp(prob, tol=tol, mode=mode)
     theta, ub = gp.one_mode_upper_bound(prob, mode=mode)
     norm_sq = float(np.sum(sol.psi.values**2) * prob.mask.grid.node_weight)
     return {
@@ -243,27 +258,23 @@ def _exp_gp_min(cfg):
 def _exp_continuity(cfg):
     _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "ells", "tol"},
                 "config")
-    prob, mode = _gp_setup(cfg)
     ells = _coerce(_require(cfg, "ells", "config"), [0.0], "ells")
-    return gp.continuity_scan(prob, ells, tol=_number(cfg, "tol", 1e-9),
-                              mode=mode)
+    tol = _number(cfg, "tol", 1e-9, positive=True)
+    prob, mode = _gp_setup(cfg, ells)
+    return gp.continuity_scan(prob, ells, tol=tol, mode=mode)
 
 
 def _exp_twobody(cfg):
     _check_keys(cfg, {"potential", "a", "b", "h_list", "micro_step", "q",
-                      "tol", "richardson"}, "config")
+                      "tol"}, "config")
     pot = validate_potential(_require(cfg, "potential", "config"))
-    richardson = cfg.get("richardson", True)
-    if not isinstance(richardson, bool):
-        raise ConfigError(f"richardson must be true or false, got {richardson!r}")
     scan_cfg = twobody.TwoBodyScanConfig(
         a=_number(cfg, "a", 0.0),
         b=_number(cfg, "b", 1.0),
         potential=pot,
         micro_step=_number(cfg, "micro_step", 0.125, positive=True),
         q=_number(cfg, "q", 1.5, positive=True),
-        tol=_number(cfg, "tol", 1e-9),
-        richardson=richardson,
+        tol=_number(cfg, "tol", 1e-9, positive=True),
     )
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
     if min(h_list) <= 0.0:
@@ -331,8 +342,9 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
 def _exp_bcs_trial(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "amplitude", "h_list"}, "config")
+    d_of = _resolve_d(cfg)
     setup = _pair_setup(cfg, 1.5, mode_with_w=True)
-    d_val = _resolve_d(cfg, setup.mode.eigenvalue)
+    d_val = d_of(setup.mode.eigenvalue)
     amp = _number(cfg, "amplitude", 0.3)
     psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)
     g_bcs = setup.relative.g_bcs
@@ -391,7 +403,7 @@ def _exp_hardy(cfg):
     if not isinstance(spec, dict):
         raise ConfigError("domain must be an object")
     lam = _number(cfg, "lambda_offset", 0.0)
-    tol = _number(cfg, "tol", 1e-8)
+    tol = _number(cfg, "tol", 1e-8, positive=True)
     rows = []
     for n in _number(cfg, "n_list", [101, 201, 401]):
         mask = build_domain({**spec, "n": n})
@@ -407,9 +419,10 @@ def _exp_hardy(cfg):
 def _exp_density(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "h_list"}, "config")
+    d_of = _resolve_d(cfg)
     setup = _pair_setup(cfg, 1.5, mode_with_w=False)
     mask = setup.mask
-    d_val = _resolve_d(cfg, setup.mode.eigenvalue)
+    d_val = d_of(setup.mode.eigenvalue)
     sol = gp.minimize_gp(
         gp.GPProblem(setup.inner, None, d_val, setup.relative.g_bcs),
         mode=setup.mode)

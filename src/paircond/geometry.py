@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -29,7 +30,6 @@ class DomainMask:
 
     grid: Grid
     inside: np.ndarray = field(repr=False)
-    _dist: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.inside = np.asarray(self.inside, dtype=bool)
@@ -38,12 +38,10 @@ class DomainMask:
                 f"inside shape {self.inside.shape} does not match grid {self.grid.shape}"
             )
 
-    @property
+    @cached_property
     def dist(self) -> np.ndarray:
         """Distance from each inside node to the nearest outside node center."""
-        if self._dist is None:
-            self._dist = _distance_exact(self.inside, self.grid.spacing)
-        return self._dist
+        return _distance_exact(self.inside, self.grid.spacing)
 
     @property
     def count(self) -> int:
@@ -187,16 +185,16 @@ def cutoff_eta(mask: DomainMask, ell: float) -> ScalarField:
     return ScalarField(mask.grid, vals)
 
 
-def convexity_probe(mask: DomainMask, pairs: int = 2000, seed: int = 0) -> bool:
-    """Sampled segment test: midpoints of inside-node pairs must land on
-    inside nodes (up to the cell quantization). Exact convexity is ill-posed
-    at grid resolution, so this is a probe for small grids, not a decision
-    procedure.
+def convexity_probe(mask: DomainMask) -> bool:
+    """Sampled segment test: midpoints of 2000 random inside-node pairs must
+    land on inside nodes (up to the cell quantization). Exact convexity is
+    ill-posed at grid resolution, so this is a probe for small grids, not a
+    decision procedure.
     """
     _check_nontrivial(mask)
     pts = mask.interior_points()
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, pts.shape[0], size=(pairs, 2))
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, pts.shape[0], size=(2000, 2))
     mids = 0.5 * (pts[idx[:, 0]] + pts[idx[:, 1]])
     lower = np.asarray(mask.grid.lower)
     spacing = np.asarray(mask.grid.spacing)
@@ -253,26 +251,24 @@ def disk(center, radius: float, grid: Grid | None = None, n: int = 201,
     return DomainMask(grid, r2 < radius**2)
 
 
-def lshape(grid: Grid | None = None, n: int = 201) -> DomainMask:
+def lshape(n: int = 201) -> DomainMask:
     """Nonconvex L: the unit square minus its open upper-right quadrant."""
-    if grid is None:
-        grid = Grid.box([-0.1, -0.1], [1.1, 1.1], [n, n])
+    grid = Grid.box([-0.1, -0.1], [1.1, 1.1], [n, n])
     xx, yy = grid.meshgrid()
     inside = (xx > 0) & (xx < 1) & (yy > 0) & (yy < 1)
     inside &= ~((xx > 0.5) & (yy > 0.5))
     return DomainMask(grid, inside)
 
 
-def slit_square(grid: Grid | None = None, n: int = 241) -> DomainMask:
+def slit_square(n: int = 241) -> DomainMask:
     """[-1, 1]^2 minus the slit (-1, 0] x {0}, one node row wide.
 
     The grid is chosen so a node row lies exactly on y = 0; ``n`` is forced
     odd for that reason.
     """
-    if grid is None:
-        if n % 2 == 0:
-            n += 1
-        grid = Grid.box([-1.2, -1.2], [1.2, 1.2], [n, n])
+    if n % 2 == 0:
+        n += 1
+    grid = Grid.box([-1.2, -1.2], [1.2, 1.2], [n, n])
     xx, yy = grid.meshgrid()
     inside = (np.abs(xx) < 1) & (np.abs(yy) < 1)
     y = grid.axis(1)

@@ -36,6 +36,8 @@ from .spectral import SYMMETRIC_LU, EigenResult, assemble_dirichlet, onset_thres
 
 # CG iterations of an inexact Newton step before the Hessian is factored anew
 CG_MAX_ITER = 8
+# Newton steps of ``minimize_gp`` before it reports no convergence
+MAX_NEWTON_STEPS = 2000
 
 
 class GPError(RuntimeError):
@@ -135,7 +137,6 @@ def gp_gradient(prob: GPProblem, psi: ScalarField) -> ScalarField:
 def minimize_gp(
     prob: GPProblem,
     tol: float = 1e-9,
-    max_iter: int = 2000,
     initial: ScalarField | None = None,
     mode: EigenResult | None = None,
 ) -> GPSolution:
@@ -179,8 +180,7 @@ def minimize_gp(
         for k in range(1, count + 1):
             part = prob.with_mask(DomainMask(mask.grid, labels == k))
             start = None if initial is None else part.mask.field(initial.values)
-            parts.append(minimize_gp(part, tol / np.sqrt(count), max_iter,
-                                     initial=start))
+            parts.append(minimize_gp(part, tol / np.sqrt(count), initial=start))
         return GPSolution(
             ScalarField(mask.grid, sum(np.asarray(p.psi.values) for p in parts)),
             sum(p.energy for p in parts),
@@ -243,7 +243,7 @@ def minimize_gp(
     e_start = e
     factor = None  # the last Hessian factor: CG's preconditioner
     it = 0
-    while res > tol * (1.0 + h1) and it < max_iter:
+    while res > tol * (1.0 + h1) and it < MAX_NEWTON_STEPS:
         curvature = w - prob.D + 6.0 * prob.g * vals**2
         direction = None
         if factor is not None:
@@ -319,7 +319,6 @@ def continuity_scan(
     prob: GPProblem,
     ells,
     tol: float = 1e-9,
-    fit_window: tuple | None = None,
     mode: EigenResult | None = None,
 ) -> ScanReport:
     """Energy differences under interior and exterior domain approximations.
@@ -367,8 +366,6 @@ def continuity_scan(
         metadata={"base_energy": base.energy, "D": prob.D, "g": prob.g},
     )
     window = [r for r in rows if r[0] > 0]
-    if fit_window is not None:
-        window = [r for r in window if fit_window[0] <= r[0] <= fit_window[1]]
     if len(window) >= 3:
         ell_v = [r[0] for r in window]
         for name, col in (("interior", 3), ("exterior", 4)):

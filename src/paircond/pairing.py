@@ -14,22 +14,21 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .geometry import box_mask
 from .grid import MAX_GRID_NODES, Grid, ScalarField
-from .spectral import (
-    StencilOperator,
-    assemble_dirichlet,
-    gershgorin_shift,
-    shifted_factor,
-    smallest_eigenpair,
-)
+from .spectral import StencilOperator, assemble_dirichlet, smallest_eigenpair
+
+# the decay-rate fit: radial shells, the fit window in units of L, and the
+# largest rms residual of log shell mass that still counts as exponential
+N_SHELLS = 60
+DECAY_WINDOW = (0.2, 0.8)
+MAX_LOG_RESIDUAL = 0.25
 
 
 class PairingError(RuntimeError):
@@ -47,7 +46,9 @@ def potential_from_descriptor(desc: dict):
     Supported kinds: poschl_teller {depth, width}, square_well {depth,
     halfwidth}, gaussian_well {depth, width}, table {x, v} (radial linear
     interpolation, zero outside the tabulated range). All are reflection
-    symmetric by construction.
+    symmetric by construction. Every parameter must be a finite number,
+    widths positive and table radii strictly increasing; anything else
+    raises ``PairingError``.
     """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise PairingError("potential descriptor must be a dict with a 'kind'")
@@ -58,28 +59,49 @@ def potential_from_descriptor(desc: dict):
         return np.abs(np.asarray(x, dtype=float))
 
     if kind == "poschl_teller":
-        depth = float(params.pop("depth", 2.0))
-        width = float(params.pop("width", 1.0))
+        depth = _parameter(params, "depth", 2.0)
+        width = _parameter(params, "width", 1.0, positive=True)
         _reject_extra(kind, params)
         return lambda x: -depth / np.cosh(radius(x) / width) ** 2
     if kind == "square_well":
-        depth = float(params.pop("depth"))
-        halfwidth = float(params.pop("halfwidth", 1.0))
+        depth = _parameter(params, "depth")
+        halfwidth = _parameter(params, "halfwidth", 1.0, positive=True)
         _reject_extra(kind, params)
         return lambda x: np.where(radius(x) < halfwidth, -depth, 0.0)
     if kind == "gaussian_well":
-        depth = float(params.pop("depth"))
-        width = float(params.pop("width", 1.0))
+        depth = _parameter(params, "depth")
+        width = _parameter(params, "width", 1.0, positive=True)
         _reject_extra(kind, params)
         return lambda x: -depth * np.exp(-(radius(x) ** 2) / (2 * width**2))
     if kind == "table":
-        xs = np.asarray(params.pop("x"), dtype=float)
-        vs = np.asarray(params.pop("v"), dtype=float)
+        try:
+            xs = np.asarray(params.pop("x"), dtype=float)
+            vs = np.asarray(params.pop("v"), dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PairingError("table potential needs numeric x and v arrays") from exc
         _reject_extra(kind, params)
-        if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
-            raise PairingError("table potential needs matching 1D x and v arrays")
+        if (xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2
+                or not np.all(np.isfinite(vs) & np.isfinite(xs))
+                or not np.all(np.diff(xs) > 0)):
+            raise PairingError("table potential needs matching 1D arrays of "
+                               "finite x and v, x strictly increasing")
         return lambda x: np.interp(radius(x), xs, vs, left=0.0, right=0.0)
     raise PairingError(f"unknown potential kind {kind!r}")
+
+
+def _parameter(params: dict, key: str, default: float | None = None,
+               positive: bool = False) -> float:
+    """Pop ``key`` from ``params`` as a finite (and, if asked, positive)
+    number; required when there is no default."""
+    value = params.pop(key, default)
+    try:
+        number = float(value)  # None, for a missing required key, fails
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number) or (positive and not number > 0):
+        raise PairingError(f"potential parameter {key!r} must be a finite"
+                           f"{' positive' if positive else ''} number, got {value!r}")
+    return number
 
 
 def _reject_extra(kind, params):
@@ -96,8 +118,9 @@ class RelativeGroundState:
     """Bound state of the relative operator -Lap + V on the box [-L, L].
 
     On an odd node count the nodes are the lattice s = k * step, |k| <=
-    k_max, which the lattice accessors index. The decay rate and the pair
-    (g_bcs, g_0) are computed when first read, then cached.
+    k_max, which the lattice accessors index. The decay rate, the pair
+    (g_bcs, g_0) and the spline of ``evaluate`` are computed when first
+    needed, then cached.
     """
 
     potential: dict
@@ -105,7 +128,6 @@ class RelativeGroundState:
     alpha_star: ScalarField
     L: float
     residual: float
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -135,11 +157,13 @@ class RelativeGroundState:
     def g_0(self) -> float:
         return self._couplings[1]
 
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        return CubicSpline(self.grid.axis(0), self.alpha_star.values)
+
     def evaluate(self, points) -> np.ndarray:
         """Sample the pair wavefunction at arbitrary points (spline, zero
         outside the box)."""
-        if self._spline is None:
-            self._spline = CubicSpline(self.grid.axis(0), self.alpha_star.values)
         pts = np.asarray(points, dtype=float)
         out = np.zeros_like(pts)
         ok = np.abs(pts) <= self.L
@@ -218,9 +242,8 @@ def micro_lattice_k_max(step: float, halfwidth: float = 20.0) -> int:
     return k_max
 
 
-def matched_relative_state(
-    potential: dict, step: float, halfwidth: float = 20.0, tol: float = 1e-12
-) -> RelativeGroundState:
+def matched_relative_state(potential: dict, step: float,
+                           halfwidth: float = 20.0) -> RelativeGroundState:
     """Ground state of -Lap + V on the micro lattice of the given step, on
     the box of halfwidth k_max * step (``micro_lattice_k_max``).
 
@@ -232,48 +255,34 @@ def matched_relative_state(
     converge to their continuum values quadratically in the step.
     """
     k_max = micro_lattice_k_max(step, halfwidth)
-    return solve_relative(potential, k_max * step, 2 * k_max + 1, tol)
-
-
-def spectral_gap(gs: RelativeGroundState, tol: float = 1e-8) -> float:
-    """Gap between the two lowest eigenvalues of -Lap + V on the box of gs."""
-    mat = _box_operator(gs.potential, gs.L, gs.grid.n[0]).matrix
-    sigma = gershgorin_shift(mat)
-    lu = shifted_factor(mat, sigma)
-    vals = np.sort(eigsh(mat, k=2, sigma=sigma, which="LM", tol=tol, rng=0,
-                         OPinv=LinearOperator(mat.shape, lu.solve, dtype=float),
-                         return_eigenvectors=False))
-    return float(vals[1] - vals[0])
+    return solve_relative(potential, k_max * step, 2 * k_max + 1, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # decay-rate fit
 
 
-def shell_masses(gs: RelativeGroundState, n_shells: int = 60):
-    """L2 mass of the pair wavefunction in radial shells of equal width."""
+def shell_masses(gs: RelativeGroundState):
+    """L2 mass of the pair wavefunction in ``N_SHELLS`` radial shells of
+    equal width."""
     grid = gs.grid
     r = np.abs(gs.alpha_star.values) ** 2 * grid.weights()
-    edges = np.linspace(0.0, gs.L, n_shells + 1)
-    idx = np.clip(np.digitize(np.abs(grid.axis(0)), edges) - 1, 0, n_shells - 1)
-    mass = np.bincount(idx, weights=r, minlength=n_shells)
+    edges = np.linspace(0.0, gs.L, N_SHELLS + 1)
+    idx = np.clip(np.digitize(np.abs(grid.axis(0)), edges) - 1, 0, N_SHELLS - 1)
+    mass = np.bincount(idx, weights=r, minlength=N_SHELLS)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, mass
 
 
-def fit_decay_rate(
-    gs: RelativeGroundState,
-    window: tuple = (0.2, 0.8),
-    max_log_residual: float = 0.25,
-) -> float:
+def fit_decay_rate(gs: RelativeGroundState) -> float:
     """Exponential L2 decay rate: -slope/2 of log shell mass vs radius.
 
-    The fit runs over radii in [window[0]*L, window[1]*L]. Raises when the
+    The fit runs over radii in ``DECAY_WINDOW`` times L. Raises when the
     shell mass is not monotone there (box too small) or when the log-linear
-    residual exceeds ``max_log_residual`` (non-exponential decay).
+    residual exceeds ``MAX_LOG_RESIDUAL`` (non-exponential decay).
     """
     centers, mass = shell_masses(gs)
-    lo, hi = window[0] * gs.L, window[1] * gs.L
+    lo, hi = DECAY_WINDOW[0] * gs.L, DECAY_WINDOW[1] * gs.L
     sel = (centers >= lo) & (centers <= hi) & (mass > 0)
     # shells below the eigensolver noise floor carry no decay information
     sel &= mass > np.max(mass) * 1e-14
@@ -285,9 +294,9 @@ def fit_decay_rate(
         raise PairingError("shell mass is not monotone in the fit window; box too small")
     slope, intercept = np.polyfit(c, logm, 1)
     rms = float(np.sqrt(np.mean((logm - (slope * c + intercept)) ** 2)))
-    if rms > max_log_residual:
+    if rms > MAX_LOG_RESIDUAL:
         raise PairingError(
-            f"shell-mass fit residual {rms:.3g} exceeds {max_log_residual}; "
+            f"shell-mass fit residual {rms:.3g} exceeds {MAX_LOG_RESIDUAL}; "
             "decay is not exponential in this window"
         )
     # super/sub-exponential decay shows as slope drift across the window
@@ -329,10 +338,6 @@ def compute_couplings(gs: RelativeGroundState, a: np.ndarray | None = None) -> t
     return g_bcs, g_0
 
 
-# the same function, named for callers that pass the samples of a cut state
-lattice_couplings = compute_couplings
-
-
 # ---------------------------------------------------------------------------
 # smooth radial cutoff
 
@@ -343,20 +348,20 @@ def smoothstep_cutoff(r) -> np.ndarray:
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-def cutoff_state(gs: RelativeGroundState, phi_h: float,
+def cutoff_state(gs: RelativeGroundState, phi: float,
                  h: float = 1.0) -> RelativeGroundState:
-    """The cut pair function chi(s/phi_h) * h * alpha_*(s), as a state with
+    """The cut pair function chi(s/phi) * h * alpha_*(s), as a state with
     the potential, binding energy and box of ``gs``."""
-    if phi_h <= 0:
+    if phi <= 0:
         raise PairingError("cutoff radius must be positive")
-    cut = ScalarField(gs.grid, lattice_pair_field(gs, phi_h, h))
+    cut = ScalarField(gs.grid, lattice_pair_field(gs, phi, h))
     return RelativeGroundState(gs.potential, gs.E_b, cut, gs.L, gs.residual)
 
 
-def lattice_pair_field(gs: RelativeGroundState, phi_h: float,
+def lattice_pair_field(gs: RelativeGroundState, phi: float,
                        h: float) -> np.ndarray:
-    """Cut pair samples chi(s/phi_h) * h * alpha(s) on the nodes of ``gs``."""
-    return smoothstep_cutoff(gs.grid.axis(0) / phi_h) * h * gs.alpha_star.values
+    """Cut pair samples chi(s/phi) * h * alpha(s) on the nodes of ``gs``."""
+    return smoothstep_cutoff(gs.grid.axis(0) / phi) * h * gs.alpha_star.values
 
 
 def _lattice_neg_laplacian(a: np.ndarray, step: float) -> np.ndarray:
@@ -386,20 +391,20 @@ class CutoffDiagnostics:
         return (self.norm_defect, self.g_bcs_defect, self.g_0_defect, self.energy_defect)
 
 
-def cutoff_diagnostics(gs: RelativeGroundState, phi_h: float) -> CutoffDiagnostics:
+def cutoff_diagnostics(gs: RelativeGroundState, phi: float) -> CutoffDiagnostics:
     """Residuals of the cutoff state against the uncut pair function.
 
     All four are already divided by their natural h power (h^2, h^4, h^4,
-    h^2), which cancels h entirely; each decays like exp(-rho*phi_h/2) or
+    h^2), which cancels h entirely; each decays like exp(-rho*phi/2) or
     faster as the cutoff radius grows.
     """
-    if phi_h < 3:
+    if phi < 3:
         raise PairingError("cutoff radius must be at least 3 pair radii")
-    if 1.5 * phi_h > gs.L:
+    if 1.5 * phi > gs.L:
         raise PairingError(
-            f"cutoff support 1.5*{phi_h} exceeds the truncation box {gs.L}"
+            f"cutoff support 1.5*{phi} exceeds the truncation box {gs.L}"
         )
-    cut = cutoff_state(gs, phi_h)
+    cut = cutoff_state(gs, phi)
     return CutoffDiagnostics(
         norm_defect=abs(cut.norm_sq() - 1.0),
         g_bcs_defect=abs(cut.g_bcs - gs.g_bcs),

@@ -27,6 +27,10 @@ from .geometry import DomainMask, GeometryError
 from .grid import ScalarField
 
 
+# power iterations of ``hardy_quotient`` before it reports a stall
+HARDY_MAX_ITER = 5000
+
+
 class SpectralError(RuntimeError):
     """Solver failure or operator misuse."""
 
@@ -167,7 +171,6 @@ def smallest_eigenpair(
     op: StencilOperator,
     tol: float = 1e-10,
     max_iter: int = 400,
-    v0: np.ndarray | None = None,
     sigma: float | None = None,
 ) -> EigenResult:
     """Lowest eigenpair by ARPACK shift-invert on one certified LU factor.
@@ -215,7 +218,7 @@ def smallest_eigenpair(
         return lu.solve(b)
 
     try:
-        _, vecs = eigsh(mat, k=1, sigma=sigma, which="LM", v0=v0, tol=arpack_tol,
+        _, vecs = eigsh(mat, k=1, sigma=sigma, which="LM", tol=arpack_tol,
                         OPinv=LinearOperator(mat.shape, matvec=solve, dtype=float),
                         rng=0)
     except ArpackError as exc:
@@ -244,7 +247,6 @@ def onset_threshold(
     mask: DomainMask,
     potential: ScalarField | None = None,
     tol: float = 1e-10,
-    max_iter: int = 400,
 ) -> EigenResult:
     """Ground eigenpair of -(1/4) Laplacian + W with Dirichlet walls.
 
@@ -252,14 +254,13 @@ def onset_threshold(
     the condensate functional turns the zero state unstable.
     """
     op = assemble_dirichlet(mask, -0.25, potential)
-    return smallest_eigenpair(op, tol=tol, max_iter=max_iter)
+    return smallest_eigenpair(op, tol=tol)
 
 
 def hardy_quotient(
     mask: DomainMask,
     lambda_offset: float = 0.0,
     tol: float = 1e-8,
-    max_iter: int = 5000,
 ) -> float:
     """Largest mu with M_{d^-2} phi = mu (-Lap + lambda) phi on the mask.
 
@@ -287,7 +288,7 @@ def hardy_quotient(
     v = rng.standard_normal(mask.count)
     v /= np.linalg.norm(v)
     mu = 0.0
-    for _ in range(max_iter):
+    for _ in range(HARDY_MAX_ITER):
         w = lu.solve(weight * v)
         nw = np.linalg.norm(w)
         if nw == 0:

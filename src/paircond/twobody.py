@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -56,17 +57,14 @@ class TwoBodyError(RuntimeError):
 
 @dataclass
 class TwoBodyProblem:
-    """Pair operator data on a d=1 domain; the product stencil is cached."""
+    """Pair operator data on a d=1 domain; the product stencil, the matched
+    relative state and the centre-of-mass threshold are computed when first
+    asked for, then cached."""
 
     mask: DomainMask
     potential: dict
     W: ScalarField | None
     h: float
-    _op: StencilOperator | None = field(default=None, repr=False)
-    _half: tuple | None = field(default=None, repr=False)
-    _pmask: DomainMask | None = field(default=None, repr=False)
-    _matched: RelativeGroundState | None = field(default=None, repr=False)
-    _threshold: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.mask.grid.dim != 1:
@@ -84,31 +82,31 @@ class TwoBodyProblem:
         return self.mask.grid.spacing[0] / self.h
 
     def matched_state(self) -> RelativeGroundState:
-        if self._matched is None:
-            self._matched = matched_relative_state(self.potential, self.micro_step)
         return self._matched
 
+    @cached_property
+    def _matched(self) -> RelativeGroundState:
+        return matched_relative_state(self.potential, self.micro_step)
+
     def product_mask(self) -> DomainMask:
-        if self._pmask is None:
-            g = self.mask.grid
-            pgrid = Grid.box([g.lower[0]] * 2, [g.upper[0]] * 2, [g.n[0]] * 2)
-            inside = self.mask.inside[:, None] & self.mask.inside[None, :]
-            self._pmask = DomainMask(pgrid, inside)
-        return self._pmask
+        g = self.mask.grid
+        pgrid = Grid.box([g.lower[0]] * 2, [g.upper[0]] * 2, [g.n[0]] * 2)
+        return DomainMask(pgrid, self.mask.inside[:, None] & self.mask.inside[None, :])
 
     def operator(self) -> StencilOperator:
         """2D Dirichlet stencil of the pair operator."""
-        if self._op is None:
-            pmask = self.product_mask()
-            x = self.mask.grid.axis(0)
-            vfun = potential_from_descriptor(self.potential)
-            pot = vfun((x[:, None] - x[None, :]) / self.h)
-            if self.W is not None:
-                w = np.asarray(self.W.values)
-                pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
-            self._op = assemble_dirichlet(pmask, -0.5 * self.h**2,
-                                          pmask.field(pot))
         return self._op
+
+    @cached_property
+    def _op(self) -> StencilOperator:
+        pmask = self.product_mask()
+        x = self.mask.grid.axis(0)
+        vfun = potential_from_descriptor(self.potential)
+        pot = vfun((x[:, None] - x[None, :]) / self.h)
+        if self.W is not None:
+            w = np.asarray(self.W.values)
+            pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
+        return assemble_dirichlet(pmask, -0.5 * self.h**2, pmask.field(pot))
 
     def symmetric_half(self) -> tuple[StencilOperator, sparse.csr_matrix]:
         """The pair operator on the half x >= y of the product grid, B = S^T A
@@ -118,29 +116,29 @@ class TwoBodyProblem:
         (e_ij + e_ji)/sqrt(2): its range is the exchange-symmetric product
         fields, on which A acts as B.
         """
-        if self._half is None:
-            pmask = self.product_mask()
-            half = DomainMask(pmask.grid, np.tril(pmask.inside))  # x >= y
-            index = np.full(pmask.grid.shape, -1)
-            index[pmask.inside] = np.arange(pmask.count)
-            x, y = np.nonzero(half.inside)  # the order of half.field
-            k = np.arange(x.size)
-            off = x != y
-            weight = np.where(off, math.sqrt(0.5), 1.0)
-            fold = sparse.csr_matrix(
-                (np.concatenate((weight, weight[off])),
-                 (np.concatenate((index[x, y], index[y[off], x[off]])),
-                  np.concatenate((k, k[off])))),
-                shape=(pmask.count, half.count))
-            mat = (fold.T @ self.operator().matrix @ fold).tocsr()
-            self._half = (StencilOperator(half, mat), fold)
-        return self._half
+        full = self.operator()
+        pmask = full.mask
+        half = DomainMask(pmask.grid, np.tril(pmask.inside))  # x >= y
+        index = np.full(pmask.grid.shape, -1)
+        index[pmask.inside] = np.arange(pmask.count)
+        x, y = np.nonzero(half.inside)  # the order of half.field
+        k = np.arange(x.size)
+        off = x != y
+        weight = np.where(off, math.sqrt(0.5), 1.0)
+        fold = sparse.csr_matrix(
+            (np.concatenate((weight, weight[off])),
+             (np.concatenate((index[x, y], index[y[off], x[off]])),
+              np.concatenate((k, k[off])))),
+            shape=(pmask.count, half.count))
+        return StencilOperator(half, (fold.T @ full.matrix @ fold).tocsr()), fold
 
     def com_threshold(self) -> float:
         """Ground eigenvalue of the quarter-Laplacian plus W on the domain."""
-        if self._threshold is None:
-            self._threshold = onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
         return self._threshold
+
+    @cached_property
+    def _threshold(self) -> float:
+        return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
 
 
 def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9) -> EigenResult:
@@ -164,22 +162,12 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9) -> EigenResult:
                        res.iterations)
 
 
-def decoupled_lower_bound(prob: TwoBodyProblem, matched: bool = False,
-                          binding_energy: float | None = None) -> float:
+def decoupled_lower_bound(prob: TwoBodyProblem, binding_energy: float) -> float:
     """-E_b + h^2 D_c: the exact ground energy once the Dirichlet condition
-    in the relative variable is dropped.
-
-    With ``matched=True`` the binding energy of the micro-lattice relative
-    problem is used instead of the continuum one (the right reference for
-    the discretized operator); an explicit ``binding_energy`` overrides.
-    """
-    if binding_energy is not None:
-        e_b = binding_energy
-    elif matched:
-        e_b = prob.matched_state().E_b
-    else:
-        e_b = solve_relative(prob.potential).E_b
-    return -e_b + prob.h**2 * prob.com_threshold()
+    in the relative variable is dropped, for the binding energy E_b of the
+    continuum relative problem (or of the micro-lattice one, the reference
+    for the discretized operator)."""
+    return -binding_energy + prob.h**2 * prob.com_threshold()
 
 
 def trial_support(prob: TwoBodyProblem, q: float) -> tuple:
@@ -260,7 +248,6 @@ class TwoBodyScanConfig:
     micro_step: float = 0.125
     q: float = 1.5
     tol: float = 1e-9
-    richardson: bool = True
 
 
 def problem_at(cfg: TwoBodyScanConfig, h: float) -> TwoBodyProblem:
@@ -313,10 +300,7 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
         lower = decoupled_lower_bound(prob, binding_energy=e_b_continuum)
         upper = twobody_trial_upper_bound(prob, q=cfg.q)
         d_c = prob.com_threshold()
-        if cfg.richardson:
-            eps = richardson_disc_error(prob, e0, tol=cfg.tol)
-        else:
-            eps = 10.0 * abs(matched_eb - e_b_continuum)
+        eps = richardson_disc_error(prob, e0, tol=cfg.tol)
         if not (lower - eps <= e0 <= upper + cfg.tol * max(1.0, abs(upper))):
             raise TwoBodyError(
                 f"sandwich violated at h={h}: {lower} - {eps} <= {e0} <= {upper}"

@@ -86,16 +86,6 @@ class TestTrialState:
         gap_norm = np.linalg.norm(dv * state.gamma_psi.values - aa, ord=2)
         assert gap_norm <= 3.0 * np.linalg.norm(aa, ord=2) ** 2 + 1e-15
 
-    def test_kernel_export_round_trip(self, trial_setup, tmp_path):
-        cfg, psi = trial_setup
-        state = bcs.build_trial_state(cfg, psi)
-        path = str(tmp_path / "kernel.bin")
-        bcs.export_kernel(path, state.a_psi, cfg.h, "pair")
-        kernel, h, kind = bcs.import_kernel(path)
-        assert h == cfg.h and kind == "pair"
-        assert np.array_equal(kernel.values, state.a_psi.values)
-        assert kernel.grid_x == cfg.mask.grid
-
     def test_support_violation_rejected(self, trial_setup):
         cfg, _ = trial_setup
         bad = cfg.mask.field(np.ones(cfg.mask.count))

@@ -200,7 +200,7 @@ class TestRun:
         # replace the domain threshold D_c in the summary
         cfg = {"potential": {"kind": "poschl_teller", "depth": 2.0},
                "a": 0.0, "b": 1.0, "h_list": [0.1, 0.07, 0.05],
-               "micro_step": 0.125, "q": 1.5, "richardson": False}
+               "micro_step": 0.125, "q": 1.5}
         assert cli.run("twobody-scan", cfg, str(tmp_path)) == 0
         with open(tmp_path / "report.json") as fh:
             payload = json.load(fh)
@@ -294,6 +294,44 @@ class TestRun:
                        "potential": {"kind": "poschl_teller"}, "q": 0,
                        "h_list": [0.2, 0.15, 0.1]}),
         ("dc", {"domain": {"builtin": "interval", "a": None}, "w": None}),
+        # bad parameters inside the potential
+        ("relative", {"potential": {"kind": "poschl_teller", "depth": "x"}}),
+        ("relative", {"potential": {"kind": "poschl_teller", "depth": None}}),
+        ("relative", {"potential": {"kind": "square_well", "depth": 1.0,
+                                    "halfwidth": []}}),
+        ("relative", {"potential": {"kind": "square_well"}}),
+        ("relative", {"potential": {"kind": "table", "x": "ab",
+                                    "v": [-1.0, 0.0]}}),
+        ("relative", {"potential": {"kind": "table", "x": [0.0, 2.0, 1.0],
+                                    "v": [-1.0, -1.0, 0.0]}}),
+        ("relative", {"potential": {"kind": "poschl_teller", "width": 0}}),
+        ("relative", {"potential": {"kind": "poschl_teller",
+                                    "depth": float("nan")}}),
+        # tolerances, couplings and widths that must be positive
+        ("dc", {"domain": {"builtin": "interval", "n": 201}, "w": None,
+                "tol": 0}),
+        ("relative", {"potential": {"kind": "poschl_teller"}, "tol": -1e-10}),
+        ("gp-min", {"domain": {"builtin": "interval", "n": 201}, "w": None,
+                    "tol": -1}),
+        ("continuity", {"domain": {"builtin": "slit_square", "n": 41},
+                        "w": None, "ells": [0.03], "tol": 0}),
+        ("twobody-scan", {"potential": {"kind": "poschl_teller"},
+                          "h_list": [0.2, 0.15, 0.1], "tol": 0}),
+        ("hardy", {"domain": {"builtin": "interval", "margin": 0.25},
+                   "n_list": [101], "tol": 0}),
+        ("gp-min", {"domain": {"builtin": "interval", "n": 201}, "w": None,
+                    "g": 0}),
+        ("continuity", {"domain": {"builtin": "slit_square", "n": 41},
+                        "w": None, "g": -1, "ells": [0.03]}),
+        ("dc", {"domain": {"builtin": "interval", "n": 201},
+                "w": {"kind": "bump", "width": 0}}),
+        # ells that the domain cannot take, refused before the first solve
+        ("continuity", {"domain": {"builtin": "slit_square", "n": 41},
+                        "w": None, "ells": [0.03, -1]}),
+        ("continuity", {"domain": {"builtin": "slit_square", "n": 41},
+                        "w": None, "ells": [0.03, 1e300]}),
+        ("continuity", {"domain": {"builtin": "slit_square", "n": 41},
+                        "w": None, "ells": [0.03, 0.15]}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2
@@ -362,7 +400,7 @@ FUZZ_BASE = {
                  "L": 16.0, "n": 801},
     "twobody-scan": {"potential": {"kind": "poschl_teller", "depth": 2.0},
                      "a": 0.0, "b": 1.0, "h_list": [0.2, 0.15, 0.1],
-                     "micro_step": 0.25, "q": 1.5, "richardson": False},
+                     "micro_step": 0.25, "q": 1.5},
     "bcs-trial": {"domain": {"builtin": "interval", "a": 0.0, "b": 2.0,
                              "n": 121, "margin": 0.05},
                   "w": None, "potential": {"kind": "poschl_teller"},
@@ -377,18 +415,38 @@ FUZZ_BASE = {
                      "h_list": [0.2, 0.15, 0.1]},
     "continuity": {"domain": {"builtin": "slit_square", "n": 41}, "w": None,
                    "D_offset": 1.0, "g": 1.0, "ells": [0.03, 0.07, 0.11]},
+    "dc": {"domain": {"builtin": "interval", "n": 201},
+           "w": {"kind": "bump", "height": 10.0, "center": 0.5, "width": 0.2},
+           "tol": 1e-10},
+    "gp-min": {"domain": {"builtin": "interval", "n": 201}, "w": None,
+               "D_offset": 1.0, "g": 1.0, "tol": 1e-9},
+    "hardy": {"domain": {"builtin": "interval", "margin": 0.25},
+              "lambda_offset": 0.0, "n_list": [51, 101], "tol": 1e-8},
+    "density": {"domain": {"builtin": "interval", "a": 0.0, "b": 2.0,
+                           "n": 121, "margin": 0.05},
+                "w": None, "potential": {"kind": "poschl_teller"},
+                "D_offset": 1.0, "q": 1.5, "h_list": [0.2, 0.15, 0.1]},
 }
-FUZZ_KEYS = [(exp, key) for exp, base in FUZZ_BASE.items() for key in base]
+# the bases and nested keys added after the first fuzz run: every value of
+# the pool is tried on each of them (test_fuzzed_new_key_never_tracebacks)
+FUZZ_NEW_KEYS = [(exp, key) for exp in ("dc", "gp-min", "hardy", "density")
+                 for key in FUZZ_BASE[exp]]
+FUZZ_NEW_KEYS += [(exp, ("potential", key)) for exp, base in FUZZ_BASE.items()
+                  if "potential" in base for key in ("depth", "width")]
+FUZZ_NEW_KEYS += [(exp, ("w", key)) for exp in ("dc", "semiclassics")
+                  for key in ("height", "width")]
+FUZZ_KEYS = [(exp, key) for exp in ("relative", "twobody-scan", "bcs-trial",
+                                    "semiclassics", "continuity")
+             for key in FUZZ_BASE[exp]]
 FUZZ_KEYS += [(exp, ("domain", key)) for exp in ("bcs-trial", "semiclassics")
               for key in ("a", "b", "n")]
-FUZZ_KEYS += [("continuity", ("domain", "n"))]
+FUZZ_KEYS += [("continuity", ("domain", "n"))] + FUZZ_NEW_KEYS
 FUZZ_VALUES = [None, "x", [], {}, -1, 0, 1e300, [1e300]]
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))
-def test_fuzzed_config_never_tracebacks(where, value):
-    experiment, key = where
+def run_fuzzed(experiment, key, value):
+    """Exit code and stderr of the fuzz base of ``experiment`` with one key
+    (a name, or a (section, name) pair) set to ``value``."""
     cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
     if isinstance(key, tuple):
         cfg[key[0]][key[1]] = value
@@ -397,7 +455,22 @@ def test_fuzzed_config_never_tracebacks(where, value):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), np.errstate(all="ignore"):
         code = cli.run(experiment, cfg, out)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_config_never_tracebacks(where, value):
+    code, err = run_fuzzed(*where, value)
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES, ids=repr)
+@pytest.mark.parametrize("where", FUZZ_NEW_KEYS, ids=str)
+def test_fuzzed_new_key_never_tracebacks(where, value):
+    code, err = run_fuzzed(*where, value)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

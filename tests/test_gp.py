@@ -184,10 +184,11 @@ class TestMinimize:
         prob = gp.GPProblem(m, w, mode.eigenvalue + gap, g_val)
         check_minimizer(prob, gp.minimize_gp(prob, mode=mode), mode)
 
-    def test_max_iter_diagnostic(self, unit_interval):
+    def test_max_iter_diagnostic(self, unit_interval, monkeypatch):
+        monkeypatch.setattr(gp, "MAX_NEWTON_STEPS", 3)
         prob = gp.GPProblem(unit_interval, None, 5.0, 1.0)
-        with pytest.raises(gp.GPError, match="converge"):
-            gp.minimize_gp(prob, tol=1e-16, max_iter=3)
+        with pytest.raises(gp.GPError, match="converge in 3 Newton steps"):
+            gp.minimize_gp(prob, tol=1e-16)
 
 
 def separated_parts(rng, dim):

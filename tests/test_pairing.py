@@ -60,11 +60,6 @@ class TestSolveRelative:
                                     n=int(30 / 20 * 4000) + 1)
         assert abs(gs_wide.E_b - pt_state.E_b) < np.exp(-pt_state.rho_star * 20.0)
 
-    def test_spectral_gap(self, pt_state):
-        gap = pr.spectral_gap(pt_state)
-        # second PT level sits at the continuum edge: gap ~ E_b
-        assert gap > 0.5
-
     def test_exponential_moment_finite(self, pt_state):
         # int exp(2 rho |r|) |alpha|^2 at rho = 0.9 rho_star has converged
         # on the box: the outer half contributes a vanishing share
@@ -209,7 +204,7 @@ class TestMatchedState:
         for step in (0.2, 0.1, 0.05):
             m = pr.matched_relative_state(POSCHL_TELLER, step)
             a = pr.lattice_pair_field(m, 1e9, 1.0)
-            vals.append(pr.lattice_couplings(m, a))
+            vals.append(pr.compute_couplings(m, a))
         assert abs(vals[-1][0] - PT_G_BCS) < 1e-3
         assert abs(vals[-1][1] - PT_G_0) < 1e-3
         assert abs(vals[1][1] - PT_G_0) < abs(vals[0][1] - PT_G_0)
@@ -249,15 +244,16 @@ class TestMatchedState:
     def test_couplings_computed_once(self, monkeypatch):
         gs = pr.solve_relative(POSCHL_TELLER, L=20.0, n=2001)
         calls = []
+        compute_couplings = pr.compute_couplings  # the unpatched function
 
-        def counting(*args, **kwargs):  # lattice_couplings: the unpatched name
+        def counting(*args, **kwargs):
             calls.append(args)
-            return pr.lattice_couplings(*args, **kwargs)
+            return compute_couplings(*args, **kwargs)
 
         monkeypatch.setattr(pr, "compute_couplings", counting)
         g_bcs, g_0 = gs.g_bcs, gs.g_0
         assert len(calls) == 1
-        assert (g_bcs, g_0) == pr.lattice_couplings(gs)
+        assert (g_bcs, g_0) == compute_couplings(gs)
         assert gs.g_bcs == g_bcs and len(calls) == 1
 
     def test_energy_defect_is_the_sparse_form(self):

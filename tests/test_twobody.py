@@ -86,8 +86,11 @@ class TestGroundEnergy:
 
 class TestBounds:
     def test_sandwich(self, pt_problem):
+        from paircond.pairing import solve_relative
+
         e0 = tb.ground_energy(pt_problem, tol=1e-9).eigenvalue
-        lower = tb.decoupled_lower_bound(pt_problem)
+        lower = tb.decoupled_lower_bound(
+            pt_problem, solve_relative(POSCHL_TELLER).E_b)
         upper = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
         eps = tb.richardson_disc_error(pt_problem, e0, tol=1e-9)
         assert lower - eps <= e0 <= upper + 1e-12
@@ -102,7 +105,8 @@ class TestBounds:
 
     def test_upper_at_least_lower(self, pt_problem):
         upper = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
-        lower = tb.decoupled_lower_bound(pt_problem, matched=True)
+        lower = tb.decoupled_lower_bound(pt_problem,
+                                         pt_problem.matched_state().E_b)
         assert upper >= lower
 
     def test_trial_vanishes_on_boundary(self, pt_problem):
@@ -151,7 +155,7 @@ class TestScan:
         assert abs(e_fine - e_finer) < 1e-4
 
     def test_three_point_scan(self):
-        cfg = tb.TwoBodyScanConfig(micro_step=0.125, richardson=False)
+        cfg = tb.TwoBodyScanConfig(micro_step=0.125)
         rep = tb.asymptotic_scan(cfg, [0.1, 0.07, 0.05])
         md = rep.metadata
         assert md["threshold_rel_error"] < 0.10  # short scan, loose check
@@ -167,7 +171,7 @@ class TestScan:
         # slope tends to the ground eigenvalue of the quarter-Laplacian
         # plus W, computed independently by the spectral module
         cfg = tb.TwoBodyScanConfig(
-            micro_step=0.125, richardson=False,
+            micro_step=0.125,
             w_profile=lambda x: 10.0 * np.exp(-((x - 0.5) / 0.2) ** 2),
         )
         rep = tb.asymptotic_scan(cfg, [0.1, 0.07, 0.05, 0.035, 0.025])
