@@ -1,7 +1,7 @@
 """Discrete pair states on the product domain: trial states, their energy,
 one-body density, order-parameter extraction and the semiclassical
 term-by-term checks. One-dimensional domains only; kernels are dense
-node-pair matrices.
+node-pair matrices, gathered on the band the separation cutoff leaves.
 
 Center-of-mass bookkeeping: for box nodes x_i, x_j with spacing dx, the pair
 (i, j) maps to u = i + j (center X on a half-spacing lattice) and v = i - j
@@ -186,8 +186,17 @@ class TrialState:
     cfg: BCSConfig
     psi: ScalarField
     a_psi: PairKernel
-    gamma_psi: PairKernel
-    admissibility: tuple  # (min, max) eigenvalue of the block state
+    aa: np.ndarray = field(repr=False)  # a a dx, the one product gamma needs
+    admissibility: tuple = (np.nan, np.nan)  # (min, max) of the block state
+
+    @cached_property
+    def gamma_psi(self) -> PairKernel:
+        """One-body kernel gamma = a a + (1 + sqrt(h)) (a a)^2, built on
+        first read; energy and density take what they need from ``aa``."""
+        grid = self.cfg.mask.grid
+        quartic = (self.aa @ self.aa) * grid.spacing[0]
+        gamma = self.aa + (1.0 + math.sqrt(self.cfg.h)) * quartic
+        return PairKernel(grid, grid, gamma)
 
 
 def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
@@ -195,17 +204,20 @@ def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
     """K[i, j] = psi_half[i + j] * wave(i - j) where nodes i and j are both
     inside, zero elsewhere: a center field on the half-spacing lattice
     (``center_values``) times a pair wave sampled at the separation counts
-    v = -k..k (zero beyond), gathered by v.
+    v = -k..k (zero beyond), gathered by v. Only the band |v| <= b is
+    gathered: b is the largest |v| of a nonzero sample (-1 for none), at
+    most n - 1.
     """
     n = inside.size
     k = (wave.size - 1) // 2
-    pad = max(n - 1 - k, 0)
-    # the wave at v = -(n - 1)..(n - 1); v = 0 sits at k + pad once padded
-    by_separation = np.pad(wave, pad)[k + pad - (n - 1):k + pad + n]
-    idx = np.arange(n)
-    kern = (psi_half[idx[:, None] + idx[None, :]]
-            * by_separation[idx[:, None] - idx[None, :] + n - 1])
-    kern[~(inside[:, None] & inside[None, :])] = 0.0
+    kern = np.zeros((n, n))
+    b = min(int(np.max(np.abs(np.flatnonzero(wave) - k), initial=-1)), n - 1)
+    rows = np.flatnonzero(inside)[:, None]
+    cols = rows + np.arange(-b, b + 1)
+    keep = (cols >= 0) & (cols < n)
+    keep[keep] = inside[cols[keep]]
+    i, j = np.broadcast_to(rows, cols.shape)[keep], cols[keep]
+    kern[i, j] = psi_half[i + j] * wave[i - j + k]
     return kern
 
 
@@ -220,8 +232,8 @@ def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
 
 def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     """Pair kernel a(x,y) = h^-1 psi((x+y)/2) * chi(|x-y|/ell) * h *
-    alpha((x-y)/h) and the matching one-body kernel
-    gamma = a a + (1 + sqrt(h)) (a a)^2.
+    alpha((x-y)/h) and the product a a from which the matching one-body
+    kernel gamma = a a + (1 + sqrt(h)) (a a)^2 is read.
 
     The pair wave is sampled from the lattice-matched relative ground state,
     so the kinetic-plus-potential cancellation against mu is exact at this
@@ -231,18 +243,9 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     _check_support(cfg, psi)
     wave = lattice_pair_field(cfg.matched_state(), cfg.phi, 1.0)
     a_mat = pair_kernel(center_values(psi.values), wave, cfg.mask.inside)
-    dv = cfg.mask.grid.spacing[0]
-    aa = (a_mat @ a_mat) * dv
-    gamma = aa + (1.0 + math.sqrt(cfg.h)) * (aa @ aa) * dv
-
+    aa = (a_mat @ a_mat) * cfg.mask.grid.spacing[0]
     grid = cfg.mask.grid
-    state = TrialState(
-        cfg,
-        psi,
-        PairKernel(grid, grid, a_mat),
-        PairKernel(grid, grid, gamma),
-        admissibility=(np.nan, np.nan),
-    )
+    state = TrialState(cfg, psi, PairKernel(grid, grid, a_mat), aa)
     lo, hi = admissibility_spectrum(state)
     if lo < -1e-9 or hi > 1 + 1e-9:
         raise BCSError(
@@ -271,15 +274,29 @@ def admissibility_spectrum(state: TrialState) -> tuple:
 
     Kernels act on L2 with the flat interior weight, so the operators are
     A = dx * a and Gamma = dx * gamma. ``build_trial_state`` makes Gamma the
-    polynomial A^2 + (1 + sqrt(h)) A^4 of the real symmetric A, so in an
-    eigenbasis of A (eigenvalue s) the block splits into 2x2 blocks
-    [[g, s], [s, 1 - g]] with g = s^2 + (1 + sqrt(h)) s^4, whose eigenvalues
-    are 1/2 -+ sqrt((g - 1/2)^2 + s^2). One n x n eigvalsh of A thus gives
-    the whole block spectrum; ``state.gamma_psi`` is not read.
+    polynomial A^2 + c A^4 (c = 1 + sqrt(h)) of the real symmetric A, so in
+    an eigenbasis of A (eigenvalue s) the block splits into 2x2 blocks
+    [[g, s], [s, 1 - g]] with g = s^2 + c s^4, whose eigenvalues are
+    1/2 -+ r(s), r^2 = 1/4 - sqrt(h) s^4 + 2c s^6 + c^2 s^8: the spectrum
+    spans 1/2 -+ max r over the eigenvalues s of A. ``gamma_psi`` is unread.
+
+    In t = s^2, d(r^2)/dt = t (4c^2 t^2 + 6c t - 2 sqrt(h)) has one positive
+    root, so r^2 falls and then rises, and on [-rho, rho] its maximum is at
+    s = 0 or |s| = rho. With rho the largest absolute row sum of A, every s
+    lies in [-rho, rho] (rho(A) <= ||A||_inf), and a zero row of A gives
+    s = 0, where r = 1/2. So if A has a zero row and r(rho) <= 1/2, i.e.
+    c^2 rho^4 + 2c rho^2 <= sqrt(h), the spectrum is exactly (0, 1), with no
+    eigensolve; otherwise one n x n eigvalsh of A decides.
     """
-    dv = state.cfg.mask.grid.spacing[0]
-    s = np.linalg.eigvalsh(dv * state.a_psi.values)
-    g = s**2 + (1.0 + math.sqrt(state.cfg.h)) * s**4
+    root_h = math.sqrt(state.cfg.h)
+    c = 1.0 + root_h
+    a_op = state.cfg.mask.grid.spacing[0] * state.a_psi.values
+    row_sums = np.sum(np.abs(a_op), axis=1)
+    t = float(np.max(row_sums)) ** 2
+    if row_sums.min() == 0.0 and c * c * t * t + 2.0 * c * t <= root_h:
+        return 0.0, 1.0
+    s = np.linalg.eigvalsh(a_op)
+    g = s**2 + c * s**4
     r = float(np.max(np.sqrt((g - 0.5) ** 2 + s**2)))
     return 0.5 - r, 0.5 + r
 
@@ -302,24 +319,35 @@ def _one_body_matrix(cfg: BCSConfig) -> sparse.csr_matrix:
     return (mat + sparse.diags(diag)).tocsr()
 
 
-def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
-    """Tr(h gamma) + int int V((x-y)/h) |a(x,y)|^2 dx dy."""
-    dv = cfg.mask.grid.spacing[0]
-    hmat = _one_body_matrix(cfg)
-    gamma = state.gamma_psi.values
-    tr_one_body = float(np.sum((hmat @ gamma).diagonal())) * dv
-
+def _pair_potential(cfg: BCSConfig) -> np.ndarray:
+    """V((x_i - x_j)/h) on the box nodes. Every potential is radial, so V
+    is evaluated once per separation |i - j| dx and gathered (Toeplitz)."""
+    idx = np.arange(cfg.mask.grid.n[0])
     vfun = potential_from_descriptor(cfg.potential)
-    rr = cfg.mask.grid.axis(0)
-    vmat = vfun((rr[:, None] - rr[None, :]) / cfg.h)
+    v_sep = vfun(idx * cfg.mask.grid.spacing[0] / cfg.h)
+    return v_sep[np.abs(idx[:, None] - idx[None, :])]
+
+
+def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
+    """Tr(h gamma) + int int V((x-y)/h) |a(x,y)|^2 dx dy, where Tr(h gamma)
+    = Tr(h aa) + (1 + sqrt(h)) dx Tr(h aa aa) for the symmetric aa."""
+    dv = cfg.mask.grid.spacing[0]
+    aa = state.aa
+    h_aa = _one_body_matrix(cfg) @ aa
+    quartic = (1.0 + math.sqrt(cfg.h)) * dv * float(np.sum(h_aa * aa))
+    tr_one_body = (float(np.trace(h_aa)) + quartic) * dv
     a = state.a_psi.values
-    v_term = float(np.sum(vmat * np.abs(a) ** 2)) * dv * dv
+    v_term = float(np.sum(_pair_potential(cfg) * np.abs(a) ** 2)) * dv * dv
     return tr_one_body + v_term
 
 
 def one_body_density(state: TrialState) -> ScalarField:
-    """Diagonal of the one-body kernel; integrates to Tr(gamma)."""
-    vals = np.diag(state.gamma_psi.values).copy()
+    """Diagonal of the one-body kernel, diag(aa) + (1 + sqrt(h)) dx times
+    the row sums of aa * aa (aa symmetric); integrates to Tr(gamma)."""
+    dv = state.cfg.mask.grid.spacing[0]
+    aa = state.aa
+    quartic = (1.0 + math.sqrt(state.cfg.h)) * dv * np.sum(aa * aa, axis=1)
+    vals = np.diag(aa) + quartic
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1e-300):
         raise BCSError("one-body density has a negative node")
     return ScalarField(state.cfg.mask.grid, vals)
@@ -456,15 +484,11 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     a_energy = lattice_pair_energy(matched, a_lat)
     norms = _field_norms(psi)
 
-    vfun = potential_from_descriptor(cfg.potential)
-
     # (i) quadratic trace: free product Laplacian, kernels vanish well inside
     lap_full = dirichlet_laplacian_matrix(DomainMask(grid, np.ones(grid.shape, bool)))
     ka = -(h**2) * 0.5 * (lap_full @ a_mat + a_mat @ lap_full.T)
     lhs_i = float(np.sum((ka - cfg.mu * a_mat) * a_mat)) * dv * dv
-    x = grid.axis(0)
-    vmat = vfun((x[:, None] - x[None, :]) / h)
-    lhs_i += float(np.sum(vmat * a_mat**2)) * dv * dv
+    lhs_i += float(np.sum(_pair_potential(cfg) * a_mat**2)) * dv * dv
     rhs_i = (
         norms["l2_sq"] * a_energy / h
         + a_norm_sq * (h / 4.0 * norms["grad_sq"]

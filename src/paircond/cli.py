@@ -41,6 +41,11 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+# every solver tolerance is relative; above this one, a start that is far
+# from converged can pass the stopping test before the first step
+MAX_TOL = 1e-3
+
+
 SOLVER_ERRORS = (
     SpectralError,
     GeometryError,
@@ -92,10 +97,15 @@ def _coerce(value, like, where: str):
 def _number(section: dict, key: str, default, where: str = "config",
             positive: bool = False):
     """Optional numeric key, coerced to the type and shape of its default;
-    with ``positive``, a scalar that must be positive."""
+    with ``positive``, a scalar that must be positive. A ``tol`` key must
+    also be at most ``MAX_TOL``."""
     value = _coerce(section.get(key, default), default, f"{key} in {where}")
     if positive and not value > 0:
         raise ConfigError(f"{key} in {where} must be positive, got {value!r}")
+    if key == "tol" and value > MAX_TOL:
+        raise ConfigError(f"tol in {where} must be at most {MAX_TOL:g}, got "
+                          f"{value!r}: a looser tolerance lets a solver stop "
+                          f"before it has converged")
     return value
 
 
@@ -311,9 +321,11 @@ class _PairSetup:
                              q=self.q, relative=self.relative)
 
 
-def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
+def _pair_setup(cfg, q_default: float, mode_with_w: bool,
+                needs_w: bool = False) -> _PairSetup:
     """Read the shared pair-state keys; the onset mode includes W only when
-    ``mode_with_w``."""
+    ``mode_with_w``. With ``needs_w``, a W that is absent or zero everywhere
+    is refused before any solve."""
     mask = build_domain(_require(cfg, "domain", "config"))
     if mask.grid.dim != 1:
         raise ConfigError("pair-state experiments need a 1D domain")
@@ -334,6 +346,9 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool) -> _PairSetup:
         inner = erode(mask, configs[0].ell)
     except (bcs.BCSError, pairing.PairingError, GeometryError) as exc:
         raise ConfigError(str(exc)) from exc
+    if needs_w and (w is None or not np.any(w.values)):
+        raise ConfigError("w must be nonzero somewhere on the domain (field "
+                          "term)")
     gs = pairing.solve_relative(pot)
     mode = onset_threshold(inner, w if mode_with_w else None, tol=1e-10)
     return _PairSetup(mask, w, pot, gs, q, h_list, inner, mode)
@@ -372,9 +387,7 @@ def _exp_bcs_trial(cfg):
 def _exp_semiclassics(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "q", "amplitude",
                       "h_list"}, "config")
-    setup = _pair_setup(cfg, 1.0, mode_with_w=False)
-    if setup.w is None:
-        raise ConfigError("semiclassics needs a nonzero w (field term)")
+    setup = _pair_setup(cfg, 1.0, mode_with_w=False, needs_w=True)
     d_val = _number(cfg, "D", 1.0)
     amp = _number(cfg, "amplitude", 0.5)
     psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)

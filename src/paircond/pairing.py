@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import box_mask
 from .grid import MAX_GRID_NODES, Grid, ScalarField
@@ -158,7 +157,10 @@ class RelativeGroundState:
         return self._couplings[1]
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        # imported here: scipy.interpolate loads scipy.optimize, about 0.2 s
+        # of every CLI start, and only order-parameter extraction needs it
+        from scipy.interpolate import CubicSpline
         return CubicSpline(self.grid.axis(0), self.alpha_star.values)
 
     def evaluate(self, points) -> np.ndarray:

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import POSCHL_TELLER
@@ -8,6 +10,7 @@ from paircond import bcs
 from paircond import geometry as geo
 from paircond import gp
 from paircond.grid import Grid, PairKernel, ScalarField
+from paircond.pairing import potential_from_descriptor
 from paircond.spectral import onset_threshold
 
 
@@ -218,29 +221,114 @@ class TestExtraction:
         assert c_fit < 10.0 / np.sqrt(h)
 
 
+def rho_star(h):
+    """The rho where r(rho) = 1/2: the positive root of
+    c^2 t^2 + 2c t - sqrt(h) in t = rho^2, c = 1 + sqrt(h)."""
+    c = 1.0 + np.sqrt(h)
+    return np.sqrt((np.sqrt(1.0 + np.sqrt(h)) - 1.0) / c)
+
+
 class TestAdmissibility:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
            h=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
-           scale=st.floats(0.0, 1.5))
-    def test_matches_dense_block(self, seed, n, h, scale):
+           scale=st.floats(0.0, 1.5), zero_row=st.booleans(),
+           near=st.sampled_from([None, -1, 1]))
+    @example(seed=1, n=30, h=0.1, scale=0.0, zero_row=True, near=-1)
+    @example(seed=2, n=30, h=0.1, scale=0.0, zero_row=True, near=1)
+    @example(seed=3, n=45, h=0.3, scale=0.0, zero_row=False, near=-1)
+    @example(seed=4, n=12, h=0.02, scale=0.05, zero_row=True, near=None)
+    def test_matches_dense_block(self, seed, n, h, scale, zero_row, near):
+        # scale sets the spectral radius of A; near = -1 or 1 sets its
+        # largest absolute row sum just below or above rho_star instead
         rng = np.random.default_rng(seed)
         mask = geo.interval(0.0, 1.0, n=n)
         cfg = bcs.BCSConfig(mask, POSCHL_TELLER, None, h=h, D=0.0)
         dv = mask.grid.spacing[0]
         m = rng.standard_normal((n, n))
         a_op = m + m.T
-        a_op *= scale / max(np.max(np.abs(np.linalg.eigvalsh(a_op))), 1e-300)
+        if zero_row:
+            k = rng.integers(n)
+            a_op[k, :] = a_op[:, k] = 0.0
+        if near is None:
+            radius = np.max(np.abs(np.linalg.eigvalsh(a_op)))
+            a_op *= scale / max(radius, 1e-300)
+        else:
+            row_max = np.max(np.sum(np.abs(a_op), axis=1))
+            a_op *= rho_star(h) * (1.0 + near * 1e-6) / row_max
         g_op = a_op @ a_op + (1.0 + np.sqrt(h)) * np.linalg.matrix_power(a_op, 4)
         grid = mask.grid
         state = bcs.TrialState(cfg, mask.field(np.zeros(mask.count)),
-                               PairKernel(grid, grid, a_op / dv),
-                               PairKernel(grid, grid, g_op / dv), (np.nan, np.nan))
+                               PairKernel(grid, grid, a_op / dv), g_op / dv)
         block = np.block([[g_op, a_op], [a_op, np.eye(n) - g_op]])
         dense = np.linalg.eigvalsh(block)
-        lo, hi = bcs.admissibility_spectrum(state)
+        row_sums = np.sum(np.abs(a_op), axis=1)
+        bound_decides = row_sums.min() == 0.0 and row_sums.max() <= rho_star(h)
+        with mock.patch.object(np.linalg, "eigvalsh",
+                               wraps=np.linalg.eigvalsh) as spy:
+            lo, hi = bcs.admissibility_spectrum(state)
+        assert spy.called != bound_decides
+        if bound_decides:
+            assert (lo, hi) == (0.0, 1.0)
         assert abs(lo - dense[0]) < 1e-12
         assert abs(hi - dense[-1]) < 1e-12
+
+
+def dense_pair_kernel(psi_half, wave, inside):
+    """Reference for ``bcs.pair_kernel``: every node pair gathered."""
+    n = inside.size
+    k = (wave.size - 1) // 2
+    kern = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if inside[i] and inside[j] and abs(i - j) <= k:
+                kern[i, j] = psi_half[i + j] * wave[i - j + k]
+    return kern
+
+
+class TestBandedKernel:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           k=st.integers(0, 60), tail=st.integers(0, 60),
+           dense_mask=st.booleans())
+    def test_matches_dense_gather(self, seed, n, k, tail, dense_mask):
+        # a wave of 2k + 1 samples whose outer ``tail`` samples on each side
+        # are zero; k >= n and k - tail >= n give bands wider than the grid
+        rng = np.random.default_rng(seed)
+        inside = (np.ones(n, bool) if dense_mask
+                  else rng.random(n) < rng.uniform(0.2, 0.9))
+        psi_half = rng.standard_normal(2 * n - 1)
+        wave = rng.standard_normal(2 * k + 1)
+        cut = min(tail, k)
+        wave[:cut] = 0.0
+        wave[wave.size - cut:] = 0.0
+        band = bcs.pair_kernel(psi_half, wave, inside)
+        assert np.array_equal(band, dense_pair_kernel(psi_half, wave, inside))
+
+    def test_zero_wave(self):
+        inside = np.array([False, True, True, True, False])
+        kern = bcs.pair_kernel(np.ones(9), np.zeros(7), inside)
+        assert kern.shape == (5, 5) and not kern.any()
+
+    def test_energy_density_gamma_match_dense_gamma(self, trial_setup):
+        # the formulas of a dense gamma = aa + (1 + sqrt(h)) (aa aa) dx
+        cfg, psi = trial_setup
+        state = bcs.build_trial_state(cfg, psi)
+        dv = cfg.mask.grid.spacing[0]
+        a = state.a_psi.values
+        aa = (a @ a) * dv
+        gamma = aa + (1.0 + np.sqrt(cfg.h)) * (aa @ aa) * dv
+        x = cfg.mask.grid.axis(0)
+        vmat = potential_from_descriptor(cfg.potential)(
+            (x[:, None] - x[None, :]) / cfg.h)
+        energy = (float(np.sum((bcs._one_body_matrix(cfg) @ gamma).diagonal()))
+                  * dv + float(np.sum(vmat * a**2)) * dv * dv)
+        assert abs(bcs.bcs_energy(cfg, state) - energy) <= 1e-12 * abs(energy)
+        rho = bcs.one_body_density(state).values
+        scale = np.max(np.abs(np.diag(gamma)))
+        assert np.max(np.abs(rho - np.diag(gamma))) <= 1e-12 * scale
+        assert (np.max(np.abs(state.gamma_psi.values - gamma))
+                <= 1e-12 * np.max(np.abs(gamma)))
 
 
 class TestSemiclassics:

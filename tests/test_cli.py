@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircond import cli, gp
+from paircond import cli, gp, pairing, spectral
 from paircond import geometry as geo
 from paircond.grid import Grid
 from paircond.reporting import FitError, fit_power_law
-from paircond.spectral import onset_threshold
+from paircond.spectral import onset_threshold, smallest_eigenpair
 
 
 class TestFitPowerLaw:
@@ -378,6 +380,71 @@ class TestRun:
         assert kind in err and message in err
         assert "Traceback" not in err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("experiment", ["gp-min", "hardy"])
+    def test_tol_ceiling(self, tmp_path, capsys, experiment):
+        # tol: 1e300 made gp-min report the single-mode energy after 0
+        # Newton steps, and hardy stop after one power iteration
+        cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+        cfg["tol"] = 1e300
+        assert cli.run(experiment, cfg, str(tmp_path / "loose")) == 2
+        err = capsys.readouterr().err
+        assert "config error: tol" in err and "at most" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "loose")
+        # just under the ceiling the solvers still converge
+        results = {}
+        for tol in (0.99 * cli.MAX_TOL, FUZZ_BASE[experiment]["tol"]):
+            cfg["tol"] = tol
+            assert cli.run(experiment, cfg, str(tmp_path / repr(tol))) == 0
+            with open(tmp_path / repr(tol) / "report.json") as fh:
+                results[tol] = json.load(fh)["summary"]
+        loose, tight = results.values()
+        if experiment == "gp-min":
+            assert loose["iterations"] >= 1
+            assert loose["energy"] < loose["one_mode_energy"]
+            gap = abs(loose["energy"] - tight["energy"])
+            assert gap < 1e-6 * abs(tight["energy"])
+        else:
+            rel = abs(loose["mu_max"] - tight["mu_max"]) / tight["mu_max"]
+            assert rel < 5 * cli.MAX_TOL
+
+    @pytest.mark.parametrize("w", [
+        {"kind": "bump", "height": 0.0, "center": 1.0, "width": 0.5},
+        {"kind": "constant", "value": 0.0},
+    ])
+    def test_zero_field_refused_before_solves(self, tmp_path, capsys,
+                                              monkeypatch, w):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return smallest_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "smallest_eigenpair", counting)
+        monkeypatch.setattr(pairing, "smallest_eigenpair", counting)
+        cfg = json.loads(json.dumps(FUZZ_BASE["semiclassics"]))
+        cfg["w"] = w
+        assert cli.run("semiclassics", cfg, str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "config error: w must be nonzero" in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert not os.listdir(tmp_path)
+
+    def test_import_leaves_interpolate_unloaded(self):
+        # scipy.interpolate, with the scipy.optimize it loads, is imported
+        # only when a spline is first evaluated
+        code = ("import sys; from paircond import cli; "
+                "print(sorted(m for m in ('scipy.interpolate', "
+                "'scipy.optimize') if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
 
     def test_main_entry(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
