@@ -31,7 +31,7 @@ from .pairing import (
     potential_from_descriptor,
     solve_relative,
 )
-from .spectral import dirichlet_laplacian_matrix, smallest_eigenpair, assemble_dirichlet
+from .spectral import dirichlet_laplacian_matrix
 
 
 class BCSError(RuntimeError):
@@ -68,7 +68,7 @@ class BCSConfig:
 
     @property
     def mu(self) -> float:
-        return -self.matched_state().E_b + self.D * self.h**2
+        return -self.matched_state.E_b + self.D * self.h**2
 
     @property
     def ell(self) -> float:
@@ -93,29 +93,10 @@ class BCSConfig:
             self.relative = solve_relative(self.potential)
         return self.relative
 
-    def matched_state(self) -> RelativeGroundState:
-        return self._matched
-
     @cached_property
-    def _matched(self) -> RelativeGroundState:
+    def matched_state(self) -> RelativeGroundState:
         return matched_relative_state(self.potential, self.micro_step,
                                       self.micro_halfwidth)
-
-    def one_body_floor(self) -> float:
-        """Smallest eigenvalue of -h^2 Lap + h^2 W - mu on the mask."""
-        op = assemble_dirichlet(self.mask, -1.0, self.W)
-        lam = smallest_eigenpair(op, tol=1e-8).eigenvalue
-        return self.h**2 * lam - self.mu
-
-    def validate_scale(self):
-        """Check the small-h admissibility condition on the one-body part."""
-        floor = self.one_body_floor()
-        bound = self.matched_state().E_b / 2.0
-        if floor < bound - 1e-9:
-            raise BCSError(
-                f"h={self.h} too large: one-body operator floor {floor:.4g} "
-                f"is below half the binding energy {bound:.4g}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +170,6 @@ class TrialState:
     aa: np.ndarray = field(repr=False)  # a a dx, the one product gamma needs
     admissibility: tuple = (np.nan, np.nan)  # (min, max) of the block state
 
-    @cached_property
-    def gamma_psi(self) -> PairKernel:
-        """One-body kernel gamma = a a + (1 + sqrt(h)) (a a)^2, built on
-        first read; energy and density take what they need from ``aa``."""
-        grid = self.cfg.mask.grid
-        quartic = (self.aa @ self.aa) * grid.spacing[0]
-        gamma = self.aa + (1.0 + math.sqrt(self.cfg.h)) * quartic
-        return PairKernel(grid, grid, gamma)
-
 
 def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
                 inside: np.ndarray) -> np.ndarray:
@@ -241,7 +213,7 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     the assembled block state is checked to have spectrum in [0, 1].
     """
     _check_support(cfg, psi)
-    wave = lattice_pair_field(cfg.matched_state(), cfg.phi, 1.0)
+    wave = lattice_pair_field(cfg.matched_state, cfg.phi, 1.0)
     a_mat = pair_kernel(center_values(psi.values), wave, cfg.mask.inside)
     aa = (a_mat @ a_mat) * cfg.mask.grid.spacing[0]
     grid = cfg.mask.grid
@@ -278,7 +250,7 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     an eigenbasis of A (eigenvalue s) the block splits into 2x2 blocks
     [[g, s], [s, 1 - g]] with g = s^2 + c s^4, whose eigenvalues are
     1/2 -+ r(s), r^2 = 1/4 - sqrt(h) s^4 + 2c s^6 + c^2 s^8: the spectrum
-    spans 1/2 -+ max r over the eigenvalues s of A. ``gamma_psi`` is unread.
+    spans 1/2 -+ max r over the eigenvalues s of A.
 
     In t = s^2, d(r^2)/dt = t (4c^2 t^2 + 6c t - 2 sqrt(h)) has one positive
     root, so r^2 falls and then rises, and on [-rho, rho] its maximum is at
@@ -286,14 +258,18 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     lies in [-rho, rho] (rho(A) <= ||A||_inf), and a zero row of A gives
     s = 0, where r = 1/2. So if A has a zero row and r(rho) <= 1/2, i.e.
     c^2 rho^4 + 2c rho^2 <= sqrt(h), the spectrum is exactly (0, 1), with no
-    eigensolve; otherwise one n x n eigvalsh of A decides.
+    eigensolve; otherwise one n x n eigvalsh of A decides. That condition is
+    (c rho^2 + 1)^2 <= 1 + sqrt(h), so it is decided in its solved form rho
+    <= rho* = sqrt((sqrt(1 + sqrt(h)) - 1) / c), in which no power of a
+    huge rho overflows; sqrt(1 + sqrt(h)) - 1 is taken as sqrt(h) /
+    (sqrt(1 + sqrt(h)) + 1), without the cancellation.
     """
     root_h = math.sqrt(state.cfg.h)
     c = 1.0 + root_h
+    rho_star = math.sqrt(root_h / (c * (math.sqrt(1.0 + root_h) + 1.0)))
     a_op = state.cfg.mask.grid.spacing[0] * state.a_psi.values
     row_sums = np.sum(np.abs(a_op), axis=1)
-    t = float(np.max(row_sums)) ** 2
-    if row_sums.min() == 0.0 and c * c * t * t + 2.0 * c * t <= root_h:
+    if row_sums.min() == 0.0 and row_sums.max() <= rho_star:
         return 0.0, 1.0
     s = np.linalg.eigvalsh(a_op)
     g = s**2 + c * s**4
@@ -414,15 +390,6 @@ def com_norm_split(cfg: BCSConfig, alpha: PairKernel, psi: ScalarField,
     }
 
 
-def fiber_orthogonality(cfg: BCSConfig, xi: PairKernel) -> float:
-    """Largest fiber inner product <alpha_*(./h), xi(X, .)>; zero up to the
-    sampled-normalization wobble."""
-    frame = COMFrame.build(cfg)
-    xim = np.asarray(xi.values)
-    return max((abs(float(np.sum(a_fiber * xim[i, j])) * 2.0 * frame.dx)
-                for _, i, j, a_fiber in _fibers(cfg, frame)), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # semiclassical checks
 
@@ -471,7 +438,7 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     residual is a genuine center-of-mass expansion error: dimensionless, and
     O(h) for the field and quartic comparisons.
     """
-    matched = cfg.matched_state()
+    matched = cfg.matched_state
     h = cfg.h
     _check_support(cfg, psi)
     a_lat = lattice_pair_field(matched, cfg.phi, h)

@@ -163,8 +163,15 @@ def build_w(spec, mask) -> ScalarField | None:
         width = _number(params, "width", 0.2, "w", positive=True)
         r2 = sum((mesh[a] - center[min(a, center.size - 1)]) ** 2
                  for a in range(mask.grid.dim))
-        # a float64 square: inf for a huge width, where a float raises
-        vals = height * np.exp(-r2 / np.float64(width) ** 2)
+        # a float64 square: inf for a huge width, where a float raises, and
+        # 0 for a width whose square underflows; then r2 / 0 is taken as
+        # +inf off the centre and 0 on it, leaving a one-node bump. An
+        # overflow, in the square or the quotient, is the inf it should be.
+        with np.errstate(over="ignore"):
+            w2 = np.float64(width) ** 2
+            scaled = np.divide(r2, w2, out=np.where(r2 > 0, np.inf, 0.0),
+                               where=w2 > 0)
+        vals = height * np.exp(-scaled)
     else:
         raise ConfigError(f"unknown w kind {kind!r}")
     return mask.field(vals)

@@ -1,5 +1,6 @@
-"""Domain masks on grids: distance transforms, erosion/dilation, Minkowski
-average, ramp cutoffs and the builtin test domains.
+"""Domain masks on grids: the distance transform, erosion/dilation (the
+interior and exterior approximations of a domain), the builtin test domains
+and portable mask JSON.
 
 A node belongs to a mask by its center. Distances are measured between node
 centers, so every inside node has a strictly positive distance to the
@@ -83,30 +84,6 @@ def _distance_exact(inside: np.ndarray, spacing) -> np.ndarray:
     return ndimage.distance_transform_edt(inside, sampling=spacing)
 
 
-def distance_brute_force(mask: DomainMask) -> np.ndarray:
-    """O(N_in * N_out) reference distance transform; oracle for the fast one."""
-    _check_nontrivial(mask)
-    pts = mask.grid.points()
-    flat = mask.inside.ravel()
-    pin = pts[flat]
-    pout = pts[~flat]
-    out = np.zeros(mask.grid.size)
-    # chunk the inside nodes to bound the pairwise matrix
-    chunk = max(1, int(2**22 // max(pout.shape[0], 1)))
-    dmin = np.empty(pin.shape[0])
-    for s in range(0, pin.shape[0], chunk):
-        block = pin[s : s + chunk]
-        d2 = np.sum((block[:, None, :] - pout[None, :, :]) ** 2, axis=-1)
-        dmin[s : s + chunk] = np.sqrt(d2.min(axis=1))
-    out[flat] = dmin
-    return out.reshape(mask.grid.shape)
-
-
-def distance_field(mask: DomainMask) -> ScalarField:
-    _check_nontrivial(mask)
-    return ScalarField(mask.grid, mask.dist.copy())
-
-
 def _box_margin(mask: DomainMask) -> float:
     """Smallest gap between the inside nodes and the bounding box."""
     pts = mask.interior_points()
@@ -147,65 +124,6 @@ def dilate(mask: DomainMask, ell: float) -> DomainMask:
     # distance by up to one spacing, so <= keeps the result within one cell
     inside = mask.inside | (dist_to_mask <= ell)
     return DomainMask(mask.grid, inside)
-
-
-def minkowski_average(mask: DomainMask) -> DomainMask:
-    """Midpoint set (m + m)/2 on the same grid.
-
-    A node is marked inside when some pair of inside nodes has its midpoint
-    within half a spacing (per axis) of the node.
-    """
-    _check_nontrivial(mask)
-    grid = mask.grid
-    pts = mask.interior_points()
-    n_in = pts.shape[0]
-    inside = np.zeros(grid.shape, dtype=bool)
-    lower = np.asarray(grid.lower)
-    spacing = np.asarray(grid.spacing)
-    nmax = np.asarray(grid.n) - 1
-    chunk = max(1, int(2**21 // max(n_in, 1)))
-    for s in range(0, n_in, chunk):
-        mids = 0.5 * (pts[s : s + chunk, None, :] + pts[None, :, :])
-        idx = np.rint((mids - lower) / spacing).astype(int)
-        np.clip(idx, 0, nmax, out=idx)
-        inside[tuple(idx.reshape(-1, grid.dim).T)] = True
-    if inside[grid.boundary_shell()].any():
-        raise GeometryError("Minkowski average touches the bounding box")
-    return DomainMask(grid, inside)
-
-
-def cutoff_eta(mask: DomainMask, ell: float) -> ScalarField:
-    """Distance ramp: 0 within ell of the complement, linear up to 2*ell, 1 beyond."""
-    if not 0 < ell < 1:
-        raise GeometryError("cutoff length must satisfy 0 < ell < 1")
-    _check_nontrivial(mask)
-    d = mask.dist
-    vals = np.clip((d - ell) / ell, 0.0, 1.0)
-    vals[~mask.inside] = 0.0
-    return ScalarField(mask.grid, vals)
-
-
-def convexity_probe(mask: DomainMask) -> bool:
-    """Sampled segment test: midpoints of 2000 random inside-node pairs must
-    land on inside nodes (up to the cell quantization). Exact convexity is
-    ill-posed at grid resolution, so this is a probe for small grids, not a
-    decision procedure.
-    """
-    _check_nontrivial(mask)
-    pts = mask.interior_points()
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, pts.shape[0], size=(2000, 2))
-    mids = 0.5 * (pts[idx[:, 0]] + pts[idx[:, 1]])
-    lower = np.asarray(mask.grid.lower)
-    spacing = np.asarray(mask.grid.spacing)
-    nodes = np.rint((mids - lower) / spacing).astype(int)
-    nodes = np.clip(nodes, 0, np.asarray(mask.grid.n) - 1)
-    # tolerate one cell: midpoints on cell boundaries may round just across
-    # a curved mask edge
-    dist_to_mask = ndimage.distance_transform_edt(~mask.inside,
-                                                  sampling=mask.grid.spacing)
-    tol = np.sqrt(float(np.sum(np.asarray(mask.grid.spacing) ** 2)))
-    return bool(np.all(dist_to_mask[tuple(nodes.T)] <= tol))
 
 
 # ---------------------------------------------------------------------------

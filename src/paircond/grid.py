@@ -1,11 +1,12 @@
-"""Uniform Cartesian lattices, fields and pair kernels on them, and
-quadrature.
+"""Uniform Cartesian lattices, fields and pair kernels on them, and the L2
+pairing.
 
 Grids are node-centered: the first and last node of every axis sit exactly on
-the box bounds. Quadrature is the tensor trapezoid rule, which reduces to a
-plain ``prod(spacing)`` node sum for every field that vanishes on the box
-boundary (all physically relevant fields here do). A grid refuses more than
-``MAX_GRID_NODES`` nodes when it is constructed, before any array exists.
+the box bounds. Quadrature (``Grid.weights``) is the tensor trapezoid rule,
+which reduces to a plain ``prod(spacing)`` node sum for every field that
+vanishes on the box boundary (all physically relevant fields here do). A
+grid refuses more than ``MAX_GRID_NODES`` nodes when it is constructed,
+before any array exists.
 """
 
 from __future__ import annotations
@@ -124,16 +125,6 @@ class Grid:
             w = w * wa.reshape(shape)
         return w
 
-    def boundary_shell(self) -> np.ndarray:
-        """Indicator of the nodes on the faces of the box."""
-        shell = np.zeros(self.shape, dtype=bool)
-        for a in range(self.dim):
-            idx = [slice(None)] * self.dim
-            for edge in (0, -1):
-                idx[a] = edge
-                shell[tuple(idx)] = True
-        return shell
-
 
 @dataclass
 class ScalarField:
@@ -148,9 +139,6 @@ class ScalarField:
             raise GridError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
     def check_finite(self):
         if not np.all(np.isfinite(self.values)):
@@ -188,13 +176,6 @@ class PairKernel:
 def _require_same_grid(f: ScalarField, g: ScalarField):
     if f.grid != g.grid:
         raise GridError("fields live on different grids")
-
-
-def integrate(f: ScalarField) -> complex | float:
-    """Quadrature sum of ``f`` over the whole box."""
-    f.check_finite()
-    total = np.sum(f.values * f.grid.weights())
-    return total if np.iscomplexobj(f.values) else float(total)
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> complex | float:

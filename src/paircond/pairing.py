@@ -1,8 +1,10 @@
 """The relative two-body problem -Lap + V on a Dirichlet box [-L, L] and its
 bound state alpha_*: binding energy, pair wavefunction, L2 decay rate,
-quartic couplings, and the smooth radial cutoff of trial states.
+quartic couplings, and the cut pair field chi(s/phi) h alpha_*(s) that
+trial states are built from, with its energy.
 
 One type, ``RelativeGroundState``, holds the state; one set of lattice sums
+(``compute_couplings``, ``lattice_pair_field``, ``lattice_pair_energy``)
 works on its samples. ``solve_relative`` solves a fine box for continuum
 values; ``matched_relative_state`` solves the micro lattice (spacing / h)
 whose three-point stencil the product-grid kernels induce, where the
@@ -116,8 +118,8 @@ def _reject_extra(kind, params):
 class RelativeGroundState:
     """Bound state of the relative operator -Lap + V on the box [-L, L].
 
-    On an odd node count the nodes are the lattice s = k * step, |k| <=
-    k_max, which the lattice accessors index. The decay rate, the pair
+    On an odd node count 2 k_max + 1 the nodes are the lattice s = k * step,
+    |k| <= k_max, on which the lattice sums work. The decay rate, the pair
     (g_bcs, g_0) and the spline of ``evaluate`` are computed when first
     needed, then cached.
     """
@@ -135,10 +137,6 @@ class RelativeGroundState:
     @property
     def step(self) -> float:
         return self.grid.spacing[0]
-
-    @property
-    def k_max(self) -> int:
-        return (self.grid.n[0] - 1) // 2
 
     @cached_property
     def rho_star(self) -> float:
@@ -171,18 +169,6 @@ class RelativeGroundState:
         ok = np.abs(pts) <= self.L
         out[ok] = self._spline(pts[ok])
         return out
-
-    def evaluate_lattice(self, k) -> np.ndarray:
-        """Values at lattice indices k (s = k * step); zero beyond the box."""
-        k = np.asarray(k)
-        out = np.zeros(k.shape, dtype=float)
-        ok = np.abs(k) <= self.k_max
-        out[ok] = self.alpha_star.values[k[ok] + self.k_max]
-        return out
-
-    def norm_sq(self) -> float:
-        """Lattice L2 norm (node sum times step); 1 for a solved state."""
-        return float(np.sum(self.alpha_star.values**2) * self.step)
 
 
 def _box_operator(potential: dict, L: float, n: int) -> StencilOperator:
@@ -350,16 +336,6 @@ def smoothstep_cutoff(r) -> np.ndarray:
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-def cutoff_state(gs: RelativeGroundState, phi: float,
-                 h: float = 1.0) -> RelativeGroundState:
-    """The cut pair function chi(s/phi) * h * alpha_*(s), as a state with
-    the potential, binding energy and box of ``gs``."""
-    if phi <= 0:
-        raise PairingError("cutoff radius must be positive")
-    cut = ScalarField(gs.grid, lattice_pair_field(gs, phi, h))
-    return RelativeGroundState(gs.potential, gs.E_b, cut, gs.L, gs.residual)
-
-
 def lattice_pair_field(gs: RelativeGroundState, phi: float,
                        h: float) -> np.ndarray:
     """Cut pair samples chi(s/phi) * h * alpha(s) on the nodes of ``gs``."""
@@ -378,38 +354,3 @@ def lattice_pair_energy(gs: RelativeGroundState, a: np.ndarray) -> float:
     vvals = potential_from_descriptor(gs.potential)(gs.grid.axis(0))
     lap_a = _lattice_neg_laplacian(a, gs.step)
     return float(np.sum(a * (lap_a + (vvals + gs.E_b) * a)) * gs.step)
-
-
-@dataclass
-class CutoffDiagnostics:
-    """h-normalized residuals of the four cutoff estimates."""
-
-    norm_defect: float
-    g_bcs_defect: float
-    g_0_defect: float
-    energy_defect: float
-
-    def as_tuple(self) -> tuple:
-        return (self.norm_defect, self.g_bcs_defect, self.g_0_defect, self.energy_defect)
-
-
-def cutoff_diagnostics(gs: RelativeGroundState, phi: float) -> CutoffDiagnostics:
-    """Residuals of the cutoff state against the uncut pair function.
-
-    All four are already divided by their natural h power (h^2, h^4, h^4,
-    h^2), which cancels h entirely; each decays like exp(-rho*phi/2) or
-    faster as the cutoff radius grows.
-    """
-    if phi < 3:
-        raise PairingError("cutoff radius must be at least 3 pair radii")
-    if 1.5 * phi > gs.L:
-        raise PairingError(
-            f"cutoff support 1.5*{phi} exceeds the truncation box {gs.L}"
-        )
-    cut = cutoff_state(gs, phi)
-    return CutoffDiagnostics(
-        norm_defect=abs(cut.norm_sq() - 1.0),
-        g_bcs_defect=abs(cut.g_bcs - gs.g_bcs),
-        g_0_defect=abs(cut.g_0 - gs.g_0),
-        energy_defect=lattice_pair_energy(gs, cut.alpha_star.values),
-    )

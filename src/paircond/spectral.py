@@ -46,12 +46,6 @@ class StencilOperator:
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
 
-    def apply_field(self, f: ScalarField) -> ScalarField:
-        if f.grid != self.mask.grid:
-            raise SpectralError("field lives on a different grid")
-        vec = f.values[self.mask.inside]
-        return self.mask.field(self.matrix @ vec)
-
     def norm_estimate(self) -> float:
         """Gershgorin bound on the spectral radius."""
         m = self.matrix
@@ -226,7 +220,11 @@ def smallest_eigenpair(
     v = vecs[:, 0]
     av = mat @ v
     lam = float(v @ av)
-    residual = float(np.linalg.norm(av - lam * v))
+    # scaled by a power of two near ||A||_est, exactly, so that the sum of
+    # squares cannot overflow for a huge potential
+    scale = np.frexp(norm_est)[1]
+    residual = float(np.ldexp(np.linalg.norm(np.ldexp(av - lam * v, -scale)),
+                              scale))
     target = max(tol * min(norm_est, max(1.0, abs(lam))), eps_floor)
     if residual > target:
         raise SpectralError(

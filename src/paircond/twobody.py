@@ -81,11 +81,8 @@ class TwoBodyProblem:
     def micro_step(self) -> float:
         return self.mask.grid.spacing[0] / self.h
 
-    def matched_state(self) -> RelativeGroundState:
-        return self._matched
-
     @cached_property
-    def _matched(self) -> RelativeGroundState:
+    def matched_state(self) -> RelativeGroundState:
         return matched_relative_state(self.potential, self.micro_step)
 
     def product_mask(self) -> DomainMask:
@@ -132,12 +129,9 @@ class TwoBodyProblem:
             shape=(pmask.count, half.count))
         return StencilOperator(half, (fold.T @ full.matrix @ fold).tocsr()), fold
 
+    @cached_property
     def com_threshold(self) -> float:
         """Ground eigenvalue of the quarter-Laplacian plus W on the domain."""
-        return self._threshold
-
-    @cached_property
-    def _threshold(self) -> float:
         return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
 
 
@@ -167,7 +161,7 @@ def decoupled_lower_bound(prob: TwoBodyProblem, binding_energy: float) -> float:
     in the relative variable is dropped, for the binding energy E_b of the
     continuum relative problem (or of the micro-lattice one, the reference
     for the discretized operator)."""
-    return -binding_energy + prob.h**2 * prob.com_threshold()
+    return -binding_energy + prob.h**2 * prob.com_threshold
 
 
 def trial_support(prob: TwoBodyProblem, q: float) -> tuple:
@@ -191,7 +185,7 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
     h = prob.h
     ell, inner = trial_support(prob, q)
     mode = onset_threshold(inner, tol=1e-11)
-    wave = lattice_pair_field(prob.matched_state(), ell / h, 1.0)
+    wave = lattice_pair_field(prob.matched_state, ell / h, 1.0)
     trial = pair_kernel(center_values(mode.eigenvector.values), wave,
                         prob.mask.inside)
     pmask = prob.product_mask()
@@ -294,12 +288,12 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
     d_c = None
     for h in h_list:
         prob = problem_at(cfg, h)
-        matched_eb = prob.matched_state().E_b
+        matched_eb = prob.matched_state.E_b
         res = ground_energy(prob, tol=cfg.tol)
         e0 = res.eigenvalue
         lower = decoupled_lower_bound(prob, binding_energy=e_b_continuum)
         upper = twobody_trial_upper_bound(prob, q=cfg.q)
-        d_c = prob.com_threshold()
+        d_c = prob.com_threshold
         eps = richardson_disc_error(prob, e0, tol=cfg.tol)
         if not (lower - eps <= e0 <= upper + cfg.tol * max(1.0, abs(upper))):
             raise TwoBodyError(

@@ -41,7 +41,7 @@ class TestTrialState:
         zero = cfg.mask.field(np.zeros(cfg.mask.count))
         state = bcs.build_trial_state(cfg, zero)
         assert np.all(state.a_psi.values == 0.0)
-        assert np.all(state.gamma_psi.values == 0.0)
+        assert np.all(state.aa == 0.0)
         lo, hi = state.admissibility
         assert lo >= -1e-12 and hi <= 1 + 1e-12
         assert bcs.bcs_energy(cfg, state) == 0.0
@@ -69,41 +69,34 @@ class TestTrialState:
         assert np.all(state.a_psi.values[far] == 0.0)
 
     def test_gamma_dominates_quartic(self, trial_setup):
-        # gamma - a abar - (a abar)^2 = sqrt(h) (a abar)^2 >= 0
+        # gamma - a abar - (a abar)^2 = sqrt(h) (a abar)^2 >= 0, on the
+        # diagonal of gamma that the one-body density holds
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
         dv = cfg.mask.grid.spacing[0]
         a = state.a_psi.values
         aa = a @ a * dv
-        gap = state.gamma_psi.values - aa - aa @ aa * dv
-        vals = np.linalg.eigvalsh(dv * gap)
-        assert vals[0] >= -1e-9
+        gap = bcs.one_body_density(state).values - np.diag(aa + aa @ aa * dv)
+        assert np.min(gap) >= -1e-12 * np.max(np.diag(aa))
+        assert np.max(gap) > 0.0
 
     def test_gamma_quartic_norm_bound(self, trial_setup):
-        # |gamma - a abar| = (1 + sqrt(h)) |(a abar)^2| <= 3 |a abar|^2
+        # |gamma - a abar| = (1 + sqrt(h)) |(a abar)^2| <= 3 |a abar|^2 bounds
+        # each diagonal entry of gamma - a abar (the density minus diag aa)
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
         dv = cfg.mask.grid.spacing[0]
         a = dv * state.a_psi.values
         aa = a @ a
-        gap_norm = np.linalg.norm(dv * state.gamma_psi.values - aa, ord=2)
-        assert gap_norm <= 3.0 * np.linalg.norm(aa, ord=2) ** 2 + 1e-15
+        rho = bcs.one_body_density(state).values
+        gap = dv * rho - np.diag(aa)
+        assert np.max(np.abs(gap)) <= 3.0 * np.linalg.norm(aa, ord=2) ** 2 + 1e-15
 
     def test_support_violation_rejected(self, trial_setup):
         cfg, _ = trial_setup
         bad = cfg.mask.field(np.ones(cfg.mask.count))
         with pytest.raises(bcs.BCSError, match="support"):
             bcs.build_trial_state(cfg, bad)
-
-    def test_scale_validation(self, bcs_domain, pt_state):
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=2.0,
-                            q=1.5, relative=pt_state)
-        cfg.validate_scale()  # small h passes
-        # a huge D drives mu above the one-body floor
-        cfg_big = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.5,
-                                D=50.0, q=0.2, relative=pt_state)
-        with pytest.raises(bcs.BCSError, match="too large"):
-            cfg_big.validate_scale()
 
 
 class TestEnergyAndDensity:
@@ -127,7 +120,9 @@ class TestEnergyAndDensity:
         rho = bcs.one_body_density(state)
         dv = cfg.mask.grid.spacing[0]
         assert np.min(rho.values) >= -1e-10
-        tr_gamma = float(np.sum(np.diag(state.gamma_psi.values))) * dv
+        aa = state.aa
+        gamma = aa + (1.0 + np.sqrt(cfg.h)) * (aa @ aa) * dv
+        tr_gamma = float(np.trace(gamma)) * dv
         assert abs(np.sum(rho.values) * dv - tr_gamma) < 1e-12
 
     def test_zero_state_density(self, trial_setup):
@@ -169,7 +164,15 @@ class TestExtraction:
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
         alpha, _ = product_kernel(cfg, psi, pt_state)
         _, xi = bcs.extract_order_parameter(cfg, alpha)
-        assert bcs.fiber_orthogonality(cfg, xi) < 1e-10
+        # <alpha_*(./h), xi(X, .)> on each center fiber X
+        frame = bcs.COMFrame.build(cfg)
+        products = []
+        for u in range(2 * frame.n - 1):
+            i, j, v = frame.pair_indices(u)
+            if i.size:
+                wave = pt_state.evaluate(v * frame.dx / cfg.h)
+                products.append(np.sum(wave * xi.values[i, j]) * 2.0 * frame.dx)
+        assert products and np.max(np.abs(products)) < 1e-10
 
     def test_asymmetric_kernel_rejected(self, bcs_domain, pt_state):
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0,
@@ -327,8 +330,6 @@ class TestBandedKernel:
         rho = bcs.one_body_density(state).values
         scale = np.max(np.abs(np.diag(gamma)))
         assert np.max(np.abs(rho - np.diag(gamma))) <= 1e-12 * scale
-        assert (np.max(np.abs(state.gamma_psi.values - gamma))
-                <= 1e-12 * np.max(np.abs(gamma)))
 
 
 class TestSemiclassics:
@@ -354,7 +355,7 @@ class TestSemiclassics:
         # relative-energy term in the identity reduces to solver precision
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=1.0,
                             q=1.5, relative=pt_state)
-        matched = cfg.matched_state()
+        matched = cfg.matched_state
         from paircond.pairing import lattice_pair_energy, lattice_pair_field
 
         a_uncut = lattice_pair_field(matched, 1e9, cfg.h)
@@ -365,6 +366,6 @@ class TestSemiclassics:
                             q=1.5, relative=pt_state)
         from paircond.pairing import lattice_pair_field
 
-        matched = cfg.matched_state()
+        matched = cfg.matched_state
         a = lattice_pair_field(matched, cfg.phi, cfg.h)
         assert np.sum(a**2) * matched.step <= cfg.h**2 + 1e-12

@@ -9,6 +9,24 @@ from paircond import geometry as geo
 from paircond.grid import Grid
 
 
+def distance_brute_force(mask: geo.DomainMask) -> np.ndarray:
+    """O(N_in * N_out) reference distance transform; oracle for the fast one."""
+    pts = mask.grid.points()
+    flat = mask.inside.ravel()
+    pin = pts[flat]
+    pout = pts[~flat]
+    dmin = np.empty(pin.shape[0])
+    # chunk the inside nodes to bound the pairwise matrix
+    chunk = max(1, 2**20 // pout.shape[0])
+    for s in range(0, pin.shape[0], chunk):
+        block = pin[s : s + chunk]
+        d2 = np.sum((block[:, None, :] - pout[None, :, :]) ** 2, axis=-1)
+        dmin[s : s + chunk] = np.sqrt(d2.min(axis=1))
+    out = np.zeros(mask.grid.size)
+    out[flat] = dmin
+    return out.reshape(mask.grid.shape)
+
+
 class TestDistance:
     def test_interval_midpoint(self):
         m = geo.interval(0.0, 1.0, grid=Grid.box(-0.5, 1.5, 201))
@@ -30,10 +48,10 @@ class TestDistance:
         rng = np.random.default_rng(7)
         for _ in range(30):
             m = random_1d_mask(rng, n=40)
-            assert_allclose(geo.distance_brute_force(m), m.dist, atol=1e-12)
+            assert_allclose(distance_brute_force(m), m.dist, atol=1e-12)
         for _ in range(20):
             m = random_2d_mask(rng, n=20)
-            assert_allclose(geo.distance_brute_force(m), m.dist, atol=1e-12)
+            assert_allclose(distance_brute_force(m), m.dist, atol=1e-12)
 
     def test_lipschitz(self):
         rng = np.random.default_rng(3)
@@ -45,10 +63,9 @@ class TestDistance:
 
     def test_degenerate_masks_rejected(self):
         g = Grid.box(0.0, 1.0, 11)
-        with pytest.raises(geo.GeometryError):
-            geo.distance_field(geo.DomainMask(g, np.ones(11, dtype=bool)))
-        with pytest.raises(geo.GeometryError):
-            geo.distance_field(geo.DomainMask(g, np.zeros(11, dtype=bool)))
+        for inside in (np.ones(11, dtype=bool), np.zeros(11, dtype=bool)):
+            with pytest.raises(geo.GeometryError, match="inside and outside"):
+                geo.DomainMask(g, inside).dist
 
 
 class TestMorphology:
@@ -94,7 +111,7 @@ class TestMorphology:
         # dilate(erode(m)) subset of m up to one cell
         extra = closed.inside & ~m.inside
         if extra.any():
-            d_out = geo.distance_brute_force(
+            d_out = distance_brute_force(
                 geo.DomainMask(m.grid, ~m.inside)
             )
             assert np.max(d_out[extra]) <= np.sqrt(2) * dx + 1e-12
@@ -107,88 +124,6 @@ class TestMorphology:
         m = geo.interval(0.0, 1.0, grid=Grid.box(-0.05, 1.05, 101))
         with pytest.raises(geo.GeometryError, match="overflow"):
             geo.dilate(m, 0.2)
-
-
-class TestMinkowskiAverage:
-    def test_interval_fixed_point(self):
-        m = geo.interval(0.0, 1.0, grid=Grid.box(-0.5, 1.5, 201))
-        avg = geo.minkowski_average(m)
-        dx = m.grid.spacing[0]
-        x_m = m.grid.axis(0)[m.inside]
-        x_a = m.grid.axis(0)[avg.inside]
-        assert abs(x_a.min() - x_m.min()) <= dx
-        assert abs(x_a.max() - x_m.max()) <= dx
-
-    def test_two_intervals(self):
-        grid = Grid.box(-0.5, 3.5, 401)
-        x = grid.axis(0)
-        inside = ((x > 0) & (x < 1)) | ((x > 2) & (x < 3))
-        m = geo.DomainMask(grid, inside)
-        avg = geo.minkowski_average(m)
-        # brute-force midpoint oracle
-        pts = m.interior_points()[:, 0]
-        mids = 0.5 * (pts[:, None] + pts[None, :]).ravel()
-        dx = grid.spacing[0]
-        expected = np.zeros_like(inside)
-        idx = np.rint((mids - grid.lower[0]) / dx).astype(int)
-        expected[idx] = True
-        assert np.array_equal(avg.inside, expected)
-        # the gap midpoint region (1, 2) is now covered
-        x_a = x[avg.inside]
-        assert ((x_a > 1.2) & (x_a < 1.8)).any()
-
-    def test_square_fixed_point(self):
-        m = geo.box_mask([0, 0], [1, 1], grid=Grid.box([-0.5, -0.5], [1.5, 1.5], [81, 81]))
-        avg = geo.minkowski_average(m)
-        diff = avg.inside ^ m.inside
-        if diff.any():
-            # convex set: any difference sits within one cell of the boundary
-            band = geo.dilate(m, np.sqrt(2) * max(m.grid.spacing)).inside & ~geo.erode(
-                m, np.sqrt(2) * max(m.grid.spacing)
-            ).inside
-            assert np.all(~diff | band)
-
-
-class TestCutoffRamp:
-    def test_branches(self, padded_interval):
-        ell = 0.07
-        eta = geo.cutoff_eta(padded_interval, ell)
-        d = padded_interval.dist
-        assert np.all(eta.values[(d <= ell)] == 0.0)
-        mid = (d >= ell) & (d <= 2 * ell)
-        assert_allclose(eta.values[mid], (d[mid] - ell) / ell, atol=1e-14)
-        assert np.all(eta.values[d >= 2 * ell] == 1.0)
-
-    def test_midband_value(self, padded_interval):
-        ell = 0.06
-        eta = geo.cutoff_eta(padded_interval, ell)
-        d = padded_interval.dist
-        i = np.argmin(np.abs(d - 1.5 * ell))
-        assert abs(eta.values.ravel()[i] - (d.ravel()[i] - ell) / ell) < 1e-14
-
-    def test_lipschitz_constant(self, padded_interval):
-        ell = 0.08
-        eta = geo.cutoff_eta(padded_interval, ell)
-        dx = padded_interval.grid.spacing[0]
-        slope = np.max(np.abs(np.diff(eta.values))) / dx
-        assert slope <= 1.0 / ell + 2 * dx / ell**2
-
-    def test_gradient_support_band(self, padded_interval):
-        ell = 0.08
-        eta = geo.cutoff_eta(padded_interval, ell)
-        d = padded_interval.dist
-        dx = padded_interval.grid.spacing[0]
-        grad_nodes = np.zeros_like(d, dtype=bool)
-        diff = np.abs(np.diff(eta.values)) > 1e-14
-        grad_nodes[:-1] |= diff
-        grad_nodes[1:] |= diff
-        assert np.all(d[grad_nodes] >= ell - 2 * dx)
-        assert np.all(d[grad_nodes] <= 2 * ell + 2 * dx)
-
-    def test_bad_ell(self, padded_interval):
-        for ell in (0.0, -0.1, 1.0, 2.0):
-            with pytest.raises(geo.GeometryError):
-                geo.cutoff_eta(padded_interval, ell)
 
 
 class TestSerialization:
@@ -212,18 +147,3 @@ class TestSerialization:
         row = m.inside[:, j0]
         assert not row[x <= 0].any()
         assert row[(x > 0.2) & (x < 0.9)].all()
-
-
-class TestConvexityProbe:
-    def test_convex_domains_pass(self):
-        assert geo.convexity_probe(
-            geo.disk([0, 0], 0.7, grid=Grid.box([-1, -1], [1, 1], [61, 61])))
-        assert geo.convexity_probe(
-            geo.interval(0.0, 1.0, grid=Grid.box(-0.2, 1.2, 101)))
-
-    def test_nonconvex_domains_fail(self):
-        assert not geo.convexity_probe(geo.lshape(n=61))
-        grid = Grid.box(-0.5, 3.5, 101)
-        x = grid.axis(0)
-        two = geo.DomainMask(grid, ((x > 0) & (x < 1)) | ((x > 2) & (x < 3)))
-        assert not geo.convexity_probe(two)

@@ -165,29 +165,34 @@ class TestCutoff:
         assert np.all((chi >= 0) & (chi <= 1))
 
     def test_diagnostics_decay(self, pt_state_wide):
-        d10 = pr.cutoff_diagnostics(pt_state_wide, 10.0)
-        d20 = pr.cutoff_diagnostics(pt_state_wide, 20.0)
-        rho = pt_state_wide.rho_star
+        # norm, coupling and energy defects of the cut pair field against
+        # the uncut state decay like exp(-rho phi / 2) in the cutoff radius
+        gs = pt_state_wide
+
+        def defects(phi):
+            a = pr.lattice_pair_field(gs, phi, 1.0)
+            g_bcs, g_0 = pr.compute_couplings(gs, a)
+            return (abs(np.sum(a**2) * gs.step - 1.0), abs(g_bcs - gs.g_bcs),
+                    abs(g_0 - gs.g_0), pr.lattice_pair_energy(gs, a))
+
+        d10, d20 = defects(10.0), defects(20.0)
+        rho = gs.rho_star
         bound10 = np.exp(-rho * 10.0 / 2.0)
-        for val in d10.as_tuple():
+        for val in d10:
             assert abs(val) <= 2.0 * bound10  # fitted constant ~ O(1)
             assert abs(val) <= 1e-2
-        for v10, v20 in zip(d10.as_tuple(), d20.as_tuple()):
+        for v10, v20 in zip(d10, d20):
             assert abs(v20) <= max(abs(v10) * 30 * np.exp(-rho * 5.0), 1e-12)
 
     def test_chi_one_limit_energy(self, pt_state):
         # at phi large enough that chi == 1 on the whole box, the energy
         # defect reduces to the eigenvalue equation residual
-        d = pr.cutoff_diagnostics(pt_state, 13.2)
-        assert abs(d.energy_defect) < 1e-9
+        a = pr.lattice_pair_field(pt_state, 13.2, 1.0)
+        assert abs(pr.lattice_pair_energy(pt_state, a)) < 1e-9
 
     def test_norm_never_exceeds_h(self, pt_state):
-        state = pr.cutoff_state(pt_state, 5.0, h=0.3)
-        assert state.norm_sq() <= 0.3**2 + 1e-12
-
-    def test_small_phi_rejected(self, pt_state):
-        with pytest.raises(pr.PairingError):
-            pr.cutoff_diagnostics(pt_state, 2.0)
+        a = pr.lattice_pair_field(pt_state, 5.0, 0.3)
+        assert np.sum(a**2) * pt_state.step <= 0.3**2 + 1e-12
 
 
 class TestMatchedState:
@@ -216,7 +221,7 @@ class TestMatchedState:
 
     def test_lattice_normalization(self):
         m = pr.matched_relative_state(POSCHL_TELLER, 0.1)
-        assert abs(m.norm_sq() - 1.0) < 1e-12
+        assert abs(np.sum(m.alpha_star.values**2) * m.step - 1.0) < 1e-12
 
     def test_is_the_solved_box_state(self):
         step = 0.2
@@ -224,7 +229,7 @@ class TestMatchedState:
         k = int(round(20.0 / step))
         gs = pr.solve_relative(POSCHL_TELLER, k * step, 2 * k + 1, tol=1e-12)
         assert isinstance(m, pr.RelativeGroundState)
-        assert m.k_max == k and abs(m.step - step) < 1e-15
+        assert m.grid.n[0] == 2 * k + 1 and abs(m.step - step) < 1e-15
         assert m.E_b == gs.E_b
         assert np.array_equal(m.alpha_star.values, gs.alpha_star.values)
 
@@ -263,7 +268,7 @@ class TestMatchedState:
 
         gs = pr.matched_relative_state(POSCHL_TELLER, 0.25)
         phi = 3.0
-        a = pr.cutoff_state(gs, phi).alpha_star.values[1:-1]
+        a = pr.lattice_pair_field(gs, phi, 1.0)[1:-1]
         dx = gs.step
         x = gs.grid.axis(0)[1:-1]
         v = pr.potential_from_descriptor(POSCHL_TELLER)(x)
@@ -272,6 +277,6 @@ class TestMatchedState:
              2.0 / dx**2 + v + gs.E_b,
              np.full(a.size - 1, -1.0 / dx**2)], [-1, 0, 1])
         expected = float(a @ (op @ a)) * dx
-        got = pr.cutoff_diagnostics(gs, phi).energy_defect
+        got = pr.lattice_pair_energy(gs, pr.lattice_pair_field(gs, phi, 1.0))
         assert abs(expected) > 1e-3
         assert abs(got - expected) <= 1e-12 * abs(expected)

@@ -49,13 +49,6 @@ class TestAssembly:
         with pytest.raises(sp.SpectralError):
             sp.assemble_dirichlet(m, -1.0, w)
 
-    def test_apply_vanishes_outside(self):
-        m = interval_mask(101, pad=0.2)
-        op = sp.assemble_dirichlet(m, -1.0)
-        f = m.field(np.ones(m.count))
-        out = op.apply_field(f)
-        assert np.all(out.values[~m.inside] == 0.0)
-
 
 class TestEigenSolver:
     def test_threshold_interval(self):

@@ -1,0 +1,85 @@
+"""Every public function, class and method of ``paircond`` has a caller
+outside the unit tests: it is named in ``src/`` outside its own definition,
+in ``bench/``, or in the acceptance tests. Code that only unit tests reach
+is deleted, and this test keeps it from coming back."""
+
+import ast
+import glob
+import os
+import re
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "paircond", "*.py")))
+# what may name a definition: the program, the benchmark, the acceptance tests
+CALLERS = SOURCES + sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
+CALLERS.append(os.path.join(ROOT, "tests", "test_acceptance.py"))
+# mask_to_json writes the format that a ``domain: {"mask_file": ...}``
+# config reads; it serves users who make mask files, not the program
+ALLOWED = {"mask_to_json"}
+IDENTIFIER = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def named(tree) -> tuple:
+    """How often each identifier is named in ``tree``, as (bare names,
+    attributes). Imported names count as bare names; string constants that
+    are (dotted) identifiers, such as ``getattr`` targets and the method
+    names a tracer patches, count as both."""
+    bare, attrs = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            bare[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            bare.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and IDENTIFIER.fullmatch(node.value)):
+            bare.update(node.value.split("."))
+            attrs.update(node.value.split("."))
+    return bare, attrs
+
+
+def public_definitions():
+    """(qualified name, definition node) of each public top-level function
+    and class of the package, and of each public method of such a class."""
+    defs = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("_")]
+    return defs
+
+
+def test_every_public_name_has_a_caller():
+    bare, attrs = Counter(), Counter()
+    for path in CALLERS:
+        file_bare, file_attrs = named(_parse(path))
+        bare += file_bare
+        attrs += file_attrs
+    uncalled = []
+    for qualname, node in public_definitions():
+        name = node.name
+        if name in ALLOWED:
+            continue
+        # names inside the definition itself (recursion, a class naming
+        # itself) do not count, and a method is reached only as an attribute
+        own_bare, own_attrs = named(node)
+        calls = attrs[name] - own_attrs[name]
+        if qualname.count(".") == 1:  # module.name: top level
+            calls += bare[name] - own_bare[name]
+        if calls <= 0:
+            uncalled.append(qualname)
+    assert not uncalled, f"public names with no caller: {uncalled}"

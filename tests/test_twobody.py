@@ -100,13 +100,13 @@ class TestBounds:
 
         e_b = solve_relative(POSCHL_TELLER).E_b
         val = tb.decoupled_lower_bound(pt_problem, binding_energy=e_b)
-        d_c = pt_problem.com_threshold()
+        d_c = pt_problem.com_threshold
         assert abs(val - (-e_b + pt_problem.h**2 * d_c)) < 1e-14
 
     def test_upper_at_least_lower(self, pt_problem):
         upper = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
         lower = tb.decoupled_lower_bound(pt_problem,
-                                         pt_problem.matched_state().E_b)
+                                         pt_problem.matched_state.E_b)
         assert upper >= lower
 
     def test_trial_vanishes_on_boundary(self, pt_problem):
@@ -124,11 +124,12 @@ class TestBounds:
         half[0::2] = full
         half[1::2] = 0.5 * (full[:-1] + full[1:])
         idx = np.arange(n)
-        matched = pt_problem.matched_state()
+        alpha = pt_problem.matched_state.alpha_star.values
+        k_max = (alpha.size - 1) // 2  # alpha[k_max + k] at s = k * step
         trial = (half[idx[:, None] + idx[None, :]]
                  * smoothstep_cutoff((idx[:, None] - idx[None, :])
                                      * pt_problem.mask.grid.spacing[0] / ell)
-                 * matched.evaluate_lattice(idx[:, None] - idx[None, :]))
+                 * np.pad(alpha, n)[idx[:, None] - idx[None, :] + k_max + n])
         pmask = pt_problem.product_mask()
         ring = np.zeros_like(pmask.inside)
         ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
