@@ -215,7 +215,10 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     _check_support(cfg, psi)
     wave = lattice_pair_field(cfg.matched_state, cfg.phi, 1.0)
     a_mat = pair_kernel(center_values(psi.values), wave, cfg.mask.inside)
-    aa = (a_mat @ a_mat) * cfg.mask.grid.spacing[0]
+    # a a dx overflows only when ||A||_2 >> 1, and the admissibility check
+    # below refuses every such state
+    with np.errstate(over="ignore"):
+        aa = (a_mat @ a_mat) * cfg.mask.grid.spacing[0]
     grid = cfg.mask.grid
     state = TrialState(cfg, psi, PairKernel(grid, grid, a_mat), aa)
     lo, hi = admissibility_spectrum(state)
@@ -272,8 +275,10 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     if row_sums.min() == 0.0 and row_sums.max() <= rho_star:
         return 0.0, 1.0
     s = np.linalg.eigvalsh(a_op)
-    g = s**2 + c * s**4
-    r = float(np.max(np.sqrt((g - 0.5) ** 2 + s**2)))
+    # r is +inf once c s^4 leaves the float range, and the state is refused
+    with np.errstate(over="ignore"):
+        g = s**2 + c * s**4
+        r = float(np.max(np.sqrt((g - 0.5) ** 2 + s**2)))
     return 0.5 - r, 0.5 + r
 
 

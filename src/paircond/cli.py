@@ -370,16 +370,18 @@ def _exp_bcs_trial(cfg):
     amp = _number(cfg, "amplitude", 0.3)
     psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)
     g_bcs = setup.relative.g_bcs
-    e_gp = gp.gp_energy(gp.GPProblem(setup.mask, setup.w, d_val, g_bcs), psi)
 
     def point(h):
         c = setup.bcs_config(h, d_val)
         state = bcs.build_trial_state(c, psi)
-        e_bcs = bcs.bcs_energy(c, state)
         lo, hi = state.admissibility
-        return (h, e_bcs / h**3, e_gp, abs(e_bcs / h**3 - e_gp), lo, hi)
+        return h, bcs.bcs_energy(c, state) / h**3, lo, hi
 
-    rows = [point(h) for h in setup.h_list]
+    # every trial state is admitted before the GP energy is read, so an
+    # amplitude out of range is refused before psi^4 can overflow
+    points = [point(h) for h in setup.h_list]
+    e_gp = gp.gp_energy(gp.GPProblem(setup.mask, setup.w, d_val, g_bcs), psi)
+    rows = [(h, e, e_gp, abs(e - e_gp), lo, hi) for h, e, lo, hi in points]
     report = ScanReport(
         columns=["h", "bcs_energy_h3", "gp_energy", "difference",
                  "adm_min", "adm_max"],

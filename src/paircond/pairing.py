@@ -275,6 +275,12 @@ def fit_decay_rate(gs: RelativeGroundState) -> float:
     # shells below the eigensolver noise floor carry no decay information
     sel &= mass > np.max(mass) * 1e-14
     if np.count_nonzero(sel) < 4:
+        decay, dx = 1.0 / np.sqrt(gs.E_b), gs.grid.spacing[0]
+        if decay < dx:
+            raise PairingError(
+                f"the bound state's decay length {decay:.3g} is below the "
+                f"grid spacing {dx:.3g}, so no shell of the fit window "
+                "resolves it; raise n or lower L")
         raise PairingError("too few usable shells in the fit window")
     c = centers[sel]
     logm = np.log(mass[sel])

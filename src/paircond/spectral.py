@@ -3,12 +3,17 @@
 Operators are second-order central-difference stencils restricted to the
 interior nodes of a mask, with zero Dirichlet values on the outside. The
 smallest eigenpair is found by ARPACK in shift-invert mode (Ericsson & Ruhe
-1980; Lehoucq, Sorensen & Yang 1998) around a shift just below the Gershgorin
-lower bound of the matrix, or of a matrix whose spectrum contains its own. No
-eigenvalue lies below that shift, so the one nearest to it is the smallest:
-the result is certified by construction, and the positive pivots of the one
-symmetric LU factor of the shifted matrix confirm it by Sylvester's law of
-inertia.
+1980; Lehoucq, Sorensen & Yang 1998) on one symmetric LU factor of the
+shifted matrix A - sigma I. The shift starts from an estimate of the
+smallest eigenvalue lambda_1, a little below it: close to lambda_1, ARPACK
+needs the fewest LU solves. By Sylvester's law of inertia the factor's
+pivots are all positive exactly when sigma lies below every eigenvalue, and
+then the eigenvalue nearest sigma is the smallest: the pivot check of that
+one factor certifies the result. A shift the check refuses costs one more
+factorization, at the shift just under the Gershgorin lower bound, which
+lies below the spectrum by construction. A one-dimensional operator is
+tridiagonal, and its estimate comes from a loose Sturm bisection (LAPACK
+stebz); other callers pass theirs.
 
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, splu
 
 from .geometry import DomainMask, GeometryError
@@ -29,6 +35,11 @@ from .grid import ScalarField
 
 # power iterations of ``hardy_quotient`` before it reports a stall
 HARDY_MAX_ITER = 5000
+# Sturm-bisection shift of a tridiagonal operator: lambda_1 and lambda_2 to
+# this absolute tolerance relative to ||A||_est, and the shift this fraction
+# of their gap below lambda_1 (at least twice the tolerance)
+BISECTION_TOL = 1e-8
+GAP_FRACTION = 0.1
 
 
 class SpectralError(RuntimeError):
@@ -153,6 +164,17 @@ def gershgorin_shift(mat: sparse.spmatrix) -> float:
     return lower - 1e-3 * (abs(lower) + 1.0)
 
 
+def _sturm_shift(mat: sparse.spmatrix, norm_est: float, floor: float) -> float:
+    """Shift estimate for a tridiagonal symmetric ``mat``: lambda_1 and
+    lambda_2 by Sturm bisection to the absolute tolerance t = BISECTION_TOL
+    ||A||_est, and sigma = lambda_1 - max(GAP_FRACTION (lambda_2 - lambda_1),
+    2 t), never below ``floor`` (a shift known to be valid)."""
+    t = BISECTION_TOL * norm_est
+    lam = eigvalsh_tridiagonal(mat.diagonal(), mat.diagonal(1), select="i",
+                               select_range=(0, 1), tol=t)
+    return max(lam[0] - max(GAP_FRACTION * (lam[1] - lam[0]), 2 * t), floor)
+
+
 def shifted_factor(mat: sparse.spmatrix, sigma: float) -> SuperLU:
     """Certified LU factor of ``mat - sigma I``: its positive pivots confirm
     that sigma lies below every eigenvalue of ``mat``. In shift-invert mode
@@ -165,17 +187,22 @@ def smallest_eigenpair(
     op: StencilOperator,
     tol: float = 1e-10,
     max_iter: int = 400,
-    sigma: float | None = None,
+    sigma: float | tuple | None = None,
 ) -> EigenResult:
     """Lowest eigenpair by ARPACK shift-invert on one certified LU factor.
 
     ``tol`` is relative: the returned unit vector has
     ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est).
     ``max_iter`` caps the number of LU solves; ``iterations`` reports them.
-    ``sigma`` defaults to the Gershgorin shift of A. A caller may pass a
-    shift it knows to lie below the spectrum, such as the Gershgorin shift of
-    a matrix whose spectrum contains that of A; the pivot check of the factor
-    refuses any shift that does not.
+
+    ``sigma`` is a shift estimate, a little below lambda_1, or a tuple of
+    them in the order to try. Each is checked by the pivots of its factor:
+    the first that lies below lambda_1 is used, and each refused one costs
+    one factorization. The Gershgorin shift of A, which always lies below,
+    is the last resort. Without ``sigma``, a one-dimensional (tridiagonal)
+    operator takes its estimate from Sturm bisection (``_sturm_shift``) and
+    any other the Gershgorin shift directly. However the shift was found,
+    the result is the certified smallest eigenpair.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
@@ -189,9 +216,19 @@ def smallest_eigenpair(
         field = op.mask.field(vec / _quad_norm(op.mask, vec))
         return EigenResult(lam, field, 0.0, 0)
 
+    lowest = gershgorin_shift(mat)
     if sigma is None:
-        sigma = gershgorin_shift(mat)
-    lu = shifted_factor(mat, sigma)
+        sigma = _sturm_shift(mat, norm_est, lowest) if op.mask.grid.dim == 1 else ()
+    for estimate in np.atleast_1d(sigma):
+        try:
+            lu = shifted_factor(mat, estimate)
+        except SpectralError:  # the estimate is not below lambda_1
+            continue
+        sigma = float(estimate)
+        break
+    else:
+        sigma = lowest
+        lu = shifted_factor(mat, sigma)
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
     # below the floating-point floor eps * ||A||
     eps_floor = 32 * np.finfo(float).eps * norm_est

@@ -420,6 +420,55 @@ class TestRun:
                                    select="i", select_range=(0, 0))[0]
         assert abs(dc - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("depth", [-5e4, -1e5, -2e5])
+    def test_dc_of_narrow_well(self, tmp_path, capsys, depth):
+        # a one-node well on 10001 nodes: the Gershgorin shift sits near the
+        # well depth, so far below lambda_1 that 400 LU solves did not
+        # converge; the Sturm-bisection shift converges at ARPACK's floor
+        cfg = {"domain": {"builtin": "interval", "n": 10001},
+               "w": {"kind": "bump", "height": depth, "center": 0.5,
+                     "width": 1e-6}}
+        code = cli.run("dc", cfg, str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+        with open(tmp_path / "report.json") as fh:
+            summary = json.load(fh)["summary"]
+        assert summary["iterations"] <= 25
+        # -(1/4) Lap + W on the 9999 interior nodes; the well is node 5000
+        w = np.zeros(9999)
+        w[4999] = depth
+        dx2 = 1e-4**2
+        ref = eigvalsh_tridiagonal(0.5 / dx2 + w, np.full(9998, -0.25 / dx2),
+                                   select="i", select_range=(0, 0),
+                                   tol=np.finfo(float).tiny)[0]
+        assert abs(summary["dc"] - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("amplitude", [1e150, 1e200, 1e300])
+    def test_bcs_trial_overflow_is_quiet(self, tmp_path, capfd, amplitude):
+        # psi^4 of the GP energy, a a of the trial state and s^4 of the
+        # admissibility spectrum overflow; the state is refused, and nothing
+        # but the solver error reaches stderr
+        cfg = json.loads(json.dumps(FUZZ_BASE["bcs-trial"]))
+        cfg["amplitude"] = amplitude
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run("bcs-trial", cfg, str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert "too large for admissibility" in err
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_unresolved_bound_state_names_the_grid(self, tmp_path, capsys):
+        # depth 1e300: the bound state decays within 1e-150, far inside one
+        # spacing of the 801-node box on [-16, 16]
+        cfg = json.loads(json.dumps(FUZZ_BASE["relative"]))
+        cfg["potential"]["depth"] = 1e300
+        assert cli.run("relative", cfg, str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert ("solver error: the bound state's decay length 1e-150 is "
+                "below the grid spacing 0.04") in err
+        assert "raise n or lower L" in err
+
     @pytest.mark.parametrize("experiment", ["gp-min", "hardy"])
     def test_tol_ceiling(self, tmp_path, capsys, experiment):
         # tol: 1e300 made gp-min report the single-mode energy after 0

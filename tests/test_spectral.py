@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
@@ -149,6 +149,62 @@ class TestEigenSolver:
         for diffs in (diffs_int, diffs_ext):
             fit = fit_power_law(ells, diffs)
             assert fit.exponent >= 0.9
+
+
+class TestShift:
+    """Every solve starts from a shift estimate that the pivots of its one
+    factor certify, with the Gershgorin shift as the fallback."""
+
+    @staticmethod
+    def count_factors(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "splu", counting)
+        return calls
+
+    def test_refused_estimate_falls_back_to_gershgorin(self, monkeypatch):
+        # a 2D operator takes the Gershgorin shift; an estimate between
+        # lambda_1 and lambda_2 leaves one negative pivot, is refused, and
+        # costs exactly one more factorization before the same solve runs
+        grid = Grid.box([0.0, 0.0], [1.0, 1.0], [31, 31])
+        w = ScalarField(grid, np.random.default_rng(3).standard_normal((31, 31)))
+        op = sp.assemble_dirichlet(geo.box_mask([0.0, 0.0], [1.0, 1.0], grid),
+                                   -1.0, w)
+        lam = np.linalg.eigvalsh(op.matrix.toarray())[:2]
+        calls = self.count_factors(monkeypatch)
+        base = sp.smallest_eigenpair(op)
+        assert len(calls) == 1
+        assert abs(base.eigenvalue - lam[0]) <= 1e-10 * abs(lam[0])
+        refused = sp.smallest_eigenpair(op, sigma=0.5 * (lam[0] + lam[1]))
+        assert len(calls) == 3
+        assert refused.eigenvalue == base.eigenvalue
+        assert refused.iterations == base.iterations
+        # the first estimate that the pivots admit is used, and no
+        # Gershgorin factor is made
+        near = lam[0] - 0.1 * (lam[1] - lam[0])
+        res = sp.smallest_eigenpair(op, sigma=(0.5 * (lam[0] + lam[1]), near))
+        assert len(calls) == 5
+        assert abs(res.eigenvalue - lam[0]) <= 1e-10 * abs(lam[0])
+
+    def test_tridiagonal_operator_takes_the_sturm_shift(self, monkeypatch):
+        # the narrow well of test_narrow_well_ground_state: the Gershgorin
+        # shift sits near the well depth, 2e4 below lambda_1, and takes
+        # hundreds of LU solves; the Sturm shift needs ARPACK's floor, with
+        # one factorization
+        m = interval_mask(4001)
+        w = np.zeros(4001)
+        w[1001] = -2e4
+        op = sp.assemble_dirichlet(m, -0.25, ScalarField(m.grid, w))
+        calls = self.count_factors(monkeypatch)
+        res = sp.smallest_eigenpair(op)
+        assert len(calls) == 1 and res.iterations <= 25
+        gersh = sp.smallest_eigenpair(op, sigma=sp.gershgorin_shift(op.matrix))
+        assert gersh.iterations > 200
+        assert abs(res.eigenvalue - gersh.eigenvalue) <= 1e-12 * abs(gersh.eigenvalue)
 
 
 class TestHardy:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from conftest import POSCHL_TELLER, random_1d_mask
 from paircond import geometry as geo
+from paircond import spectral
 from paircond import twobody as tb
 from paircond.grid import Grid, ScalarField
 from paircond.spectral import smallest_eigenpair
@@ -155,13 +157,54 @@ class TestScan:
         ).eigenvalue
         assert abs(e_fine - e_finer) < 1e-4
 
-    def test_three_point_scan(self):
+    def test_three_point_scan(self, monkeypatch):
+        solves = []  # (h, LU solves) of every ground solve
+        ground = tb.ground_energy
+
+        def recording(prob, *args, **kwargs):
+            res = ground(prob, *args, **kwargs)
+            solves.append((prob.h, res.iterations))
+            return res
+
+        monkeypatch.setattr(tb, "ground_energy", recording)
         cfg = tb.TwoBodyScanConfig(micro_step=0.125)
         rep = tb.asymptotic_scan(cfg, [0.1, 0.07, 0.05])
         md = rep.metadata
         assert md["threshold_rel_error"] < 0.10  # short scan, loose check
         rows = rep.sorted_rows()
         assert all(r[2] - 0.01 <= r[1] <= r[3] + 1e-9 for r in rows)
+        # the fine and the Richardson solve of each h start from an estimate
+        # near lambda_1: ARPACK's floor of LU solves, where the Gershgorin
+        # shift took 31 at h = 0.07
+        assert len(solves) == 6
+        assert all(it <= 25 for h, it in solves if h == 0.07)
+
+    def test_strong_field_sandwich_on_either_shift(self, monkeypatch):
+        # a strong W; a margin of -E_b puts every estimate above lambda_1,
+        # so the pivots refuse it and the Gershgorin shift runs instead, at
+        # one more factorization per ground solve: the scan passes its
+        # sandwich check either way, with the same energies
+        cfg = tb.TwoBodyScanConfig(
+            micro_step=0.125,
+            w_profile=lambda x: 100.0 * np.exp(-((x - 0.5) / 0.2) ** 2),
+        )
+        h_list = [0.1, 0.085, 0.07]
+        factors = []
+
+        def counting(*args, **kwargs):
+            factors.append(args[0].shape[0])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", counting)
+        estimated = tb.asymptotic_scan(cfg, h_list).sorted_rows()
+        n_estimated = len(factors)
+        factors.clear()
+        monkeypatch.setattr(tb, "SHIFT_MARGIN", -1.0)
+        refused = tb.asymptotic_scan(cfg, h_list).sorted_rows()
+        assert len(factors) == n_estimated + 2 * len(h_list)
+        for a, b in zip(estimated, refused):
+            assert abs(a[1] - b[1]) <= 1e-12 * abs(a[1])
+            assert a[2:4] == b[2:4]
 
     def test_needs_three_points(self):
         cfg = tb.TwoBodyScanConfig()
