@@ -1,7 +1,14 @@
 """Discrete pair states on the product domain: trial states, their energy,
 one-body density, order-parameter extraction and the semiclassical
-term-by-term checks. One-dimensional domains only; kernels are dense
-node-pair matrices, gathered on the band the separation cutoff leaves.
+term-by-term checks. One-dimensional domains only.
+
+Kernels are stored as dense node-pair matrices, but a trial kernel a
+vanishes beyond the separation cutoff: a[i, j] = 0 for |i - j| > b, and
+aa = a a dx vanishes beyond 2b. Everything computed from a trial kernel
+reads only that band: it is gathered diagonal by diagonal, aa is one BLAS
+product per slab of b rows against its 3b-column window, and every trace,
+row sum and three-point stencil runs over row slabs and the column window
+their band allows (``_slabs``).
 
 Center-of-mass bookkeeping: for box nodes x_i, x_j with spacing dx, the pair
 (i, j) maps to u = i + j (center X on a half-spacing lattice) and v = i - j
@@ -17,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .geometry import DomainMask, erode
 from .gp import gradient_energy
@@ -31,7 +37,6 @@ from .pairing import (
     potential_from_descriptor,
     solve_relative,
 )
-from .spectral import dirichlet_laplacian_matrix
 
 
 class BCSError(RuntimeError):
@@ -169,6 +174,19 @@ class TrialState:
     a_psi: PairKernel
     aa: np.ndarray = field(repr=False)  # a a dx, the one product gamma needs
     admissibility: tuple = (np.nan, np.nan)  # (min, max) of the block state
+    # half-bandwidth b: a vanishes beyond |i - j| <= b, aa beyond 2b
+    band: int | None = None  # None: a dense kernel, b = n - 1
+
+    def __post_init__(self):
+        if self.band is None:
+            self.band = self.aa.shape[0] - 1
+
+
+def _reach(wave: np.ndarray, n: int) -> int:
+    """Half-bandwidth of ``pair_kernel``'s output: the largest |v| of a
+    nonzero sample of the wave (-1 for none), at most n - 1."""
+    k = (wave.size - 1) // 2
+    return min(int(np.max(np.abs(np.flatnonzero(wave) - k), initial=-1)), n - 1)
 
 
 def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
@@ -176,21 +194,98 @@ def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
     """K[i, j] = psi_half[i + j] * wave(i - j) where nodes i and j are both
     inside, zero elsewhere: a center field on the half-spacing lattice
     (``center_values``) times a pair wave sampled at the separation counts
-    v = -k..k (zero beyond), gathered by v. Only the band |v| <= b is
-    gathered: b is the largest |v| of a nonzero sample (-1 for none), at
-    most n - 1.
+    v = -k..k (zero beyond). Only the band |v| <= b (``_reach``) is
+    gathered, one diagonal j - i = d at a time: its entries (t, t + d) or
+    (t - d, t) have i + j = 2t + |d| and the single wave sample wave(-d).
     """
     n = inside.size
     k = (wave.size - 1) // 2
+    b = _reach(wave, n)
     kern = np.zeros((n, n))
-    b = min(int(np.max(np.abs(np.flatnonzero(wave) - k), initial=-1)), n - 1)
-    rows = np.flatnonzero(inside)[:, None]
-    cols = rows + np.arange(-b, b + 1)
-    keep = (cols >= 0) & (cols < n)
-    keep[keep] = inside[cols[keep]]
-    i, j = np.broadcast_to(rows, cols.shape)[keep], cols[keep]
-    kern[i, j] = psi_half[i + j] * wave[i - j + k]
+    flat = kern.reshape(-1)
+    for d in range(-b, b + 1):
+        m = n - abs(d)
+        start = d if d >= 0 else -d * n
+        keep = inside[:m] & inside[abs(d):]
+        vals = psi_half[abs(d)::2][:m] * wave[k - d]
+        flat[start::n + 1][:m] = np.where(keep, vals, 0.0)
     return kern
+
+
+def _slabs(n: int, band: int):
+    """Row slabs [r0, r1) of height ``band`` (at least 1) of an n x n matrix
+    that vanishes beyond |i - j| <= band, each with the column window
+    [c0, c1) = [r0 - band, r1 + band), clipped to the box, that holds every
+    nonzero of its rows."""
+    band = max(band, 0)
+    m = max(band, 1)
+    for r0 in range(0, n, m):
+        r1 = min(r0 + m, n)
+        yield r0, r1, max(r0 - band, 0), min(r1 + band, n)
+
+
+def _band_product(a: np.ndarray, b: int, scale: float) -> np.ndarray:
+    """(a @ a) * scale for an n x n matrix a that vanishes beyond |i - j| <=
+    b; the product vanishes beyond 2b. Each slab of b rows of a is one BLAS
+    product of its 3b-column window [r0 - b, r1 + b) with those rows of a,
+    whose nonzeros lie in the 5b columns [r0 - 2b, r1 + 2b)."""
+    n = a.shape[0]
+    out = np.zeros((n, n))
+    if b < 0:
+        return out
+    for r0, r1, k0, k1 in _slabs(n, b):
+        j0, j1 = max(r0 - 2 * b, 0), min(r1 + 2 * b, n)
+        out[r0:r1, j0:j1] = (a[r0:r1, k0:k1] @ a[k0:k1, j0:j1]) * scale
+    return out
+
+
+def _row_sums(mat: np.ndarray, band: int, f) -> np.ndarray:
+    """Row sums of f(mat) for an n x n matrix whose f vanishes beyond
+    |i - j| <= band, read slab by slab."""
+    return np.concatenate([np.sum(f(mat[r0:r1, c0:c1]), axis=1)
+                           for r0, r1, c0, c1 in _slabs(mat.shape[0], band)])
+
+
+def _band_dot(x: np.ndarray, y: np.ndarray, band: int) -> float:
+    """sum_ij x_ij y_ij for n x n matrices that vanish beyond |i - j| <=
+    band (``y`` may be a transposed view)."""
+    return sum(float(np.sum(x[r0:r1, c0:c1] * y[r0:r1, c0:c1]))
+               for r0, r1, c0, c1 in _slabs(x.shape[0], band))
+
+
+def _stencil_sum(x: np.ndarray, y: np.ndarray, band: int, diag: np.ndarray,
+                 off: np.ndarray) -> float:
+    """sum_ij (T x)_ij y_ij for n x n matrices x and y that vanish beyond
+    |i - j| <= band (``y`` may be a transposed view), where T is the
+    symmetric tridiagonal matrix with diagonal ``diag`` (n) and T[i, i+1] =
+    T[i+1, i] = off[i] (n - 1): the three-point stencil on the rows of each
+    slab, over a window one column wider than the band on each side, which
+    holds the rows above and below the slab."""
+    n = x.shape[0]
+    total = 0.0
+    for r0, r1, c0, c1 in _slabs(n, band + 1):
+        tx = diag[r0:r1, None] * x[r0:r1, c0:c1]
+        lo = max(r0, 1)  # rows i >= lo have a row i - 1
+        tx[lo - r0:] += off[lo - 1:r1 - 1, None] * x[lo - 1:r1 - 1, c0:c1]
+        hi = min(r1, n - 1)  # rows i < hi have a row i + 1
+        tx[:hi - r0] += off[r0:hi, None] * x[r0 + 1:hi + 1, c0:c1]
+        total += float(np.sum(tx * y[r0:r1, c0:c1]))
+    return total
+
+
+def _separation_sum(cfg: BCSConfig, a: np.ndarray, band: int) -> float:
+    """sum_ij V((x_i - x_j)/h) a_ij^2 for a kernel that vanishes beyond
+    |i - j| <= band: every potential is radial, so V is evaluated once per
+    separation |d| dx and multiplies the squared norm of the diagonals +-d."""
+    if band < 0:
+        return 0.0
+    vfun = potential_from_descriptor(cfg.potential)
+    v_sep = vfun(np.arange(band + 1) * cfg.mask.grid.spacing[0] / cfg.h)
+    total = 0.0
+    for d in range(-band, band + 1):
+        diag = np.diagonal(a, d)
+        total += v_sep[abs(d)] * float(np.dot(diag, diag))
+    return total
 
 
 def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
@@ -209,18 +304,22 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
 
     The pair wave is sampled from the lattice-matched relative ground state,
     so the kinetic-plus-potential cancellation against mu is exact at this
-    discretization. ``psi`` must vanish outside the ell(h)-eroded domain;
-    the assembled block state is checked to have spectrum in [0, 1].
+    discretization. The cutoff makes a vanish beyond |x - y| = 1.5 ell, b
+    nodes, so a is gathered on its band and a a dx on the band 2b, slab by
+    slab (``_band_product``). ``psi`` must vanish outside the ell(h)-eroded
+    domain; the assembled block state is checked to have spectrum in [0, 1].
     """
     _check_support(cfg, psi)
     wave = lattice_pair_field(cfg.matched_state, cfg.phi, 1.0)
-    a_mat = pair_kernel(center_values(psi.values), wave, cfg.mask.inside)
+    inside = cfg.mask.inside
+    a_mat = pair_kernel(center_values(psi.values), wave, inside)
+    b = _reach(wave, inside.size)
     # a a dx overflows only when ||A||_2 >> 1, and the admissibility check
     # below refuses every such state
     with np.errstate(over="ignore"):
-        aa = (a_mat @ a_mat) * cfg.mask.grid.spacing[0]
+        aa = _band_product(a_mat, b, cfg.mask.grid.spacing[0])
     grid = cfg.mask.grid
-    state = TrialState(cfg, psi, PairKernel(grid, grid, a_mat), aa)
+    state = TrialState(cfg, psi, PairKernel(grid, grid, a_mat), aa, band=b)
     lo, hi = admissibility_spectrum(state)
     if lo < -1e-9 or hi > 1 + 1e-9:
         raise BCSError(
@@ -270,11 +369,12 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     root_h = math.sqrt(state.cfg.h)
     c = 1.0 + root_h
     rho_star = math.sqrt(root_h / (c * (math.sqrt(1.0 + root_h) + 1.0)))
-    a_op = state.cfg.mask.grid.spacing[0] * state.a_psi.values
-    row_sums = np.sum(np.abs(a_op), axis=1)
+    dx = state.cfg.mask.grid.spacing[0]
+    a = state.a_psi.values
+    row_sums = _row_sums(a, state.band, lambda blk: np.abs(dx * blk))
     if row_sums.min() == 0.0 and row_sums.max() <= rho_star:
         return 0.0, 1.0
-    s = np.linalg.eigvalsh(a_op)
+    s = np.linalg.eigvalsh(dx * a)
     # r is +inf once c s^4 leaves the float range, and the state is refused
     with np.errstate(over="ignore"):
         g = s**2 + c * s**4
@@ -282,52 +382,48 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     return 0.5 - r, 0.5 + r
 
 
-def _one_body_matrix(cfg: BCSConfig) -> sparse.csr_matrix:
-    """-h^2 Lap + h^2 W - mu on the full box-node set (Dirichlet mask)."""
-    grid = cfg.mask.grid
-    n = grid.n[0]
-    lap_int = dirichlet_laplacian_matrix(cfg.mask)
-    idx = np.flatnonzero(cfg.mask.inside)
-    expand = sparse.csr_matrix(
-        (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(n, idx.size)
-    )
-    mat = expand @ (-cfg.h**2 * lap_int) @ expand.T
-    diag = np.zeros(n)
-    if cfg.W is not None:
-        diag += cfg.h**2 * np.asarray(cfg.W.values)
-    diag -= cfg.mu
-    diag[~cfg.mask.inside] = 0.0
-    return (mat + sparse.diags(diag)).tocsr()
-
-
-def _pair_potential(cfg: BCSConfig) -> np.ndarray:
-    """V((x_i - x_j)/h) on the box nodes. Every potential is radial, so V
-    is evaluated once per separation |i - j| dx and gathered (Toeplitz)."""
-    idx = np.arange(cfg.mask.grid.n[0])
-    vfun = potential_from_descriptor(cfg.potential)
-    v_sep = vfun(idx * cfg.mask.grid.spacing[0] / cfg.h)
-    return v_sep[np.abs(idx[:, None] - idx[None, :])]
+def _one_body_stencil(cfg: BCSConfig) -> tuple:
+    """(diagonal, off-diagonal) of the tridiagonal -h^2 Lap + h^2 W - mu on
+    the box nodes, Dirichlet on the mask: rows and columns of outside nodes
+    are zero. Each diagonal entry is summed, 2 h^2/dx^2 + (h^2 W - mu),
+    before it multiplies a kernel: the kinetic and chemical-potential parts
+    nearly cancel."""
+    inside = cfg.mask.inside
+    h2 = cfg.h**2
+    inv_dx2 = 1.0 / cfg.mask.grid.spacing[0] ** 2
+    shift = -cfg.mu if cfg.W is None else h2 * np.asarray(cfg.W.values) - cfg.mu
+    diag = np.where(inside, h2 * (2.0 * inv_dx2) + shift, 0.0)
+    off = np.where(inside[:-1] & inside[1:], -h2 * inv_dx2, 0.0)
+    return diag, off
 
 
 def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
     """Tr(h gamma) + int int V((x-y)/h) |a(x,y)|^2 dx dy, where Tr(h gamma)
-    = Tr(h aa) + (1 + sqrt(h)) dx Tr(h aa aa) for the symmetric aa."""
+    = Tr(h aa) + (1 + sqrt(h)) dx Tr(h aa aa) for the symmetric aa. The
+    one-body h is the three-point stencil on the rows of aa
+    (``_one_body_stencil``), and every sum runs over the band of a or aa."""
     dv = cfg.mask.grid.spacing[0]
-    aa = state.aa
-    h_aa = _one_body_matrix(cfg) @ aa
-    quartic = (1.0 + math.sqrt(cfg.h)) * dv * float(np.sum(h_aa * aa))
-    tr_one_body = (float(np.trace(h_aa)) + quartic) * dv
-    a = state.a_psi.values
-    v_term = float(np.sum(_pair_potential(cfg) * np.abs(a) ** 2)) * dv * dv
-    return tr_one_body + v_term
+    aa, b = state.aa, state.band
+    diag, off = _one_body_stencil(cfg)
+    # the diagonal of h aa, row by row: the stencil terms nearly cancel
+    h_aa = diag * np.diagonal(aa)
+    h_aa[1:] += off * np.diagonal(aa, 1)
+    h_aa[:-1] += off * np.diagonal(aa, -1)
+    trace = float(np.sum(h_aa))
+    quartic = (1.0 + math.sqrt(cfg.h)) * dv * _stencil_sum(aa, aa, 2 * b,
+                                                           diag, off)
+    v_term = _separation_sum(cfg, state.a_psi.values, b) * dv * dv
+    return (trace + quartic) * dv + v_term
 
 
 def one_body_density(state: TrialState) -> ScalarField:
     """Diagonal of the one-body kernel, diag(aa) + (1 + sqrt(h)) dx times
-    the row sums of aa * aa (aa symmetric); integrates to Tr(gamma)."""
+    the row sums of aa * aa (aa symmetric, read on its band); integrates to
+    Tr(gamma)."""
     dv = state.cfg.mask.grid.spacing[0]
     aa = state.aa
-    quartic = (1.0 + math.sqrt(state.cfg.h)) * dv * np.sum(aa * aa, axis=1)
+    quartic = (1.0 + math.sqrt(state.cfg.h)) * dv * _row_sums(
+        aa, 2 * state.band, np.square)
     vals = np.diag(aa) + quartic
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1e-300):
         raise BCSError("one-body density has a negative node")
@@ -442,55 +538,70 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     sides use the lattice couplings of the same pair function, so every
     residual is a genuine center-of-mass expansion error: dimensionless, and
     O(h) for the field and quartic comparisons.
+
+    Every trace reads only the band of a_psi (|i - j| <= b) or of its square
+    (2b): the Laplacians are three-point stencils on the rows of a_psi and
+    of its transpose, and a a dx is the slab product of ``build_trial_state``.
+    A psi so large that a trace overflows gives a non-finite report, with
+    no floating-point warning; the caller refuses it.
     """
     matched = cfg.matched_state
     h = cfg.h
     _check_support(cfg, psi)
+    if cfg.W is None:
+        raise BCSError("the field comparison needs a nonzero W")
     a_lat = lattice_pair_field(matched, cfg.phi, h)
-    a_mat = pair_kernel(center_values(psi.values), a_lat / h, cfg.mask.inside)
-    grid = cfg.mask.grid
-    dv = grid.spacing[0]
+    inside = cfg.mask.inside
+    n = inside.size
+    b = _reach(a_lat, n)
+    dv = cfg.mask.grid.spacing[0]
+    h2, inv_dx2 = h**2, 1.0 / dv**2
+    wdiag = np.asarray(cfg.W.values)
 
     # lattice quadratures of the cutoff pair function
     a_norm_sq = float(np.sum(a_lat**2) * matched.step)
     a_energy = lattice_pair_energy(matched, a_lat)
-    norms = _field_norms(psi)
-
-    # (i) quadratic trace: free product Laplacian, kernels vanish well inside
-    lap_full = dirichlet_laplacian_matrix(DomainMask(grid, np.ones(grid.shape, bool)))
-    ka = -(h**2) * 0.5 * (lap_full @ a_mat + a_mat @ lap_full.T)
-    lhs_i = float(np.sum((ka - cfg.mu * a_mat) * a_mat)) * dv * dv
-    lhs_i += float(np.sum(_pair_potential(cfg) * a_mat**2)) * dv * dv
-    rhs_i = (
-        norms["l2_sq"] * a_energy / h
-        + a_norm_sq * (h / 4.0 * norms["grad_sq"]
-                       + (-matched.E_b - cfg.mu) / h * norms["l2_sq"])
-    )
-    scale_i = abs(rhs_i) + a_norm_sq * norms["l2_sq"] / h * matched.E_b
-    res_i = abs(lhs_i - rhs_i) / max(scale_i, 1e-300)
-
-    # (ii) external-field trace
-    if cfg.W is None:
-        raise BCSError("the field comparison needs a nonzero W")
-    wdiag = np.asarray(cfg.W.values)
-    lhs_w = float(np.sum(wdiag[:, None] * a_mat**2)) * dv * dv
-    w_int = cfg.W.values * np.asarray(psi.values) ** 2
-    rhs_w = a_norm_sq / h * float(np.sum(w_int * psi.grid.weights()))
-    wscale = a_norm_sq / h * float(np.max(np.abs(wdiag))) * \
-        (norms["l2_sq"] + norms["grad_sq"])
-    res_w = abs(lhs_w - rhs_w) / max(wscale, 1e-300)
-
-    # (iii) quartic traces
-    aa = (a_mat @ a_mat) * dv
-    tr_q = float(np.sum(aa * aa.T)) * dv * dv  # Tr (a abar)^2
-    hker = -(h**2) * (lap_full @ aa) + (matched.E_b + (h**2) * wdiag)[:, None] * aa
-    tr_qh = float(np.sum(hker * aa.T)) * dv * dv
-
     g_bcs_a, g_0_a = compute_couplings(matched, a_lat)
-    rhs_qh = g_bcs_a / h * norms["l4_4"]
-    rhs_q = g_0_a / h * norms["l4_4"]
-    res_qh = abs(tr_qh - rhs_qh) / max(abs(rhs_qh), 1e-300)
-    res_q = abs(tr_q - rhs_q) / max(abs(rhs_q), 1e-300)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mat = pair_kernel(center_values(psi.values), a_lat / h, inside)
+        norms = _field_norms(psi)
+
+        # (i) quadratic trace: free product Laplacian (three-point stencil
+        # on the whole box), kernels vanish well inside
+        lap_diag, lap_off = np.full(n, -2.0 * inv_dx2), np.full(n - 1, inv_dx2)
+        lap_a = (_stencil_sum(a_mat, a_mat, b, lap_diag, lap_off)
+                 + _stencil_sum(a_mat.T, a_mat.T, b, lap_diag, lap_off))
+        sq_rows = _row_sums(a_mat, b, np.square)
+        lhs_i = (-h2 * 0.5 * lap_a - cfg.mu * float(np.sum(sq_rows))) * dv * dv
+        lhs_i += _separation_sum(cfg, a_mat, b) * dv * dv
+        rhs_i = (
+            norms["l2_sq"] * a_energy / h
+            + a_norm_sq * (h / 4.0 * norms["grad_sq"]
+                           + (-matched.E_b - cfg.mu) / h * norms["l2_sq"])
+        )
+        scale_i = abs(rhs_i) + a_norm_sq * norms["l2_sq"] / h * matched.E_b
+        res_i = abs(lhs_i - rhs_i) / max(scale_i, 1e-300)
+
+        # (ii) external-field trace
+        lhs_w = float(wdiag @ sq_rows) * dv * dv
+        w_int = wdiag * np.asarray(psi.values) ** 2
+        rhs_w = a_norm_sq / h * float(np.sum(w_int * psi.grid.weights()))
+        wscale = a_norm_sq / h * float(np.max(np.abs(wdiag))) * \
+            (norms["l2_sq"] + norms["grad_sq"])
+        res_w = abs(lhs_w - rhs_w) / max(wscale, 1e-300)
+
+        # (iii) quartic traces; hker = -h^2 Lap aa + (E_b + h^2 W) aa
+        aa = _band_product(a_mat, b, dv)
+        tr_q = _band_dot(aa, aa.T, 2 * b) * dv * dv  # Tr (a abar)^2
+        ker_diag = h2 * (2.0 * inv_dx2) + (matched.E_b + h2 * wdiag)
+        tr_qh = _stencil_sum(aa, aa.T, 2 * b, ker_diag,
+                             np.full(n - 1, -h2 * inv_dx2)) * dv * dv
+
+        rhs_qh = g_bcs_a / h * norms["l4_4"]
+        rhs_q = g_0_a / h * norms["l4_4"]
+        res_qh = abs(tr_qh - rhs_qh) / max(abs(rhs_qh), 1e-300)
+        res_q = abs(tr_q - rhs_q) / max(abs(rhs_q), 1e-300)
 
     return SemiclassicsReport(
         h=h,

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import POSCHL_TELLER
 from paircond import bcs
 from paircond import geometry as geo
 from paircond import gp
 from paircond.grid import Grid, PairKernel, ScalarField
-from paircond.pairing import potential_from_descriptor
-from paircond.spectral import onset_threshold
+from paircond.pairing import lattice_pair_field, potential_from_descriptor
+from paircond.spectral import dirichlet_laplacian_matrix, onset_threshold
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,26 @@ class TestAdmissibility:
         assert abs(hi - dense[-1]) < 1e-12
 
 
+def one_body_matrix(cfg):
+    """Reference for the one-body stencil of ``bcs.bcs_energy``: -h^2 Lap +
+    h^2 W - mu as a sparse matrix on the full box-node set (Dirichlet
+    mask)."""
+    grid = cfg.mask.grid
+    n = grid.n[0]
+    lap_int = dirichlet_laplacian_matrix(cfg.mask)
+    idx = np.flatnonzero(cfg.mask.inside)
+    expand = sparse.csr_matrix(
+        (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(n, idx.size)
+    )
+    mat = expand @ (-cfg.h**2 * lap_int) @ expand.T
+    diag = np.zeros(n)
+    if cfg.W is not None:
+        diag += cfg.h**2 * np.asarray(cfg.W.values)
+    diag -= cfg.mu
+    diag[~cfg.mask.inside] = 0.0
+    return (mat + sparse.diags(diag)).tocsr()
+
+
 def dense_pair_kernel(psi_half, wave, inside):
     """Reference for ``bcs.pair_kernel``: every node pair gathered."""
     n = inside.size
@@ -313,6 +334,53 @@ class TestBandedKernel:
         kern = bcs.pair_kernel(np.ones(9), np.zeros(7), inside)
         assert kern.shape == (5, 5) and not kern.any()
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           b=st.integers(-1, 45), tail=st.integers(0, 5),
+           dense_mask=st.booleans())
+    @example(seed=1, n=12, b=-1, tail=3, dense_mask=True)
+    @example(seed=2, n=12, b=11, tail=0, dense_mask=False)
+    @example(seed=3, n=12, b=30, tail=2, dense_mask=True)
+    def test_band_product_matches_dense(self, seed, n, b, tail, dense_mask):
+        # a kernel of band b (b = -1: a zero wave; b >= n - 1: as wide as
+        # the grid) squared slab by slab against the dense product
+        rng = np.random.default_rng(seed)
+        inside = (np.ones(n, bool) if dense_mask
+                  else rng.random(n) < rng.uniform(0.2, 0.9))
+        wave = np.zeros(2 * (max(b, 0) + tail) + 1)
+        if b >= 0:
+            wave[tail:wave.size - tail] = rng.standard_normal(2 * b + 1)
+        a = bcs.pair_kernel(rng.standard_normal(2 * n - 1), wave, inside)
+        band = bcs._reach(wave, n)
+        assert band == min(b, n - 1)
+        dx = rng.uniform(0.01, 1.0)
+        aa = bcs._band_product(a, band, dx)
+        dense = (a @ a) * dx
+        assert np.max(np.abs(aa - dense)) <= 1e-12 * np.max(np.abs(dense))
+        sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert not aa[sep > 2 * band].any()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           band=st.integers(0, 45))
+    def test_band_sums_match_dense(self, seed, n, band):
+        # unrelated x and y of one band, y read through its transpose, and a
+        # tridiagonal T with unequal entries
+        rng = np.random.default_rng(seed)
+        sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        x, y = (np.where(sep <= band, rng.standard_normal((n, n)), 0.0)
+                for _ in range(2))
+        diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+        t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        ref = np.sum((t_mat @ x) * y.T)
+        scale = np.sum(np.abs(t_mat) @ np.abs(x) * np.abs(y.T))
+        assert abs(bcs._stencil_sum(x, y.T, band, diag, off) - ref) \
+            <= 1e-12 * scale
+        assert abs(bcs._band_dot(x, y, band) - np.sum(x * y)) \
+            <= 1e-12 * np.sum(np.abs(x * y))
+        assert np.allclose(bcs._row_sums(x, band, np.abs),
+                           np.sum(np.abs(x), axis=1), rtol=1e-13, atol=0.0)
+
     def test_energy_density_gamma_match_dense_gamma(self, trial_setup):
         # the formulas of a dense gamma = aa + (1 + sqrt(h)) (aa aa) dx
         cfg, psi = trial_setup
@@ -324,7 +392,7 @@ class TestBandedKernel:
         x = cfg.mask.grid.axis(0)
         vmat = potential_from_descriptor(cfg.potential)(
             (x[:, None] - x[None, :]) / cfg.h)
-        energy = (float(np.sum((bcs._one_body_matrix(cfg) @ gamma).diagonal()))
+        energy = (float(np.sum((one_body_matrix(cfg) @ gamma).diagonal()))
                   * dv + float(np.sum(vmat * a**2)) * dv * dv)
         assert abs(bcs.bcs_energy(cfg, state) - energy) <= 1e-12 * abs(energy)
         rho = bcs.one_body_density(state).values
@@ -332,7 +400,52 @@ class TestBandedKernel:
         assert np.max(np.abs(rho - np.diag(gamma))) <= 1e-12 * scale
 
 
+def dense_semiclassics_terms(cfg, psi):
+    """Reference for the traces of ``bcs.semiclassics_check``: each left
+    side as its terms, from the product Laplacian as a sparse matrix on the
+    whole box, V gathered on every node pair and the dense product a @ a."""
+    matched, h = cfg.matched_state, cfg.h
+    grid = cfg.mask.grid
+    dv = grid.spacing[0]
+    a_lat = lattice_pair_field(matched, cfg.phi, h)
+    a = bcs.pair_kernel(bcs.center_values(psi.values), a_lat / h,
+                        cfg.mask.inside)
+    lap = dirichlet_laplacian_matrix(geo.DomainMask(grid, np.ones(grid.shape, bool)))
+    ka = -(h**2) * 0.5 * (lap @ a + a @ lap.T)
+    x = grid.axis(0)
+    vmat = potential_from_descriptor(cfg.potential)(
+        (x[:, None] - x[None, :]) / h)
+    w = np.asarray(cfg.W.values)
+    aa = (a @ a) * dv
+    terms = {
+        "identity_lhs": [np.sum(ka * a), -cfg.mu * np.sum(a * a),
+                         np.sum(vmat * a**2)],
+        "field_lhs": [np.sum(w[:, None] * a**2)],
+        "quartic_energy_lhs": [
+            -(h**2) * np.sum((lap @ aa) * aa.T),
+            np.sum((matched.E_b + h**2 * w)[:, None] * aa * aa.T)],
+        "quartic_lhs": [np.sum(aa * aa.T)],
+    }
+    return {name: [float(t) * dv * dv for t in ts] for name, ts in terms.items()}
+
+
 class TestSemiclassics:
+    @pytest.mark.parametrize("h, q", [(0.05, 1.0), (0.1, 1.5)])
+    def test_traces_match_dense(self, bcs_domain, pt_state, h, q):
+        x = bcs_domain.grid.axis(0)
+        w = ScalarField(bcs_domain.grid,
+                        np.where(bcs_domain.inside,
+                                 10.0 * np.exp(-((x - 2.0) / 0.5) ** 2), 0.0))
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=h, D=1.0, q=q,
+                            relative=pt_state)
+        inner = geo.erode(bcs_domain, cfg.ell)
+        mode = onset_threshold(inner, tol=1e-10)
+        psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
+        rep = bcs.semiclassics_check(cfg, psi)
+        for name, terms in dense_semiclassics_terms(cfg, psi).items():
+            scale = max(abs(t) for t in terms)
+            assert abs(getattr(rep, name) - sum(terms)) <= 1e-12 * scale, name
+
     def test_identity_small(self, bcs_domain, pt_state):
         x = bcs_domain.grid.axis(0)
         w = ScalarField(bcs_domain.grid,

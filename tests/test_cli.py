@@ -458,6 +458,23 @@ class TestRun:
         assert "too large for admissibility" in err
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize("amplitude", [1e150, 1e200, 1e300])
+    def test_semiclassics_overflow_is_quiet(self, tmp_path, capfd, amplitude):
+        # psi^4 of the field norms and the traces on the kernel band
+        # overflow; the rows of inf and nan are refused, and nothing but the
+        # solver error reaches stderr
+        cfg = json.loads(json.dumps(FUZZ_BASE["semiclassics"]))
+        cfg["amplitude"] = amplitude
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run("semiclassics", cfg, str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert "non-finite numbers in row 0" in err
+        assert not caught, [str(w.message) for w in caught]
+        assert not os.listdir(tmp_path)
+
     def test_unresolved_bound_state_names_the_grid(self, tmp_path, capsys):
         # depth 1e300: the bound state decays within 1e-150, far inside one
         # spacing of the 801-node box on [-16, 16]
