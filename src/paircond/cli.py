@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from . import __version__
 from . import bcs, geometry, gp, pairing, twobody
 from .geometry import (
     BUILTIN_DOMAINS,
-    DomainMask,
     GeometryError,
     dilate,
     erode,
@@ -29,12 +27,7 @@ from .geometry import (
 )
 from .grid import MAX_GRID_NODES, GridError, ScalarField
 from .reporting import FitError, ScanReport, fit_power_law
-from .spectral import (
-    EigenResult,
-    SpectralError,
-    hardy_quotient,
-    onset_threshold,
-)
+from .spectral import SpectralError, hardy_quotient, onset_threshold
 
 
 class ConfigError(ValueError):
@@ -308,31 +301,13 @@ def _exp_twobody(cfg):
     return twobody.asymptotic_scan(scan_cfg, h_list)
 
 
-@dataclass
-class _PairSetup:
-    """What the pair-state experiments share: the 1D domain, W, the potential,
-    its relative ground state, q, the h list (largest first), and the onset
-    mode on the domain eroded by ell(h) at the largest h."""
-
-    mask: DomainMask
-    w: ScalarField | None
-    potential: dict
-    relative: pairing.RelativeGroundState
-    q: float
-    h_list: list
-    inner: DomainMask
-    mode: EigenResult
-
-    def bcs_config(self, h: float, d_val: float) -> bcs.BCSConfig:
-        return bcs.BCSConfig(self.mask, self.potential, self.w, h=h, D=d_val,
-                             q=self.q, relative=self.relative)
-
-
-def _pair_setup(cfg, q_default: float, mode_with_w: bool,
-                needs_w: bool = False) -> _PairSetup:
-    """Read the shared pair-state keys; the onset mode includes W only when
-    ``mode_with_w``. With ``needs_w``, a W that is absent or zero everywhere
-    is refused before any solve."""
+def _pair_setup(cfg, q_default: float, d_of, mode_with_w: bool,
+                needs_w: bool = False) -> tuple:
+    """What the pair-state experiments share, from the shared keys: one
+    ``BCSConfig`` per h (largest first), the domain eroded by ell(h) at the
+    largest h, and the onset mode there, which includes W only when
+    ``mode_with_w``. D is ``d_of`` its threshold. With ``needs_w``, a W that
+    is absent or zero everywhere is refused before any solve."""
     mask = build_domain(_require(cfg, "domain", "config"))
     if mask.grid.dim != 1:
         raise ConfigError("pair-state experiments need a 1D domain")
@@ -356,37 +331,37 @@ def _pair_setup(cfg, q_default: float, mode_with_w: bool,
     if needs_w and (w is None or not np.any(w.values)):
         raise ConfigError("w must be nonzero somewhere on the domain (field "
                           "term)")
-    gs = pairing.solve_relative(pot)
     mode = onset_threshold(inner, w if mode_with_w else None, tol=1e-10)
-    return _PairSetup(mask, w, pot, gs, q, h_list, inner, mode)
+    for c in configs:
+        c.D = d_of(mode.eigenvalue)
+    return configs, inner, mode
 
 
 def _exp_bcs_trial(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "amplitude", "h_list"}, "config")
     d_of = _resolve_d(cfg)
-    setup = _pair_setup(cfg, 1.5, mode_with_w=True)
-    d_val = d_of(setup.mode.eigenvalue)
     amp = _number(cfg, "amplitude", 0.3)
-    psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)
-    g_bcs = setup.relative.g_bcs
+    configs, _, mode = _pair_setup(cfg, 1.5, d_of, mode_with_w=True)
+    first = configs[0]
+    psi = ScalarField(first.mask.grid, amp * mode.eigenvector.values)
 
-    def point(h):
-        c = setup.bcs_config(h, d_val)
+    def point(c):
         state = bcs.build_trial_state(c, psi)
         lo, hi = state.admissibility
-        return h, bcs.bcs_energy(c, state) / h**3, lo, hi
+        return c.h, bcs.bcs_energy(c, state) / c.h**3, lo, hi
 
     # every trial state is admitted before the GP energy is read, so an
     # amplitude out of range is refused before psi^4 can overflow
-    points = [point(h) for h in setup.h_list]
-    e_gp = gp.gp_energy(gp.GPProblem(setup.mask, setup.w, d_val, g_bcs), psi)
+    points = [point(c) for c in configs]
+    g_bcs = pairing.solve_relative(first.potential).g_bcs
+    e_gp = gp.gp_energy(gp.GPProblem(first.mask, first.W, first.D, g_bcs), psi)
     rows = [(h, e, e_gp, abs(e - e_gp), lo, hi) for h, e, lo, hi in points]
     report = ScanReport(
         columns=["h", "bcs_energy_h3", "gp_energy", "difference",
                  "adm_min", "adm_max"],
         rows=rows,
-        metadata={"D": d_val, "g_bcs": g_bcs, "q": setup.q, "amplitude": amp},
+        metadata={"D": first.D, "g_bcs": g_bcs, "q": first.q, "amplitude": amp},
     )
     report.fits["difference"] = fit_power_law([r[0] for r in rows],
                                               [r[3] for r in rows])
@@ -396,22 +371,23 @@ def _exp_bcs_trial(cfg):
 def _exp_semiclassics(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "q", "amplitude",
                       "h_list"}, "config")
-    setup = _pair_setup(cfg, 1.0, mode_with_w=False, needs_w=True)
     d_val = _number(cfg, "D", 1.0)
     amp = _number(cfg, "amplitude", 0.5)
-    psi = ScalarField(setup.mask.grid, amp * setup.mode.eigenvector.values)
+    configs, _, mode = _pair_setup(cfg, 1.0, lambda _: d_val,
+                                   mode_with_w=False, needs_w=True)
+    psi = ScalarField(configs[0].mask.grid, amp * mode.eigenvector.values)
 
-    def point(h):
-        rep = bcs.semiclassics_check(setup.bcs_config(h, d_val), psi)
-        return (h, rep.identity_residual, rep.field_residual,
+    def point(c):
+        rep = bcs.semiclassics_check(c, psi)
+        return (c.h, rep.identity_residual, rep.field_residual,
                 rep.quartic_energy_residual, rep.quartic_residual)
 
-    rows = [point(h) for h in setup.h_list]
+    rows = [point(c) for c in configs]
     report = ScanReport(
         columns=["h", "identity_residual", "field_residual",
                  "quartic_energy_residual", "quartic_residual"],
         rows=rows,
-        metadata={"D": d_val, "q": setup.q, "amplitude": amp},
+        metadata={"D": d_val, "q": configs[0].q, "amplitude": amp},
     )
     hs = [r[0] for r in rows]
     for name, col in (("field", 2), ("quartic_energy", 3), ("quartic", 4)):
@@ -441,21 +417,21 @@ def _exp_hardy(cfg):
 def _exp_density(cfg):
     _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
                       "h_list"}, "config")
-    d_of = _resolve_d(cfg)
-    setup = _pair_setup(cfg, 1.5, mode_with_w=False)
-    mask = setup.mask
-    d_val = d_of(setup.mode.eigenvalue)
-    sol = gp.minimize_gp(
-        gp.GPProblem(setup.inner, None, d_val, setup.relative.g_bcs),
-        mode=setup.mode)
+    configs, inner, mode = _pair_setup(cfg, 1.5, _resolve_d(cfg),
+                                       mode_with_w=False)
+    first = configs[0]
+    mask = first.mask
+    g_bcs = pairing.solve_relative(first.potential).g_bcs
+    sol = gp.minimize_gp(gp.GPProblem(inner, None, first.D, g_bcs), mode=mode)
     psi_star = ScalarField(mask.grid, sol.psi.values)
     dv = mask.grid.node_weight
     ind = np.where(mask.inside, 1.0, 0.0)
     mode_full = onset_threshold(mask, tol=1e-10).eigenvector.values
     psi_sq = float(np.sum(psi_star.values**2) * dv)
 
-    def point(h):
-        state = bcs.build_trial_state(setup.bcs_config(h, d_val), psi_star)
+    def point(c):
+        h = c.h
+        state = bcs.build_trial_state(c, psi_star)
         rho = bcs.one_body_density(state).values
         err1 = abs(np.sum(rho * ind) * dv / h
                    - np.sum(psi_star.values**2 * ind) * dv)
@@ -464,12 +440,12 @@ def _exp_density(cfg):
         n_part = float(np.sum(rho) * dv)
         return (h, err1, err2, n_part, h * psi_sq)
 
-    rows = [point(h) for h in setup.h_list]
+    rows = [point(c) for c in configs]
     report = ScanReport(
         columns=["h", "weak_error_indicator", "weak_error_mode",
                  "particle_number", "particle_number_gp"],
         rows=rows,
-        metadata={"D": d_val, "gp_energy": sol.energy, "q": setup.q},
+        metadata={"D": first.D, "gp_energy": sol.energy, "q": first.q},
     )
     ordered = sorted(rows)
     report.metadata["monotone"] = bool(

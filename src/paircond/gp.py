@@ -134,6 +134,8 @@ def gp_gradient(prob: GPProblem, psi: ScalarField) -> ScalarField:
     return prob.mask.field(_el_interior(prob, stiff, vals))
 
 
+# far above threshold psi^4 overflows: such a start is refused, a step halved
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_gp(
     prob: GPProblem,
     tol: float = 1e-9,
@@ -240,6 +242,9 @@ def minimize_gp(
         return None
 
     e, el, res, h1 = evaluate(vals)
+    if not (np.isfinite(e) and np.isfinite(res)):
+        raise GPError(f"the start's energy or residual overflows (max psi "
+                      f"{np.max(vals):.3g}): D is too far above threshold")
     e_start = e
     factor = None  # the last Hessian factor: CG's preconditioner
     it = 0

@@ -15,6 +15,9 @@ lies below the spectrum by construction. A one-dimensional operator is
 tridiagonal, and its estimate comes from a loose Sturm bisection (LAPACK
 stebz); other callers pass theirs.
 
+The Hardy quotient takes the same path, ARPACK on one certified factor, and
+the pivots of one more certify its largest eigenvalue from above.
+
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
 and are not checked.
@@ -33,8 +36,8 @@ from .geometry import DomainMask, GeometryError
 from .grid import ScalarField
 
 
-# power iterations of ``hardy_quotient`` before it reports a stall
-HARDY_MAX_ITER = 5000
+# LU solves that one eigensolve may make before it reports no convergence
+MAX_LU_SOLVES = 400
 # Sturm-bisection shift of a tridiagonal operator: lambda_1 and lambda_2 to
 # this absolute tolerance relative to ||A||_est, and the shift this fraction
 # of their gap below lambda_1 (at least twice the tolerance)
@@ -123,10 +126,6 @@ class EigenResult:
     iterations: int
 
 
-def _quad_norm(mask: DomainMask, vec: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(vec) ** 2)) * np.sqrt(mask.grid.node_weight))
-
-
 # SuperLU options for symmetric matrices: minimum-degree ordering of A^T + A,
 # applied on both sides, with the pivots kept on the diagonal
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -183,17 +182,41 @@ def shifted_factor(mat: sparse.spmatrix, sigma: float) -> SuperLU:
     return _factor_positive_definite(mat - sigma * ident)
 
 
+def _eigsh_lu(solve, n: int, what: str, shift_invert=None, **kwargs) -> tuple:
+    """(eigenvalue, unit eigenvector, LU solves) of ``eigsh(k=1, rng=0)`` on
+    ``solve``, one LU solve per call: the shift-invert inverse of the matrix
+    ``shift_invert``, or else the operator itself. More than MAX_LU_SOLVES
+    solves, or an ArpackError, raise SpectralError naming ``what``."""
+    solves = 0
+
+    def counted(b):
+        nonlocal solves
+        if solves == MAX_LU_SOLVES:
+            raise SpectralError(
+                f"{what} did not converge in {MAX_LU_SOLVES} LU solves")
+        solves += 1
+        return solve(b)
+
+    op = LinearOperator((n, n), matvec=counted, dtype=float)
+    if shift_invert is not None:  # eigsh(A, OPinv=(A - sigma I)^-1)
+        op, kwargs["OPinv"] = shift_invert, op
+    try:
+        vals, vecs = eigsh(op, k=1, rng=0, **kwargs)
+    except ArpackError as exc:
+        raise SpectralError(f"{what} failed: {exc}") from exc
+    return float(vals[0]), vecs[:, 0], solves
+
+
 def smallest_eigenpair(
     op: StencilOperator,
     tol: float = 1e-10,
-    max_iter: int = 400,
     sigma: float | tuple | None = None,
 ) -> EigenResult:
     """Lowest eigenpair by ARPACK shift-invert on one certified LU factor.
 
     ``tol`` is relative: the returned unit vector has
     ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est).
-    ``max_iter`` caps the number of LU solves; ``iterations`` reports them.
+    ``MAX_LU_SOLVES`` caps the LU solves; ``iterations`` reports them.
 
     ``sigma`` is a shift estimate, a little below lambda_1, or a tuple of
     them in the order to try. Each is checked by the pivots of its factor:
@@ -211,10 +234,8 @@ def smallest_eigenpair(
     norm_est = op.norm_estimate()
 
     if n == 1:
-        lam = float(mat[0, 0])
-        vec = np.ones(1)
-        field = op.mask.field(vec / _quad_norm(op.mask, vec))
-        return EigenResult(lam, field, 0.0, 0)
+        field = op.mask.field(np.ones(1) / np.sqrt(op.mask.grid.node_weight))
+        return EigenResult(float(mat[0, 0]), field, 0.0, 0)
 
     lowest = gershgorin_shift(mat)
     if sigma is None:
@@ -236,25 +257,9 @@ def smallest_eigenpair(
     # arpack_tol * |theta|, which bounds ||A v - lam v|| by
     # ||A - sigma I|| * arpack_tol: aim at the smallest target lam allows
     arpack_tol = max(tol * min(norm_est, 1.0), eps_floor) / (norm_est + abs(sigma))
-    solves = 0
-
-    def solve(b):
-        nonlocal solves
-        if solves == max_iter:
-            raise SpectralError(
-                f"eigensolver did not converge in {max_iter} LU solves "
-                f"(shift {sigma:.6g})"
-            )
-        solves += 1
-        return lu.solve(b)
-
-    try:
-        _, vecs = eigsh(mat, k=1, sigma=sigma, which="LM", tol=arpack_tol,
-                        OPinv=LinearOperator(mat.shape, matvec=solve, dtype=float),
-                        rng=0)
-    except ArpackError as exc:
-        raise SpectralError(f"eigensolver failed (shift {sigma:.6g}): {exc}") from exc
-    v = vecs[:, 0]
+    _, v, solves = _eigsh_lu(lu.solve, n, f"eigensolver (shift {sigma:.6g})",
+                             shift_invert=mat, sigma=sigma, which="LM",
+                             tol=arpack_tol)
     av = mat @ v
     lam = float(v @ av)
     # scaled by a power of two near ||A||_est, exactly, so that the sum of
@@ -272,8 +277,8 @@ def smallest_eigenpair(
     # sign fix: nonnegative integral
     if np.sum(v) < 0:
         v = -v
-    qn = _quad_norm(op.mask, v)
-    field = op.mask.field(v / qn)
+    qn = np.sqrt(np.sum(np.abs(v) ** 2)) * np.sqrt(op.mask.grid.node_weight)
+    field = op.mask.field(v / float(qn))
     # v has unit Euclidean norm, so the L2-normalized residual equals this one
     return EigenResult(lam, field, residual, solves)
 
@@ -303,37 +308,36 @@ def hardy_quotient(
     lambda int |phi|^2); the implied boundary-decay constant is 2/sqrt(mu).
     Nodes closer to the complement than one spacing get zero weight, which
     caps the (never attained) continuum supremum on the grid.
+
+    mu is the largest eigenvalue of S K^-1 S, K = -Lap + lambda (which must
+    be positive definite) and S = diag sqrt(w), by ARPACK on the certified
+    factor of K to a residual of tol/2 mu. mu is a Rayleigh quotient, so mu
+    <= mu_max, and positive pivots of K - W / (mu (1 + delta)) prove mu_max <
+    mu (1 + delta). delta = max(tol, 32 eps ||K||_est |phi|^2 / phi^T K phi),
+    phi = K^-1 S v: below that floor rounding could refuse a correct mu.
     """
     stiff = assemble_dirichlet(mask, -1.0, None, lambda_offset)
-    d = mask.dist[mask.inside]
-    weight = np.zeros_like(d)
+    d = mask.dist[mask.inside]  # at least one spacing
     ok = d >= min(mask.grid.spacing)
-    weight[ok] = 1.0 / d[ok] ** 2
     if not ok.any():
         raise SpectralError("no interior nodes clear of the boundary band")
+    s = np.where(ok, 1.0 / d, 0.0)  # S, the square root of the weight
 
     try:
         lu = _factor_positive_definite(stiff.matrix)
     except SpectralError as exc:
-        raise SpectralError(
-            f"offset makes the gradient form indefinite ({exc}); "
-            "increase lambda_offset"
-        ) from exc
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(mask.count)
-    v /= np.linalg.norm(v)
-    mu = 0.0
-    for _ in range(HARDY_MAX_ITER):
-        w = lu.solve(weight * v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise SpectralError("weight operator annihilated the iterate")
-        w /= nw
-        num = float(w @ (weight * w))
-        den = float(w @ (stiff.matrix @ w))
-        mu_new = num / den
-        done = abs(mu_new - mu) <= tol * abs(mu_new)
-        v, mu = w, mu_new
-        if done:
-            return mu
-    raise SpectralError(f"Hardy quotient power iteration stalled at mu={mu:.6g}")
+        raise SpectralError(f"offset makes the gradient form indefinite "
+                            f"({exc}); increase lambda_offset") from exc
+    mu, v, _ = _eigsh_lu(lambda x: s * lu.solve(s * x), mask.count,
+                         "Hardy quotient", which="LA", tol=tol / 2)
+    phi = lu.solve(s * v)
+    delta = max(tol, 32 * np.finfo(float).eps * stiff.norm_estimate()
+                * float(phi @ phi) / float(phi @ (stiff.matrix @ phi)))
+    try:
+        _factor_positive_definite(stiff.matrix
+                                  - sparse.diags(s**2 / (mu * (1.0 + delta))))
+    except SpectralError as exc:
+        raise SpectralError(f"Hardy quotient {mu:.6g} is not certified as the "
+                            f"largest: K - W / (mu (1 + {delta:.1e})) is "
+                            f"indefinite ({exc})") from exc
+    return mu

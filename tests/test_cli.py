@@ -380,8 +380,7 @@ class TestRun:
             cfg[key[0]][key[1]] = value
         else:
             cfg[key] = value
-        with np.errstate(all="ignore"):
-            assert cli.run(experiment, cfg, str(tmp_path)) == code
+        assert cli.run(experiment, cfg, str(tmp_path)) == code
         err = capsys.readouterr().err
         kind = "solver error: " if code == 3 else "config error: "
         assert kind in err and message in err
@@ -475,6 +474,47 @@ class TestRun:
         assert not caught, [str(w.message) for w in caught]
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("experiment", ["gp-min", "continuity", "density"])
+    @pytest.mark.parametrize("offset", [1e150, 1e200, 1e300])
+    def test_gp_overflow_is_quiet(self, tmp_path, capfd, experiment, offset):
+        # psi^4 and the residual's sum of squares overflow at the
+        # single-mode start, or the single-mode energy itself; the run is
+        # refused, and nothing but the solver error reaches stderr
+        cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+        cfg["D_offset"] = offset
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run(experiment, cfg, str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert "overflows" in err
+        assert not caught, [str(w.message) for w in caught]
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("experiment,key", [
+        ("semiclassics", "amplitude"), ("semiclassics", "D"),
+        ("bcs-trial", "amplitude"), ("bcs-trial", "D")])
+    def test_pair_state_keys_refused_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, experiment, key):
+        calls = []
+
+        def no_solve(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+            return record
+
+        monkeypatch.setattr(cli, "onset_threshold", no_solve("onset"))
+        monkeypatch.setattr(pairing, "solve_relative", no_solve("relative"))
+        monkeypatch.setattr(pairing, "matched_relative_state",
+                            no_solve("matched"))
+        cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+        cfg[key] = "x"
+        assert cli.run(experiment, cfg, str(tmp_path)) == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert calls == []
+
     def test_unresolved_bound_state_names_the_grid(self, tmp_path, capsys):
         # depth 1e300: the bound state decays within 1e-150, far inside one
         # spacing of the 801-node box on [-16, 16]
@@ -489,7 +529,7 @@ class TestRun:
     @pytest.mark.parametrize("experiment", ["gp-min", "hardy"])
     def test_tol_ceiling(self, tmp_path, capsys, experiment):
         # tol: 1e300 made gp-min report the single-mode energy after 0
-        # Newton steps, and hardy stop after one power iteration
+        # Newton steps
         cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
         cfg["tol"] = 1e300
         assert cli.run(experiment, cfg, str(tmp_path / "loose")) == 2
@@ -622,7 +662,7 @@ def run_fuzzed(experiment, key, value):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            contextlib.redirect_stderr(err):
         code = cli.run(experiment, cfg, out)
     return code, err.getvalue()
 

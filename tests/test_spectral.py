@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh, splu
 
 from conftest import random_1d_mask, random_2d_mask
@@ -96,11 +96,12 @@ class TestEigenSolver:
         ).eigenvalue
         assert lam_eroded > lam
 
-    def test_nonconvergence_diagnostic(self):
+    def test_nonconvergence_diagnostic(self, monkeypatch):
         m = interval_mask(301)
         op = sp.assemble_dirichlet(m, -1.0)
+        monkeypatch.setattr(sp, "MAX_LU_SOLVES", 2)
         with pytest.raises(sp.SpectralError, match="converge"):
-            sp.smallest_eigenpair(op, tol=1e-16, max_iter=2)
+            sp.smallest_eigenpair(op, tol=1e-16)
 
     def test_narrow_well_ground_state(self):
         # a single-node well far below the rest of the spectrum: the ground
@@ -207,7 +208,68 @@ class TestShift:
         assert abs(res.eigenvalue - gersh.eigenvalue) <= 1e-12 * abs(gersh.eigenvalue)
 
 
+def two_intervals():
+    grid = Grid.box(0.0, 1.0, 301)
+    x = grid.axis(0)
+    return geo.DomainMask(grid, ((x > 0.1) & (x < 0.4)) | ((x > 0.5) & (x < 0.9)))
+
+
+HARDY_MASKS = {
+    "interval201": lambda: interval_mask(201, pad=0.25),
+    "interval801": lambda: interval_mask(801, pad=0.25),
+    "lshape61": lambda: geo.lshape(n=61),
+    "square71": lambda: geo.box_mask(
+        [0, 0], [1, 1], grid=Grid.box([-0.2, -0.2], [1.2, 1.2], [71, 71])),
+    "two_intervals": two_intervals,
+}
+
+
+def hardy_dense(m):
+    """Largest eigenvalue of W phi = mu K phi by a dense generalized eigh,
+    with the weights of ``hardy_quotient``."""
+    stiff = sp.assemble_dirichlet(m, -1.0).matrix.toarray()
+    d = m.dist[m.inside]
+    w = np.where(d >= min(m.grid.spacing), 1.0 / d**2, 0.0)
+    return eigh(np.diag(w), stiff, eigvals_only=True,
+                subset_by_index=[m.count - 1, m.count - 1])[0]
+
+
 class TestHardy:
+    @pytest.mark.parametrize("name", HARDY_MASKS)
+    def test_matches_dense_oracle(self, name):
+        m = HARDY_MASKS[name]()
+        ref = hardy_dense(m)
+        assert abs(sp.hardy_quotient(m, 0.0, tol=1e-10) - ref) <= 1e-10 * ref
+
+    def test_certificate_floor(self):
+        # 4001 nodes: rounding in the certificate's factor refuses the
+        # correct mu at delta <= 1e-13, so delta stops at the floor
+        m = interval_mask(4001, pad=0.25)
+        tight = sp.hardy_quotient(m, 0.0, tol=1e-14)
+        assert abs(tight - sp.hardy_quotient(m, 0.0)) <= 1e-8 * tight
+
+    def test_refuses_a_smaller_eigenvalue(self, monkeypatch):
+        # an eigensolve that returns the second-largest eigenvalue (2.0854
+        # against 2.5625) fails the pivot check of the certificate
+        m = interval_mask(201, pad=0.25)
+
+        def second_largest(a, k, **kwargs):
+            vals, vecs = eigsh(a, k=2, **kwargs)
+            return vals[:1], vecs[:, :1]
+
+        monkeypatch.setattr(sp, "eigsh", second_largest)
+        with pytest.raises(sp.SpectralError, match="not certified"):
+            sp.hardy_quotient(m, 0.0)
+
+    def test_lu_solve_cap(self, monkeypatch):
+        # one cap serves both eigensolves
+        m = interval_mask(201, pad=0.25)
+        monkeypatch.setattr(sp, "MAX_LU_SOLVES", 5)
+        with pytest.raises(sp.SpectralError, match="in 5 LU solves"):
+            sp.hardy_quotient(m, 0.0)
+        with pytest.raises(sp.SpectralError, match="in 5 LU solves"):
+            sp.smallest_eigenpair(sp.assemble_dirichlet(m, -1.0))
+
     def test_interval_below_four_and_increasing(self):
         mus = []
         for n in (201, 401, 801):
