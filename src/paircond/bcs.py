@@ -382,29 +382,27 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     return 0.5 - r, 0.5 + r
 
 
-def _one_body_stencil(cfg: BCSConfig) -> tuple:
-    """(diagonal, off-diagonal) of the tridiagonal -h^2 Lap + h^2 W - mu on
-    the box nodes, Dirichlet on the mask: rows and columns of outside nodes
-    are zero. Each diagonal entry is summed, 2 h^2/dx^2 + (h^2 W - mu),
-    before it multiplies a kernel: the kinetic and chemical-potential parts
-    nearly cancel."""
-    inside = cfg.mask.inside
-    h2 = cfg.h**2
-    inv_dx2 = 1.0 / cfg.mask.grid.spacing[0] ** 2
-    shift = -cfg.mu if cfg.W is None else h2 * np.asarray(cfg.W.values) - cfg.mu
-    diag = np.where(inside, h2 * (2.0 * inv_dx2) + shift, 0.0)
-    off = np.where(inside[:-1] & inside[1:], -h2 * inv_dx2, 0.0)
+def _three_point(inside: np.ndarray, c: float, inv_dx2: float,
+                 shift=0.0) -> tuple:
+    """(diagonal, off-diagonal) of the tridiagonal -c Lap + shift on the box
+    nodes, Dirichlet on ``inside``: rows and columns of outside nodes are
+    zero. Each diagonal entry is summed, 2 c/dx^2 + shift, before it
+    multiplies a kernel: the kinetic and potential parts nearly cancel."""
+    diag = np.where(inside, c * (2.0 * inv_dx2) + shift, 0.0)
+    off = np.where(inside[:-1] & inside[1:], -c * inv_dx2, 0.0)
     return diag, off
 
 
 def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
     """Tr(h gamma) + int int V((x-y)/h) |a(x,y)|^2 dx dy, where Tr(h gamma)
     = Tr(h aa) + (1 + sqrt(h)) dx Tr(h aa aa) for the symmetric aa. The
-    one-body h is the three-point stencil on the rows of aa
-    (``_one_body_stencil``), and every sum runs over the band of a or aa."""
+    one-body h = -h^2 Lap + h^2 W - mu is the three-point stencil on the
+    rows of aa, and every sum runs over the band of a or aa."""
     dv = cfg.mask.grid.spacing[0]
     aa, b = state.aa, state.band
-    diag, off = _one_body_stencil(cfg)
+    h2 = cfg.h**2
+    shift = -cfg.mu if cfg.W is None else h2 * np.asarray(cfg.W.values) - cfg.mu
+    diag, off = _three_point(cfg.mask.inside, h2, 1.0 / dv**2, shift)
     # the diagonal of h aa, row by row: the stencil terms nearly cancel
     h_aa = diag * np.diagonal(aa)
     h_aa[1:] += off * np.diagonal(aa, 1)
@@ -552,8 +550,8 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
         raise BCSError("the field comparison needs a nonzero W")
     a_lat = lattice_pair_field(matched, cfg.phi, h)
     inside = cfg.mask.inside
-    n = inside.size
-    b = _reach(a_lat, n)
+    box = np.ones(inside.size, dtype=bool)
+    b = _reach(a_lat, inside.size)
     dv = cfg.mask.grid.spacing[0]
     h2, inv_dx2 = h**2, 1.0 / dv**2
     wdiag = np.asarray(cfg.W.values)
@@ -567,13 +565,13 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
         a_mat = pair_kernel(center_values(psi.values), a_lat / h, inside)
         norms = _field_norms(psi)
 
-        # (i) quadratic trace: free product Laplacian (three-point stencil
-        # on the whole box), kernels vanish well inside
-        lap_diag, lap_off = np.full(n, -2.0 * inv_dx2), np.full(n - 1, inv_dx2)
-        lap_a = (_stencil_sum(a_mat, a_mat, b, lap_diag, lap_off)
-                 + _stencil_sum(a_mat.T, a_mat.T, b, lap_diag, lap_off))
+        # (i) quadratic trace: free product -Lap (three-point stencil on the
+        # whole box), kernels vanish well inside
+        neg_lap = _three_point(box, 1.0, inv_dx2)
+        neg_lap_a = (_stencil_sum(a_mat, a_mat, b, *neg_lap)
+                     + _stencil_sum(a_mat.T, a_mat.T, b, *neg_lap))
         sq_rows = _row_sums(a_mat, b, np.square)
-        lhs_i = (-h2 * 0.5 * lap_a - cfg.mu * float(np.sum(sq_rows))) * dv * dv
+        lhs_i = (h2 * 0.5 * neg_lap_a - cfg.mu * float(np.sum(sq_rows))) * dv * dv
         lhs_i += _separation_sum(cfg, a_mat, b) * dv * dv
         rhs_i = (
             norms["l2_sq"] * a_energy / h
@@ -594,9 +592,8 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
         # (iii) quartic traces; hker = -h^2 Lap aa + (E_b + h^2 W) aa
         aa = _band_product(a_mat, b, dv)
         tr_q = _band_dot(aa, aa.T, 2 * b) * dv * dv  # Tr (a abar)^2
-        ker_diag = h2 * (2.0 * inv_dx2) + (matched.E_b + h2 * wdiag)
-        tr_qh = _stencil_sum(aa, aa.T, 2 * b, ker_diag,
-                             np.full(n - 1, -h2 * inv_dx2)) * dv * dv
+        hker = _three_point(box, h2, inv_dx2, matched.E_b + h2 * wdiag)
+        tr_qh = _stencil_sum(aa, aa.T, 2 * b, *hker) * dv * dv
 
         rhs_qh = g_bcs_a / h * norms["l4_4"]
         rhs_q = g_0_a / h * norms["l4_4"]

@@ -1,22 +1,23 @@
 """Sparse Dirichlet finite-difference operators and smallest-eigenpair solvers.
 
 Operators are second-order central-difference stencils restricted to the
-interior nodes of a mask, with zero Dirichlet values on the outside. The
-smallest eigenpair is found by ARPACK in shift-invert mode (Ericsson & Ruhe
-1980; Lehoucq, Sorensen & Yang 1998) on one symmetric LU factor of the
-shifted matrix A - sigma I. The shift starts from an estimate of the
-smallest eigenvalue lambda_1, a little below it: close to lambda_1, ARPACK
-needs the fewest LU solves. By Sylvester's law of inertia the factor's
-pivots are all positive exactly when sigma lies below every eigenvalue, and
-then the eigenvalue nearest sigma is the smallest: the pivot check of that
-one factor certifies the result. A shift the check refuses costs one more
-factorization, at the shift just under the Gershgorin lower bound, which
-lies below the spectrum by construction. A one-dimensional operator is
-tridiagonal, and its estimate comes from a loose Sturm bisection (LAPACK
-stebz); other callers pass theirs.
+interior nodes of a mask, with zero Dirichlet values on the outside. A
+one-dimensional operator is tridiagonal, and its smallest eigenpair comes
+from one LAPACK call: bisection by Sturm counts (stebz) picks the eigenvalue
+of index 0, which certifies it as the smallest, and inverse iteration
+(stein) gives its vector. Every other operator takes ARPACK in shift-invert
+mode (Ericsson & Ruhe 1980; Lehoucq, Sorensen & Yang 1998) on one symmetric
+LU factor of the shifted matrix A - sigma I. The shift starts from the
+caller's estimate of the smallest eigenvalue lambda_1, a little below it:
+close to lambda_1, ARPACK needs the fewest LU solves. By Sylvester's law of
+inertia the factor's pivots are all positive exactly when sigma lies below
+every eigenvalue, and then the eigenvalue nearest sigma is the smallest: the
+pivot check of that one factor certifies the result. A shift the check
+refuses costs one more factorization, at the shift just under the
+Gershgorin lower bound, which lies below the spectrum by construction.
 
-The Hardy quotient takes the same path, ARPACK on one certified factor, and
-the pivots of one more certify its largest eigenvalue from above.
+The Hardy quotient takes ARPACK on one certified factor in every dimension,
+and the pivots of one more certify its largest eigenvalue from above.
 
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, splu
 
 from .geometry import DomainMask, GeometryError
@@ -38,11 +39,6 @@ from .grid import ScalarField
 
 # LU solves that one eigensolve may make before it reports no convergence
 MAX_LU_SOLVES = 400
-# Sturm-bisection shift of a tridiagonal operator: lambda_1 and lambda_2 to
-# this absolute tolerance relative to ||A||_est, and the shift this fraction
-# of their gap below lambda_1 (at least twice the tolerance)
-BISECTION_TOL = 1e-8
-GAP_FRACTION = 0.1
 
 
 class SpectralError(RuntimeError):
@@ -163,17 +159,6 @@ def gershgorin_shift(mat: sparse.spmatrix) -> float:
     return lower - 1e-3 * (abs(lower) + 1.0)
 
 
-def _sturm_shift(mat: sparse.spmatrix, norm_est: float, floor: float) -> float:
-    """Shift estimate for a tridiagonal symmetric ``mat``: lambda_1 and
-    lambda_2 by Sturm bisection to the absolute tolerance t = BISECTION_TOL
-    ||A||_est, and sigma = lambda_1 - max(GAP_FRACTION (lambda_2 - lambda_1),
-    2 t), never below ``floor`` (a shift known to be valid)."""
-    t = BISECTION_TOL * norm_est
-    lam = eigvalsh_tridiagonal(mat.diagonal(), mat.diagonal(1), select="i",
-                               select_range=(0, 1), tol=t)
-    return max(lam[0] - max(GAP_FRACTION * (lam[1] - lam[0]), 2 * t), floor)
-
-
 def shifted_factor(mat: sparse.spmatrix, sigma: float) -> SuperLU:
     """Certified LU factor of ``mat - sigma I``: its positive pivots confirm
     that sigma lies below every eigenvalue of ``mat``. In shift-invert mode
@@ -212,20 +197,25 @@ def smallest_eigenpair(
     tol: float = 1e-10,
     sigma: float | tuple | None = None,
 ) -> EigenResult:
-    """Lowest eigenpair by ARPACK shift-invert on one certified LU factor.
+    """Lowest eigenpair, certified as the lowest.
 
     ``tol`` is relative: the returned unit vector has
-    ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est).
-    ``MAX_LU_SOLVES`` caps the LU solves; ``iterations`` reports them.
+    ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est),
+    and lam is its Rayleigh quotient.
 
-    ``sigma`` is a shift estimate, a little below lambda_1, or a tuple of
-    them in the order to try. Each is checked by the pivots of its factor:
-    the first that lies below lambda_1 is used, and each refused one costs
-    one factorization. The Gershgorin shift of A, which always lies below,
-    is the last resort. Without ``sigma``, a one-dimensional (tridiagonal)
-    operator takes its estimate from Sturm bisection (``_sturm_shift``) and
-    any other the Gershgorin shift directly. However the shift was found,
-    the result is the certified smallest eigenpair.
+    A one-dimensional (tridiagonal) operator is solved by LAPACK stebz +
+    stein: bisection by Sturm counts picks the eigenvalue of index 0, so the
+    smallest, and inverse iteration gives its vector. No LU solve is made,
+    and ``iterations`` is 0.
+
+    Every other operator takes ARPACK shift-invert on one LU factor of
+    A - sigma I, whose positive pivots certify that sigma lies below
+    lambda_1. ``MAX_LU_SOLVES`` caps the LU solves; ``iterations`` reports
+    them. ``sigma`` belongs to this path: a shift estimate, a little below
+    lambda_1, or a tuple of them in the order to try. The first that the
+    pivots admit is used, and each refused one costs one factorization. The
+    Gershgorin shift of A, which always lies below, is the last resort and
+    the default.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
@@ -233,33 +223,36 @@ def smallest_eigenpair(
     n = mat.shape[0]
     norm_est = op.norm_estimate()
 
-    if n == 1:
-        field = op.mask.field(np.ones(1) / np.sqrt(op.mask.grid.node_weight))
-        return EigenResult(float(mat[0, 0]), field, 0.0, 0)
-
-    lowest = gershgorin_shift(mat)
-    if sigma is None:
-        sigma = _sturm_shift(mat, norm_est, lowest) if op.mask.grid.dim == 1 else ()
-    for estimate in np.atleast_1d(sigma):
-        try:
-            lu = shifted_factor(mat, estimate)
-        except SpectralError:  # the estimate is not below lambda_1
-            continue
-        sigma = float(estimate)
-        break
-    else:
-        sigma = lowest
-        lu = shifted_factor(mat, sigma)
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
     # below the floating-point floor eps * ||A||
     eps_floor = 32 * np.finfo(float).eps * norm_est
-    # ARPACK stops when the Ritz estimate of (A - sigma I)^-1 is below
-    # arpack_tol * |theta|, which bounds ||A v - lam v|| by
-    # ||A - sigma I|| * arpack_tol: aim at the smallest target lam allows
-    arpack_tol = max(tol * min(norm_est, 1.0), eps_floor) / (norm_est + abs(sigma))
-    _, v, solves = _eigsh_lu(lu.solve, n, f"eigensolver (shift {sigma:.6g})",
-                             shift_invert=mat, sigma=sigma, which="LM",
-                             tol=arpack_tol)
+    if op.mask.grid.dim == 1 or n == 1:  # tridiagonal
+        try:
+            _, vecs = eigh_tridiagonal(mat.diagonal(), mat.diagonal(1),
+                                       select="i", select_range=(0, 0))
+        except LinAlgError as exc:  # stein: inverse iteration failed
+            raise SpectralError(f"tridiagonal eigensolver failed: {exc}") from exc
+        v, solves, how = vecs[:, 0], 0, "by stebz + stein"
+    else:
+        for estimate in np.atleast_1d(() if sigma is None else sigma):
+            try:
+                lu = shifted_factor(mat, estimate)
+            except SpectralError:  # the estimate is not below lambda_1
+                continue
+            sigma = float(estimate)
+            break
+        else:
+            sigma = gershgorin_shift(mat)
+            lu = shifted_factor(mat, sigma)
+        # ARPACK stops when the Ritz estimate of (A - sigma I)^-1 is below
+        # arpack_tol * |theta|, which bounds ||A v - lam v|| by
+        # ||A - sigma I|| * arpack_tol: aim at the smallest target lam allows
+        arpack_tol = (max(tol * min(norm_est, 1.0), eps_floor)
+                      / (norm_est + abs(sigma)))
+        _, v, solves = _eigsh_lu(lu.solve, n, f"eigensolver (shift {sigma:.6g})",
+                                 shift_invert=mat, sigma=sigma, which="LM",
+                                 tol=arpack_tol)
+        how = f"in {solves} LU solves (shift {sigma:.6g})"
     av = mat @ v
     lam = float(v @ av)
     # scaled by a power of two near ||A||_est, exactly, so that the sum of
@@ -269,10 +262,8 @@ def smallest_eigenpair(
                               scale))
     target = max(tol * min(norm_est, max(1.0, abs(lam))), eps_floor)
     if residual > target:
-        raise SpectralError(
-            f"eigensolver did not converge in {solves} LU solves "
-            f"(residual {residual:.3e}, target {target:.3e}, shift {sigma:.6g})"
-        )
+        raise SpectralError(f"eigensolver did not converge {how}: residual "
+                            f"{residual:.3e}, target {target:.3e}")
 
     # sign fix: nonnegative integral
     if np.sum(v) < 0:

@@ -16,6 +16,10 @@ def interval_mask(n=801, a=0.0, b=1.0, pad=0.0):
     return geo.interval(a, b, grid=Grid.box(a - pad, b + pad, n))
 
 
+def small_square(n=21):
+    return geo.box_mask([0, 0], [1, 1], grid=Grid.box([0, 0], [1, 1], [n, n]))
+
+
 class TestAssembly:
     def test_interval_spectrum(self):
         m = interval_mask(2001)
@@ -97,11 +101,22 @@ class TestEigenSolver:
         assert lam_eroded > lam
 
     def test_nonconvergence_diagnostic(self, monkeypatch):
-        m = interval_mask(301)
-        op = sp.assemble_dirichlet(m, -1.0)
+        # a 2D operator: only the shift-invert path makes LU solves
+        op = sp.assemble_dirichlet(small_square(), -1.0)
         monkeypatch.setattr(sp, "MAX_LU_SOLVES", 2)
         with pytest.raises(sp.SpectralError, match="converge"):
             sp.smallest_eigenpair(op, tol=1e-16)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_unknown(self, dim):
+        # one interior node, spacing 1/2: the 1x1 matrix is 2 dim - 7.25
+        grid = Grid.box([0.0] * dim, [1.0] * dim, [3] * dim)
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[(1,) * dim] = True
+        m = geo.DomainMask(grid, inside)
+        res = sp.onset_threshold(m, ScalarField(grid, np.full(grid.shape, -7.25)))
+        assert (res.eigenvalue, res.residual, res.iterations) == (2 * dim - 7.25, 0, 0)
+        assert abs(np.sum(res.eigenvector.values ** 2) * grid.node_weight - 1) < 1e-15
 
     def test_narrow_well_ground_state(self):
         # a single-node well far below the rest of the spectrum: the ground
@@ -153,8 +168,9 @@ class TestEigenSolver:
 
 
 class TestShift:
-    """Every solve starts from a shift estimate that the pivots of its one
-    factor certify, with the Gershgorin shift as the fallback."""
+    """Every solve of an operator on more than one dimension starts from a
+    shift estimate that the pivots of its one factor certify, with the
+    Gershgorin shift as the fallback. A 1D operator makes no factor."""
 
     @staticmethod
     def count_factors(monkeypatch):
@@ -191,21 +207,39 @@ class TestShift:
         assert len(calls) == 5
         assert abs(res.eigenvalue - lam[0]) <= 1e-10 * abs(lam[0])
 
-    def test_tridiagonal_operator_takes_the_sturm_shift(self, monkeypatch):
-        # the narrow well of test_narrow_well_ground_state: the Gershgorin
-        # shift sits near the well depth, 2e4 below lambda_1, and takes
-        # hundreds of LU solves; the Sturm shift needs ARPACK's floor, with
-        # one factorization
+    def test_tridiagonal_operator_makes_no_factor(self, monkeypatch):
+        # the narrow well of test_narrow_well_ground_state: stebz + stein
+        # solve it, with no LU factor and no ARPACK call
         m = interval_mask(4001)
         w = np.zeros(4001)
         w[1001] = -2e4
         op = sp.assemble_dirichlet(m, -0.25, ScalarField(m.grid, w))
-        calls = self.count_factors(monkeypatch)
+        factors = self.count_factors(monkeypatch)
+        arpack = []
+
+        def counting_eigsh(*args, **kwargs):
+            arpack.append(1)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "eigsh", counting_eigsh)
         res = sp.smallest_eigenpair(op)
-        assert len(calls) == 1 and res.iterations <= 25
-        gersh = sp.smallest_eigenpair(op, sigma=sp.gershgorin_shift(op.matrix))
-        assert gersh.iterations > 200
-        assert abs(res.eigenvalue - gersh.eigenvalue) <= 1e-12 * abs(gersh.eigenvalue)
+        assert factors == [] and arpack == [] and res.iterations == 0
+        norm = op.norm_estimate()
+        target = max(1e-10 * min(norm, max(1.0, abs(res.eigenvalue))),
+                     32 * np.finfo(float).eps * norm)
+        assert res.residual <= target
+        # a bisected eigenvalue is good only to about eps ||A|| (here it
+        # lies 2e-12 relative off), so the 1e-12 reference is the Rayleigh
+        # quotient of an independent shift-invert ARPACK vector
+        bisected = eigvalsh_tridiagonal(op.matrix.diagonal(),
+                                        op.matrix.diagonal(1), select="i",
+                                        select_range=(0, 0),
+                                        tol=np.finfo(float).tiny)[0]
+        assert abs(res.eigenvalue - bisected) <= 32 * np.finfo(float).eps * norm
+        _, vecs = eigsh(op.matrix.tocsc(), k=1, sigma=bisected - 1.0,
+                        which="LM", tol=1e-14)
+        ref = vecs[:, 0] @ (op.matrix @ vecs[:, 0])
+        assert abs(res.eigenvalue - ref) <= 1e-12 * abs(ref)
 
 
 def two_intervals():
@@ -262,13 +296,14 @@ class TestHardy:
             sp.hardy_quotient(m, 0.0)
 
     def test_lu_solve_cap(self, monkeypatch):
-        # one cap serves both eigensolves
+        # one cap serves both eigensolves (a 1D smallest eigenpair makes no
+        # LU solve)
         m = interval_mask(201, pad=0.25)
         monkeypatch.setattr(sp, "MAX_LU_SOLVES", 5)
         with pytest.raises(sp.SpectralError, match="in 5 LU solves"):
             sp.hardy_quotient(m, 0.0)
         with pytest.raises(sp.SpectralError, match="in 5 LU solves"):
-            sp.smallest_eigenpair(sp.assemble_dirichlet(m, -1.0))
+            sp.smallest_eigenpair(sp.assemble_dirichlet(small_square(), -1.0))
 
     def test_interval_below_four_and_increasing(self):
         mus = []

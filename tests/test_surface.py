@@ -1,7 +1,8 @@
 """Every public function, class and method of ``paircond`` has a caller
 outside the unit tests: it is named in ``src/`` outside its own definition,
 in ``bench/``, or in the acceptance tests. Code that only unit tests reach
-is deleted, and this test keeps it from coming back."""
+is deleted, and this test keeps it from coming back. No module imports a
+name it never uses."""
 
 import ast
 import glob
@@ -83,3 +84,19 @@ def test_every_public_name_has_a_caller():
         if calls <= 0:
             uncalled.append(qualname)
     assert not uncalled, f"public names with no caller: {uncalled}"
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{os.path.basename(path)}:{node.lineno} {name}")
+    assert not unused, f"imported names never used: {unused}"
