@@ -46,16 +46,18 @@ def fit_power_law(x, y, model: str = "loglog") -> PowerLawFit:
     if model == "loglog":
         if np.any(x <= 0) or np.any(y <= 0):
             raise FitError("loglog model needs positive controls and observables")
-        lx, ly = np.log(x), np.log(y)
-        slope, intercept = np.polyfit(lx, ly, 1)
-        rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+        x, y = np.log(x), np.log(y)
+    elif model != "linear":
+        raise FitError(f"unknown fit model {model!r}")
+    slope, intercept = np.polyfit(x, y, 1)
+    # observables near the float range overflow the squared residual; the
+    # rms is then inf or nan, which the callers refuse as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    if model == "loglog":
         return PowerLawFit(float(slope), float(np.exp(intercept)), rms,
                            refused=rms > 0.2, model=model)
-    if model == "linear":
-        slope, intercept = np.polyfit(x, y, 1)
-        rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-        return PowerLawFit(float(slope), float(intercept), rms, model=model)
-    raise FitError(f"unknown fit model {model!r}")
+    return PowerLawFit(float(slope), float(intercept), rms, model=model)
 
 
 @dataclass

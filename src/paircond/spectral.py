@@ -62,8 +62,20 @@ class StencilOperator:
         return float(np.max(np.abs(m).sum(axis=1)))
 
 
-def dirichlet_laplacian_matrix(mask: DomainMask) -> sparse.csr_matrix:
-    """Plain Laplacian (sum of second differences) on the interior nodes."""
+def assemble_dirichlet(
+    mask: DomainMask,
+    laplacian_coefficient: float = -1.0,
+    potential: ScalarField | None = None,
+    shift: float = 0.0,
+) -> StencilOperator:
+    """c Laplacian + potential + shift on the interior nodes of ``mask``, c =
+    ``laplacian_coefficient``, with zero Dirichlet values outside: neighbours
+    along axis a couple by c / h_a^2, and the diagonal is
+    c (-2 sum_a 1 / h_a^2), plus the potential, plus the shift."""
+    if mask.count == 0:
+        raise GeometryError("mask has no interior nodes")
+    if potential is not None and potential.grid != mask.grid:
+        raise SpectralError("potential lives on a different grid")
     grid = mask.grid
     inside = mask.inside
     n_in = mask.count
@@ -82,10 +94,16 @@ def dirichlet_laplacian_matrix(mask: DomainMask) -> sparse.csr_matrix:
         both = inside[tuple(sl_lo)] & inside[tuple(sl_hi)]
         i_lo = index[tuple(sl_lo)][both]
         i_hi = index[tuple(sl_hi)][both]
+        coupling = np.full(i_lo.size, laplacian_coefficient * inv_h2)
         rows.extend((i_lo, i_hi))
         cols.extend((i_hi, i_lo))
-        vals.extend((np.full(i_lo.size, inv_h2), np.full(i_lo.size, inv_h2)))
+        vals.extend((coupling, coupling))
 
+    diag = laplacian_coefficient * diag
+    if potential is not None:
+        diag = diag + np.asarray(potential.values)[inside]
+    if shift != 0.0:
+        diag = diag + shift
     rows.append(np.arange(n_in))
     cols.append(np.arange(n_in))
     vals.append(diag)
@@ -93,24 +111,6 @@ def dirichlet_laplacian_matrix(mask: DomainMask) -> sparse.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_in, n_in),
     )
-    return mat.tocsr()
-
-
-def assemble_dirichlet(
-    mask: DomainMask,
-    laplacian_coefficient: float = -1.0,
-    potential: ScalarField | None = None,
-    shift: float = 0.0,
-) -> StencilOperator:
-    if mask.count == 0:
-        raise GeometryError("mask has no interior nodes")
-    mat = laplacian_coefficient * dirichlet_laplacian_matrix(mask)
-    if potential is not None:
-        if potential.grid != mask.grid:
-            raise SpectralError("potential lives on a different grid")
-        mat = mat + sparse.diags(np.asarray(potential.values)[mask.inside])
-    if shift != 0.0:
-        mat = mat + shift * sparse.identity(mask.count, format="csr")
     return StencilOperator(mask, mat.tocsr())
 
 

@@ -11,11 +11,11 @@ lattice-matched binding energy; that cancels the relative-direction
 discretization error, which would otherwise swamp the h^2 level being
 measured.
 
-The ground state is solved on the half x >= y of the product grid, on the
-exchange-symmetric fields, with half the unknowns. The potential is even in
-x - y, so the operator commutes with the exchange of x and y; being a
-Z-matrix, it has a symmetric ground state on any mask, and its restriction
-to symmetric fields keeps the smallest eigenvalue (see ``ground_energy``).
+The operator A is assembled and solved only on the half x >= y of the
+product grid, as B = S^T A S, its restriction to the exchange-symmetric
+fields, with half the unknowns. The potential is even in x - y, so A
+commutes with the exchange of x and y; being a Z-matrix, it has a
+symmetric ground state on any mask, which B keeps (see ``ground_energy``).
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class TwoBodyProblem:
         if self.mask.grid.dim != 1:
             raise TwoBodyError("product eigensolves are supported in d=1 only")
         if self.mask.count**2 > MAX_PRODUCT_UNKNOWNS:
+            # all n^2 nodes, not the half solved: the trial kernel is dense
             raise TwoBodyError(
                 f"product grid at h={self.h} has {self.mask.count**2} "
-                f"unknowns, over the {MAX_PRODUCT_UNKNOWNS} budget"
+                f"nodes, over the {MAX_PRODUCT_UNKNOWNS} budget"
             )
         if self.W is not None and self.W.grid != self.mask.grid:
             raise TwoBodyError("W lives on a different grid")
@@ -95,43 +96,29 @@ class TwoBodyProblem:
         return DomainMask(pgrid, self.mask.inside[:, None] & self.mask.inside[None, :])
 
     def operator(self) -> StencilOperator:
-        """2D Dirichlet stencil of the pair operator."""
-        return self._op
+        """The pair operator on the exchange-symmetric fields, B = S^T A S,
+        as a stencil on the half x >= y of the product grid (see
+        ``ground_energy``)."""
+        return self._half
 
     @cached_property
-    def _op(self) -> StencilOperator:
+    def _half(self) -> StencilOperator:
+        # no 4-neighbour of a node below the diagonal lies above it, so B is
+        # A on the half with the couplings s_i A_ij s_j
         pmask = self.product_mask()
+        half = DomainMask(pmask.grid, np.tril(pmask.inside))  # x >= y
         x = self.mask.grid.axis(0)
         vfun = potential_from_descriptor(self.potential)
         pot = vfun((x[:, None] - x[None, :]) / self.h)
         if self.W is not None:
             w = np.asarray(self.W.values)
             pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
-        return assemble_dirichlet(pmask, -0.5 * self.h**2, pmask.field(pot))
-
-    def symmetric_half(self) -> tuple[StencilOperator, sparse.csr_matrix]:
-        """The pair operator on the half x >= y of the product grid, B = S^T A
-        S, and the isometry S.
-
-        S maps a diagonal node to e_ii and an off-diagonal node to
-        (e_ij + e_ji)/sqrt(2): its range is the exchange-symmetric product
-        fields, on which A acts as B.
-        """
-        full = self.operator()
-        pmask = full.mask
-        half = DomainMask(pmask.grid, np.tril(pmask.inside))  # x >= y
-        index = np.full(pmask.grid.shape, -1)
-        index[pmask.inside] = np.arange(pmask.count)
-        x, y = np.nonzero(half.inside)  # the order of half.field
-        k = np.arange(x.size)
-        off = x != y
-        weight = np.where(off, math.sqrt(0.5), 1.0)
-        fold = sparse.csr_matrix(
-            (np.concatenate((weight, weight[off])),
-             (np.concatenate((index[x, y], index[y[off], x[off]])),
-              np.concatenate((k, k[off])))),
-            shape=(pmask.count, half.count))
-        return StencilOperator(half, (fold.T @ full.matrix @ fold).tocsr()), fold
+        op = assemble_dirichlet(half, -0.5 * self.h**2, half.field(pot))
+        mat, s = op.matrix, _exchange_weights(half)
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        off = rows != mat.indices
+        mat.data[off] *= s[rows[off]] * s[mat.indices[off]]
+        return op
 
     @cached_property
     def com_threshold(self) -> float:
@@ -139,35 +126,38 @@ class TwoBodyProblem:
         return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
 
 
+def _exchange_weights(half: DomainMask) -> np.ndarray:
+    """s: sqrt(2) on the diagonal nodes of the half mask x >= y, else 1."""
+    x, y = np.nonzero(half.inside)  # the order of half.field
+    return np.where(x == y, math.sqrt(2.0), 1.0)
+
+
 def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
                   sigma: float | None = None) -> EigenResult:
     """Smallest eigenpair of the pair operator A, solved on the symmetric half.
 
-    The half operator B = S^T A S (``TwoBodyProblem.symmetric_half``) is A
-    restricted to an invariant subspace, so its spectrum lies inside that of
-    A. A is a Z-matrix that commutes with the exchange P, so for a
-    nonnegative ground vector v of A, v + Pv is a symmetric ground vector:
-    the smallest eigenvalues agree, on any mask.
+    The half operator B = S^T A S (``TwoBodyProblem.operator``) is A
+    restricted to the exchange-symmetric fields, an invariant subspace, so
+    its spectrum lies inside that of A. A is a Z-matrix that commutes with
+    the exchange P, so for a nonnegative ground vector v of A, v + Pv is a
+    symmetric ground vector: the smallest eigenvalues agree, on any mask.
 
     ``sigma`` is a shift estimate a little below lambda_1. The pivots of
     its factor certify that it lies below; if they refuse it, the
     Gershgorin shift of A is used, at the cost of one more factorization.
-    That shift is also the default. It lies below the spectrum of B too,
-    and B's own bound sits lower, at its sqrt(2) couplings next to the
-    diagonal, which would cost ARPACK more LU solves. ``asymptotic_scan``
+    That shift is also the default, read from T B T^-1, T = diag(s), whose
+    rows are A's; B's own bound sits lower, at its sqrt(2) couplings next to
+    the diagonal, which would cost ARPACK more LU solves. ``asymptotic_scan``
     passes the decoupled value -E_b + h^2 D_c with the lattice-matched E_b,
     and ``richardson_disc_error`` the fine eigenvalue of the same h, each
-    lowered by ``SHIFT_MARGIN`` E_b. The eigenvector is returned as the
-    exchange-symmetric product field S v, with the norm and residual of v.
+    lowered by ``SHIFT_MARGIN`` E_b. The eigenvector is B's, a field on the
+    half mask: S v is the symmetric product field.
     """
-    full = prob.operator()
-    half, fold = prob.symmetric_half()
-    floor = gershgorin_shift(full.matrix)
-    res = smallest_eigenpair(half, tol=tol,
-                             sigma=floor if sigma is None else (sigma, floor))
-    vec = fold @ np.asarray(res.eigenvector.values)[half.mask.inside]
-    return EigenResult(res.eigenvalue, full.mask.field(vec), res.residual,
-                       res.iterations)
+    half = prob.operator()
+    s = _exchange_weights(half.mask)
+    floor = gershgorin_shift(sparse.diags(s) @ half.matrix @ sparse.diags(1.0 / s))
+    return smallest_eigenpair(half, tol=tol,
+                              sigma=floor if sigma is None else (sigma, floor))
 
 
 def decoupled_lower_bound(prob: TwoBodyProblem, binding_energy: float) -> float:
@@ -202,13 +192,15 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
     wave = lattice_pair_field(prob.matched_state, ell / h, 1.0)
     trial = pair_kernel(center_values(mode.eigenvector.values), wave,
                         prob.mask.inside)
-    pmask = prob.product_mask()
-
-    tvec = trial[pmask.inside]
-    nrm = float(tvec @ tvec)
+    half = prob.operator()
+    x, y = np.nonzero(half.mask.inside)
+    # u = S^T t: its Rayleigh quotient against B bounds lambda_min(B) = E0
+    # from above, as that of any nonzero vector does
+    u = np.where(x == y, trial[x, y], (trial[x, y] + trial[y, x]) / math.sqrt(2.0))
+    nrm = float(u @ u)
     if nrm <= 0:
         raise TwoBodyError("trial state vanished; ell too large for the domain")
-    return float(tvec @ (prob.operator().matrix @ tvec)) / nrm
+    return float(u @ (half.matrix @ u)) / nrm
 
 
 def richardson_disc_error(prob: TwoBodyProblem, e_fine: float,

@@ -12,7 +12,7 @@ from paircond import geometry as geo
 from paircond import gp
 from paircond.grid import Grid, PairKernel, ScalarField
 from paircond.pairing import lattice_pair_field, potential_from_descriptor
-from paircond.spectral import dirichlet_laplacian_matrix, onset_threshold
+from paircond.spectral import assemble_dirichlet, onset_threshold
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,7 @@ def one_body_matrix(cfg):
     mask)."""
     grid = cfg.mask.grid
     n = grid.n[0]
-    lap_int = dirichlet_laplacian_matrix(cfg.mask)
+    lap_int = assemble_dirichlet(cfg.mask, 1.0).matrix
     idx = np.flatnonzero(cfg.mask.inside)
     expand = sparse.csr_matrix(
         (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(n, idx.size)
@@ -410,7 +410,8 @@ def dense_semiclassics_terms(cfg, psi):
     a_lat = lattice_pair_field(matched, cfg.phi, h)
     a = bcs.pair_kernel(bcs.center_values(psi.values), a_lat / h,
                         cfg.mask.inside)
-    lap = dirichlet_laplacian_matrix(geo.DomainMask(grid, np.ones(grid.shape, bool)))
+    lap = assemble_dirichlet(geo.DomainMask(grid, np.ones(grid.shape, bool)),
+                             1.0).matrix
     ka = -(h**2) * 0.5 * (lap @ a + a @ lap.T)
     x = grid.axis(0)
     vmat = potential_from_descriptor(cfg.potential)(

@@ -506,6 +506,21 @@ class TestRun:
         assert not caught, [str(w.message) for w in caught]
         assert not os.listdir(tmp_path)
 
+    def test_twobody_fit_overflow_is_quiet(self, tmp_path, capfd):
+        # depth 1e200: the slopes near -1e200/h^2 overflow the squared
+        # residual of the threshold fit; the fit is refused as non-finite,
+        # and nothing but the solver error reaches stderr
+        cfg = json.loads(json.dumps(FUZZ_BASE["twobody-scan"]))
+        cfg["potential"]["depth"] = 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run("twobody-scan", cfg, str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert not caught, [str(w.message) for w in caught]
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("experiment,key", [
         ("semiclassics", "amplitude"), ("semiclassics", "D"),
         ("bcs-trial", "amplitude"), ("bcs-trial", "D")])

@@ -8,11 +8,12 @@ still reported and that the main counters still count.
 """
 
 import contextlib
+import functools
 import io
 import os
 import sys
 
-from paircond import cli
+from paircond import cli, gp, pairing, spectral, twobody
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "bench"))
@@ -31,21 +32,50 @@ TINY_RUNS = [
 ]
 
 
-def test_tracer_reports_every_layer(tmp_path):
+def test_tracer_reports_every_layer(tmp_path, monkeypatch):
+    # every assembled mask, recorded under the tracer's own wrapper
+    masks = []
+    assemble = spectral.assemble_dirichlet
+
+    @functools.wraps(assemble)
+    def recording(mask, *args, **kwargs):
+        masks.append(mask)
+        return assemble(mask, *args, **kwargs)
+
+    for module in (spectral, gp, pairing, twobody):
+        monkeypatch.setattr(module, "assemble_dirichlet", recording)
     tracer = layertrace.Tracer()
     tracer.install()
     try:
+        codes, runs = [], []  # the exit code and metrics of each run
+        pair_solves = []  # unknowns of each eigensolve of a ground energy
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [cli.run(experiment, cfg, str(tmp_path / experiment))
-                     for experiment, cfg in TINY_RUNS]
-        metrics = tracer.pass_metrics()
+            for experiment, cfg in TINY_RUNS:
+                codes.append(cli.run(experiment, cfg,
+                                     str(tmp_path / experiment)))
+                pair_solves += [s.info["unknowns"] for s in tracer.spans
+                                if s.name == "spectral.smallest_eigenpair"
+                                and s.parent.name == "twobody.ground_energy"]
+                runs.append(tracer.pass_metrics())
     finally:
         tracer.uninstall()
     assert codes == [0, 0, 0]
     # the worker adds these two itself
     added = {"reporting.output_bytes", "trace.overhead_s"}
-    assert set(metrics) == {name for name, _ in layertrace.PER_LAYER} - added
+    for metrics in runs:
+        assert set(metrics) == {name for name, _ in layertrace.PER_LAYER} - added
     for name in ("spectral.eigensolves", "gp.factorizations",
                  "twobody.product_unknowns_max"):
-        assert metrics[name] > 0, name
+        assert max(metrics[name] for metrics in runs) > 0, name
     assert not hasattr(cli.run, "__wrapped__")  # the original is back
+    # the pair operator is assembled and solved on the symmetric half only:
+    # no product mask holds more than the n (n + 1) / 2 nodes x >= y of the
+    # n interior nodes of its axis, and the largest operator the tracer
+    # reads is the largest pair operator solved (the scan's continuum
+    # relative state, 3999 unknowns, is its largest eigensolve overall)
+    product = [m for m in masks if m.grid.dim == 2]
+    assert product
+    for m in product:
+        n = int(m.inside.any(axis=1).sum())
+        assert m.count <= n * (n + 1) // 2
+    assert runs[0]["twobody.product_unknowns_max"] == max(pair_solves)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from conftest import POSCHL_TELLER, random_1d_mask
@@ -9,7 +10,8 @@ from paircond import geometry as geo
 from paircond import spectral
 from paircond import twobody as tb
 from paircond.grid import Grid, ScalarField
-from paircond.spectral import smallest_eigenpair
+from paircond.pairing import potential_from_descriptor
+from paircond.spectral import assemble_dirichlet, smallest_eigenpair
 
 POTENTIALS = [
     POSCHL_TELLER,
@@ -17,6 +19,37 @@ POTENTIALS = [
     {"kind": "gaussian_well", "depth": 2.5, "width": 0.7},
     {"kind": "table", "x": [0.0, 0.5, 1.5], "v": [-3.0, -1.0, 0.0]},
 ]
+
+
+def full_operator_and_fold(prob):
+    """The pair operator A on the whole product grid and the isometry S from
+    the half x >= y onto the exchange-symmetric product fields: the oracle
+    of ``TwoBodyProblem.operator``, which must equal S^T A S.
+
+    S maps a diagonal node to e_ii and an off-diagonal node to
+    (e_ij + e_ji)/sqrt(2).
+    """
+    pmask = prob.product_mask()
+    x = prob.mask.grid.axis(0)
+    pot = potential_from_descriptor(prob.potential)(
+        (x[:, None] - x[None, :]) / prob.h)
+    if prob.W is not None:
+        w = np.asarray(prob.W.values)
+        pot = pot + 0.5 * prob.h**2 * (w[:, None] + w[None, :])
+    full = assemble_dirichlet(pmask, -0.5 * prob.h**2, pmask.field(pot))
+    half = prob.operator().mask
+    index = np.full(pmask.grid.shape, -1)
+    index[pmask.inside] = np.arange(pmask.count)
+    x, y = np.nonzero(half.inside)  # the order of half.field
+    k = np.arange(x.size)
+    off = x != y
+    weight = np.where(off, np.sqrt(0.5), 1.0)
+    fold = sparse.csr_matrix(
+        (np.concatenate((weight, weight[off])),
+         (np.concatenate((index[x, y], index[y[off], x[off]])),
+          np.concatenate((k, k[off])))),
+        shape=(pmask.count, half.count))
+    return full, fold
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +66,18 @@ class TestGroundEnergy:
         assert abs(res.eigenvalue - target) < 3 * 0.05**3 + 2e-3
 
     def test_eigenvector_symmetric(self, pt_problem):
+        # the half's ground vector v, mapped by S onto the symmetric product
+        # fields, is an eigenvector of the full operator A to within the
+        # residual it was returned with (S is an isometry, and A S = S B)
         res = tb.ground_energy(pt_problem, tol=1e-9)
-        v = np.asarray(res.eigenvector.values)
-        assert np.linalg.norm(v - v.T) <= 1e-8 * np.linalg.norm(v)
+        full, fold = full_operator_and_fold(pt_problem)
+        half = pt_problem.operator().mask
+        v = np.asarray(res.eigenvector.values)[half.inside]
+        u = fold @ (v / np.linalg.norm(v))
+        resid = np.linalg.norm(full.matrix @ u - res.eigenvalue * u)
+        rounding = 64 * np.finfo(float).eps * full.norm_estimate()
+        assert resid <= res.residual + rounding
+        assert res.residual <= 1e-9 * max(1.0, abs(res.eigenvalue))
 
     def test_constant_w_shifts_exactly(self, pt_problem):
         base = tb.ground_energy(pt_problem, tol=1e-10).eigenvalue
@@ -64,21 +106,34 @@ class TestGroundEnergy:
     def test_half_solve_matches_full_operator(self, seed, pot, w_scale,
                                               h_cells):
         # masks of one or two intervals with at most 20 nodes, h of 6 to 12
-        # cells (the scans run at 8); the half solve must find the smallest
-        # eigenvalue of the full product matrix, return an exactly symmetric
-        # field, and take no more LU solves than the full operator at its
-        # own Gershgorin shift
+        # cells (the scans run at 8); the half operator must be S^T A S to
+        # rounding, its default shift A's Gershgorin shift, and the half
+        # solve must find the smallest eigenvalue of the full product
+        # matrix A, with no more LU solves than A takes at that shift
         rng = np.random.default_rng(seed)
         mask = random_1d_mask(rng, n=22)
         w = mask.field(w_scale * rng.standard_normal(22))
         prob = tb.TwoBodyProblem(mask, pot, w, h_cells * mask.grid.spacing[0])
-        res = tb.ground_energy(prob, tol=1e-9)
-        ref = np.linalg.eigvalsh(prob.operator().matrix.toarray())[0]
+        full, fold = full_operator_and_fold(prob)
+        folded = (fold.T @ full.matrix @ fold).toarray()
+        scale = np.max(np.abs(full.matrix.toarray()))
+        assert (np.max(np.abs(prob.operator().matrix.toarray() - folded))
+                <= 4 * np.finfo(float).eps * scale)
+
+        floors = []
+
+        def recording(mat):
+            floors.append(spectral.gershgorin_shift(mat))
+            return floors[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tb, "gershgorin_shift", recording)
+            res = tb.ground_energy(prob, tol=1e-9)
+        ref_floor = spectral.gershgorin_shift(full.matrix)
+        assert floors and abs(floors[0] - ref_floor) <= 1e-12 * abs(ref_floor)
+        ref = np.linalg.eigvalsh(full.matrix.toarray())[0]
         assert abs(res.eigenvalue - ref) <= 1e-10 * max(1.0, abs(ref))
-        v = np.asarray(res.eigenvector.values)
-        assert np.array_equal(v, v.T)
-        full = smallest_eigenpair(prob.operator(), tol=1e-9)
-        assert res.iterations <= full.iterations
+        assert res.iterations <= smallest_eigenpair(full, tol=1e-9).iterations
 
     def test_memory_guard(self):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 1001))
