@@ -245,6 +245,16 @@ def minimize_gp(
     if not (np.isfinite(e) and np.isfinite(res)):
         raise GPError(f"the start's energy or residual overflows (max psi "
                       f"{np.max(vals):.3g}): D is too far above threshold")
+    # each Euler-Lagrange entry carries rounding of about eps |D| psi_i, and
+    # |psi|_H1 <= sqrt(1 + 4 sum_a h_a^-2) |psi|_L2 (the quarter-Laplacian's
+    # Gershgorin bound): past this D no field can meet the target
+    d_limit = tol * float(np.sqrt(1.0 + 4.0 * np.sum(
+        1.0 / np.asarray(mask.grid.spacing) ** 2))) / np.finfo(float).eps
+    if abs(prob.D) > d_limit:
+        raise GPError(f"|D| = {abs(prob.D):.3g} is over the {d_limit:.3g} that "
+                      f"tol {tol:.3g} resolves on this grid: the residual's "
+                      "rounding, about eps |D| |psi|, lies above its target "
+                      "tol (1 + |psi|_H1)")
     e_start = e
     factor = None  # the last Hessian factor: CG's preconditioner
     it = 0

@@ -39,6 +39,9 @@ from .grid import ScalarField
 
 # LU solves that one eigensolve may make before it reports no convergence
 MAX_LU_SOLVES = 400
+# ARPACK's Lanczos basis size on a solve given a start vector (clamped to the
+# operator's size); a solve with no start keeps ARPACK's default of 20
+START_NCV = 4
 
 
 class SpectralError(RuntimeError):
@@ -196,6 +199,7 @@ def smallest_eigenpair(
     op: StencilOperator,
     tol: float = 1e-10,
     sigma: float | tuple | None = None,
+    start: np.ndarray | None = None,
 ) -> EigenResult:
     """Lowest eigenpair, certified as the lowest.
 
@@ -215,12 +219,27 @@ def smallest_eigenpair(
     lambda_1, or a tuple of them in the order to try. The first that the
     pivots admit is used, and each refused one costs one factorization. The
     Gershgorin shift of A, which always lies below, is the last resort and
-    the default.
+    the default. ``start``, a nonzero vector of the operator's length, also
+    belongs to this path: ARPACK starts from it, with a basis of
+    ``START_NCV`` vectors in place of its default 20. A start close to the
+    ground vector only saves LU solves: the certified shift, the cap and the
+    residual target are the same. Like ARPACK's random start, it must not be
+    orthogonal to the ground vector; a nonnegative start never is, as the
+    ground vector of a stencil operator on a connected mask is positive.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
     mat = op.matrix
     n = mat.shape[0]
+    arpack_start = {}
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,):
+            raise SpectralError(f"start vector of shape {start.shape} for an "
+                                f"operator of {n} unknowns")
+        if not np.all(np.isfinite(start)) or not np.any(start):
+            raise SpectralError("start vector must be finite and nonzero")
+        arpack_start = {"v0": start, "ncv": min(START_NCV, n)}
     norm_est = op.norm_estimate()
 
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
@@ -251,7 +270,7 @@ def smallest_eigenpair(
                       / (norm_est + abs(sigma)))
         _, v, solves = _eigsh_lu(lu.solve, n, f"eigensolver (shift {sigma:.6g})",
                                  shift_invert=mat, sigma=sigma, which="LM",
-                                 tol=arpack_tol)
+                                 tol=arpack_tol, **arpack_start)
         how = f"in {solves} LU solves (shift {sigma:.6g})"
     av = mat @ v
     lam = float(v @ av)

@@ -16,6 +16,14 @@ product grid, as B = S^T A S, its restriction to the exchange-symmetric
 fields, with half the unknowns. The potential is even in x - y, so A
 commutes with the exchange of x and y; being a Z-matrix, it has a
 symmetric ground state on any mask, which B keeps (see ``ground_energy``).
+
+A scan's ground solves start close to their answer. The shift sits
+``SHIFT_MARGIN`` E_b below the decoupled estimate -E_b + h^2 D_c. The fine
+solve starts ARPACK from the diamond trial vector that gives the upper
+bound, and the Richardson solve from the fine ground vector resampled onto
+its coarser grid, each with a small Lanczos basis
+(``spectral.START_NCV``). The pivots still certify every shift, and the
+residual target is the same as without a start.
 """
 
 from __future__ import annotations
@@ -50,9 +58,11 @@ from .spectral import (
 MAX_PRODUCT_UNKNOWNS = 400_000
 MIN_AXIS_NODES = 17  # coarsest domain grid of a scan's product problem
 # the ground solve's shift sits this fraction of E_b below its estimate of
-# lambda_1; on [0, 1] with the depth-2 Poschl-Teller well (E_b ~ 1), the
-# estimate misses by 2.4e-3 at h = 0.07 and 2.8e-4 at h = 0.035
-SHIFT_MARGIN = 0.1
+# lambda_1, -E_b + h^2 D_c; on [0, 1] with Poschl-Teller wells of depth 1.9
+# to 2.1 and micro step 0.125, the estimate lies below lambda_1 by
+# (2.2-2.7)e-3 E_b at h = 0.07 and (2.5-3.1)e-4 E_b at h = 0.035, on the
+# fine and the Richardson grid alike
+SHIFT_MARGIN = 0.01
 
 
 class TwoBodyError(RuntimeError):
@@ -133,7 +143,8 @@ def _exchange_weights(half: DomainMask) -> np.ndarray:
 
 
 def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
-                  sigma: float | None = None) -> EigenResult:
+                  sigma: float | None = None,
+                  start: np.ndarray | None = None) -> EigenResult:
     """Smallest eigenpair of the pair operator A, solved on the symmetric half.
 
     The half operator B = S^T A S (``TwoBodyProblem.operator``) is A
@@ -148,16 +159,20 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
     That shift is also the default, read from T B T^-1, T = diag(s), whose
     rows are A's; B's own bound sits lower, at its sqrt(2) couplings next to
     the diagonal, which would cost ARPACK more LU solves. ``asymptotic_scan``
-    passes the decoupled value -E_b + h^2 D_c with the lattice-matched E_b,
-    and ``richardson_disc_error`` the fine eigenvalue of the same h, each
-    lowered by ``SHIFT_MARGIN`` E_b. The eigenvector is B's, a field on the
-    half mask: S v is the symmetric product field.
+    and ``richardson_disc_error`` pass each problem's own decoupled value
+    -E_b + h^2 D_c with the lattice-matched E_b, lowered by
+    ``SHIFT_MARGIN`` E_b. ``start`` is a vector on the half mask, in the
+    order of ``half.field``, that ARPACK starts from (see
+    ``spectral.smallest_eigenpair``); it saves LU solves and certifies
+    nothing. The eigenvector is B's, a field on the half mask: S v is the
+    symmetric product field.
     """
     half = prob.operator()
     s = _exchange_weights(half.mask)
     floor = gershgorin_shift(sparse.diags(s) @ half.matrix @ sparse.diags(1.0 / s))
     return smallest_eigenpair(half, tol=tol,
-                              sigma=floor if sigma is None else (sigma, floor))
+                              sigma=floor if sigma is None else (sigma, floor),
+                              start=start)
 
 
 def decoupled_lower_bound(prob: TwoBodyProblem, binding_energy: float) -> float:
@@ -178,13 +193,16 @@ def trial_support(prob: TwoBodyProblem, q: float) -> tuple:
     return ell, erode(prob.mask, ell)
 
 
-def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
+def twobody_trial_upper_bound(prob: TwoBodyProblem,
+                              q: float = 1.5) -> tuple[float, np.ndarray]:
     """Rayleigh quotient of the diamond trial state
-    psi_ell((x+y)/2) chi((x-y)/ell) alpha((x-y)/h) with ell = q h ln(1/h).
+    psi_ell((x+y)/2) chi((x-y)/ell) alpha((x-y)/h) with ell = q h ln(1/h),
+    and the trial vector u = S^T t on the half mask it is taken of.
 
     Any trial vector bounds the ground energy from above, so interpolating
     the center mode to midpoints costs nothing in rigor. The trial vanishes
-    on the product-domain boundary by construction.
+    on the product-domain boundary by construction. u lies close to the
+    ground vector, so ``asymptotic_scan`` starts its ground solve from it.
     """
     h = prob.h
     ell, inner = trial_support(prob, q)
@@ -193,29 +211,66 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem, q: float = 1.5) -> float:
     trial = pair_kernel(center_values(mode.eigenvector.values), wave,
                         prob.mask.inside)
     half = prob.operator()
-    x, y = np.nonzero(half.mask.inside)
     # u = S^T t: its Rayleigh quotient against B bounds lambda_min(B) = E0
     # from above, as that of any nonzero vector does
-    u = np.where(x == y, trial[x, y], (trial[x, y] + trial[y, x]) / math.sqrt(2.0))
+    u = _fold(trial, half.mask)
     nrm = float(u @ u)
     if nrm <= 0:
         raise TwoBodyError("trial state vanished; ell too large for the domain")
-    return float(u @ (half.matrix @ u)) / nrm
+    return float(u @ (half.matrix @ u)) / nrm, u
 
 
-def richardson_disc_error(prob: TwoBodyProblem, e_fine: float,
+def _fold(field: np.ndarray, half: DomainMask) -> np.ndarray:
+    """S^T f for an n x n product field f, on the half mask x >= y:
+    f_ii on the diagonal, (f_ij + f_ji)/sqrt(2) off it."""
+    x, y = np.nonzero(half.inside)  # the order of half.field
+    return np.where(x == y, field[x, y],
+                    (field[x, y] + field[y, x]) / math.sqrt(2.0))
+
+
+def _shift_estimate(prob: TwoBodyProblem) -> float:
+    """The ground solve's shift: the decoupled value -E_b + h^2 D_c with the
+    lattice-matched E_b, lowered by ``SHIFT_MARGIN`` E_b."""
+    e_b = prob.matched_state.E_b
+    return decoupled_lower_bound(prob, binding_energy=e_b) - SHIFT_MARGIN * e_b
+
+
+def richardson_disc_error(prob: TwoBodyProblem, fine: EigenResult,
                           tol: float = 1e-9) -> float:
     """Discretization-error estimate: solve again on a ~sqrt(2)-coarser
-    domain grid (same h) and extrapolate the second-order difference."""
+    domain grid (same h) and extrapolate the second-order difference.
+
+    ``fine`` is the ground eigenpair of ``prob``. The coarse solve starts
+    from its vector, unfolded to the symmetric product field F = S v,
+    resampled linearly onto the coarse grid as P F P^T and folded onto the
+    coarse half; its shift is the coarse problem's own ``_shift_estimate``.
+    """
     grid = prob.mask.grid
     n_coarse = max((int(grid.n[0] / math.sqrt(2.0)) | 1), 9)
     coarse_mask = _rebuild_interval_mask(prob.mask, n_coarse)
     w = _resample_w(prob.W, coarse_mask)
     coarse = TwoBodyProblem(coarse_mask, prob.potential, w, prob.h)
-    sigma = e_fine - SHIFT_MARGIN * prob.matched_state.E_b
-    e_coarse = ground_energy(coarse, tol=tol, sigma=sigma).eigenvalue
+    v = np.asarray(fine.eigenvector.values)
+    off = np.tril(v, -1) / math.sqrt(2.0)
+    field = off + off.T + np.diag(np.diag(v))  # S v
+    interp = _interpolation_matrix(coarse_mask.grid.axis(0), grid.axis(0))
+    start = _fold(interp @ field @ interp.T, coarse.operator().mask)
+    e_coarse = ground_energy(coarse, tol=tol, sigma=_shift_estimate(coarse),
+                             start=start).eigenvalue
     ratio = (grid.n[0] - 1) / (n_coarse - 1)
-    return abs(e_fine - e_coarse) / (ratio**2 - 1.0)
+    return abs(fine.eigenvalue - e_coarse) / (ratio**2 - 1.0)
+
+
+def _interpolation_matrix(x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+    """Dense P with P f the linear interpolant of the nodal values f on the
+    increasing nodes x_old, read at x_new (inside [x_old[0], x_old[-1]])."""
+    k = np.clip(np.searchsorted(x_old, x_new) - 1, 0, x_old.size - 2)
+    t = (x_new - x_old[k]) / (x_old[k + 1] - x_old[k])
+    interp = np.zeros((x_new.size, x_old.size))
+    rows = np.arange(x_new.size)
+    interp[rows, k] = 1.0 - t
+    interp[rows, k + 1] += t
+    return interp
 
 
 def _rebuild_interval_mask(mask: DomainMask, n: int) -> DomainMask:
@@ -283,8 +338,9 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
     Rows: (h, ground, lower, upper, slope_partial) with slope_partial =
     (E0 + E_b_matched)/h^2, which tends to the domain threshold. The
     sandwich lower - eps <= E0 <= upper is enforced at every h, with eps the
-    Richardson discretization estimate. The residual exponent nu_hat is
-    fitted from the three smallest h only.
+    Richardson discretization estimate and each side given the slack
+    tol max(1, |bound|) that the eigensolve's rounding needs. The residual
+    exponent nu_hat is fitted from the three smallest h only.
     """
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     if len(h_list) < 3:
@@ -297,14 +353,14 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
         prob = problem_at(cfg, h)
         matched_eb = prob.matched_state.E_b
         d_c = prob.com_threshold
-        estimate = decoupled_lower_bound(prob, binding_energy=matched_eb)
-        res = ground_energy(prob, tol=cfg.tol,
-                            sigma=estimate - SHIFT_MARGIN * matched_eb)
+        upper, trial = twobody_trial_upper_bound(prob, q=cfg.q)
+        res = ground_energy(prob, tol=cfg.tol, sigma=_shift_estimate(prob),
+                            start=trial)
         e0 = res.eigenvalue
         lower = decoupled_lower_bound(prob, binding_energy=e_b_continuum)
-        upper = twobody_trial_upper_bound(prob, q=cfg.q)
-        eps = richardson_disc_error(prob, e0, tol=cfg.tol)
-        if not (lower - eps <= e0 <= upper + cfg.tol * max(1.0, abs(upper))):
+        eps = richardson_disc_error(prob, res, tol=cfg.tol)
+        if not (lower - eps - cfg.tol * max(1.0, abs(lower)) <= e0
+                <= upper + cfg.tol * max(1.0, abs(upper))):
             raise TwoBodyError(
                 f"sandwich violated at h={h}: {lower} - {eps} <= {e0} <= {upper}"
             )

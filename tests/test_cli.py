@@ -521,6 +521,53 @@ class TestRun:
         assert not caught, [str(w.message) for w in caught]
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("experiment", ["gp-min", "continuity"])
+    def test_gp_d_beyond_rounding_refused(self, tmp_path, capfd, monkeypatch,
+                                          experiment):
+        # D_offset 1e30 on the n = 41 slit square: the single-mode start is
+        # finite (theta ~ 1e15), but eps |D| ~ 2e14 dwarfs the residual
+        # target, so the run is refused by its limit before any Newton step,
+        # where it used to fail "in 0 Newton steps"
+        factors = []
+        monkeypatch.setattr(gp, "splu", lambda *a, **k: factors.append(1))
+        cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+        cfg["domain"] = {"builtin": "slit_square", "n": 41}
+        cfg["D_offset"] = 1e30
+        assert cli.run(experiment, cfg, str(tmp_path)) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("solver error: |D| = 1e+30 is over the 2.12e+08 "
+                              "that tol 1e-09 resolves on this grid")
+        assert err.count("\n") == 1
+        assert factors == [] and not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("gap,code", [(None, 0), (1e-3, 3)],
+                             ids=["one ulp", "wide"])
+    def test_twobody_sandwich_lower_slack(self, tmp_path, capfd, monkeypatch,
+                                          gap, code):
+        # E0 put one ulp below the lower bound, with eps = 0: the lower side
+        # has the same slack tol max(1, |lower|) as the upper side, so the
+        # scan passes; a gap far wider than the slack still exits 3
+        from paircond import twobody
+
+        cfg = json.loads(json.dumps(FUZZ_BASE["twobody-scan"]))
+        e_b = pairing.solve_relative(cfg["potential"]).E_b
+        ground = twobody.ground_energy
+
+        def below_lower(prob, *args, **kwargs):
+            res = ground(prob, *args, **kwargs)
+            lower = twobody.decoupled_lower_bound(prob, e_b)
+            res.eigenvalue = (np.nextafter(lower, -np.inf) if gap is None
+                              else lower - gap)
+            return res
+
+        monkeypatch.setattr(twobody, "ground_energy", below_lower)
+        monkeypatch.setattr(twobody, "richardson_disc_error",
+                            lambda *args, **kwargs: 0.0)
+        assert cli.run("twobody-scan", cfg, str(tmp_path)) == code
+        err = capfd.readouterr().err
+        if code == 3:
+            assert err.startswith("solver error: sandwich violated")
+
     @pytest.mark.parametrize("experiment,key", [
         ("semiclassics", "amplitude"), ("semiclassics", "D"),
         ("bcs-trial", "amplitude"), ("bcs-trial", "D")])

@@ -386,6 +386,61 @@ class TestKeptFactor:
         assert gp_counts["factorizations"] > gp_counts["minimizations"]
 
 
+class TestCGGuards:
+    """CG on the kept factor stops at its cap, ``CG_MAX_ITER``, and at
+    nonpositive curvature; either way the Newton step factors anew."""
+
+    @staticmethod
+    def problem():
+        mask = geo.disk([0, 0], 1.0, grid=Grid.box([-1.2, -1.2], [1.2, 1.2],
+                                                   [41, 41]))
+        mode = onset_threshold(mask, tol=1e-11)
+        return gp.GPProblem(mask, None, mode.eigenvalue + 10.0, 1.0), mode
+
+    @staticmethod
+    def minimize(monkeypatch, negate_cg=False):
+        """(solution, factorizations); with ``negate_cg`` each factor answers
+        every solve after its first, the CG ones, with -H0^-1 b."""
+        factors = []
+        splu = gp.splu
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, b):
+                self.solves += 1
+                x = self.lu.solve(b)
+                return -x if negate_cg and self.solves > 1 else x
+
+        def counting(*args, **kwargs):
+            factors.append(Factor(splu(*args, **kwargs)))
+            return factors[-1]
+
+        monkeypatch.setattr(gp, "splu", counting)
+        prob, mode = TestCGGuards.problem()
+        sol = gp.minimize_gp(prob, mode=mode)
+        check_minimizer(prob, sol, mode)
+        return sol, len(factors)
+
+    def test_kept_factor_saves_factorizations(self, monkeypatch):
+        sol, factors = self.minimize(monkeypatch)
+        assert factors < sol.iterations
+
+    def test_cap_of_zero_factors_every_step(self, monkeypatch):
+        # CG may take no iteration: every Newton step factors the Hessian
+        monkeypatch.setattr(gp, "CG_MAX_ITER", 0)
+        sol, factors = self.minimize(monkeypatch)
+        assert factors >= sol.iterations
+
+    def test_negative_preconditioner_is_refused(self, monkeypatch):
+        # a negative definite preconditioner gives r^T z < 0 at CG's first
+        # iteration; CG stops there, and every Newton step factors anew
+        # (past that check, CG with -H0 would run as with H0)
+        sol, factors = self.minimize(monkeypatch, negate_cg=True)
+        assert factors >= sol.iterations
+
+
 class TestElResidualBound:
     def test_module_wide_constant(self):
         # |Lap psi| <= C (1 + |D|)(|psi|_H1 + |psi|_H1^3) across problems

@@ -242,6 +242,47 @@ class TestShift:
         assert abs(res.eigenvalue - ref) <= 1e-12 * abs(ref)
 
 
+class TestStart:
+    """A start vector only changes how many LU solves ARPACK makes."""
+
+    @staticmethod
+    def square_with_potential():
+        grid = Grid.box([0.0, 0.0], [1.0, 1.0], [41, 41])
+        w = ScalarField(grid, np.random.default_rng(5).standard_normal((41, 41)))
+        return sp.assemble_dirichlet(geo.box_mask([0.0, 0.0], [1.0, 1.0], grid),
+                                     -1.0, w)
+
+    def test_near_start_saves_lu_solves(self):
+        # the product sin(pi x) sin(pi y), the ground mode without the
+        # potential, started at the Gershgorin shift and at a near estimate
+        op = self.square_with_potential()
+        xx, yy = op.mask.grid.meshgrid()
+        start = (np.sin(np.pi * xx) * np.sin(np.pi * yy))[op.mask.inside]
+        lam = np.linalg.eigvalsh(op.matrix.toarray())[:2]
+        for sigma in (None, lam[0] - 0.01 * (lam[1] - lam[0])):
+            base = sp.smallest_eigenpair(op, sigma=sigma)
+            started = sp.smallest_eigenpair(op, sigma=sigma, start=start)
+            assert abs(started.eigenvalue - base.eigenvalue) <= 1e-12 * abs(lam[0])
+            assert abs(started.eigenvalue - lam[0]) <= 1e-10 * abs(lam[0])
+            assert started.iterations < base.iterations
+            assert started.residual <= 1e-10 * min(op.norm_estimate(),
+                                                   max(1.0, abs(lam[0])))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["short", "matrix", "nan", "inf", "zero"])
+    def test_bad_start_refused(self, dim, kind):
+        op = (self.square_with_potential() if dim == 2
+              else sp.assemble_dirichlet(interval_mask(101), -1.0))
+        n = op.n_unknowns
+        start = {"short": np.ones(n - 1), "matrix": np.ones((n, 1)),
+                 "nan": np.full(n, np.nan), "inf": np.full(n, np.inf),
+                 "zero": np.zeros(n)}[kind]
+        if kind in ("nan", "inf"):
+            start[1:] = 1.0
+        with pytest.raises(sp.SpectralError, match="start vector"):
+            sp.smallest_eigenpair(op, start=start)
+
+
 def two_intervals():
     grid = Grid.box(0.0, 1.0, 301)
     x = grid.axis(0)

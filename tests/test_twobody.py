@@ -135,6 +135,31 @@ class TestGroundEnergy:
         assert abs(res.eigenvalue - ref) <= 1e-10 * max(1.0, abs(ref))
         assert res.iterations <= smallest_eigenpair(full, tol=1e-9).iterations
 
+    def test_trial_start_saves_lu_solves(self):
+        # the h = 0.07 product problem at the scan's shift: started from the
+        # diamond trial vector, ARPACK returns the unstarted eigenvalue in
+        # fewer LU solves, to the same residual target
+        prob = tb.problem_at(tb.TwoBodyScanConfig(micro_step=0.125), 0.07)
+        sigma = tb._shift_estimate(prob)
+        _, trial = tb.twobody_trial_upper_bound(prob)
+        base = tb.ground_energy(prob, tol=1e-9, sigma=sigma)
+        started = tb.ground_energy(prob, tol=1e-9, sigma=sigma, start=trial)
+        assert (abs(started.eigenvalue - base.eigenvalue)
+                <= 1e-12 * abs(base.eigenvalue))
+        assert started.iterations < base.iterations
+        assert started.residual <= 1e-9 * max(1.0, abs(started.eigenvalue))
+
+    def test_interpolation_matrix_is_linear(self):
+        # P f reproduces a linear f exactly at the nodes of the coarse grid,
+        # and each row is a convex combination of two neighbours
+        x_old = np.linspace(0.0, 1.0, 115)
+        x_new = np.linspace(0.0, 1.0, 81)
+        interp = tb._interpolation_matrix(x_new, x_old)
+        assert np.allclose(interp @ (3.0 * x_old - 1.0), 3.0 * x_new - 1.0,
+                           rtol=0, atol=1e-14)
+        assert np.all(interp >= 0) and np.allclose(interp.sum(axis=1), 1.0)
+        assert np.all(np.count_nonzero(interp, axis=1) <= 2)
+
     def test_memory_guard(self):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 1001))
         with pytest.raises(tb.TwoBodyError, match="budget"):
@@ -145,11 +170,12 @@ class TestBounds:
     def test_sandwich(self, pt_problem):
         from paircond.pairing import solve_relative
 
-        e0 = tb.ground_energy(pt_problem, tol=1e-9).eigenvalue
+        res = tb.ground_energy(pt_problem, tol=1e-9)
+        e0 = res.eigenvalue
         lower = tb.decoupled_lower_bound(
             pt_problem, solve_relative(POSCHL_TELLER).E_b)
-        upper = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
-        eps = tb.richardson_disc_error(pt_problem, e0, tol=1e-9)
+        upper, _ = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
+        eps = tb.richardson_disc_error(pt_problem, res, tol=1e-9)
         assert lower - eps <= e0 <= upper + 1e-12
 
     def test_decoupled_closed_form(self, pt_problem):
@@ -161,7 +187,7 @@ class TestBounds:
         assert abs(val - (-e_b + pt_problem.h**2 * d_c)) < 1e-14
 
     def test_upper_at_least_lower(self, pt_problem):
-        upper = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
+        upper, _ = tb.twobody_trial_upper_bound(pt_problem, q=1.5)
         lower = tb.decoupled_lower_bound(pt_problem,
                                          pt_problem.matched_state.E_b)
         assert upper >= lower
@@ -228,11 +254,13 @@ class TestScan:
         assert md["threshold_rel_error"] < 0.10  # short scan, loose check
         rows = rep.sorted_rows()
         assert all(r[2] - 0.01 <= r[1] <= r[3] + 1e-9 for r in rows)
-        # the fine and the Richardson solve of each h start from an estimate
-        # near lambda_1: ARPACK's floor of LU solves, where the Gershgorin
-        # shift took 31 at h = 0.07
+        # the fine and the Richardson solve of each h start near lambda_1,
+        # from the trial vector and the resampled fine vector: ARPACK's floor
+        # of 7 LU solves at h = 0.07, where random starts took 21 each (31
+        # at the Gershgorin shift), so 126 for the scan
         assert len(solves) == 6
-        assert all(it <= 25 for h, it in solves if h == 0.07)
+        assert all(it <= 7 for h, it in solves if h == 0.07)
+        assert sum(it for _, it in solves) <= 48
 
     def test_strong_field_sandwich_on_either_shift(self, monkeypatch):
         # a strong W; a margin of -E_b puts every estimate above lambda_1,
