@@ -1,12 +1,19 @@
 """Domain masks on grids: the distance transform, erosion/dilation (the
-interior and exterior approximations of a domain), the builtin test domains
-and portable mask JSON.
+interior and exterior approximations of a domain), connected components, the
+builtin test domains and portable mask JSON.
 
 A node belongs to a mask by its center. Distances are measured between node
 centers, so every inside node has a strictly positive distance to the
 complement (at least one spacing); boundary locations are resolved to one
 grid cell. That convention makes ``erode(m, 0) == m`` and ``dilate(m, 0) == m``
 exact.
+
+On a line the distance transform is two running sweeps over the indices of
+the outside nodes (nearest one to the left, nearest one to the right), and
+the components are the runs of inside nodes. On a plane both come from
+``scipy.ndimage``: its exact Euclidean distance transform (Maurer, Qi &
+Raghavan, IEEE TPAMI 25, 2003) and its labelling. ``ndimage`` is imported
+there, on first use, so one-dimensional runs never load it.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import Grid, GridError, ScalarField
 
@@ -77,11 +83,36 @@ def _distance_exact(inside: np.ndarray, spacing) -> np.ndarray:
     """Exact Euclidean distance transform (node-center convention).
 
     Zero on outside nodes; on inside nodes the distance to the nearest
-    outside node center.
+    outside node center. On a line that node is the nearer of the last
+    outside node to the left and the first to the right, and the distance
+    is its index offset times the spacing, which is what ``ndimage`` returns
+    there, bit for bit.
     """
     if not inside.any() or inside.all():
         raise GeometryError("distance transform needs inside and outside nodes")
-    return ndimage.distance_transform_edt(inside, sampling=spacing)
+    if inside.ndim > 1:
+        from scipy import ndimage
+
+        return ndimage.distance_transform_edt(inside, sampling=spacing)
+    n = inside.size
+    idx = np.arange(n)
+    # sentinels a full length beyond either end lose to any outside node
+    left = np.maximum.accumulate(np.where(inside, -n, idx))
+    right = np.minimum.accumulate(np.where(inside, 2 * n, idx)[::-1])[::-1]
+    return np.minimum(idx - left, right - idx) * float(spacing[0])
+
+
+def label_components(inside: np.ndarray) -> tuple:
+    """Connected components of a mask as (labels, count): labels numbers the
+    components 1..count in index order and is 0 outside. Nodes connect to
+    their axis neighbours only (4-connectivity on a plane), as the stencil
+    couples them."""
+    if inside.ndim > 1:
+        from scipy import ndimage
+
+        return ndimage.label(inside)
+    starts = inside & ~np.concatenate(([False], inside[:-1]))
+    return np.cumsum(starts) * inside, int(np.count_nonzero(starts))
 
 
 def _box_margin(mask: DomainMask) -> float:
@@ -117,9 +148,7 @@ def dilate(mask: DomainMask, ell: float) -> DomainMask:
         )
     if ell == 0:
         return DomainMask(mask.grid, mask.inside.copy())
-    dist_to_mask = ndimage.distance_transform_edt(
-        ~mask.inside, sampling=mask.grid.spacing
-    )
+    dist_to_mask = _distance_exact(~mask.inside, mask.grid.spacing)
     # inclusive threshold: node-center distances overshoot the continuum
     # distance by up to one spacing, so <= keeps the result within one cell
     inside = mask.inside | (dist_to_mask <= ell)

@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .geometry import DomainMask, dilate, erode
+from .geometry import DomainMask, dilate, erode, label_components
 from .grid import ScalarField
 from .reporting import ScanReport, fit_power_law
 from .spectral import SYMMETRIC_LU, EigenResult, assemble_dirichlet, onset_threshold
@@ -38,6 +38,10 @@ from .spectral import SYMMETRIC_LU, EigenResult, assemble_dirichlet, onset_thres
 CG_MAX_ITER = 8
 # Newton steps of ``minimize_gp`` before it reports no convergence
 MAX_NEWTON_STEPS = 2000
+# Newton steps in a row without a new smallest residual after which
+# ``minimize_gp`` reports a stall: converging gp-min runs at D_offset 1e2-5e7
+# went at most 11 such steps, runs stuck above their target over 1900
+STALL_STEPS = 50
 
 
 class GPError(RuntimeError):
@@ -158,7 +162,8 @@ def minimize_gp(
     meets Armijo or the Euler-Lagrange residual falls (below the energy's
     floating-point noise only the residual shows progress). Converged when
     the residual is below tol * (1 + |psi|_H1); ``iterations`` counts Newton
-    steps.
+    steps. A run whose residual sets no new minimum in ``STALL_STEPS``
+    steps in a row is stuck at its rounding floor and raises ``GPError``.
 
     The start is ``|initial|`` when given and nonzero, else theta * |psi_1|
     from the onset eigenpair ``mode`` (solved when absent). When D <= D_c
@@ -176,7 +181,7 @@ def minimize_gp(
     mask = prob.mask
     if initial is not None:
         _check_dirichlet(prob, initial)
-    labels, count = ndimage.label(mask.inside)
+    labels, count = label_components(mask.inside)
     if count > 1:
         parts = []
         for k in range(1, count + 1):
@@ -258,7 +263,9 @@ def minimize_gp(
     e_start = e
     factor = None  # the last Hessian factor: CG's preconditioner
     it = 0
-    while res > tol * (1.0 + h1) and it < MAX_NEWTON_STEPS:
+    best, stalled = res, 0  # smallest residual so far, steps since it fell
+    while (res > tol * (1.0 + h1) and it < MAX_NEWTON_STEPS
+           and stalled < STALL_STEPS):
         curvature = w - prob.D + 6.0 * prob.g * vals**2
         direction = None
         if factor is not None:
@@ -288,6 +295,14 @@ def minimize_gp(
             break  # no progress left at this precision
         vals, e, el, res, h1 = trial, e_trial, el_t, res_t, h1_t
         it += 1
+        best, stalled = (res, 0) if res < best else (best, stalled + 1)
+    if res > tol * (1.0 + h1) and stalled >= STALL_STEPS:
+        raise GPError(
+            f"minimizer stalled: no residual below its best {best:.3e} in "
+            f"the last {stalled} of {it} Newton steps (target "
+            f"{tol * (1.0 + h1):.3e}); the target may sit below the "
+            "floating-point floor of this grid"
+        )
     if res > tol * (1.0 + h1):
         raise GPError(
             f"minimizer did not converge in {it} Newton steps (residual "

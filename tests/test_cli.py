@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -540,6 +541,21 @@ class TestRun:
         assert err.count("\n") == 1
         assert factors == [] and not os.listdir(tmp_path)
 
+    def test_gp_stall_exits_early(self, tmp_path, capfd):
+        # D_offset 1e8 on the n = 41 slit square, under its |D| limit of
+        # 2.12e8: the residual bottoms out at 2.0e-4 within 20 Newton steps,
+        # over its target of 9.2e-5; the run used to go on for all 2000
+        cfg = {"domain": {"builtin": "slit_square", "n": 41}, "w": None,
+               "D_offset": 1e8, "g": 1.0}
+        assert cli.run("gp-min", cfg, str(tmp_path)) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("solver error: minimizer stalled: no residual "
+                              "below its best 2.02")
+        assert "(target 9.2" in err and err.count("\n") == 1
+        steps = int(re.search(r"the last (\d+) of (\d+) Newton", err).group(2))
+        assert gp.STALL_STEPS <= steps < 100
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("gap,code", [(None, 0), (1e-3, 3)],
                              ids=["one ulp", "wide"])
     def test_twobody_sandwich_lower_slack(self, tmp_path, capfd, monkeypatch,
@@ -655,17 +671,39 @@ class TestRun:
 
     def test_import_leaves_interpolate_unloaded(self):
         # scipy.interpolate, with the scipy.optimize it loads, is imported
-        # only when a spline is first evaluated
-        code = ("import sys; from paircond import cli; "
-                "print(sorted(m for m in ('scipy.interpolate', "
-                "'scipy.optimize') if m in sys.modules))")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
-        assert out.stdout.strip() == "[]"
+        # only when a spline is first evaluated, scipy.ndimage only by the
+        # first two-dimensional distance transform or labelling
+        assert loaded_in_fresh_process(
+            "from paircond import cli",
+            ("scipy.interpolate", "scipy.optimize", "scipy.ndimage")) == []
+
+    def test_one_dimensional_runs_leave_ndimage_unloaded(self, tmp_path):
+        # the 1D distance transform and components are numpy sweeps: every
+        # 1D experiment, erosion, dilation and split minimization included
+        grid = Grid.box(0.0, 1.0, 201)
+        x = grid.axis(0)
+        two = geo.DomainMask(grid, ((x > 0.1) & (x < 0.4)) | ((x > 0.6) & (x < 0.9)))
+        (tmp_path / "two.json").write_text(geo.mask_to_json(two))
+        runs = [(exp, cfg) for exp, cfg in FUZZ_BASE.items() if exp != "continuity"]
+        runs += [("gp-min", {"domain": {"mask_file": str(tmp_path / "two.json")},
+                             "w": None, "D_offset": 1.0, "g": 1.0}),
+                 ("continuity", {"domain": {"builtin": "interval", "n": 201,
+                                            "margin": 0.1},
+                                 "w": None, "D_offset": 1.0, "g": 1.0,
+                                 "ells": [0.02, 0.03, 0.04]})]
+        code = ("import json; from paircond import cli\n"
+                f"for exp, cfg in json.loads({json.dumps(runs)!r}):\n"
+                f"    assert cli.run(exp, cfg, {str(tmp_path / 'out')!r}) == 0, exp")
+        assert loaded_in_fresh_process(code, ("scipy.ndimage",)) == []
+
+    def test_two_dimensional_run_loads_ndimage(self, tmp_path):
+        # the positive control: a 2D minimization labels its components
+        cfg = {"domain": {"builtin": "disk", "n": 41}, "w": None,
+               "D_offset": 1.0, "g": 1.0}
+        code = ("from paircond import cli\n"
+                f"assert cli.run('gp-min', {cfg!r}, {str(tmp_path)!r}) == 0")
+        assert loaded_in_fresh_process(code, ("scipy.ndimage",)) == [
+            "scipy.ndimage"]
 
     def test_main_entry(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -679,6 +717,20 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert cli.main(["dc", "--config", str(cfg_path)]) == 2
+
+
+def loaded_in_fresh_process(code, modules) -> list:
+    """Which of ``modules`` are in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter that imports paircond from this checkout."""
+    code += ("\nimport json, sys\n"
+             f"print(json.dumps(sorted(m for m in {tuple(modules)!r} "
+             "if m in sys.modules)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 # small valid configs; each fuzz example replaces one key of one of them.

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
 from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
@@ -66,6 +69,32 @@ class TestDistance:
         for inside in (np.ones(11, dtype=bool), np.zeros(11, dtype=bool)):
             with pytest.raises(geo.GeometryError, match="inside and outside"):
                 geo.DomainMask(g, inside).dist
+
+
+class TestOneDimensional:
+    """The 1D sweeps against scipy.ndimage, the 2D path, as the oracle."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(bits=st.lists(st.booleans(), min_size=2, max_size=400),
+           spacing=st.floats(1e-6, 1e6))
+    @example(bits=[True, False], spacing=1.0)
+    @example(bits=[False] + [True] * 399, spacing=0.1)
+    def test_matches_ndimage(self, bits, spacing):
+        inside = np.array(bits)
+        if inside.all() or not inside.any():
+            inside[0] = not inside[0]
+        for m in (inside, ~inside):
+            assert np.array_equal(
+                geo._distance_exact(m, (spacing,)),
+                ndimage.distance_transform_edt(m, sampling=(spacing,)))
+        labels, count = geo.label_components(inside)
+        ref_labels, ref_count = ndimage.label(inside)
+        assert count == ref_count and np.array_equal(labels, ref_labels)
+
+    def test_two_dimensional_components_are_four_connected(self):
+        # diagonal neighbours do not join: the stencil does not couple them
+        labels, count = geo.label_components(np.eye(4, dtype=bool))
+        assert count == 4 and np.array_equal(labels, np.diag([1, 2, 3, 4]))
 
 
 class TestMorphology:

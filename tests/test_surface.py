@@ -100,3 +100,37 @@ def test_every_imported_name_is_used():
                 if name not in used:
                     unused.append(f"{os.path.basename(path)}:{node.lineno} {name}")
     assert not unused, f"imported names never used: {unused}"
+
+
+def module_level_imports(tree):
+    """Modules imported by statements that run when the module is imported:
+    everything outside function bodies."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [node.module] + [f"{node.module}.{alias.name}"
+                                      for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_ndimage_only_in_geometry_and_only_on_first_use():
+    # one-dimensional runs never load scipy.ndimage: only the 2D distance
+    # transform and labelling in ``geometry`` import it, when first called
+    at_import, elsewhere = [], []
+    for path in SOURCES:
+        tree = _parse(path)
+        module = os.path.basename(path)[:-3]
+        at_import += [f"{module}: {name}" for name in module_level_imports(tree)
+                      if name == "scipy.ndimage" or name.startswith("scipy.ndimage.")]
+        bare, attrs = named(tree)
+        if module != "geometry" and (bare["ndimage"] or attrs["ndimage"]):
+            elsewhere.append(module)
+    assert not at_import, f"scipy.ndimage imported at module level: {at_import}"
+    assert not elsewhere, f"modules other than geometry name ndimage: {elsewhere}"
