@@ -289,6 +289,9 @@ def _exp_twobody(cfg):
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
     if min(h_list) <= 0.0:
         raise ConfigError(f"h_list values must be positive, got {h_list}")
+    if len(set(h_list)) < 3:  # the fits of asymptotic_scan need three
+        raise ConfigError(f"h_list needs at least 3 distinct values, got "
+                          f"{h_list}")
     # each h's product grid, micro lattice and trial support, before any solve
     try:
         for h in h_list:

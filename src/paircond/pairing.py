@@ -326,7 +326,7 @@ def compute_couplings(gs: RelativeGroundState, a: np.ndarray | None = None) -> t
         a = gs.alpha_star.values
     step = gs.step
     c = np.correlate(a, a, mode="full")
-    cd = np.correlate(_lattice_neg_laplacian(a, step), a, mode="full")
+    cd = np.correlate(lattice_neg_laplacian(a, step), a, mode="full")
     g_0 = float(np.sum(c * c)) * step**3
     g_bcs = float(np.sum(cd * c)) * step**3 + gs.E_b * g_0
     return g_bcs, g_0
@@ -348,15 +348,18 @@ def lattice_pair_field(gs: RelativeGroundState, phi: float,
     return smoothstep_cutoff(gs.grid.axis(0) / phi) * h * gs.alpha_star.values
 
 
-def _lattice_neg_laplacian(a: np.ndarray, step: float) -> np.ndarray:
-    """Three-point -Lap of lattice samples, zero beyond both ends."""
-    padded = np.pad(a, 1)
-    return (2.0 * a - padded[2:] - padded[:-2]) / step**2
+def lattice_neg_laplacian(a: np.ndarray, step: float,
+                          axis: int = 0) -> np.ndarray:
+    """Three-point -Lap of lattice samples along ``axis``, zero beyond both
+    ends of that axis."""
+    a = np.moveaxis(a, axis, 0)
+    padded = np.pad(a, [(1, 1)] + [(0, 0)] * (a.ndim - 1))
+    return np.moveaxis((2.0 * a - padded[2:] - padded[:-2]) / step**2, 0, axis)
 
 
 def lattice_pair_energy(gs: RelativeGroundState, a: np.ndarray) -> float:
     """<a, (-Lap + E_b + V) a> on the nodes of ``gs`` (zero for the uncut
     eigenvector, up to solver precision)."""
     vvals = potential_from_descriptor(gs.potential)(gs.grid.axis(0))
-    lap_a = _lattice_neg_laplacian(a, gs.step)
+    lap_a = lattice_neg_laplacian(a, gs.step)
     return float(np.sum(a * (lap_a + (vvals + gs.E_b) * a)) * gs.step)

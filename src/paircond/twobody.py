@@ -17,13 +17,14 @@ fields, with half the unknowns. The potential is even in x - y, so A
 commutes with the exchange of x and y; being a Z-matrix, it has a
 symmetric ground state on any mask, which B keeps (see ``ground_energy``).
 
-A scan's ground solves start close to their answer. The shift sits
-``SHIFT_MARGIN`` E_b below the decoupled estimate -E_b + h^2 D_c. The fine
-solve starts ARPACK from the diamond trial vector that gives the upper
-bound, and the Richardson solve from the fine ground vector resampled onto
-its coarser grid, each with a small Lanczos basis
-(``spectral.START_NCV``). The pivots still certify every shift, and the
-residual target is the same as without a start.
+A scan makes one ground solve per h, and it starts close to its answer.
+The shift sits ``SHIFT_MARGIN`` E_b below the decoupled estimate
+-E_b + h^2 D_c, and ARPACK starts from the diamond trial vector that gives
+the upper bound, with a small Lanczos basis (``spectral.START_NCV``). The
+pivots still certify the shift, and the residual target is the same as
+without a start. The discretization error that widens the lower side of
+the sandwich is read off the ground vector itself
+(``leading_disc_error``), with no second solve.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .geometry import DomainMask, erode, interval
 from .grid import Grid, ScalarField
 from .pairing import (
     RelativeGroundState,
+    lattice_neg_laplacian,
     lattice_pair_field,
     matched_relative_state,
     potential_from_descriptor,
@@ -56,12 +58,13 @@ from .spectral import (
 )
 
 MAX_PRODUCT_UNKNOWNS = 400_000
-MIN_AXIS_NODES = 17  # coarsest domain grid of a scan's product problem
+# fewest nodes on a scan's domain axis at any h; the CLI refuses a config
+# that asks for fewer before any solve
+MIN_AXIS_NODES = 17
 # the ground solve's shift sits this fraction of E_b below its estimate of
 # lambda_1, -E_b + h^2 D_c; on [0, 1] with Poschl-Teller wells of depth 1.9
 # to 2.1 and micro step 0.125, the estimate lies below lambda_1 by
-# (2.2-2.7)e-3 E_b at h = 0.07 and (2.5-3.1)e-4 E_b at h = 0.035, on the
-# fine and the Richardson grid alike
+# (2.2-2.7)e-3 E_b at h = 0.07 and (2.5-3.1)e-4 E_b at h = 0.035
 SHIFT_MARGIN = 0.01
 
 
@@ -159,13 +162,14 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
     That shift is also the default, read from T B T^-1, T = diag(s), whose
     rows are A's; B's own bound sits lower, at its sqrt(2) couplings next to
     the diagonal, which would cost ARPACK more LU solves. ``asymptotic_scan``
-    and ``richardson_disc_error`` pass each problem's own decoupled value
-    -E_b + h^2 D_c with the lattice-matched E_b, lowered by
-    ``SHIFT_MARGIN`` E_b. ``start`` is a vector on the half mask, in the
-    order of ``half.field``, that ARPACK starts from (see
+    passes the problem's own decoupled value -E_b + h^2 D_c with the
+    lattice-matched E_b, lowered by ``SHIFT_MARGIN`` E_b (one factorization
+    per h when the pivots accept it). ``start`` is a vector on the half
+    mask, in the order of ``half.field``, that ARPACK starts from (see
     ``spectral.smallest_eigenpair``); it saves LU solves and certifies
     nothing. The eigenvector is B's, a field on the half mask: S v is the
-    symmetric product field.
+    symmetric product field, from which ``leading_disc_error`` reads the
+    discretization error.
     """
     half = prob.operator()
     s = _exchange_weights(half.mask)
@@ -235,60 +239,27 @@ def _shift_estimate(prob: TwoBodyProblem) -> float:
     return decoupled_lower_bound(prob, binding_energy=e_b) - SHIFT_MARGIN * e_b
 
 
-def richardson_disc_error(prob: TwoBodyProblem, fine: EigenResult,
-                          tol: float = 1e-9) -> float:
-    """Discretization-error estimate: solve again on a ~sqrt(2)-coarser
-    domain grid (same h) and extrapolate the second-order difference.
+def leading_disc_error(prob: TwoBodyProblem, ground: EigenResult) -> float:
+    """Discretization-error estimate of ``ground``, the ground eigenpair of
+    ``prob``, read off its own vector.
 
-    ``fine`` is the ground eigenpair of ``prob``. The coarse solve starts
-    from its vector, unfolded to the symmetric product field F = S v,
-    resampled linearly onto the coarse grid as P F P^T and folded onto the
-    coarse half; its shift is the coarse problem's own ``_shift_estimate``.
+    The three-point second difference is d^2/dx^2 + (dx^2/12) d^4/dx^4 +
+    O(dx^4), so the eigenvalue error of -(h^2/2) Lap on the grid is, to
+    leading order, (h^2/2)(dx^2/12)(||d_x^2 u||^2 + ||d_y^2 u||^2) for the
+    unit eigenfunction u: the term that Richardson extrapolation cancels.
+    It is taken of the symmetric product field F = S v, normalized, with
+    the second differences summed over the product domain's nodes. The
+    exact d^2 u vanishes on a Dirichlet wall, where u and Lap u do; the
+    difference on a wall node, -F_1/dx^2, would add a spurious O(dx) term.
     """
-    grid = prob.mask.grid
-    n_coarse = max((int(grid.n[0] / math.sqrt(2.0)) | 1), 9)
-    coarse_mask = _rebuild_interval_mask(prob.mask, n_coarse)
-    w = _resample_w(prob.W, coarse_mask)
-    coarse = TwoBodyProblem(coarse_mask, prob.potential, w, prob.h)
-    v = np.asarray(fine.eigenvector.values)
+    v = np.asarray(ground.eigenvector.values)
     off = np.tril(v, -1) / math.sqrt(2.0)
-    field = off + off.T + np.diag(np.diag(v))  # S v
-    interp = _interpolation_matrix(coarse_mask.grid.axis(0), grid.axis(0))
-    start = _fold(interp @ field @ interp.T, coarse.operator().mask)
-    e_coarse = ground_energy(coarse, tol=tol, sigma=_shift_estimate(coarse),
-                             start=start).eigenvalue
-    ratio = (grid.n[0] - 1) / (n_coarse - 1)
-    return abs(fine.eigenvalue - e_coarse) / (ratio**2 - 1.0)
-
-
-def _interpolation_matrix(x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-    """Dense P with P f the linear interpolant of the nodal values f on the
-    increasing nodes x_old, read at x_new (inside [x_old[0], x_old[-1]])."""
-    k = np.clip(np.searchsorted(x_old, x_new) - 1, 0, x_old.size - 2)
-    t = (x_new - x_old[k]) / (x_old[k + 1] - x_old[k])
-    interp = np.zeros((x_new.size, x_old.size))
-    rows = np.arange(x_new.size)
-    interp[rows, k] = 1.0 - t
-    interp[rows, k + 1] += t
-    return interp
-
-
-def _rebuild_interval_mask(mask: DomainMask, n: int) -> DomainMask:
-    grid = mask.grid
-    pts = mask.interior_points()[:, 0]
-    a = pts.min() - 0.5 * grid.spacing[0]
-    b = pts.max() + 0.5 * grid.spacing[0]
-    newgrid = Grid.box(grid.lower[0], grid.upper[0], n)
-    return interval(a, b, grid=newgrid)
-
-
-def _resample_w(W: ScalarField | None, mask: DomainMask) -> ScalarField | None:
-    if W is None:
-        return None
-    x_old = W.grid.axis(0)
-    x_new = mask.grid.axis(0)
-    vals = np.interp(x_new, x_old, np.asarray(W.values))
-    return mask.field(vals)
+    sym = off + off.T + np.diag(np.diag(v))  # S v
+    dx = prob.mask.grid.spacing[0]
+    inside = prob.product_mask().inside
+    curvature = sum(np.sum(lattice_neg_laplacian(sym, dx, axis)[inside]**2)
+                    for axis in (0, 1))
+    return float(0.5 * prob.h**2 * dx**2 / 12.0 * curvature / np.sum(sym**2))
 
 
 @dataclass
@@ -338,9 +309,11 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
     Rows: (h, ground, lower, upper, slope_partial) with slope_partial =
     (E0 + E_b_matched)/h^2, which tends to the domain threshold. The
     sandwich lower - eps <= E0 <= upper is enforced at every h, with eps the
-    Richardson discretization estimate and each side given the slack
-    tol max(1, |bound|) that the eigensolve's rounding needs. The residual
-    exponent nu_hat is fitted from the three smallest h only.
+    discretization estimate ``leading_disc_error`` of the ground vector and
+    each side given the slack tol max(1, |bound|) that the eigensolve's
+    rounding needs; eps widens the check only and moves no output. Each h
+    costs one ground solve. The residual exponent nu_hat is fitted from the
+    three smallest h only.
     """
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     if len(h_list) < 3:
@@ -358,7 +331,7 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
                             start=trial)
         e0 = res.eigenvalue
         lower = decoupled_lower_bound(prob, binding_energy=e_b_continuum)
-        eps = richardson_disc_error(prob, res, tol=cfg.tol)
+        eps = leading_disc_error(prob, res)
         if not (lower - eps - cfg.tol * max(1.0, abs(lower)) <= e0
                 <= upper + cfg.tol * max(1.0, abs(upper))):
             raise TwoBodyError(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
-from paircond import cli, gp, pairing, spectral
+from paircond import cli, gp, pairing, spectral, twobody
 from paircond import geometry as geo
 from paircond.grid import Grid
 from paircond.reporting import FitError, fit_power_law
@@ -577,7 +577,7 @@ class TestRun:
             return res
 
         monkeypatch.setattr(twobody, "ground_energy", below_lower)
-        monkeypatch.setattr(twobody, "richardson_disc_error",
+        monkeypatch.setattr(twobody, "leading_disc_error",
                             lambda *args, **kwargs: 0.0)
         assert cli.run("twobody-scan", cfg, str(tmp_path)) == code
         err = capfd.readouterr().err
@@ -606,6 +606,21 @@ class TestRun:
         assert cli.run(experiment, cfg, str(tmp_path)) == 2
         assert f"config error: {key} " in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("h_list", [[0.07, 0.05], [0.07, 0.07, 0.05]])
+    def test_short_h_list_refused_before_any_solve(self, tmp_path, capsys,
+                                                   monkeypatch, h_list):
+        # the scan fits three h at least: fewer distinct values are a bad
+        # config (exit 2), caught before the first product problem is built
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a product problem was built")
+
+        monkeypatch.setattr(twobody, "problem_at", no_solve)
+        cfg = json.loads(json.dumps(FUZZ_BASE["twobody-scan"]))
+        cfg["h_list"] = h_list
+        assert cli.run("twobody-scan", cfg, str(tmp_path)) == 2
+        assert ("config error: h_list needs at least 3 distinct values"
+                in capsys.readouterr().err)
 
     def test_unresolved_bound_state_names_the_grid(self, tmp_path, capsys):
         # depth 1e300: the bound state decays within 1e-150, far inside one

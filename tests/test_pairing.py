@@ -195,6 +195,26 @@ class TestCutoff:
         assert np.sum(a**2) * pt_state.step <= 0.3**2 + 1e-12
 
 
+class TestLatticeLaplacian:
+    def test_three_point_with_zero_ends(self):
+        a = np.random.default_rng(0).standard_normal(9)
+        step = 0.3
+        expected = (2.0 * a - np.r_[a[1:], 0.0] - np.r_[0.0, a[:-1]]) / step**2
+        assert np.array_equal(pr.lattice_neg_laplacian(a, step), expected)
+
+    def test_axis_acts_on_each_line(self):
+        # along an axis of a 2D array, the 1D difference of each line
+        f = np.random.default_rng(1).standard_normal((7, 5))
+        step = 0.2
+        along_x = pr.lattice_neg_laplacian(f, step, axis=0)
+        along_y = pr.lattice_neg_laplacian(f, step, axis=1)
+        for j in range(f.shape[1]):
+            assert np.array_equal(along_x[:, j],
+                                  pr.lattice_neg_laplacian(f[:, j], step))
+        for i in range(f.shape[0]):
+            assert np.array_equal(along_y[i], pr.lattice_neg_laplacian(f[i], step))
+
+
 class TestMatchedState:
     def test_quadratic_convergence(self):
         errs = []
