@@ -11,11 +11,15 @@ lattice-matched binding energy; that cancels the relative-direction
 discretization error, which would otherwise swamp the h^2 level being
 measured.
 
-The operator A is assembled and solved only on the half x >= y of the
-product grid, as B = S^T A S, its restriction to the exchange-symmetric
-fields, with half the unknowns. The potential is even in x - y, so A
-commutes with the exchange of x and y; being a Z-matrix, it has a
-symmetric ground state on any mask, which B keeps (see ``ground_energy``).
+The operator A is assembled and solved only on the fundamental domain of
+its symmetry group G, as B = S^T A S, its restriction to the G-invariant
+fields. The potential is even in x - y, so A commutes with the exchange P of
+x and y, and G = {1, P} on the half x >= y. When the mask and W are
+symmetric about the domain's midpoint, exactly, A also commutes with the
+reflection R(x, y) = (a+b-y, a+b-x), and G = {1, P, R, PR} on the quarter
+x >= y, x + y <= a + b, with about a quarter of the unknowns; a scan's
+interval with no W always is. Being a Z-matrix, A has a G-invariant ground
+state on any mask, which B keeps (see ``ground_energy``).
 
 A scan makes one ground solve per h, and it starts close to its answer.
 The shift sits ``SHIFT_MARGIN`` E_b below the decoupled estimate
@@ -57,6 +61,8 @@ from .spectral import (
     smallest_eigenpair,
 )
 
+# counts all n^2 nodes of the product grid, not the fundamental domain that
+# is solved: the trial kernel and the unfolded ground field are dense n x n
 MAX_PRODUCT_UNKNOWNS = 400_000
 # fewest nodes on a scan's domain axis at any h; the CLI refuses a config
 # that asks for fewer before any solve
@@ -87,7 +93,6 @@ class TwoBodyProblem:
         if self.mask.grid.dim != 1:
             raise TwoBodyError("product eigensolves are supported in d=1 only")
         if self.mask.count**2 > MAX_PRODUCT_UNKNOWNS:
-            # all n^2 nodes, not the half solved: the trial kernel is dense
             raise TwoBodyError(
                 f"product grid at h={self.h} has {self.mask.count**2} "
                 f"nodes, over the {MAX_PRODUCT_UNKNOWNS} budget"
@@ -108,29 +113,48 @@ class TwoBodyProblem:
         pgrid = Grid.box([g.lower[0]] * 2, [g.upper[0]] * 2, [g.n[0]] * 2)
         return DomainMask(pgrid, self.mask.inside[:, None] & self.mask.inside[None, :])
 
+    @cached_property
+    def group_order(self) -> int:
+        """|G|: 4 when the reflection R about the domain's midpoint maps the
+        mask and W onto themselves exactly, else 2 (the exchange alone)."""
+        inside = self.mask.inside
+        mirrored = np.array_equal(inside, inside[::-1]) and (
+            self.W is None or np.array_equal(self.W.values, self.W.values[::-1]))
+        return 4 if mirrored else 2
+
     def operator(self) -> StencilOperator:
-        """The pair operator on the exchange-symmetric fields, B = S^T A S,
-        as a stencil on the half x >= y of the product grid (see
-        ``ground_energy``)."""
-        return self._half
+        """The pair operator on the G-invariant fields, B = S^T A S, as a
+        stencil on the fundamental domain of G: the half x >= y of the
+        product grid, cut at the anti-diagonal x + y <= a + b when R is in G
+        (see ``ground_energy``)."""
+        return self._reduced
 
     @cached_property
-    def _half(self) -> StencilOperator:
-        # no 4-neighbour of a node below the diagonal lies above it, so B is
-        # A on the half with the couplings s_i A_ij s_j
+    def _reduced(self) -> StencilOperator:
+        # a 4-neighbour of a node in the fundamental domain lies outside it
+        # only across a line of fixed nodes, and all images of a neighbour of
+        # a fixed node u are neighbours of u: B is A on the domain with the
+        # couplings s_u A_uv s_v
         pmask = self.product_mask()
-        half = DomainMask(pmask.grid, np.tril(pmask.inside))  # x >= y
-        x = self.mask.grid.axis(0)
+        n = self.mask.grid.n[0]
+        i, j = np.indices((n, n))
+        keep = pmask.inside & (i >= j)  # x >= y
+        if self.group_order == 4:
+            keep &= i + j <= n - 1
+        reduced = DomainMask(pmask.grid, keep)
+        # V on the lattice separations |i - j| dx / h, so exactly invariant
+        # under P and R
+        k = np.arange(n)
         vfun = potential_from_descriptor(self.potential)
-        pot = vfun((x[:, None] - x[None, :]) / self.h)
+        pot = vfun(k * self.mask.grid.spacing[0] / self.h)[np.abs(i - j)]
         if self.W is not None:
             w = np.asarray(self.W.values)
             pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
-        op = assemble_dirichlet(half, -0.5 * self.h**2, half.field(pot))
-        mat, s = op.matrix, _exchange_weights(half)
+        op = assemble_dirichlet(reduced, -0.5 * self.h**2, reduced.field(pot))
+        mat, stab = op.matrix, _orbits(reduced, self.group_order)[1]
         rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
         off = rows != mat.indices
-        mat.data[off] *= s[rows[off]] * s[mat.indices[off]]
+        mat.data[off] *= np.sqrt(stab[rows[off]] * stab[mat.indices[off]])
         return op
 
     @cached_property
@@ -139,42 +163,56 @@ class TwoBodyProblem:
         return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
 
 
-def _exchange_weights(half: DomainMask) -> np.ndarray:
-    """s: sqrt(2) on the diagonal nodes of the half mask x >= y, else 1."""
-    x, y = np.nonzero(half.inside)  # the order of half.field
-    return np.where(x == y, math.sqrt(2.0), 1.0)
+def _orbits(reduced: DomainMask, order: int) -> tuple:
+    """The images (x, y) of the nodes of the fundamental domain ``reduced``,
+    in the order of ``reduced.field``, under 1, P, R, PR (the first
+    ``order`` of them), and the size of each node's stabilizer: 2 on the
+    diagonal and on the anti-diagonal, 4 at the centre node, else 1. Its
+    square root is the node's weight s."""
+    x, y = np.nonzero(reduced.inside)
+    last = reduced.grid.n[0] - 1
+    images = [(x, y), (y, x), (last - y, last - x), (last - x, last - y)][:order]
+    stab = sum(((gx == x) & (gy == y)).astype(int) for gx, gy in images)
+    return images, stab
 
 
 def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
                   sigma: float | None = None,
                   start: np.ndarray | None = None) -> EigenResult:
-    """Smallest eigenpair of the pair operator A, solved on the symmetric half.
+    """Smallest eigenpair of the pair operator A, solved on the fundamental
+    domain of its symmetry group G.
 
-    The half operator B = S^T A S (``TwoBodyProblem.operator``) is A
-    restricted to the exchange-symmetric fields, an invariant subspace, so
-    its spectrum lies inside that of A. A is a Z-matrix that commutes with
-    the exchange P, so for a nonnegative ground vector v of A, v + Pv is a
-    symmetric ground vector: the smallest eigenvalues agree, on any mask.
+    The reduced operator B = S^T A S (``TwoBodyProblem.operator``) is A
+    restricted to the G-invariant fields, an invariant subspace, so its
+    spectrum lies inside that of A. S is the isometry that maps a node u of
+    the domain onto the unit sum of its orbit, sum_g e_{g u}/(sqrt|G| s_u),
+    with s_u the square root of the size of u's stabilizer. A is a Z-matrix
+    that commutes with every g in G, so for a nonnegative ground vector v of
+    A, sum_g g v is a nonzero G-invariant ground vector: the smallest
+    eigenvalues agree, on any mask. V is evaluated on the lattice
+    separations, so A is exactly invariant, and the pivots that certify a
+    shift below lambda_1(B) certify it below lambda_1(A).
 
     ``sigma`` is a shift estimate a little below lambda_1. The pivots of
     its factor certify that it lies below; if they refuse it, the
     Gershgorin shift of A is used, at the cost of one more factorization.
     That shift is also the default, read from T B T^-1, T = diag(s), whose
-    rows are A's; B's own bound sits lower, at its sqrt(2) couplings next to
-    the diagonal, which would cost ARPACK more LU solves. ``asymptotic_scan``
-    passes the problem's own decoupled value -E_b + h^2 D_c with the
-    lattice-matched E_b, lowered by ``SHIFT_MARGIN`` E_b (one factorization
-    per h when the pivots accept it). ``start`` is a vector on the half
-    mask, in the order of ``half.field``, that ARPACK starts from (see
-    ``spectral.smallest_eigenpair``); it saves LU solves and certifies
-    nothing. The eigenvector is B's, a field on the half mask: S v is the
-    symmetric product field, from which ``leading_disc_error`` reads the
-    discretization error.
+    rows are A's; B's own bound sits lower, at its weighted couplings next
+    to the fixed nodes, which would cost ARPACK more LU solves.
+    ``asymptotic_scan`` passes the problem's own decoupled value
+    -E_b + h^2 D_c with the lattice-matched E_b, lowered by
+    ``SHIFT_MARGIN`` E_b (one factorization per h when the pivots accept
+    it). ``start`` is a vector on the reduced mask, in the order of its
+    ``field``, that ARPACK starts from (see ``spectral.smallest_eigenpair``);
+    it saves LU solves and certifies nothing. The eigenvector is B's, a
+    field on the reduced mask: S v is the G-invariant product field, from
+    which ``leading_disc_error`` reads the discretization error.
     """
-    half = prob.operator()
-    s = _exchange_weights(half.mask)
-    floor = gershgorin_shift(sparse.diags(s) @ half.matrix @ sparse.diags(1.0 / s))
-    return smallest_eigenpair(half, tol=tol,
+    reduced = prob.operator()
+    s = np.sqrt(_orbits(reduced.mask, prob.group_order)[1])
+    floor = gershgorin_shift(sparse.diags(s) @ reduced.matrix
+                             @ sparse.diags(1.0 / s))
+    return smallest_eigenpair(reduced, tol=tol,
                               sigma=floor if sigma is None else (sigma, floor),
                               start=start)
 
@@ -201,7 +239,7 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem,
                               q: float = 1.5) -> tuple[float, np.ndarray]:
     """Rayleigh quotient of the diamond trial state
     psi_ell((x+y)/2) chi((x-y)/ell) alpha((x-y)/h) with ell = q h ln(1/h),
-    and the trial vector u = S^T t on the half mask it is taken of.
+    and the trial vector u = S^T t on the reduced mask it is taken of.
 
     Any trial vector bounds the ground energy from above, so interpolating
     the center mode to midpoints costs nothing in rigor. The trial vanishes
@@ -214,22 +252,22 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem,
     wave = lattice_pair_field(prob.matched_state, ell / h, 1.0)
     trial = pair_kernel(center_values(mode.eigenvector.values), wave,
                         prob.mask.inside)
-    half = prob.operator()
+    reduced = prob.operator()
     # u = S^T t: its Rayleigh quotient against B bounds lambda_min(B) = E0
     # from above, as that of any nonzero vector does
-    u = _fold(trial, half.mask)
+    u = _fold(trial, reduced.mask, prob.group_order)
     nrm = float(u @ u)
     if nrm <= 0:
         raise TwoBodyError("trial state vanished; ell too large for the domain")
-    return float(u @ (half.matrix @ u)) / nrm, u
+    return float(u @ (reduced.matrix @ u)) / nrm, u
 
 
-def _fold(field: np.ndarray, half: DomainMask) -> np.ndarray:
-    """S^T f for an n x n product field f, on the half mask x >= y:
-    f_ii on the diagonal, (f_ij + f_ji)/sqrt(2) off it."""
-    x, y = np.nonzero(half.inside)  # the order of half.field
-    return np.where(x == y, field[x, y],
-                    (field[x, y] + field[y, x]) / math.sqrt(2.0))
+def _fold(field: np.ndarray, reduced: DomainMask, order: int) -> np.ndarray:
+    """S^T f for an n x n product field f, on the fundamental domain
+    ``reduced`` of the group of that ``order``:
+    sum_g f(g u) / (sqrt|G| s_u) at each node u."""
+    images, stab = _orbits(reduced, order)
+    return sum(field[gx, gy] for gx, gy in images) / np.sqrt(order * stab)
 
 
 def _shift_estimate(prob: TwoBodyProblem) -> float:
@@ -247,14 +285,18 @@ def leading_disc_error(prob: TwoBodyProblem, ground: EigenResult) -> float:
     O(dx^4), so the eigenvalue error of -(h^2/2) Lap on the grid is, to
     leading order, (h^2/2)(dx^2/12)(||d_x^2 u||^2 + ||d_y^2 u||^2) for the
     unit eigenfunction u: the term that Richardson extrapolation cancels.
-    It is taken of the symmetric product field F = S v, normalized, with
+    It is taken of the G-invariant product field F = S v, normalized, with
     the second differences summed over the product domain's nodes. The
     exact d^2 u vanishes on a Dirichlet wall, where u and Lap u do; the
     difference on a wall node, -F_1/dx^2, would add a spurious O(dx) term.
     """
-    v = np.asarray(ground.eigenvector.values)
-    off = np.tril(v, -1) / math.sqrt(2.0)
-    sym = off + off.T + np.diag(np.diag(v))  # S v
+    reduced = prob.operator().mask
+    images, stab = _orbits(reduced, prob.group_order)
+    v = np.asarray(ground.eigenvector.values)[reduced.inside]
+    v = v * np.sqrt(stab / prob.group_order)
+    sym = np.zeros(reduced.grid.shape)
+    for gx, gy in images:  # S v: v_u s_u / sqrt|G| on every image of u
+        sym[gx, gy] = v
     dx = prob.mask.grid.spacing[0]
     inside = prob.product_mask().inside
     curvature = sum(np.sum(lattice_neg_laplacian(sym, dx, axis)[inside]**2)
@@ -308,10 +350,15 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
 
     Rows: (h, ground, lower, upper, slope_partial) with slope_partial =
     (E0 + E_b_matched)/h^2, which tends to the domain threshold. The
-    sandwich lower - eps <= E0 <= upper is enforced at every h, with eps the
-    discretization estimate ``leading_disc_error`` of the ground vector and
-    each side given the slack tol max(1, |bound|) that the eigensolve's
-    rounding needs; eps widens the check only and moves no output. Each h
+    sandwich lower - eps <= E0 <= upper is enforced at every h, with each
+    side given the slack tol max(1, |bound|) that the eigensolve's rounding
+    needs. eps is the discretization estimate ``leading_disc_error`` of the
+    ground vector, or the excess binding of the lattice, E_b_matched - E_b,
+    when that is larger: the leading term presumes a smooth V, and a V with
+    a cusp or kinks (a table) binds deeper on the lattice by more. eps
+    widens the check only and moves no output. A scan whose E0, resolved to
+    max(tol, machine epsilon) max(1, |E0|), cannot resolve h^2 D_c is
+    refused: its slopes would be rounding alone. Each h
     costs one ground solve. The residual exponent nu_hat is fitted from the
     three smallest h only.
     """
@@ -331,12 +378,18 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
                             start=trial)
         e0 = res.eigenvalue
         lower = decoupled_lower_bound(prob, binding_energy=e_b_continuum)
-        eps = leading_disc_error(prob, res)
+        eps = max(leading_disc_error(prob, res), matched_eb - e_b_continuum)
         if not (lower - eps - cfg.tol * max(1.0, abs(lower)) <= e0
                 <= upper + cfg.tol * max(1.0, abs(upper))):
             raise TwoBodyError(
                 f"sandwich violated at h={h}: {lower} - {eps} <= {e0} <= {upper}"
             )
+        resolution = max(cfg.tol, np.finfo(float).eps) * max(1.0, abs(e0))
+        if resolution >= h**2 * abs(d_c):
+            raise TwoBodyError(
+                f"E0 = {e0:.6g} at h={h} is resolved only to "
+                f"{resolution:.3g}, no finer than the h^2 D_c = "
+                f"{h**2 * d_c:.3g} that the scan measures")
         slope_partial = (e0 + matched_eb) / h**2
         residuals.append(e0 + matched_eb - h**2 * d_c)
         rows.append((h, e0, lower, upper, slope_partial))

@@ -508,9 +508,10 @@ class TestRun:
         assert not os.listdir(tmp_path)
 
     def test_twobody_fit_overflow_is_quiet(self, tmp_path, capfd):
-        # depth 1e200: the slopes near -1e200/h^2 overflow the squared
-        # residual of the threshold fit; the fit is refused as non-finite,
-        # and nothing but the solver error reaches stderr
+        # depth 1e200: E0 = -1e200 resolves nothing of the h^2 D_c term the
+        # slopes measure (they would be rounding alone, and 0 or near
+        # -1e200/h^2 by the luck of it), so the scan is refused before any
+        # fit, and nothing but the solver error reaches stderr
         cfg = json.loads(json.dumps(FUZZ_BASE["twobody-scan"]))
         cfg["potential"]["depth"] = 1e200
         with warnings.catch_warnings(record=True) as caught:
@@ -519,8 +520,22 @@ class TestRun:
         err = capfd.readouterr().err
         assert code == 3
         assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert "no finer than the h^2 D_c" in err
         assert not caught, [str(w.message) for w in caught]
         assert not os.listdir(tmp_path)
+
+    def test_twobody_table_potential_passes_sandwich(self, tmp_path, capfd):
+        # a table V has a cusp at r = 0 and kinks: its lattice binds 4.1-4.4e-3
+        # deeper than the continuum, while the leading error term of the
+        # ground vector reads 1.3-1.4e-3; eps takes the larger, so the scan
+        # passes where it used to exit 3 with "sandwich violated at h=0.07"
+        cfg = {"potential": {"kind": "table", "x": [0, 0.5, 1.5],
+                             "v": [-3, -1, 0]},
+               "a": 0, "b": 1, "h_list": [0.07, 0.05, 0.035],
+               "micro_step": 0.125, "q": 1.5}
+        assert cli.run("twobody-scan", cfg, str(tmp_path)) == 0, \
+            capfd.readouterr().err
+        assert (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize("experiment", ["gp-min", "continuity"])
     def test_gp_d_beyond_rounding_refused(self, tmp_path, capfd, monkeypatch,
@@ -560,9 +575,11 @@ class TestRun:
                              ids=["one ulp", "wide"])
     def test_twobody_sandwich_lower_slack(self, tmp_path, capfd, monkeypatch,
                                           gap, code):
-        # E0 put one ulp below the lower bound, with eps = 0: the lower side
-        # has the same slack tol max(1, |lower|) as the upper side, so the
-        # scan passes; a gap far wider than the slack still exits 3
+        # E0 put one ulp below lower - eps, with the leading error term 0, so
+        # eps is the lattice's excess binding E_b_matched - E_b (2.4e-3 at
+        # micro step 0.25): the lower side has the same slack
+        # tol max(1, |lower|) as the upper side, so the scan passes; a gap
+        # far wider than the slack still exits 3
         from paircond import twobody
 
         cfg = json.loads(json.dumps(FUZZ_BASE["twobody-scan"]))
@@ -571,9 +588,10 @@ class TestRun:
 
         def below_lower(prob, *args, **kwargs):
             res = ground(prob, *args, **kwargs)
-            lower = twobody.decoupled_lower_bound(prob, e_b)
-            res.eigenvalue = (np.nextafter(lower, -np.inf) if gap is None
-                              else lower - gap)
+            floor = (twobody.decoupled_lower_bound(prob, e_b)
+                     - (prob.matched_state.E_b - e_b))  # lower - eps
+            res.eigenvalue = (np.nextafter(floor, -np.inf) if gap is None
+                              else floor - gap)
             return res
 
         monkeypatch.setattr(twobody, "ground_energy", below_lower)

@@ -23,33 +23,94 @@ POTENTIALS = [
 
 def full_operator_and_fold(prob):
     """The pair operator A on the whole product grid and the isometry S from
-    the half x >= y onto the exchange-symmetric product fields: the oracle
-    of ``TwoBodyProblem.operator``, which must equal S^T A S.
+    the fundamental domain of its symmetry group G onto the G-invariant
+    product fields: the oracle of ``TwoBodyProblem.operator``, which must
+    equal S^T A S.
 
-    S maps a diagonal node to e_ii and an off-diagonal node to
-    (e_ij + e_ji)/sqrt(2).
+    G holds the exchange P(i, j) = (j, i) and, when ``prob.group_order`` is
+    4, the reflection R(i, j) = (n-1-j, n-1-i) and PR. S maps a node u to
+    the unit sum of its orbit, sum of e_w over the distinct images w of u,
+    over sqrt(their number): e_ii on the diagonal of the half x >= y,
+    (e_ij + e_ji)/sqrt(2) off it. V is taken on the lattice separations
+    (i - j) dx / h, so A is exactly G-invariant.
     """
     pmask = prob.product_mask()
-    x = prob.mask.grid.axis(0)
-    pot = potential_from_descriptor(prob.potential)(
-        (x[:, None] - x[None, :]) / prob.h)
+    n = pmask.grid.n[0]
+    sep = np.subtract.outer(np.arange(n), np.arange(n)) * pmask.grid.spacing[0]
+    pot = potential_from_descriptor(prob.potential)(sep / prob.h)
     if prob.W is not None:
         w = np.asarray(prob.W.values)
         pot = pot + 0.5 * prob.h**2 * (w[:, None] + w[None, :])
     full = assemble_dirichlet(pmask, -0.5 * prob.h**2, pmask.field(pot))
-    half = prob.operator().mask
+    reduced = prob.operator().mask
     index = np.full(pmask.grid.shape, -1)
     index[pmask.inside] = np.arange(pmask.count)
-    x, y = np.nonzero(half.inside)  # the order of half.field
-    k = np.arange(x.size)
-    off = x != y
-    weight = np.where(off, np.sqrt(0.5), 1.0)
-    fold = sparse.csr_matrix(
-        (np.concatenate((weight, weight[off])),
-         (np.concatenate((index[x, y], index[y[off], x[off]])),
-          np.concatenate((k, k[off])))),
-        shape=(pmask.count, half.count))
+    group = [lambda i, j: (i, j), lambda i, j: (j, i),
+             lambda i, j: (n - 1 - j, n - 1 - i),
+             lambda i, j: (n - 1 - i, n - 1 - j)][:prob.group_order]
+    rows, cols, vals = [], [], []
+    # the order of reduced.field
+    for k, (i, j) in enumerate(zip(*np.nonzero(reduced.inside))):
+        orbit = {g(i, j) for g in group}
+        for node in orbit:
+            assert index[node] >= 0, "an image left the product domain"
+            rows.append(index[node])
+            cols.append(k)
+            vals.append(1.0 / np.sqrt(len(orbit)))
+    fold = sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(pmask.count, reduced.count))
     return full, fold
+
+
+def check_against_full_operator(prob):
+    """Assert that the reduced operator of ``prob`` is S^T A S to rounding,
+    that its default shift is A's Gershgorin shift, and that its solve finds
+    the smallest eigenvalue of the full product matrix A; returns the solve
+    and A."""
+    full, fold = full_operator_and_fold(prob)
+    folded = (fold.T @ full.matrix @ fold).toarray()
+    scale = np.max(np.abs(full.matrix.toarray()))
+    assert (np.max(np.abs(prob.operator().matrix.toarray() - folded))
+            <= 4 * np.finfo(float).eps * scale)
+
+    floors = []
+
+    def recording(mat):
+        floors.append(spectral.gershgorin_shift(mat))
+        return floors[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tb, "gershgorin_shift", recording)
+        res = tb.ground_energy(prob, tol=1e-9)
+    ref_floor = spectral.gershgorin_shift(full.matrix)
+    assert floors and abs(floors[0] - ref_floor) <= 1e-12 * abs(ref_floor)
+    ref = np.linalg.eigvalsh(full.matrix.toarray())[0]
+    assert abs(res.eigenvalue - ref) <= 1e-10 * max(1.0, abs(ref))
+    return res, full
+
+
+def mirrored_problem(n, w_kind, h_cells=8.0):
+    """The Poschl-Teller pair on (0, 1) with ``n`` grid nodes, h = h_cells
+    dx, and a W that is exactly its own reverse: none, constant, or random
+    values plus their reverse."""
+    mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, n))
+    w = None
+    if w_kind == "constant":
+        w = mask.field(np.full(n, 3.0))
+    elif w_kind == "random":
+        values = 5.0 * np.random.default_rng(n).standard_normal(n)
+        w = mask.field(values + values[::-1])
+    return tb.TwoBodyProblem(mask, POSCHL_TELLER, w,
+                             h_cells * mask.grid.spacing[0])
+
+
+def half_count(m):
+    return m * (m + 1) // 2
+
+
+def quarter_count(m):
+    # x >= y and x + y <= a + b over m interior nodes a side
+    return (m + 1) ** 2 // 4 if m % 2 else m * (m + 2) // 4
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +127,15 @@ class TestGroundEnergy:
         assert abs(res.eigenvalue - target) < 3 * 0.05**3 + 2e-3
 
     def test_eigenvector_symmetric(self, pt_problem):
-        # the half's ground vector v, mapped by S onto the symmetric product
-        # fields, is an eigenvector of the full operator A to within the
-        # residual it was returned with (S is an isometry, and A S = S B)
+        # the scan interval is solved on the quarter; its ground vector v,
+        # mapped by S onto the invariant product fields, is an eigenvector of
+        # the full operator A to within the residual it was returned with (S
+        # is an isometry, and A S = S B)
+        assert pt_problem.group_order == 4
         res = tb.ground_energy(pt_problem, tol=1e-9)
         full, fold = full_operator_and_fold(pt_problem)
-        half = pt_problem.operator().mask
-        v = np.asarray(res.eigenvector.values)[half.inside]
+        reduced = pt_problem.operator().mask
+        v = np.asarray(res.eigenvector.values)[reduced.inside]
         u = fold @ (v / np.linalg.norm(v))
         resid = np.linalg.norm(full.matrix @ u - res.eigenvalue * u)
         rounding = 64 * np.finfo(float).eps * full.norm_estimate()
@@ -106,33 +169,16 @@ class TestGroundEnergy:
     def test_half_solve_matches_full_operator(self, seed, pot, w_scale,
                                               h_cells):
         # masks of one or two intervals with at most 20 nodes, h of 6 to 12
-        # cells (the scans run at 8); the half operator must be S^T A S to
-        # rounding, its default shift A's Gershgorin shift, and the half
-        # solve must find the smallest eigenvalue of the full product
+        # cells (the scans run at 8), solved on the half or, when mask and W
+        # are mirror symmetric, the quarter; the reduced operator must be
+        # S^T A S to rounding, its default shift A's Gershgorin shift, and
+        # its solve must find the smallest eigenvalue of the full product
         # matrix A, with no more LU solves than A takes at that shift
         rng = np.random.default_rng(seed)
         mask = random_1d_mask(rng, n=22)
         w = mask.field(w_scale * rng.standard_normal(22))
         prob = tb.TwoBodyProblem(mask, pot, w, h_cells * mask.grid.spacing[0])
-        full, fold = full_operator_and_fold(prob)
-        folded = (fold.T @ full.matrix @ fold).toarray()
-        scale = np.max(np.abs(full.matrix.toarray()))
-        assert (np.max(np.abs(prob.operator().matrix.toarray() - folded))
-                <= 4 * np.finfo(float).eps * scale)
-
-        floors = []
-
-        def recording(mat):
-            floors.append(spectral.gershgorin_shift(mat))
-            return floors[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tb, "gershgorin_shift", recording)
-            res = tb.ground_energy(prob, tol=1e-9)
-        ref_floor = spectral.gershgorin_shift(full.matrix)
-        assert floors and abs(floors[0] - ref_floor) <= 1e-12 * abs(ref_floor)
-        ref = np.linalg.eigvalsh(full.matrix.toarray())[0]
-        assert abs(res.eigenvalue - ref) <= 1e-10 * max(1.0, abs(ref))
+        res, full = check_against_full_operator(prob)
         assert res.iterations <= smallest_eigenpair(full, tol=1e-9).iterations
 
     def test_trial_start_saves_lu_solves(self):
@@ -153,6 +199,79 @@ class TestGroundEnergy:
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 1001))
         with pytest.raises(tb.TwoBodyError, match="budget"):
             tb.TwoBodyProblem(mask, POSCHL_TELLER, None, 0.05)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("w_kind", [None, "constant", "random"])
+    @pytest.mark.parametrize("n", [21, 22], ids=["odd", "even"])
+    def test_quarter_matches_full_operator(self, n, w_kind):
+        # a symmetric interval and a W equal to its reverse: the problem is
+        # solved on the quarter, which must be S^T A S to rounding, keep A's
+        # Gershgorin shift, and find the smallest eigenvalue of A
+        prob = mirrored_problem(n, w_kind)
+        assert prob.group_order == 4
+        assert prob.operator().n_unknowns == quarter_count(n - 2)
+        _, fold = full_operator_and_fold(prob)
+        assert abs(fold.T @ fold - sparse.identity(fold.shape[1])).max() < 1e-15
+        check_against_full_operator(prob)
+
+    @pytest.mark.parametrize("n", [21, 22], ids=["odd", "even"])
+    def test_quarter_agrees_with_half(self, n):
+        # the same problem forced onto the exchange-only half: E0, the trial
+        # bound and the discretization estimate read off the unfolded ground
+        # vector agree, so fold and unfold carry every image
+        quarter = mirrored_problem(n, "random")
+        half = mirrored_problem(n, "random")
+        half.group_order = 2  # the cached value, set before any build
+        assert half.operator().n_unknowns == half_count(n - 2)
+        results = []
+        for prob in (quarter, half):
+            upper, trial = tb.twobody_trial_upper_bound(prob, q=1.0)
+            res = tb.ground_energy(prob, tol=1e-11, start=trial)
+            results.append((res.eigenvalue, upper,
+                            tb.leading_disc_error(prob, res)))
+        for a, b in zip(*results):  # measured 3.3e-14 at most
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("n", [21, 22], ids=["odd", "even"])
+    def test_fold_is_s_transpose(self, n):
+        # S^T f of a field that has no symmetry at all, on the quarter and
+        # on the half, against the oracle's S
+        rng = np.random.default_rng(n)
+        for order in (4, 2):
+            prob = mirrored_problem(n, None)
+            prob.group_order = order
+            _, fold = full_operator_and_fold(prob)
+            f = rng.standard_normal((n, n))
+            folded = tb._fold(f, prob.operator().mask, order)
+            ref = fold.T @ f[prob.product_mask().inside]
+            assert np.max(np.abs(folded - ref)) <= 4e-15 * np.max(np.abs(f))
+
+    def test_near_mirror_keeps_the_half(self):
+        # W symmetric only to rounding, or a mask off the box's midpoint: no
+        # reflection, so the exchange-only half is solved, and still finds
+        # A's smallest eigenvalue
+        prob = mirrored_problem(22, "random")
+        values = np.array(prob.W.values)
+        values[5] = np.nextafter(values[5], np.inf)
+        near = tb.TwoBodyProblem(prob.mask, POSCHL_TELLER,
+                                 prob.mask.field(values), prob.h)
+        mask = geo.interval(0.0, 0.9, grid=Grid.box(0.0, 1.0, 22))
+        shifted = tb.TwoBodyProblem(mask, POSCHL_TELLER, None, prob.h)
+        for case in (near, shifted):
+            assert case.group_order == 2
+            assert case.operator().n_unknowns == half_count(case.mask.count)
+            check_against_full_operator(case)
+
+    def test_scan_problem_unknowns(self):
+        # the scan's interval has no W, so every h is solved on the quarter:
+        # 13,110 unknowns at h = 0.035 (228 interior nodes a side), where
+        # the half had 26,106 and the product grid 51,984
+        cfg = tb.TwoBodyScanConfig(micro_step=0.125)
+        for h, count in ((0.07, 3249), (0.035, 13_110)):
+            prob = tb.problem_at(cfg, h)
+            assert prob.group_order == 4
+            assert prob.operator().n_unknowns == count
 
 
 class TestBounds:
