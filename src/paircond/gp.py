@@ -18,6 +18,13 @@ preconditioned with it, to a relative residual min(0.1, sqrt(residual))
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). Near the
 minimizer the Hessian changes little between steps, so a few CG iterations
 replace a factorization. The Hessian is factored anew only when CG fails.
+
+A two-dimensional component whose inside and W are exactly invariant under
+flips along grid axes is minimized on the fundamental domain of that flip
+group (``spectral.mirror_orbits``), with about half or a quarter of the
+unknowns. The functional is invariant under the flips and its nonnegative
+minimizer is unique, so that minimizer is invariant: it is fixed by its
+values on the fundamental domain. One-dimensional masks are not folded.
 """
 
 from __future__ import annotations
@@ -31,7 +38,13 @@ from scipy.sparse.linalg import splu
 from .geometry import DomainMask, dilate, erode, label_components
 from .grid import ScalarField
 from .reporting import ScanReport, fit_power_law
-from .spectral import SYMMETRIC_LU, EigenResult, assemble_dirichlet, onset_threshold
+from .spectral import (
+    SYMMETRIC_LU,
+    EigenResult,
+    assemble_dirichlet,
+    mirror_orbits,
+    onset_threshold,
+)
 
 
 # CG iterations of an inexact Newton step before the Hessian is factored anew
@@ -120,9 +133,11 @@ def gp_energy(prob: GPProblem, psi: ScalarField) -> float:
     return 0.25 * gradient_energy(psi) + quad + quart
 
 
-def _el_interior(prob: GPProblem, stiff, vals: np.ndarray) -> np.ndarray:
-    """-(1/4) Lap psi + (W - D) psi + 2 g psi^3 on the interior nodes."""
-    return stiff @ vals + (prob.w_interior() - prob.D) * vals + 2.0 * prob.g * vals**3
+def _el_interior(prob: GPProblem, lap: np.ndarray, w: np.ndarray,
+                 vals: np.ndarray) -> np.ndarray:
+    """-(1/4) Lap psi + (W - D) psi + 2 g psi^3 on the interior nodes, from
+    lap = -(1/4) Lap psi there."""
+    return lap + (w - prob.D) * vals + 2.0 * prob.g * vals**3
 
 
 def gp_gradient(prob: GPProblem, psi: ScalarField) -> ScalarField:
@@ -135,7 +150,7 @@ def gp_gradient(prob: GPProblem, psi: ScalarField) -> ScalarField:
     _check_dirichlet(prob, psi)
     vals = np.asarray(psi.values, dtype=float)[prob.mask.inside]
     stiff = assemble_dirichlet(prob.mask, -0.25).matrix
-    return prob.mask.field(_el_interior(prob, stiff, vals))
+    return prob.mask.field(_el_interior(prob, stiff @ vals, prob.w_interior(), vals))
 
 
 # far above threshold psi^4 overflows: such a start is refused, a step halved
@@ -177,6 +192,24 @@ def minimize_gp(
     of the parts, the residual is their root sum of squares and
     ``iterations`` their total. Each part is solved to tol / sqrt(count),
     which keeps the residual of the whole within its target.
+
+    A two-dimensional component whose inside and W map onto themselves
+    exactly (``np.array_equal``) under flips along grid axes is solved on
+    the fundamental domain of the flip group (``spectral.mirror_orbits``).
+    The iterate is the node values v there, and each node stands for its
+    orbit of m in {1, 2, 4} nodes: the energy, the residual and |psi|_H1
+    are the m-weighted sums, which equal those of the unfolded field on the
+    whole component; the Hessian is M^(1/2) (B + diag(W - D + 6 g v^2))
+    M^(1/2), with B the folded quarter-Laplacian (``Orbits.stencil``) and
+    M = diag(m), and its right-hand side -m el; CG stops on |r / sqrt(m)|.
+    Restriction and unfolding are exact copies, and with m = 1 (any mask
+    with no such symmetry) the arithmetic is that of the whole mask, bit
+    for bit. Steps, factorizations and solves match those on the whole
+    component. A one-dimensional mask is never folded: its Hessian is
+    tridiagonal, and halving it would save nothing worth its cost. An
+    ``initial`` field that is not itself symmetric starts from its values
+    on the fundamental domain; the minimizer is unique, so the result is
+    the same.
     """
     mask = prob.mask
     if initial is not None:
@@ -195,32 +228,41 @@ def minimize_gp(
             sum(p.iterations for p in parts),
         )
 
-    stiff = assemble_dirichlet(mask, -0.25).matrix  # quarter-Laplacian
-    w = prob.w_interior()
+    # the node values v of an invariant field on the fundamental domain of
+    # the mask's flip group; m is the size of each node's orbit
+    orbits = mirror_orbits(mask, prob.W)
+    inside = orbits.reduced.inside
+    # the quarter-Laplacian on node values, M^(1/2) B M^(1/2)
+    stiff = orbits.stencil(-0.25, isometric=False).matrix
+    m = orbits.sizes
+    sqrt_m = np.sqrt(m)
+    w = np.zeros(m.size) if prob.W is None else np.asarray(prob.W.values)[inside]
     dv = mask.grid.node_weight
 
     vals = None
     if initial is not None:
-        vals = np.abs(np.asarray(initial.values, dtype=float)[mask.inside])
+        vals = np.abs(np.asarray(initial.values, dtype=float)[inside])
     if vals is None or not vals.any():
         if mode is None:
             mode = onset_threshold(mask, prob.W, tol=1e-11)
         if prob.D <= mode.eigenvalue:
             return GPSolution(mask.field(np.zeros(mask.count)), 0.0, 0.0, 0)
         theta, _ = one_mode_upper_bound(prob, mode)
-        vals = theta * np.abs(np.asarray(mode.eigenvector.values)[mask.inside])
+        vals = theta * np.abs(np.asarray(mode.eigenvector.values)[inside])
 
     def evaluate(v):
-        """Energy, Euler-Lagrange field, its norm and |v|_H1."""
-        el = _el_interior(prob, stiff, v)
-        kin = float(v @ (stiff @ v)) * dv
-        quad = float(np.sum((w - prob.D) * v**2) * dv)
-        energy = kin + quad + float(prob.g * np.sum(v**4) * dv)
-        h1 = float(np.sqrt(4.0 * kin + np.sum(v**2) * dv))
-        return energy, el, float(np.linalg.norm(el)) * np.sqrt(dv), h1
+        """Energy, Euler-Lagrange field, its norm and |v|_H1: sums over the
+        whole mask, each node's term weighted by its orbit size."""
+        kv = stiff @ v
+        el = _el_interior(prob, kv / m, w, v)
+        kin = float(v @ kv) * dv
+        quad = float(np.sum(m * ((w - prob.D) * v**2)) * dv)
+        energy = kin + quad + float(prob.g * np.sum(m * v**4) * dv)
+        h1 = float(np.sqrt(4.0 * kin + np.sum(m * v**2) * dv))
+        return energy, el, float(np.linalg.norm(sqrt_m * el)) * np.sqrt(dv), h1
 
     def factorize(curvature):
-        return splu((stiff + sparse.diags(curvature)).tocsc(), **SYMMETRIC_LU)
+        return splu((stiff + sparse.diags(m * curvature)).tocsc(), **SYMMETRIC_LU)
 
     def preconditioned_cg(factor, curvature, rhs, eta):
         """Solution of the Hessian system to relative residual eta, or None
@@ -228,18 +270,19 @@ def minimize_gp(
         factor) or misses eta within its cap."""
         d = np.zeros_like(rhs)
         r = rhs
-        target = eta * np.linalg.norm(rhs)
+        target = eta * np.linalg.norm(rhs / sqrt_m)
+        weighted = m * curvature
         z = factor.solve(r)
         p, rz = z, float(r @ z)
         for _ in range(CG_MAX_ITER):
-            hp = stiff @ p + curvature * p
+            hp = stiff @ p + weighted * p
             php = float(p @ hp)
             if not (php > 0.0 and rz > 0.0):
                 return None
             alpha = rz / php
             d = d + alpha * p
             r = r - alpha * hp
-            if np.linalg.norm(r) <= target:
+            if np.linalg.norm(r / sqrt_m) <= target:
                 return d
             z = factor.solve(r)
             rz, rz_old = float(r @ z), rz
@@ -267,23 +310,24 @@ def minimize_gp(
     while (res > tol * (1.0 + h1) and it < MAX_NEWTON_STEPS
            and stalled < STALL_STEPS):
         curvature = w - prob.D + 6.0 * prob.g * vals**2
+        grad = m * el  # half the energy's gradient in v, over dv
         direction = None
         if factor is not None:
-            direction = preconditioned_cg(factor, curvature, -el,
+            direction = preconditioned_cg(factor, curvature, -grad,
                                           min(0.1, np.sqrt(res)))
-        if direction is None or not float(el @ direction) < 0.0:
+        if direction is None or not float(grad @ direction) < 0.0:
             factor = None  # dropped before the new one is built
             try:
                 factor = factorize(curvature)
-                direction = factor.solve(-el)
+                direction = factor.solve(-grad)
             except RuntimeError:  # SuperLU: exactly singular
                 direction = np.zeros_like(el)
-            if not float(el @ direction) < 0.0:  # no descent direction (or NaN)
+            if not float(grad @ direction) < 0.0:  # no descent direction (or NaN)
                 factor = None
                 factor = factorize(np.maximum(curvature, 0.0))
-                direction = factor.solve(-el)
-        # the Gateaux derivative along the direction is 2 <el, direction> dv
-        slope = 2.0 * float(el @ direction) * dv
+                direction = factor.solve(-grad)
+        # the Gateaux derivative along the direction is 2 <m el, direction> dv
+        slope = 2.0 * float(grad @ direction) * dv
         alpha = 1.0
         for _ in range(40):
             trial = np.maximum(vals + alpha * direction, 0.0)
@@ -319,7 +363,8 @@ def minimize_gp(
     if e >= -1e-14 * (1.0 + abs(prob.D)):
         vals = np.zeros_like(vals)
         e = 0.0
-    return GPSolution(mask.field(vals), e, evaluate(vals)[2], it)
+    return GPSolution(ScalarField(mask.grid, orbits.unfold(vals)), e,
+                      evaluate(vals)[2], it)
 
 
 def one_mode_upper_bound(prob: GPProblem, mode: EigenResult | None = None) -> tuple:
@@ -375,7 +420,7 @@ def continuity_scan(
 
     rows = []
     slack = max(1e-10, 100 * tol)
-    for ell in sorted(float(e) for e in ells):
+    for ell in sorted(set(float(e) for e in ells)):
         if ell == 0.0:
             e_int = e_ext = base.energy
         else:

@@ -35,14 +35,16 @@ def fit_power_law(x, y, model: str = "loglog") -> PowerLawFit:
     y = prefactor + exponent * x (linear model).
 
     The loglog fit is flagged ``refused`` when the rms residual in log space
-    exceeds 0.2 (the data is then not a power law at this resolution).
+    exceeds 0.2 (the data is then not a power law at this resolution). At
+    least three distinct controls are needed: through two, any line fits
+    with zero residual.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3 or x.size != y.size:
         raise FitError("need at least 3 matching rows")
-    if np.ptp(x) == 0:
-        raise FitError("control parameter has zero variance")
+    if np.unique(x).size < 3:  # a line through two points fits exactly
+        raise FitError("need at least 3 distinct control values")
     if model == "loglog":
         if np.any(x <= 0) or np.any(y <= 0):
             raise FitError("loglog model needs positive controls and observables")

@@ -16,6 +16,19 @@ pivot check of that one factor certifies the result. A shift the check
 refuses costs one more factorization, at the shift just under the
 Gershgorin lower bound, which lies below the spectrum by construction.
 
+A symmetric operator is solved on the fundamental domain of its symmetry
+group (the symmetry-adapted reduction: Fassler & Stiefel, Group Theoretical
+Methods and Their Applications, 1992). ``orbit_map`` takes a group of node
+maps and gives each node of the domain its images and its orbit size m;
+``Orbits.stencil`` folds a stencil A onto the invariant fields, B = S^T A S,
+with the orbit weights sqrt(m_u / m_v). A stencil operator is a Z-matrix,
+so it has a nonnegative ground vector, and the sum of its images is an
+invariant ground vector: B has the same smallest eigenvalue, and the pivots
+that certify a shift for B certify it for A. ``onset_threshold`` folds
+every two-dimensional mask that flips along grid axes map onto themselves
+exactly (``mirror_orbits``); ``twobody`` folds the pair operator by the
+exchange and the reflection of the product domain.
+
 The Hardy quotient takes ARPACK on one certified factor in every dimension,
 and the pivots of one more certify its largest eigenvalue from above.
 
@@ -115,6 +128,146 @@ def assemble_dirichlet(
         shape=(n_in, n_in),
     )
     return StencilOperator(mask, mat.tocsr())
+
+
+@dataclass
+class Orbits:
+    """The orbits of a group G of node maps on the fundamental domain
+    ``reduced``: ``images`` holds, for each g in G (the identity first), the
+    index arrays of the image of every node of ``reduced``, in the order of
+    its ``field``; ``stab`` the size of each node's stabilizer. A node's
+    orbit has m = |G| / stab distinct nodes."""
+
+    reduced: DomainMask
+    images: tuple
+    stab: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return len(self.images)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The orbit size m of each node."""
+        return (self.order // self.stab).astype(float)
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """The G-invariant array on the whole grid that takes ``values[u]``
+        on every image of node u."""
+        out = np.zeros(self.reduced.grid.shape)
+        for image in self.images:
+            out[image] = values
+        return out
+
+    def stencil(self, laplacian_coefficient: float = -1.0,
+                potential: ScalarField | None = None,
+                isometric: bool = True) -> StencilOperator:
+        """The stencil A of ``assemble_dirichlet`` on the G-invariant mask,
+        restricted to the G-invariant fields, on the fundamental domain.
+
+        With S the isometry that maps node u onto the unit sum of its orbit,
+        sum_{y in orbit(u)} e_y / sqrt(m_u), this is B = S^T A S:
+        B_uv = sqrt(m_u / m_v) sum_{y in orbit(v)} A_uy. For u != v the sum
+        is k_uv A_uv, with k_uv the number of distinct images of v adjacent
+        to u; for u = v it adds the images of u adjacent to u, which occur
+        only across the middle of an even-length flipped axis. With
+        ``isometric`` false it is M^(1/2) B M^(1/2), M = diag(m): the
+        operator on the node values of an invariant field, m_u k_uv A_uv off
+        the diagonal, whose integer weights keep it exactly symmetric and
+        exactly A for the trivial group. A potential must be G-invariant.
+        """
+        op = assemble_dirichlet(self.reduced, laplacian_coefficient, potential)
+        if self.order == 1:
+            return op
+        mat, m = op.matrix, self.sizes
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        cols = mat.indices
+        # k_uv off the diagonal, and on it the couplings of u to its images;
+        # an image of v other than v that is adjacent to u lies off the
+        # domain, so only the rows of nodes next to the rest of the mask can
+        # have k_uv > 1 or a self term
+        rest = (self.unfold(np.ones(m.size)) > 0) & ~self.reduced.inside
+        edge = np.zeros_like(rest)
+        for a in range(rest.ndim):
+            lo, hi = [slice(None)] * rest.ndim, [slice(None)] * rest.ndim
+            lo[a], hi[a] = slice(0, -1), slice(1, None)
+            edge[tuple(lo)] |= rest[tuple(hi)]
+            edge[tuple(hi)] |= rest[tuple(lo)]
+        e = np.flatnonzero(edge[self.reduced.inside][rows])
+        u, v = rows[e], cols[e]
+        coupling = laplacian_coefficient / np.asarray(self.reduced.grid.spacing) ** 2
+        hits, to_u = np.zeros(e.size, dtype=int), np.zeros(e.size)
+        for image in self.images:
+            step = np.abs(np.stack([g[v] - x[u] for g, x in zip(image, self.images[0])]))
+            hit = step.sum(axis=0) == 1
+            hits += hit
+            to_u += np.where(hit, coupling @ step, 0.0)
+        # each distinct image is hit once per element of its stabilizer
+        k, to_self = np.ones(cols.size), np.zeros(cols.size)
+        on_diag = u == v
+        k[e] = np.where(on_diag, 1, hits // self.stab[v])
+        to_self[e] = np.where(on_diag, to_u / self.stab[u], 0.0)
+        mat.data += to_self
+        mat.data *= (np.sqrt(m[rows] / m[cols]) if isometric else m[rows]) * k
+        return op
+
+    def row_scaled(self, mat: sparse.spmatrix) -> sparse.spmatrix:
+        """T B T^-1 with T = diag(sqrt(stab)) for the isometric stencil B:
+        its rows are those of A, to which B is similar on the invariant
+        fields, and its Gershgorin bound is A's. B's own bound sits lower,
+        at its weighted couplings next to the fixed nodes, and a shift that
+        far below lambda_1 costs ARPACK more LU solves."""
+        s = np.sqrt(self.stab)
+        return sparse.diags(s) @ mat @ sparse.diags(1.0 / s)
+
+
+def orbit_map(reduced: DomainMask, maps) -> Orbits:
+    """The orbits of the group of node maps ``maps`` (the identity first;
+    each takes the index arrays of nodes and returns those of their images)
+    on its fundamental domain ``reduced``."""
+    nodes = np.nonzero(reduced.inside)
+    images = tuple(tuple(g(*nodes)) for g in maps)
+    stab = np.zeros(nodes[0].size, dtype=int)
+    for image in images:
+        fixed = image[0] == nodes[0]
+        for a, b in zip(image[1:], nodes[1:]):
+            fixed &= a == b
+        stab += fixed
+    return Orbits(reduced, images, stab)
+
+
+def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None) -> Orbits:
+    """The orbits of the flips k -> n_a - 1 - k along the grid axes a that
+    map ``mask`` and the potential's values on it onto themselves exactly,
+    on the fundamental domain: the nodes with k >= n_a // 2 along every
+    flipped axis. The group has order 1, 2 or 4 on a plane. A
+    one-dimensional mask gets the trivial group: its operator is
+    tridiagonal and solved by one LAPACK call, which halving would not
+    speed up."""
+    inside = mask.inside
+    flips = []
+    if mask.grid.dim > 1:
+        w = None if potential is None else np.where(inside, potential.values, 0.0)
+        flips = [a for a in range(mask.grid.dim)
+                 if np.array_equal(inside, np.flip(inside, a))
+                 and (w is None or np.array_equal(w, np.flip(w, a)))]
+    if not flips:
+        return orbit_map(mask, (lambda *nodes: nodes,))
+    n = mask.grid.n
+    keep = inside.copy()
+    for a in flips:
+        lower = [slice(None)] * mask.grid.dim
+        lower[a] = slice(0, n[a] // 2)
+        keep[tuple(lower)] = False
+    subsets = [()]
+    for a in flips:
+        subsets += [s + (a,) for s in subsets]
+
+    def flip(axes):
+        return lambda *nodes: tuple(n[a] - 1 - k if a in axes else k
+                                    for a, k in enumerate(nodes))
+
+    return orbit_map(DomainMask(mask.grid, keep), [flip(s) for s in subsets])
 
 
 @dataclass
@@ -302,9 +455,30 @@ def onset_threshold(
 
     The eigenvalue is the threshold above which the quadratic coefficient in
     the condensate functional turns the zero state unstable.
+
+    A two-dimensional mask whose inside and W are exactly invariant under
+    flips along grid axes (``mirror_orbits``) is solved on the fundamental
+    domain of that flip group, as B = S^T A S (``Orbits.stencil``). A is a
+    Z-matrix that commutes with the flips, so it has an invariant ground
+    vector, which B keeps: lambda_1(B) = lambda_1(A), and the pivots that
+    certify a shift below lambda_1(B) certify it below lambda_1(A). The
+    shift is the Gershgorin floor of A's rows (``Orbits.row_scaled``). The
+    vector S v is the ground vector of A on the whole mask, with the same
+    residual and the same norm, and is returned unfolded, nonnegative and
+    normalized as any other. A one-dimensional mask is not folded: its
+    operator is tridiagonal and solved by one LAPACK call. A domain folded
+    to one node takes that path too.
     """
-    op = assemble_dirichlet(mask, -0.25, potential)
-    return smallest_eigenpair(op, tol=tol)
+    orbits = mirror_orbits(mask, potential)
+    op = orbits.stencil(-0.25, potential)
+    # with the trivial group B is A, whose floor is the solver's default
+    sigma = (None if orbits.order == 1
+             else gershgorin_shift(orbits.row_scaled(op.matrix)))
+    res = smallest_eigenpair(op, tol=tol, sigma=sigma)
+    v = np.asarray(res.eigenvector.values)[orbits.reduced.inside]
+    unfolded = orbits.unfold(v / np.sqrt(orbits.sizes))
+    return EigenResult(res.eigenvalue, ScalarField(mask.grid, unfolded),
+                       res.residual, res.iterations)
 
 
 def hardy_quotient(

@@ -19,7 +19,10 @@ symmetric about the domain's midpoint, exactly, A also commutes with the
 reflection R(x, y) = (a+b-y, a+b-x), and G = {1, P, R, PR} on the quarter
 x >= y, x + y <= a + b, with about a quarter of the unknowns; a scan's
 interval with no W always is. Being a Z-matrix, A has a G-invariant ground
-state on any mask, which B keeps (see ``ground_energy``).
+state on any mask, which B keeps (see ``ground_energy``). The orbits and the
+orbit-weighted stencil are ``spectral``'s (``orbit_map``,
+``Orbits.stencil``), which also fold symmetric masks for the onset and
+condensate solves.
 
 A scan makes one ground solve per h, and it starts close to its answer.
 The shift sits ``SHIFT_MARGIN`` E_b below the decoupled estimate
@@ -38,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .bcs import center_values, pair_kernel
 from .geometry import DomainMask, erode, interval
@@ -54,10 +56,11 @@ from .pairing import (
 from .reporting import ScanReport, fit_power_law
 from .spectral import (
     EigenResult,
+    Orbits,
     StencilOperator,
-    assemble_dirichlet,
     gershgorin_shift,
     onset_threshold,
+    orbit_map,
     smallest_eigenpair,
 )
 
@@ -130,50 +133,43 @@ class TwoBodyProblem:
         return self._reduced
 
     @cached_property
-    def _reduced(self) -> StencilOperator:
-        # a 4-neighbour of a node in the fundamental domain lies outside it
-        # only across a line of fixed nodes, and all images of a neighbour of
-        # a fixed node u are neighbours of u: B is A on the domain with the
-        # couplings s_u A_uv s_v
+    def orbits(self) -> Orbits:
+        """The orbits of G on its fundamental domain, the half x >= y of the
+        product mask, cut at the anti-diagonal x + y <= a + b when R is in G:
+        the images of each node under 1, P, R, PR (the first ``group_order``
+        of them) and its stabilizer, of size 2 on the diagonal and on the
+        anti-diagonal, 4 at the centre node, else 1."""
         pmask = self.product_mask()
         n = self.mask.grid.n[0]
         i, j = np.indices((n, n))
         keep = pmask.inside & (i >= j)  # x >= y
         if self.group_order == 4:
             keep &= i + j <= n - 1
-        reduced = DomainMask(pmask.grid, keep)
+        last = n - 1
+        maps = (lambda x, y: (x, y), lambda x, y: (y, x),
+                lambda x, y: (last - y, last - x),
+                lambda x, y: (last - x, last - y))
+        return orbit_map(DomainMask(pmask.grid, keep), maps[:self.group_order])
+
+    @cached_property
+    def _reduced(self) -> StencilOperator:
         # V on the lattice separations |i - j| dx / h, so exactly invariant
         # under P and R
+        n = self.mask.grid.n[0]
+        i, j = np.indices((n, n))
         k = np.arange(n)
         vfun = potential_from_descriptor(self.potential)
         pot = vfun(k * self.mask.grid.spacing[0] / self.h)[np.abs(i - j)]
         if self.W is not None:
             w = np.asarray(self.W.values)
             pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
-        op = assemble_dirichlet(reduced, -0.5 * self.h**2, reduced.field(pot))
-        mat, stab = op.matrix, _orbits(reduced, self.group_order)[1]
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        off = rows != mat.indices
-        mat.data[off] *= np.sqrt(stab[rows[off]] * stab[mat.indices[off]])
-        return op
+        return self.orbits.stencil(-0.5 * self.h**2,
+                                   self.orbits.reduced.field(pot))
 
     @cached_property
     def com_threshold(self) -> float:
         """Ground eigenvalue of the quarter-Laplacian plus W on the domain."""
         return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
-
-
-def _orbits(reduced: DomainMask, order: int) -> tuple:
-    """The images (x, y) of the nodes of the fundamental domain ``reduced``,
-    in the order of ``reduced.field``, under 1, P, R, PR (the first
-    ``order`` of them), and the size of each node's stabilizer: 2 on the
-    diagonal and on the anti-diagonal, 4 at the centre node, else 1. Its
-    square root is the node's weight s."""
-    x, y = np.nonzero(reduced.inside)
-    last = reduced.grid.n[0] - 1
-    images = [(x, y), (y, x), (last - y, last - x), (last - x, last - y)][:order]
-    stab = sum(((gx == x) & (gy == y)).astype(int) for gx, gy in images)
-    return images, stab
 
 
 def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
@@ -185,8 +181,10 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
     The reduced operator B = S^T A S (``TwoBodyProblem.operator``) is A
     restricted to the G-invariant fields, an invariant subspace, so its
     spectrum lies inside that of A. S is the isometry that maps a node u of
-    the domain onto the unit sum of its orbit, sum_g e_{g u}/(sqrt|G| s_u),
-    with s_u the square root of the size of u's stabilizer. A is a Z-matrix
+    the domain onto the unit sum of its orbit, the m_u distinct nodes
+    sum_g e_{g u}/(sqrt|G| s_u), s_u = sqrt(|G| / m_u) the square root of
+    the size of u's stabilizer; B_uv = sqrt(m_u / m_v) k_uv A_uv, k_uv the
+    images of v adjacent to u (``spectral.Orbits.stencil``). A is a Z-matrix
     that commutes with every g in G, so for a nonnegative ground vector v of
     A, sum_g g v is a nonzero G-invariant ground vector: the smallest
     eigenvalues agree, on any mask. V is evaluated on the lattice
@@ -209,9 +207,7 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
     which ``leading_disc_error`` reads the discretization error.
     """
     reduced = prob.operator()
-    s = np.sqrt(_orbits(reduced.mask, prob.group_order)[1])
-    floor = gershgorin_shift(sparse.diags(s) @ reduced.matrix
-                             @ sparse.diags(1.0 / s))
+    floor = gershgorin_shift(prob.orbits.row_scaled(reduced.matrix))
     return smallest_eigenpair(reduced, tol=tol,
                               sigma=floor if sigma is None else (sigma, floor),
                               start=start)
@@ -255,19 +251,18 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem,
     reduced = prob.operator()
     # u = S^T t: its Rayleigh quotient against B bounds lambda_min(B) = E0
     # from above, as that of any nonzero vector does
-    u = _fold(trial, reduced.mask, prob.group_order)
+    u = _fold(trial, prob.orbits)
     nrm = float(u @ u)
     if nrm <= 0:
         raise TwoBodyError("trial state vanished; ell too large for the domain")
     return float(u @ (reduced.matrix @ u)) / nrm, u
 
 
-def _fold(field: np.ndarray, reduced: DomainMask, order: int) -> np.ndarray:
-    """S^T f for an n x n product field f, on the fundamental domain
-    ``reduced`` of the group of that ``order``:
-    sum_g f(g u) / (sqrt|G| s_u) at each node u."""
-    images, stab = _orbits(reduced, order)
-    return sum(field[gx, gy] for gx, gy in images) / np.sqrt(order * stab)
+def _fold(field: np.ndarray, orbits: Orbits) -> np.ndarray:
+    """S^T f for an n x n product field f, on the fundamental domain of the
+    group of ``orbits``: sum_g f(g u) / (sqrt|G| s_u) at each node u."""
+    return (sum(field[image] for image in orbits.images)
+            / np.sqrt(orbits.order * orbits.stab))
 
 
 def _shift_estimate(prob: TwoBodyProblem) -> float:
@@ -290,13 +285,10 @@ def leading_disc_error(prob: TwoBodyProblem, ground: EigenResult) -> float:
     exact d^2 u vanishes on a Dirichlet wall, where u and Lap u do; the
     difference on a wall node, -F_1/dx^2, would add a spurious O(dx) term.
     """
-    reduced = prob.operator().mask
-    images, stab = _orbits(reduced, prob.group_order)
-    v = np.asarray(ground.eigenvector.values)[reduced.inside]
-    v = v * np.sqrt(stab / prob.group_order)
-    sym = np.zeros(reduced.grid.shape)
-    for gx, gy in images:  # S v: v_u s_u / sqrt|G| on every image of u
-        sym[gx, gy] = v
+    orbits = prob.orbits
+    v = np.asarray(ground.eigenvector.values)[orbits.reduced.inside]
+    # S v: v_u s_u / sqrt|G| on every image of u
+    sym = orbits.unfold(v * np.sqrt(orbits.stab / orbits.order))
     dx = prob.mask.grid.spacing[0]
     inside = prob.product_mask().inside
     curvature = sum(np.sum(lattice_neg_laplacian(sym, dx, axis)[inside]**2)

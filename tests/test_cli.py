@@ -45,6 +45,12 @@ class TestFitPowerLaw:
         with pytest.raises(FitError):
             fit_power_law([1.0, 2.0], [1.0, 2.0])
 
+    def test_two_distinct_controls_refused(self):
+        # three rows, two controls: any line through two points fits them
+        # with zero residual, which would pass for a power law
+        with pytest.raises(FitError, match="3 distinct"):
+            fit_power_law([1.0, 2.0, 2.0], [1.0, 2.0, 2.0])
+
     def test_linear_model(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         fit = fit_power_law(x, 2.0 + 0.5 * x, model="linear")
@@ -128,6 +134,26 @@ class TestRun:
                "D_offset": 1.0, "ells": [0.03, 0.05, 0.07]}
         assert cli.run("continuity", cfg, str(tmp_path)) == 0
         assert len(calls) == 1
+
+    def test_continuity_repeated_ell_is_one_row(self, tmp_path, monkeypatch):
+        # three ells of which two are distinct: two rows, each ell eroded,
+        # dilated and minimized once, and no fit from two controls
+        calls = []
+        minimize = gp.minimize_gp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize_gp", counting)
+        cfg = {"domain": {"builtin": "disk", "n": 41}, "w": None,
+               "ells": [0.1, 0.15, 0.15]}
+        assert cli.run("continuity", cfg, str(tmp_path)) == 0
+        rows = (tmp_path / "rows.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.1", "0.15"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["fits"] == {}
+        assert len(calls) == 1 + 2 * 2  # the base, then each mask once
 
     def test_mask_file_domain(self, tmp_path):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 801))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
-from paircond import gp
+from paircond import gp, spectral
 from paircond.grid import Grid, ScalarField, inner_product
 from paircond.reporting import fit_power_law
 from paircond.spectral import onset_threshold
@@ -465,3 +465,155 @@ class TestElResidualBound:
                          + np.sum(vals**2) * grid.node_weight)
             ratios.append(lap_norm / ((1 + abs(prob.D)) * (h1 + h1**3)))
         assert ratios and max(ratios) < 50.0
+
+
+def trivial_orbits(mask, potential=None):
+    """The orbits of the trivial group: the whole mask, unfolded."""
+    return spectral.orbit_map(mask, (lambda *nodes: nodes,))
+
+
+def counted(fn, trivial=False):
+    """fn() and its Hessian factorizations and factor solves (the first
+    solve of each factor, then CG's); with ``trivial``, every mask is solved
+    whole, as with the trivial group."""
+    counts = {"factorizations": 0, "solves": 0}
+    splu = gp.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            counts["solves"] += 1
+            return self.lu.solve(b)
+
+    def counting(*args, **kwargs):
+        counts["factorizations"] += 1
+        return Factor(splu(*args, **kwargs))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp, "splu", counting)
+        if trivial:
+            mp.setattr(gp, "mirror_orbits", trivial_orbits)
+            mp.setattr(spectral, "mirror_orbits", trivial_orbits)
+        return fn(), counts
+
+
+SYMMETRIC_MASKS = {
+    # (mask, order of its flip group)
+    "slit": (geo.slit_square(41), 2),
+    "centred_disk": (geo.disk([0, 0], 1.0, grid=Grid.box([-1.5, -1.5], [1.5, 1.5],
+                                                          [41, 41])), 4),
+    # 30 nodes along x: the middle pair of columns mirror onto each other
+    "box_even_axis": (geo.box_mask([0, 0], [1, 1], grid=Grid.box(
+        [-0.2, -0.2], [1.2, 1.2], [30, 41])), 4),
+}
+
+
+class TestFold:
+    """A mask and W that flips along grid axes map onto themselves are
+    minimized on the flip group's fundamental domain, in the same Newton
+    steps, factorizations and solves as on the whole mask."""
+
+    @staticmethod
+    def problem(name, gap=10.0):
+        mask, order = SYMMETRIC_MASKS[name]
+        assert spectral.mirror_orbits(mask).order == order
+        mode = onset_threshold(mask, tol=1e-11)
+        return gp.GPProblem(mask, None, mode.eigenvalue + gap, 1.0), mode
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_MASKS))
+    def test_minimizer_matches_whole_mask(self, name):
+        prob, mode = self.problem(name)
+        tol = 1e-9
+        folded, counts = counted(lambda: gp.minimize_gp(prob, tol=tol, mode=mode))
+        whole, whole_counts = counted(
+            lambda: gp.minimize_gp(prob, tol=tol, mode=mode), trivial=True)
+        assert folded.iterations == whole.iterations
+        assert counts == whole_counts
+        assert abs(folded.energy - whole.energy) <= 1e-12 * abs(whole.energy)
+        psi = folded.psi.values
+        orbits = spectral.mirror_orbits(prob.mask)
+        flipped = [a for a in range(2) if np.array_equal(
+            prob.mask.inside, np.flip(prob.mask.inside, a))]
+        assert 2 ** len(flipped) == orbits.order
+        for a in flipped:
+            assert np.array_equal(psi, np.flip(psi, a))
+        # the residual of the unfolded field, on the whole mask
+        dv = prob.mask.grid.node_weight
+        el = gp.gp_gradient(prob, folded.psi).values
+        h1 = np.sqrt(gp.gradient_energy(folded.psi) + np.sum(psi**2) * dv)
+        assert np.linalg.norm(el) * np.sqrt(dv) <= tol * (1 + h1)
+        check_minimizer(prob, folded, mode)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_MASKS))
+    def test_continuity_matches_whole_mask(self, name):
+        prob, mode = self.problem(name)
+        ells = [0.03, 0.07]
+        folded, counts = counted(lambda: gp.continuity_scan(prob, ells, mode=mode))
+        whole, whole_counts = counted(
+            lambda: gp.continuity_scan(prob, ells, mode=mode), trivial=True)
+        assert counts == whole_counts
+        scale = abs(whole.metadata["base_energy"])
+        for row, ref in zip(folded.sorted_rows(), whole.sorted_rows()):
+            assert np.max(np.abs(np.subtract(row, ref))) <= 1e-12 * scale
+
+    def test_asymmetric_start_on_symmetric_mask(self):
+        # the start is read on the fundamental domain only; the minimizer is
+        # unique, so a start that breaks the symmetry changes no result
+        prob, mode = self.problem("slit")
+        base = gp.minimize_gp(prob, mode=mode)
+        rng = np.random.default_rng(5)
+        start = prob.mask.field(base.psi.values * rng.uniform(0.5, 1.5, prob.mask.grid.shape))
+        sol = gp.minimize_gp(prob, initial=start)
+        assert abs(sol.energy - base.energy) <= 1e-10 * abs(base.energy)
+        assert np.array_equal(sol.psi.values, np.flip(sol.psi.values, 1))
+
+
+def byte_identical(a, b):
+    """Two minimizer results agree bit for bit."""
+    return (np.array_equal(a.psi.values, b.psi.values) and a.energy == b.energy
+            and a.el_residual == b.el_residual and a.iterations == b.iterations)
+
+
+class TestFoldRefused:
+    """Without an exact flip symmetry the whole mask is solved, bit for bit
+    as with the trivial group."""
+
+    def test_w_off_by_one_ulp(self):
+        mask, _ = SYMMETRIC_MASKS["centred_disk"]
+        rng = np.random.default_rng(8)
+        w = rng.uniform(-1, 1, mask.grid.shape)
+        w = (w + np.flip(w, 0)) + (np.flip(w, 1) + np.flip(w, (0, 1)))
+        assert spectral.mirror_orbits(mask, mask.field(w)).order == 4
+        w[24, 13] = np.nextafter(w[24, 13], np.inf)
+        field = mask.field(w)
+        assert spectral.mirror_orbits(mask, field).order == 1
+        mode = onset_threshold(mask, field, tol=1e-11)
+        prob = gp.GPProblem(mask, field, mode.eigenvalue + 5.0, 1.0)
+        sol, counts = counted(lambda: gp.minimize_gp(prob))
+        ref, ref_counts = counted(lambda: gp.minimize_gp(prob), trivial=True)
+        assert byte_identical(sol, ref) and counts == ref_counts
+
+    def test_components_that_mirror_onto_each_other(self):
+        # the union is symmetric under the flip of x, each part is not
+        grid = Grid.box([0.0, 0.0], [1.0, 1.0], [41, 41])
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[5:12, 22:30] = inside[29:36, 22:30] = True
+        union = geo.DomainMask(grid, inside)
+        assert spectral.mirror_orbits(union).order == 2
+        labels, _ = geo.label_components(inside)
+        assert spectral.mirror_orbits(geo.DomainMask(grid, labels == 1)).order == 1
+        part = geo.DomainMask(grid, labels == 1)
+        d_val = onset_threshold(part, tol=1e-11).eigenvalue + 5.0
+        prob = gp.GPProblem(union, None, d_val, 1.0)
+        sol, counts = counted(lambda: gp.minimize_gp(prob))
+        ref, ref_counts = counted(lambda: gp.minimize_gp(prob), trivial=True)
+        assert byte_identical(sol, ref) and counts == ref_counts
+
+    def test_interval(self, unit_interval):
+        assert spectral.mirror_orbits(unit_interval).order == 1
+        prob = gp.GPProblem(unit_interval, None, D_C_INTERVAL + 3.0, 1.0)
+        sol, counts = counted(lambda: gp.minimize_gp(prob))
+        ref, ref_counts = counted(lambda: gp.minimize_gp(prob), trivial=True)
+        assert byte_identical(sol, ref) and counts == ref_counts

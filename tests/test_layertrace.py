@@ -13,7 +13,7 @@ import io
 import os
 import sys
 
-from paircond import cli, gp, pairing, spectral, twobody
+from paircond import cli, geometry, gp, pairing, spectral
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "bench"))
@@ -29,6 +29,9 @@ TINY_RUNS = [
                               "n": 121, "margin": 0.05},
                    "w": None, "potential": PT, "D": 2.0,
                    "h_list": [0.2, 0.15, 0.1]}),
+    # symmetric under y -> -y: solved on its upper half
+    ("gp-min", {"domain": {"builtin": "slit_square", "n": 21}, "w": None,
+                "D_offset": 1.0}),
 ]
 
 
@@ -42,24 +45,27 @@ def test_tracer_reports_every_layer(tmp_path, monkeypatch):
         masks.append(mask)
         return assemble(mask, *args, **kwargs)
 
-    for module in (spectral, gp, pairing, twobody):
+    # the pair operator is assembled through spectral's own binding
+    for module in (spectral, gp, pairing):
         monkeypatch.setattr(module, "assemble_dirichlet", recording)
     tracer = layertrace.Tracer()
     tracer.install()
     try:
         codes, runs = [], []  # the exit code and metrics of each run
         pair_solves = []  # unknowns of each eigensolve of a ground energy
+        run_masks = []  # the masks assembled in each run
         with contextlib.redirect_stdout(io.StringIO()):
-            for experiment, cfg in TINY_RUNS:
-                codes.append(cli.run(experiment, cfg,
-                                     str(tmp_path / experiment)))
+            for k, (experiment, cfg) in enumerate(TINY_RUNS):
+                codes.append(cli.run(experiment, cfg, str(tmp_path / str(k))))
+                run_masks.append(masks[:])
+                masks.clear()
                 pair_solves += [s.info["unknowns"] for s in tracer.spans
                                 if s.name == "spectral.smallest_eigenpair"
                                 and s.parent.name == "twobody.ground_energy"]
                 runs.append(tracer.pass_metrics())
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0]
+    assert codes == [0] * len(TINY_RUNS)
     # the worker adds these two itself
     added = {"reporting.output_bytes", "trace.overhead_s"}
     for metrics in runs:
@@ -73,9 +79,15 @@ def test_tracer_reports_every_layer(tmp_path, monkeypatch):
     # n interior nodes of its axis, and the largest operator the tracer
     # reads is the largest pair operator solved (the scan's continuum
     # relative state, 3999 unknowns, is its largest eigensolve overall)
-    product = [m for m in masks if m.grid.dim == 2]
+    product = [m for m in run_masks[0] if m.grid.dim == 2]
     assert product
     for m in product:
         n = int(m.inside.any(axis=1).sum())
         assert m.count <= n * (n + 1) // 2
     assert runs[0]["twobody.product_unknowns_max"] == max(pair_solves)
+    # the symmetric gp-min still counts its Hessian factorizations, and its
+    # largest eigensolve is the onset solve on the fundamental domain
+    half = spectral.mirror_orbits(geometry.slit_square(21)).reduced
+    assert half.count < geometry.slit_square(21).count
+    assert runs[3]["gp.factorizations"] > 0
+    assert runs[3]["spectral.unknowns_max"] == half.count

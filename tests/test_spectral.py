@@ -370,3 +370,117 @@ class TestHardy:
         m = interval_mask(201)
         with pytest.raises(sp.SpectralError):
             sp.hardy_quotient(m, lambda_offset=-1e4)
+
+
+def mirror_symmetric_w(mask, seed):
+    """A random W on the mask, made exactly invariant under both flips:
+    (w + w_x) + (w_y + w_xy) is the same sum of the same pairs after
+    either flip."""
+    w = np.random.default_rng(seed).uniform(-20, 20, mask.grid.shape)
+    w = (w + np.flip(w, 0)) + (np.flip(w, 1) + np.flip(w, (0, 1)))
+    return mask.field(w)
+
+
+FLIP_MASKS = {
+    "slit": lambda: geo.slit_square(21),
+    "disk_odd": lambda: geo.disk([0, 0], 1.0, grid=Grid.box(
+        [-1.2, -1.2], [1.2, 1.2], [23, 23])),
+    "disk_even": lambda: geo.disk([0, 0], 1.0, grid=Grid.box(
+        [-1.2, -1.2], [1.2, 1.2], [22, 22])),
+    "box_even_axis": lambda: geo.box_mask([0, 0], [1, 1], grid=Grid.box(
+        [-0.2, -0.2], [1.2, 1.2], [20, 27])),
+}
+
+
+def orbit_isometry(mask, orbits):
+    """S: column u is the unit sum of the orbit of node u of the fundamental
+    domain, sum of e_y over its distinct images y, over sqrt(their number),
+    in the unknowns of the whole mask; built node by node."""
+    index = np.full(mask.grid.shape, -1)
+    index[mask.inside] = np.arange(mask.count)
+    s = np.zeros((mask.count, orbits.reduced.count))
+    for u in range(orbits.reduced.count):
+        orbit = {tuple(int(x[u]) for x in image) for image in orbits.images}
+        for node in orbit:
+            assert index[node] >= 0, "an image left the mask"
+            s[index[node], u] = 1.0 / np.sqrt(len(orbit))
+    return s
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("name", sorted(FLIP_MASKS))
+    def test_stencil_is_s_transpose_a_s(self, name):
+        # B = S^T A S and, on node values, M^(1/2) B M^(1/2), to rounding;
+        # the even axes carry the self-coupling across their middle
+        mask = FLIP_MASKS[name]()
+        w = mirror_symmetric_w(mask, 1)
+        orbits = sp.mirror_orbits(mask, w)
+        assert orbits.order == (2 if name == "slit" else 4)
+        full = sp.assemble_dirichlet(mask, -0.25, w).matrix.toarray()
+        s = orbit_isometry(mask, orbits)
+        assert np.allclose(s.T @ s, np.eye(s.shape[1]), rtol=0, atol=1e-15)
+        folded = s.T @ full @ s
+        scale = np.max(np.abs(full))
+        b = orbits.stencil(-0.25, w).matrix.toarray()
+        assert np.max(np.abs(b - folded)) <= 4 * np.finfo(float).eps * scale
+        root_m = np.sqrt(orbits.sizes)
+        c = orbits.stencil(-0.25, w, isometric=False).matrix.toarray()
+        assert np.array_equal(c, c.T)
+        assert (np.max(np.abs(c - root_m[:, None] * folded * root_m[None, :]))
+                <= 16 * np.finfo(float).eps * scale)
+        # the shift floor is read from rows that are A's
+        floor = sp.gershgorin_shift(orbits.row_scaled(orbits.stencil(-0.25, w).matrix))
+        ref = sp.gershgorin_shift(sp.assemble_dirichlet(mask, -0.25, w).matrix)
+        assert abs(floor - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("name", sorted(FLIP_MASKS))
+    def test_onset_is_smallest_of_whole_operator(self, name):
+        # solved on the fundamental domain: the smallest eigenvalue of the
+        # dense operator on the whole mask, and an eigenvector of it
+        mask = FLIP_MASKS[name]()
+        w = mirror_symmetric_w(mask, 2)
+        full = sp.assemble_dirichlet(mask, -0.25, w).matrix
+        res = sp.onset_threshold(mask, w, tol=1e-11)
+        ref = np.linalg.eigvalsh(full.toarray())[0]
+        assert abs(res.eigenvalue - ref) <= 1e-10 * max(1.0, abs(ref))
+        v = res.eigenvector.values[mask.inside]
+        assert abs(np.sum(v**2) * mask.grid.node_weight - 1.0) < 1e-13
+        assert np.min(v) >= 0.0
+        u = v / np.linalg.norm(v)
+        rounding = 64 * np.finfo(float).eps * sp.StencilOperator(
+            mask, full).norm_estimate()
+        assert np.linalg.norm(full @ u - res.eigenvalue * u) <= res.residual + rounding
+
+    def test_folded_solve_saves_unknowns(self, monkeypatch):
+        sizes = []
+        solve = sp.smallest_eigenpair
+
+        def recording(op, *args, **kwargs):
+            sizes.append(op.n_unknowns)
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(sp, "smallest_eigenpair", recording)
+        mask = FLIP_MASKS["disk_odd"]()
+        sp.onset_threshold(mask)
+        assert sizes == [sp.mirror_orbits(mask).reduced.count]
+        assert sizes[0] < mask.count / 3
+
+    def test_w_off_by_one_ulp_is_not_folded(self, monkeypatch):
+        mask = FLIP_MASKS["disk_odd"]()
+        w = mirror_symmetric_w(mask, 3)
+        values = np.array(w.values)
+        values[8, 13] = np.nextafter(values[8, 13], np.inf)
+        near = mask.field(values)
+        assert sp.mirror_orbits(mask, near).order == 1
+        res = sp.onset_threshold(mask, near, tol=1e-11)
+        ref = sp.smallest_eigenpair(sp.assemble_dirichlet(mask, -0.25, near),
+                                    tol=1e-11)
+        assert res.eigenvalue == ref.eigenvalue
+        assert res.residual == ref.residual and res.iterations == ref.iterations
+        assert np.array_equal(res.eigenvector.values, ref.eigenvector.values)
+
+    def test_one_dimensional_mask_is_not_folded(self):
+        mask = interval_mask(201)
+        assert np.array_equal(mask.inside, mask.inside[::-1])
+        orbits = sp.mirror_orbits(mask)
+        assert orbits.order == 1 and orbits.reduced is mask

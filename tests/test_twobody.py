@@ -243,7 +243,7 @@ class TestMirror:
             prob.group_order = order
             _, fold = full_operator_and_fold(prob)
             f = rng.standard_normal((n, n))
-            folded = tb._fold(f, prob.operator().mask, order)
+            folded = tb._fold(f, prob.orbits)
             ref = fold.T @ f[prob.product_mask().inside]
             assert np.max(np.abs(folded - ref)) <= 4e-15 * np.max(np.abs(f))
 
