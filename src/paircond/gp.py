@@ -24,7 +24,8 @@ flips along grid axes is minimized on the fundamental domain of that flip
 group (``spectral.mirror_orbits``), with about half or a quarter of the
 unknowns. The functional is invariant under the flips and its nonnegative
 minimizer is unique, so that minimizer is invariant: it is fixed by its
-values on the fundamental domain. One-dimensional masks are not folded.
+values on the fundamental domain. One-dimensional masks are not folded:
+their Hessian is tridiagonal, and halving it saves too little to pay.
 """
 
 from __future__ import annotations

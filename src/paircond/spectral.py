@@ -26,8 +26,9 @@ so it has a nonnegative ground vector, and the sum of its images is an
 invariant ground vector: B has the same smallest eigenvalue, and the pivots
 that certify a shift for B certify it for A. ``onset_threshold`` folds
 every two-dimensional mask that flips along grid axes map onto themselves
-exactly (``mirror_orbits``); ``twobody`` folds the pair operator by the
-exchange and the reflection of the product domain.
+exactly (``mirror_orbits``), not a one-dimensional one, which one LAPACK
+call solves whole; ``twobody`` folds the pair operator by the exchange and
+the reflection of the product domain.
 
 The Hardy quotient takes ARPACK on one certified factor in every dimension,
 and the pivots of one more certify its largest eigenvalue from above.
