@@ -12,8 +12,11 @@ representative is picked from the start. That start is the optimal
 single-mode field, or a given field such as the minimizer on a nearby mask.
 Each connected component of the mask is minimized on its own.
 
-Newton steps are inexact after the first: the loop keeps its last sparse
-Hessian factor and solves each later step by conjugate gradients
+The first Newton step factors the Hessian if it is positive definite,
+and else a positive-definite fallback that keeps only the nonnegative part
+of its diagonal curvature; either factor is ``spectral.splu``, whose
+completion certifies it. Steps are inexact after the first: the loop keeps
+its last factor and solves each later step by conjugate gradients
 preconditioned with it, to a relative residual min(0.1, sqrt(residual))
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). Near the
 minimizer the Hessian changes little between steps, so a few CG iterations
@@ -34,17 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .geometry import DomainMask, dilate, erode, label_components
 from .grid import ScalarField
 from .reporting import ScanReport, fit_power_law
 from .spectral import (
-    SYMMETRIC_LU,
     EigenResult,
+    SpectralError,
     assemble_dirichlet,
     mirror_orbits,
     onset_threshold,
+    splu,
 )
 
 
@@ -165,11 +168,13 @@ def minimize_gp(
     """Globalized Newton iteration to the nonnegative minimizer.
 
     Each step solves with the Hessian H = K + diag(W - D + 6 g psi^2), K the
-    quarter-Laplacian. The first step factors H; where that factor fails or
-    gives no descent direction, it factors K + diag(max(W - D + 6 g psi^2,
-    0)), which is positive definite, and solves with that. The last factor
-    built, of either kind, is kept: each later step solves with H by CG
-    preconditioned with it, at most ``CG_MAX_ITER`` iterations, to the
+    quarter-Laplacian. The first step factors H if it is positive definite,
+    and else K + diag(max(W - D + 6 g psi^2, 0)), which always is, and
+    solves with that factor, which gives a descent direction either way:
+    ``spectral.splu`` certifies a factor by completing it, and refuses an
+    indefinite H at no more than the cost of one factorization. The last
+    factor built, of either kind, is kept: each later step solves with H by
+    CG preconditioned with it, at most ``CG_MAX_ITER`` iterations, to the
     relative residual min(0.1, sqrt(residual)). The Hessian is factored
     again, by the rule of the first step and after the old factor is
     dropped, when CG meets nonpositive curvature, misses its target within
@@ -263,7 +268,7 @@ def minimize_gp(
         return energy, el, float(np.linalg.norm(sqrt_m * el)) * np.sqrt(dv), h1
 
     def factorize(curvature):
-        return splu((stiff + sparse.diags(m * curvature)).tocsc(), **SYMMETRIC_LU)
+        return splu(stiff + sparse.diags(m * curvature))
 
     def preconditioned_cg(factor, curvature, rhs, eta):
         """Solution of the Hessian system to relative residual eta, or None
@@ -320,13 +325,9 @@ def minimize_gp(
             factor = None  # dropped before the new one is built
             try:
                 factor = factorize(curvature)
-                direction = factor.solve(-grad)
-            except RuntimeError:  # SuperLU: exactly singular
-                direction = np.zeros_like(el)
-            if not float(grad @ direction) < 0.0:  # no descent direction (or NaN)
-                factor = None
+            except SpectralError:  # H is not positive definite
                 factor = factorize(np.maximum(curvature, 0.0))
-                direction = factor.solve(-grad)
+            direction = factor.solve(-grad)
         # the Gateaux derivative along the direction is 2 <m el, direction> dv
         slope = 2.0 * float(grad @ direction) * dv
         alpha = 1.0

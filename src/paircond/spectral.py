@@ -6,15 +6,25 @@ one-dimensional operator is tridiagonal, and its smallest eigenpair comes
 from one LAPACK call: bisection by Sturm counts (stebz) picks the eigenvalue
 of index 0, which certifies it as the smallest, and inverse iteration
 (stein) gives its vector. Every other operator takes ARPACK in shift-invert
-mode (Ericsson & Ruhe 1980; Lehoucq, Sorensen & Yang 1998) on one symmetric
-LU factor of the shifted matrix A - sigma I. The shift starts from the
-caller's estimate of the smallest eigenvalue lambda_1, a little below it:
-close to lambda_1, ARPACK needs the fewest LU solves. By Sylvester's law of
-inertia the factor's pivots are all positive exactly when sigma lies below
-every eigenvalue, and then the eigenvalue nearest sigma is the smallest: the
-pivot check of that one factor certifies the result. A shift the check
-refuses costs one more factorization, at the shift just under the
-Gershgorin lower bound, which lies below the spectrum by construction.
+mode (Ericsson & Ruhe 1980; Lehoucq, Sorensen & Yang 1998) on one certified
+factor of the shifted matrix A - sigma I. The shift starts from the caller's
+estimate of the smallest eigenvalue lambda_1, a little below it: close to
+lambda_1, ARPACK needs the fewest solves. The factor is certified when it
+proves A - sigma I positive definite, that is sigma below every eigenvalue,
+and then the eigenvalue nearest sigma is the smallest. A shift the
+certificate refuses costs one more factorization, at the shift just under
+the Gershgorin lower bound, which lies below the spectrum by construction.
+
+Every factorization is a call of ``splu``, one certified factor for
+symmetric positive-definite matrices. A stencil in the natural node order
+has a narrow band, b = max |i - j| (1 in 1D, about the row width in 2D),
+and up to ``MAX_CHOLESKY_BAND`` it is factored by banded Cholesky (LAPACK
+pbtrf): the factor completes, with a positive, finite diagonal, only for a
+matrix that is positive definite up to rounding (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, Thm 10.3). A wider band (3D masks,
+very wide 2D ones) keeps SuperLU's symmetric LU, whose pivots are all
+positive exactly when the matrix is positive definite (Sylvester's law of
+inertia).
 
 A symmetric operator is solved on the fundamental domain of its symmetry
 group (the symmetry-adapted reduction: Fassler & Stiefel, Group Theoretical
@@ -23,15 +33,15 @@ maps and gives each node of the domain its images and its orbit size m;
 ``Orbits.stencil`` folds a stencil A onto the invariant fields, B = S^T A S,
 with the orbit weights sqrt(m_u / m_v). A stencil operator is a Z-matrix,
 so it has a nonnegative ground vector, and the sum of its images is an
-invariant ground vector: B has the same smallest eigenvalue, and the pivots
-that certify a shift for B certify it for A. ``onset_threshold`` folds
+invariant ground vector: B has the same smallest eigenvalue, and the factor
+that certifies a shift for B certifies it for A. ``onset_threshold`` folds
 every two-dimensional mask that flips along grid axes map onto themselves
 exactly (``mirror_orbits``), not a one-dimensional one, which one LAPACK
 call solves whole; ``twobody`` folds the pair operator by the exchange and
 the reflection of the product domain.
 
 The Hardy quotient takes ARPACK on one certified factor in every dimension,
-and the pivots of one more certify its largest eigenvalue from above.
+and one more certified factor proves its largest eigenvalue from above.
 
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
@@ -44,8 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, splu
+from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.sparse.linalg import splu as superlu
 
 from .geometry import DomainMask, GeometryError
 from .grid import ScalarField
@@ -283,26 +294,75 @@ class EigenResult:
 # applied on both sides, with the pivots kept on the diagonal
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                 "options": {"SymmetricMode": True}}
+# Widest band b = max |i - j| that ``splu`` factors by banded Cholesky; a
+# wider one keeps SuperLU. On 2D boxes of 121 rows (one BLAS thread) the
+# band factor is 1.6-3x faster than SuperLU's at b = 79-199, but past
+# b = 130 each solve with it is slower, so its lead lasts about 200 solves
+# up to b = 129, 63 at b = 139, 37 at b = 159 and 24 at b = 199. A Newton
+# factor serves about 13 solves and a cold ARPACK start 20-40: past b = 150
+# the band loses on the latter.
+MAX_CHOLESKY_BAND = 150
 
 
-def _factor_positive_definite(mat: sparse.spmatrix) -> SuperLU:
-    """Sparse LU of a matrix that must be symmetric positive definite.
+class splu:
+    """Certified factor of a symmetric matrix that must be positive definite;
+    ``solve(b)`` gives A^-1 b, ``band`` is the matrix's b = max |i - j| and
+    ``nnz`` counts the entries the factor stores.
 
-    The ordering is minimum degree on A^T + A, applied symmetrically, and the
-    pivots stay on the diagonal, so U = D L^T. By Sylvester's law of inertia
-    the matrix is positive definite exactly when every pivot (diagonal entry
-    of U) is positive; that is checked here, at no extra factorization.
+    A matrix of band b = max |i - j| up to ``MAX_CHOLESKY_BAND`` is factored
+    in place by banded Cholesky, LAPACK pbtrf on its lower band, a
+    Fortran-order (b + 1, n) array, and solved by pbtrs. The factor completes
+    with a positive, finite diagonal only for a matrix that is positive
+    definite up to rounding (Higham 2002, Thm 10.3); that completed factor is
+    the certificate. A wider band takes SuperLU's symmetric LU (``SYMMETRIC_LU``)
+    with its pivots on the diagonal, so U = D L^T, and by Sylvester's law of
+    inertia the matrix is positive definite exactly when every pivot is
+    positive: there the positive, finite pivots are the certificate. Either
+    way a refused matrix raises SpectralError, at no extra factorization.
+
+    Every factorization of the program is a call of this name, in
+    ``spectral`` or as ``gp.splu``, which the benchmark's layer tracer and
+    the tests wrap to count and time them. It is a class because the tracer
+    also wraps every public function of a module: a function would be timed
+    twice.
     """
-    try:
-        lu = splu(sparse.csc_matrix(mat), **SYMMETRIC_LU)
-    except RuntimeError as exc:  # SuperLU: exactly singular
-        raise SpectralError(f"matrix is not positive definite: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SpectralError("symmetric LU pivoted off the diagonal")
-    if not np.all(lu.U.diagonal() > 0):
-        raise SpectralError("matrix is not positive definite: "
-                            "its symmetric LU has a nonpositive pivot")
-    return lu
+
+    def __init__(self, mat: sparse.spmatrix):
+        coo = sparse.coo_matrix(mat)
+        n = coo.shape[0]
+        band = int(np.max(np.abs(coo.row - coo.col), initial=0))
+        self.band, self._lu = band, None
+        if band <= MAX_CHOLESKY_BAND:
+            low = coo.row >= coo.col
+            rows, cols = coo.row[low], coo.col[low]
+            # ab[i - j, j] = A[i, j], the lower band storage of pbtrf, in
+            # Fortran order; duplicate entries add up as in the sparse matrix
+            ab = np.bincount(cols * (band + 1) + (rows - cols),
+                             weights=coo.data[low],
+                             minlength=(band + 1) * n).reshape(n, band + 1).T
+            self._band, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+            self.nnz = ab.size
+            pivots = self._band[0] if info == 0 else np.array([np.nan])
+            how = (f"its banded Cholesky factor (band {band}) does not "
+                   "complete with a positive, finite diagonal")
+        else:
+            try:
+                self._lu = superlu(sparse.csc_matrix(mat), **SYMMETRIC_LU)
+            except RuntimeError as exc:  # SuperLU: exactly singular
+                raise SpectralError(f"matrix is not positive definite: {exc}") from exc
+            if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
+                raise SpectralError("matrix is not positive definite: its "
+                                    "symmetric LU pivoted off the diagonal")
+            self.nnz = self._lu.nnz
+            pivots = self._lu.U.diagonal()
+            how = "its symmetric LU has a nonpositive or nonfinite pivot"
+        if not np.all((pivots > 0) & (pivots < np.inf)):
+            raise SpectralError(f"matrix is not positive definite: {how}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._lu is not None:
+            return self._lu.solve(b)
+        return lapack.dpbtrs(self._band, b, lower=1)[0]
 
 
 def gershgorin_shift(mat: sparse.spmatrix) -> float:
@@ -316,12 +376,12 @@ def gershgorin_shift(mat: sparse.spmatrix) -> float:
     return lower - 1e-3 * (abs(lower) + 1.0)
 
 
-def shifted_factor(mat: sparse.spmatrix, sigma: float) -> SuperLU:
-    """Certified LU factor of ``mat - sigma I``: its positive pivots confirm
-    that sigma lies below every eigenvalue of ``mat``. In shift-invert mode
-    the eigenvalue nearest sigma is then the smallest."""
-    ident = sparse.identity(mat.shape[0], format="csc")
-    return _factor_positive_definite(mat - sigma * ident)
+def shifted_factor(mat: sparse.spmatrix, sigma: float) -> splu:
+    """Certified factor of ``mat - sigma I`` (``splu``): its completion
+    proves that sigma lies below every eigenvalue of ``mat``. In shift-invert
+    mode the eigenvalue nearest sigma is then the smallest."""
+    ident = sparse.identity(mat.shape[0], format="csr")
+    return splu(mat - sigma * ident)
 
 
 def _eigsh_lu(solve, n: int, what: str, shift_invert=None, **kwargs) -> tuple:
@@ -366,20 +426,21 @@ def smallest_eigenpair(
     smallest, and inverse iteration gives its vector. No LU solve is made,
     and ``iterations`` is 0.
 
-    Every other operator takes ARPACK shift-invert on one LU factor of
-    A - sigma I, whose positive pivots certify that sigma lies below
-    lambda_1. ``MAX_LU_SOLVES`` caps the LU solves; ``iterations`` reports
-    them. ``sigma`` belongs to this path: a shift estimate, a little below
-    lambda_1, or a tuple of them in the order to try. The first that the
-    pivots admit is used, and each refused one costs one factorization. The
-    Gershgorin shift of A, which always lies below, is the last resort and
-    the default. ``start``, a nonzero vector of the operator's length, also
-    belongs to this path: ARPACK starts from it, with a basis of
-    ``START_NCV`` vectors in place of its default 20. A start close to the
-    ground vector only saves LU solves: the certified shift, the cap and the
-    residual target are the same. Like ARPACK's random start, it must not be
-    orthogonal to the ground vector; a nonnegative start never is, as the
-    ground vector of a stencil operator on a connected mask is positive.
+    Every other operator takes ARPACK shift-invert on one certified factor
+    of A - sigma I (``shifted_factor``), whose completion proves that sigma
+    lies below lambda_1. ``MAX_LU_SOLVES`` caps the solves with it;
+    ``iterations`` reports them. ``sigma`` belongs to this path: a shift
+    estimate, a little below lambda_1, or a tuple of them in the order to
+    try. The first that the certificate admits is used, and each refused one
+    costs one factorization. The Gershgorin shift of A, which always lies
+    below, is the last resort and the default. ``start``, a nonzero vector
+    of the operator's length, also belongs to this path: ARPACK starts from
+    it, with a basis of ``START_NCV`` vectors in place of its default 20. A
+    start close to the ground vector only saves solves: the certified shift,
+    the cap and the residual target are the same. Like ARPACK's random
+    start, it must not be orthogonal to the ground vector; a nonnegative
+    start never is, as the ground vector of a stencil operator on a
+    connected mask is positive.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
@@ -461,8 +522,8 @@ def onset_threshold(
     flips along grid axes (``mirror_orbits``) is solved on the fundamental
     domain of that flip group, as B = S^T A S (``Orbits.stencil``). A is a
     Z-matrix that commutes with the flips, so it has an invariant ground
-    vector, which B keeps: lambda_1(B) = lambda_1(A), and the pivots that
-    certify a shift below lambda_1(B) certify it below lambda_1(A). The
+    vector, which B keeps: lambda_1(B) = lambda_1(A), and the factor that
+    certifies a shift below lambda_1(B) certifies it below lambda_1(A). The
     shift is the Gershgorin floor of A's rows (``Orbits.row_scaled``). The
     vector S v is the ground vector of A on the whole mask, with the same
     residual and the same norm, and is returned unfolded, nonnegative and
@@ -496,10 +557,11 @@ def hardy_quotient(
 
     mu is the largest eigenvalue of S K^-1 S, K = -Lap + lambda (which must
     be positive definite) and S = diag sqrt(w), by ARPACK on the certified
-    factor of K to a residual of tol/2 mu. mu is a Rayleigh quotient, so mu
-    <= mu_max, and positive pivots of K - W / (mu (1 + delta)) prove mu_max <
-    mu (1 + delta). delta = max(tol, 32 eps ||K||_est |phi|^2 / phi^T K phi),
-    phi = K^-1 S v: below that floor rounding could refuse a correct mu.
+    factor of K (``splu``) to a residual of tol/2 mu. mu is a Rayleigh
+    quotient, so mu <= mu_max, and a completed certified factor of
+    K - W / (mu (1 + delta)) proves mu_max < mu (1 + delta). delta =
+    max(tol, 32 eps ||K||_est |phi|^2 / phi^T K phi), phi = K^-1 S v: below
+    that floor rounding could refuse a correct mu.
     """
     stiff = assemble_dirichlet(mask, -1.0, None, lambda_offset)
     d = mask.dist[mask.inside]  # at least one spacing
@@ -509,7 +571,7 @@ def hardy_quotient(
     s = np.where(ok, 1.0 / d, 0.0)  # S, the square root of the weight
 
     try:
-        lu = _factor_positive_definite(stiff.matrix)
+        lu = splu(stiff.matrix)
     except SpectralError as exc:
         raise SpectralError(f"offset makes the gradient form indefinite "
                             f"({exc}); increase lambda_offset") from exc
@@ -519,8 +581,7 @@ def hardy_quotient(
     delta = max(tol, 32 * np.finfo(float).eps * stiff.norm_estimate()
                 * float(phi @ phi) / float(phi @ (stiff.matrix @ phi)))
     try:
-        _factor_positive_definite(stiff.matrix
-                                  - sparse.diags(s**2 / (mu * (1.0 + delta))))
+        splu(stiff.matrix - sparse.diags(s**2 / (mu * (1.0 + delta))))
     except SpectralError as exc:
         raise SpectralError(f"Hardy quotient {mu:.6g} is not certified as the "
                             f"largest: K - W / (mu (1 + {delta:.1e})) is "

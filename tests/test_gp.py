@@ -386,6 +386,57 @@ class TestKeptFactor:
         assert gp_counts["factorizations"] > gp_counts["minimizations"]
 
 
+class TestFirstStep:
+    def test_indefinite_hessian_goes_straight_to_fallback(self, monkeypatch):
+        # the base minimizer of the n = 41 slit square, zero-extended onto
+        # its dilation by 0.07, starts where the Hessian has a negative
+        # eigenvalue: its factor is refused before any solve with it, and
+        # the first step solves with the positive-definite fallback
+        events, hessians = [], []
+        splu = gp.splu
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                events.append("solve")
+                return self.lu.solve(b)
+
+        def recording(mat):
+            hessians.append(mat.toarray())
+            try:
+                lu = splu(mat)
+            except spectral.SpectralError:
+                events.append("refused")
+                raise
+            events.append("factor")
+            return Factor(lu)
+
+        mask = geo.slit_square(n=41)
+        mode = onset_threshold(mask, tol=1e-11)
+        prob = gp.GPProblem(mask, None, mode.eigenvalue + 30.0, 1.0)
+        base = gp.minimize_gp(prob, mode=mode)
+        dilated = geo.dilate(mask, 0.07)
+        monkeypatch.setattr(gp, "splu", recording)
+        sol = gp.minimize_gp(prob.with_mask(dilated),
+                             initial=dilated.field(base.psi.values))
+        assert events[:3] == ["refused", "factor", "solve"]
+        first, fallback = hessians[:2]
+        assert np.linalg.eigvalsh(first)[0] < 0.0
+        # the fallback keeps the stencil and the nonnegative part of the
+        # weighted curvature m c = diag(H) - diag(K) on the diagonal
+        off = ~np.eye(first.shape[0], dtype=bool)
+        assert np.array_equal(fallback[off], first[off])
+        k = spectral.mirror_orbits(dilated).stencil(-0.25, isometric=False)
+        k_diag = k.matrix.diagonal()
+        np.testing.assert_allclose(
+            np.diag(fallback), k_diag + np.maximum(np.diag(first) - k_diag, 0.0),
+            rtol=1e-12, atol=0.0)
+        # the exterior energy of SLIT_41_ROWS at ell = 0.07
+        assert abs(sol.energy - SLIT_41_ROWS[1][2]) <= 1e-12 * abs(SLIT_41_ROWS[1][2])
+
+
 class TestCGGuards:
     """CG on the kept factor stops at its cap, ``CG_MAX_ITER``, and at
     nonpositive curvature; either way the Newton step factors anew."""

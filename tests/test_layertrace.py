@@ -85,9 +85,11 @@ def test_tracer_reports_every_layer(tmp_path, monkeypatch):
         n = int(m.inside.any(axis=1).sum())
         assert m.count <= n * (n + 1) // 2
     assert runs[0]["twobody.product_unknowns_max"] == max(pair_solves)
-    # the symmetric gp-min still counts its Hessian factorizations, and its
+    # the symmetric gp-min counts its one onset factor and its one Hessian
+    # factor once each (a factor entry wrapped twice would count 2), and its
     # largest eigensolve is the onset solve on the fundamental domain
     half = spectral.mirror_orbits(geometry.slit_square(21)).reduced
     assert half.count < geometry.slit_square(21).count
-    assert runs[3]["gp.factorizations"] > 0
+    assert runs[3]["spectral.factorizations"] == 1
+    assert runs[3]["gp.factorizations"] == 1
     assert runs[3]["spectral.unknowns_max"] == half.count

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import eigh, eigvalsh_tridiagonal
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import eigsh
 
 from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
@@ -167,6 +168,106 @@ class TestEigenSolver:
             assert fit.exponent >= 0.9
 
 
+def count_superlu(monkeypatch):
+    """The list of SuperLU factorizations made from now on."""
+    calls = []
+    superlu = sp.superlu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return superlu(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "superlu", counting)
+    return calls
+
+
+@pytest.fixture(params=["band", "superlu"])
+def factor_path(request, monkeypatch):
+    """Forces ``splu`` onto banded Cholesky or onto SuperLU by its band
+    limit; gives the path and the list of SuperLU factorizations made."""
+    if request.param == "superlu":
+        monkeypatch.setattr(sp, "MAX_CHOLESKY_BAND", 0)
+    return request.param, count_superlu(monkeypatch)
+
+
+class TestCertifiedFactor:
+    """``splu`` factors a symmetric positive-definite matrix by banded
+    Cholesky up to ``MAX_CHOLESKY_BAND``, by SuperLU past it, and refuses
+    any other matrix on either path."""
+
+    @staticmethod
+    def operator(seed=5):
+        rng = np.random.default_rng(seed)
+        mask = random_2d_mask(rng, 20)
+        w = ScalarField(mask.grid, rng.standard_normal(mask.grid.shape))
+        return sp.assemble_dirichlet(mask, -1.0, w)
+
+    def test_eigenvalue_just_below_zero_is_refused(self, factor_path):
+        path, superlu_calls = factor_path
+        op = self.operator()
+        lam = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        t = 1e-10 * op.norm_estimate()
+        factor = sp.shifted_factor(op.matrix, lam - t)
+        assert factor.band > 1
+        with pytest.raises(sp.SpectralError, match="not positive definite"):
+            sp.shifted_factor(op.matrix, lam + t)
+        assert len(superlu_calls) == (2 if path == "superlu" else 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "coupling"])
+    def test_nonfinite_entry_is_refused(self, factor_path, value, where):
+        op = self.operator()
+        a = op.matrix.toarray() - sp.gershgorin_shift(op.matrix) * np.eye(op.n_unknowns)
+        sp.splu(sparse.csr_matrix(a))  # positive definite as it stands
+        k = op.n_unknowns // 2
+        j = k if where == "diagonal" else int(np.flatnonzero(a[k, :k])[-1])
+        a[k, j] = a[j, k] = value
+        with pytest.raises(sp.SpectralError, match="not positive definite"):
+            sp.splu(sparse.csr_matrix(a))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.sampled_from([1, 2]),
+           superlu=st.booleans())
+    def test_solve_matches_dense(self, seed, dim, superlu):
+        rng = np.random.default_rng(seed)
+        mask = random_2d_mask(rng, 16) if dim == 2 else random_1d_mask(rng)
+        w = ScalarField(mask.grid, rng.uniform(-50, 50, mask.grid.shape))
+        op = sp.assemble_dirichlet(mask, -1.0, w)
+        sigma = sp.gershgorin_shift(op.matrix)
+        b = rng.standard_normal(op.n_unknowns)
+        with pytest.MonkeyPatch.context() as mp:
+            if superlu:
+                mp.setattr(sp, "MAX_CHOLESKY_BAND", 0)
+            x = sp.shifted_factor(op.matrix, sigma).solve(b)
+        ref = np.linalg.solve(op.matrix.toarray() - sigma * np.eye(op.n_unknowns), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_3d_mask_past_the_band_limit_takes_superlu(self, monkeypatch):
+        # 3 x 13 x 13 interior nodes: band 13 * 13 = 169; a random W leaves
+        # no flip symmetry, so the whole mask is solved
+        calls = count_superlu(monkeypatch)
+        grid = Grid.box([0, 0, 0], [1, 1, 1], [5, 15, 15])
+        mask = geo.box_mask([0, 0, 0], [1, 1, 1], grid)
+        w = ScalarField(grid, np.random.default_rng(8).standard_normal(grid.shape))
+        op = sp.assemble_dirichlet(mask, -0.25, w)
+        assert sp.splu(op.matrix - sp.gershgorin_shift(op.matrix)
+                       * sparse.identity(op.n_unknowns)).band == 169
+        assert 169 > sp.MAX_CHOLESKY_BAND
+        calls.clear()
+        res = sp.onset_threshold(mask, w)
+        assert calls == [1]
+        ref = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        assert abs(res.eigenvalue - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("shape", [(12, 9), (9, 12), (30, 5), (40,)])
+    def test_band_is_the_row_width(self, shape):
+        # interior rows of shape[-1] - 2 nodes; an interval has band 1
+        d = len(shape)
+        mask = geo.box_mask([0] * d, [1] * d, Grid.box([0] * d, [1] * d, list(shape)))
+        factor = sp.splu(sp.assemble_dirichlet(mask, -1.0).matrix)
+        assert factor.band == (shape[-1] - 2 if d == 2 else 1)
+
+
 class TestShift:
     """Every solve of an operator on more than one dimension starts from a
     shift estimate that the pivots of its one factor certify, with the
@@ -175,6 +276,7 @@ class TestShift:
     @staticmethod
     def count_factors(monkeypatch):
         calls = []
+        splu = sp.splu
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape[0])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from conftest import POSCHL_TELLER, random_1d_mask
 from paircond import geometry as geo
@@ -414,6 +413,7 @@ class TestScan:
         )
         h_list = [0.1, 0.085, 0.07]
         factors = []
+        splu = spectral.splu
 
         def counting(*args, **kwargs):
             factors.append(args[0].shape[0])
