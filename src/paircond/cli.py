@@ -286,6 +286,9 @@ def _exp_twobody(cfg):
         q=_number(cfg, "q", 1.5, positive=True),
         tol=_number(cfg, "tol", 1e-9, positive=True),
     )
+    if scan_cfg.b <= scan_cfg.a:
+        raise ConfigError(f"b must exceed a, got a={scan_cfg.a}, "
+                          f"b={scan_cfg.b}")
     h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
     if min(h_list) <= 0.0:
         raise ConfigError(f"h_list values must be positive, got {h_list}")
@@ -403,6 +406,9 @@ def _exp_hardy(cfg):
     spec = _require(cfg, "domain", "config")
     if not isinstance(spec, dict):
         raise ConfigError("domain must be an object")
+    if "mask_file" in spec:
+        raise ConfigError("hardy rebuilds a builtin domain at each n of "
+                          "n_list; a mask_file has one grid")
     lam = _number(cfg, "lambda_offset", 0.0)
     tol = _number(cfg, "tol", 1e-8, positive=True)
     rows = []

@@ -27,18 +27,9 @@ positive exactly when the matrix is positive definite (Sylvester's law of
 inertia).
 
 A symmetric operator is solved on the fundamental domain of its symmetry
-group (the symmetry-adapted reduction: Fassler & Stiefel, Group Theoretical
-Methods and Their Applications, 1992). ``orbit_map`` takes a group of node
-maps and gives each node of the domain its images and its orbit size m;
-``Orbits.stencil`` folds a stencil A onto the invariant fields, B = S^T A S,
-with the orbit weights sqrt(m_u / m_v). A stencil operator is a Z-matrix,
-so it has a nonnegative ground vector, and the sum of its images is an
-invariant ground vector: B has the same smallest eigenvalue, and the factor
-that certifies a shift for B certifies it for A. ``onset_threshold`` folds
-every two-dimensional mask that flips along grid axes map onto themselves
-exactly (``mirror_orbits``), not a one-dimensional one, which one LAPACK
-call solves whole; ``twobody`` folds the pair operator by the exchange and
-the reflection of the product domain.
+group (``mirror_orbits``, ``Orbits``): the onset solve and each condensate
+component on the flips of a two-dimensional mask, and ``twobody``'s pair
+operator on the exchange and reflection of its product domain.
 
 The Hardy quotient takes ARPACK on one certified factor in every dimension,
 and one more certified factor proves its largest eigenvalue from above.
@@ -144,11 +135,26 @@ def assemble_dirichlet(
 
 @dataclass
 class Orbits:
-    """The orbits of a group G of node maps on the fundamental domain
-    ``reduced``: ``images`` holds, for each g in G (the identity first), the
-    index arrays of the image of every node of ``reduced``, in the order of
-    its ``field``; ``stab`` the size of each node's stabilizer. A node's
-    orbit has m = |G| / stab distinct nodes."""
+    """The orbits of a group G of grid symmetries on its fundamental domain
+    ``reduced``, one node of each orbit: ``images`` holds, for each g in G
+    (the identity first), the index arrays of the image of every node of
+    ``reduced``, in the order of its ``field``; ``stab`` the size of each
+    node's stabilizer. A node's orbit has m = |G| / stab distinct nodes.
+
+    Every ground solve of the program is reduced this way, by the
+    symmetry-adapted reduction of Fassler & Stiefel (Group Theoretical
+    Methods and Their Applications, 1992). Let S be the isometry that maps
+    node u onto the unit sum of its orbit, sum_{y in orbit(u)} e_y /
+    sqrt(m_u). A stencil A that commutes with G (mask and potential exactly
+    invariant, as ``mirror_orbits`` checks) is solved as B = S^T A S
+    (``stencil``), its restriction to the G-invariant fields: an invariant
+    subspace, so the spectrum of B lies inside that of A. A stencil operator
+    is a Z-matrix, so it has a nonnegative ground vector v, and sum_g g v is
+    a nonzero invariant ground vector: B keeps A's smallest eigenvalue on any
+    mask, and the factor that certifies a shift below lambda_1(B) certifies
+    it below lambda_1(A). S maps B's ground vector onto A's, with the same
+    residual and norm (``ground_state``).
+    """
 
     reduced: DomainMask
     images: tuple
@@ -163,6 +169,12 @@ class Orbits:
         """The orbit size m of each node."""
         return (self.order // self.stab).astype(float)
 
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """S^T f for an array f on the whole grid: sum_g f(g u) /
+        sqrt(|G| stab_u) at each node u of the fundamental domain."""
+        return (sum(values[image] for image in self.images)
+                / np.sqrt(self.order * self.stab))
+
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """The G-invariant array on the whole grid that takes ``values[u]``
         on every image of node u."""
@@ -175,14 +187,12 @@ class Orbits:
                 potential: ScalarField | None = None,
                 isometric: bool = True) -> StencilOperator:
         """The stencil A of ``assemble_dirichlet`` on the G-invariant mask,
-        restricted to the G-invariant fields, on the fundamental domain.
-
-        With S the isometry that maps node u onto the unit sum of its orbit,
-        sum_{y in orbit(u)} e_y / sqrt(m_u), this is B = S^T A S:
-        B_uv = sqrt(m_u / m_v) sum_{y in orbit(v)} A_uy. For u != v the sum
-        is k_uv A_uv, with k_uv the number of distinct images of v adjacent
-        to u; for u = v it adds the images of u adjacent to u, which occur
-        only across the middle of an even-length flipped axis. With
+        restricted to the G-invariant fields, on the fundamental domain:
+        B = S^T A S, B_uv = sqrt(m_u / m_v) sum_{y in orbit(v)} A_uy, with
+        the isometry S of the class docstring. For u != v the sum is
+        k_uv A_uv, with k_uv the number of distinct images of v adjacent to
+        u; for u = v it adds the images of u adjacent to u, which occur only
+        across the middle of an even-length flipped axis. With
         ``isometric`` false it is M^(1/2) B M^(1/2), M = diag(m): the
         operator on the node values of an invariant field, m_u k_uv A_uv off
         the diagonal, whose integer weights keep it exactly symmetric and
@@ -232,6 +242,23 @@ class Orbits:
         s = np.sqrt(self.stab)
         return sparse.diags(s) @ mat @ sparse.diags(1.0 / s)
 
+    def ground_state(self, op: StencilOperator, tol: float,
+                     sigma: float | None = None,
+                     start: np.ndarray | None = None) -> EigenResult:
+        """Smallest eigenpair of A from ``op``, its isometric stencil B
+        (``stencil``): ``smallest_eigenpair`` of B, which tries the shift
+        estimate ``sigma`` first, then the Gershgorin floor of A's rows
+        (``row_scaled``), and starts from ``start``, a vector of B's length.
+        The eigenvector is S v, unfolded onto the whole grid as v / sqrt(m).
+        With the trivial group B is A, and the floor the solver's default."""
+        if self.order > 1:
+            floor = gershgorin_shift(self.row_scaled(op.matrix))
+            sigma = floor if sigma is None else (sigma, floor)
+        res = smallest_eigenpair(op, tol=tol, sigma=sigma, start=start)
+        v = np.asarray(res.eigenvector.values)[self.reduced.inside]
+        field = ScalarField(self.reduced.grid, self.unfold(v / np.sqrt(self.sizes)))
+        return EigenResult(res.eigenvalue, field, res.residual, res.iterations)
+
 
 def orbit_map(reduced: DomainMask, maps) -> Orbits:
     """The orbits of the group of node maps ``maps`` (the identity first;
@@ -248,38 +275,60 @@ def orbit_map(reduced: DomainMask, maps) -> Orbits:
     return Orbits(reduced, images, stab)
 
 
-def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None) -> Orbits:
-    """The orbits of the flips k -> n_a - 1 - k along the grid axes a that
-    map ``mask`` and the potential's values on it onto themselves exactly,
-    on the fundamental domain: the nodes with k >= n_a // 2 along every
-    flipped axis. The group has order 1, 2 or 4 on a plane. A
-    one-dimensional mask gets the trivial group: its operator is
-    tridiagonal and solved by one LAPACK call, which halving would not
-    speed up."""
-    inside = mask.inside
-    flips = []
-    if mask.grid.dim > 1:
-        w = None if potential is None else np.where(inside, potential.values, 0.0)
-        flips = [a for a in range(mask.grid.dim)
-                 if np.array_equal(inside, np.flip(inside, a))
-                 and (w is None or np.array_equal(w, np.flip(w, a)))]
-    if not flips:
+def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None,
+                  generators=None) -> Orbits:
+    """The orbits of the grid symmetries that map ``mask`` and the
+    potential's values on it onto themselves exactly, on a fundamental
+    domain.
+
+    ``generators`` are commuting involutions of the box grid, each a pair
+    (flipped axes, transpose): the flips k -> n_a - 1 - k along those axes,
+    then, with transpose, the swap of axes 0 and 1 (kept only on equal
+    spacings). The default is the flip of each single axis, a group of
+    order 1, 2 or 4 on a plane; ``twobody`` passes the exchange and the
+    reflection of its product domain. The generators that hold generate G
+    in subset order: the identity, then each generator times every element
+    before it. Each orbit keeps its node of largest column-major flat index:
+    for flips the nodes with k >= n_a // 2 along every flipped axis, and on
+    the scan's product grid the quarter whose natural node order has the
+    narrower band (114 against 227 at h = 0.035). A one-dimensional mask
+    gets the trivial group: its operator is tridiagonal and solved by one
+    LAPACK call, which halving would not speed up."""
+    grid, inside, n = mask.grid, mask.inside, mask.grid.n
+    if generators is None:
+        generators = [((a,), False) for a in range(grid.dim)]
+
+    def moved(f, flips, swap):
+        # f at g(k) for the involution g
+        f = np.flip(f, tuple(flips))
+        return np.swapaxes(f, 0, 1) if swap else f
+
+    fields = [inside]
+    if potential is not None:
+        fields.append(np.where(inside, potential.values, 0.0))
+    group = [(frozenset(), False)]  # (flipped axes, transpose)
+    for axes, swap in generators if grid.dim > 1 else ():
+        if swap and grid.spacing[0] != grid.spacing[1]:
+            continue
+        if all(np.array_equal(f, moved(f, axes, swap)) for f in fields):
+            # commuting involutions: a product flips the symmetric difference
+            group += [(flips ^ set(axes), t != swap) for flips, t in group]
+    if len(group) == 1:
         return orbit_map(mask, (lambda *nodes: nodes,))
-    n = mask.grid.n
+    flat = np.arange(inside.size).reshape(inside.shape, order="F")
     keep = inside.copy()
-    for a in flips:
-        lower = [slice(None)] * mask.grid.dim
-        lower[a] = slice(0, n[a] // 2)
-        keep[tuple(lower)] = False
-    subsets = [()]
-    for a in flips:
-        subsets += [s + (a,) for s in subsets]
+    for e in group[1:]:
+        keep &= flat >= moved(flat, *e)
 
-    def flip(axes):
-        return lambda *nodes: tuple(n[a] - 1 - k if a in axes else k
-                                    for a, k in enumerate(nodes))
+    def node_map(flips, swap):
+        def g(*nodes):
+            out = [n[a] - 1 - k if a in flips else k for a, k in enumerate(nodes)]
+            if swap:
+                out[:2] = out[1::-1]
+            return tuple(out)
+        return g
 
-    return orbit_map(DomainMask(mask.grid, keep), [flip(s) for s in subsets])
+    return orbit_map(DomainMask(grid, keep), [node_map(*e) for e in group])
 
 
 @dataclass
@@ -516,31 +565,13 @@ def onset_threshold(
     """Ground eigenpair of -(1/4) Laplacian + W with Dirichlet walls.
 
     The eigenvalue is the threshold above which the quadratic coefficient in
-    the condensate functional turns the zero state unstable.
-
-    A two-dimensional mask whose inside and W are exactly invariant under
-    flips along grid axes (``mirror_orbits``) is solved on the fundamental
-    domain of that flip group, as B = S^T A S (``Orbits.stencil``). A is a
-    Z-matrix that commutes with the flips, so it has an invariant ground
-    vector, which B keeps: lambda_1(B) = lambda_1(A), and the factor that
-    certifies a shift below lambda_1(B) certifies it below lambda_1(A). The
-    shift is the Gershgorin floor of A's rows (``Orbits.row_scaled``). The
-    vector S v is the ground vector of A on the whole mask, with the same
-    residual and the same norm, and is returned unfolded, nonnegative and
-    normalized as any other. A one-dimensional mask is not folded: its
-    operator is tridiagonal and solved by one LAPACK call. A domain folded
-    to one node takes that path too.
+    the condensate functional turns the zero state unstable. It is solved on
+    the fundamental domain of the mask's flip group (``mirror_orbits``,
+    ``Orbits.ground_state``), and the eigenvector is returned on the whole
+    mask, nonnegative and normalized.
     """
     orbits = mirror_orbits(mask, potential)
-    op = orbits.stencil(-0.25, potential)
-    # with the trivial group B is A, whose floor is the solver's default
-    sigma = (None if orbits.order == 1
-             else gershgorin_shift(orbits.row_scaled(op.matrix)))
-    res = smallest_eigenpair(op, tol=tol, sigma=sigma)
-    v = np.asarray(res.eigenvector.values)[orbits.reduced.inside]
-    unfolded = orbits.unfold(v / np.sqrt(orbits.sizes))
-    return EigenResult(res.eigenvalue, ScalarField(mask.grid, unfolded),
-                       res.residual, res.iterations)
+    return orbits.ground_state(orbits.stencil(-0.25, potential), tol)
 
 
 def hardy_quotient(

@@ -12,26 +12,21 @@ discretization error, which would otherwise swamp the h^2 level being
 measured.
 
 The operator A is assembled and solved only on the fundamental domain of
-its symmetry group G, as B = S^T A S, its restriction to the G-invariant
-fields. The potential is even in x - y, so A commutes with the exchange P of
-x and y, and G = {1, P} on the half x >= y. When the mask and W are
+its symmetry group G (``spectral.Orbits``). The potential is even in x - y,
+so A commutes with the exchange P of x and y; when the mask and W are
 symmetric about the domain's midpoint, exactly, A also commutes with the
-reflection R(x, y) = (a+b-y, a+b-x), and G = {1, P, R, PR} on the quarter
-x >= y, x + y <= a + b, with about a quarter of the unknowns; a scan's
-interval with no W always is. Being a Z-matrix, A has a G-invariant ground
-state on any mask, which B keeps (see ``ground_energy``). The orbits and the
-orbit-weighted stencil are ``spectral``'s (``orbit_map``,
-``Orbits.stencil``), which also fold symmetric masks for the onset and
-condensate solves.
+reflection R(x, y) = (a+b-y, a+b-x), and the fundamental domain is about
+a quarter of the product grid; a scan's interval with no W always is.
+``spectral.mirror_orbits`` finds G from ``PAIR_SYMMETRIES``.
 
 A scan makes one ground solve per h, and it starts close to its answer.
 The shift sits ``SHIFT_MARGIN`` E_b below the decoupled estimate
 -E_b + h^2 D_c, and ARPACK starts from the diamond trial vector that gives
 the upper bound, with a small Lanczos basis (``spectral.START_NCV``). The
-pivots still certify the shift, and the residual target is the same as
-without a start. The discretization error that widens the lower side of
-the sandwich is read off the ground vector itself
-(``leading_disc_error``), with no second solve.
+completed factor (``spectral.splu``) still certifies the shift, and the
+residual target is the same as without a start. The discretization error
+that widens the lower side of the sandwich is read off the ground vector
+itself (``leading_disc_error``), with no second solve.
 """
 
 from __future__ import annotations
@@ -58,10 +53,8 @@ from .spectral import (
     EigenResult,
     Orbits,
     StencilOperator,
-    gershgorin_shift,
+    mirror_orbits,
     onset_threshold,
-    orbit_map,
-    smallest_eigenpair,
 )
 
 # counts all n^2 nodes of the product grid, not the fundamental domain that
@@ -75,6 +68,10 @@ MIN_AXIS_NODES = 17
 # to 2.1 and micro step 0.125, the estimate lies below lambda_1 by
 # (2.2-2.7)e-3 E_b at h = 0.07 and (2.5-3.1)e-4 E_b at h = 0.035
 SHIFT_MARGIN = 0.01
+# the generators of the pair operator's symmetry group, as (flipped axes,
+# transpose) of ``spectral.mirror_orbits``: the exchange P(x, y) = (y, x),
+# and the reflection R, both axes flipped and then transposed
+PAIR_SYMMETRIES = (((), True), ((0, 1), True))
 
 
 class TwoBodyError(RuntimeError):
@@ -116,45 +113,15 @@ class TwoBodyProblem:
         pgrid = Grid.box([g.lower[0]] * 2, [g.upper[0]] * 2, [g.n[0]] * 2)
         return DomainMask(pgrid, self.mask.inside[:, None] & self.mask.inside[None, :])
 
-    @cached_property
-    def group_order(self) -> int:
-        """|G|: 4 when the reflection R about the domain's midpoint maps the
-        mask and W onto themselves exactly, else 2 (the exchange alone)."""
-        inside = self.mask.inside
-        mirrored = np.array_equal(inside, inside[::-1]) and (
-            self.W is None or np.array_equal(self.W.values, self.W.values[::-1]))
-        return 4 if mirrored else 2
-
     def operator(self) -> StencilOperator:
         """The pair operator on the G-invariant fields, B = S^T A S, as a
-        stencil on the fundamental domain of G: the half x >= y of the
-        product grid, cut at the anti-diagonal x + y <= a + b when R is in G
-        (see ``ground_energy``)."""
+        stencil on the fundamental domain of G (``orbits``)."""
         return self._reduced
 
     @cached_property
-    def orbits(self) -> Orbits:
-        """The orbits of G on its fundamental domain, the half x >= y of the
-        product mask, cut at the anti-diagonal x + y <= a + b when R is in G:
-        the images of each node under 1, P, R, PR (the first ``group_order``
-        of them) and its stabilizer, of size 2 on the diagonal and on the
-        anti-diagonal, 4 at the centre node, else 1."""
-        pmask = self.product_mask()
-        n = self.mask.grid.n[0]
-        i, j = np.indices((n, n))
-        keep = pmask.inside & (i >= j)  # x >= y
-        if self.group_order == 4:
-            keep &= i + j <= n - 1
-        last = n - 1
-        maps = (lambda x, y: (x, y), lambda x, y: (y, x),
-                lambda x, y: (last - y, last - x),
-                lambda x, y: (last - x, last - y))
-        return orbit_map(DomainMask(pmask.grid, keep), maps[:self.group_order])
-
-    @cached_property
-    def _reduced(self) -> StencilOperator:
+    def _potential(self) -> np.ndarray:
         # V on the lattice separations |i - j| dx / h, so exactly invariant
-        # under P and R
+        # under P, and under R when W is
         n = self.mask.grid.n[0]
         i, j = np.indices((n, n))
         k = np.arange(n)
@@ -163,8 +130,20 @@ class TwoBodyProblem:
         if self.W is not None:
             w = np.asarray(self.W.values)
             pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
+        return pot
+
+    @cached_property
+    def orbits(self) -> Orbits:
+        """The orbits of G, the symmetries of ``PAIR_SYMMETRIES`` that map the
+        product mask and the potential on it onto themselves exactly."""
+        pmask = self.product_mask()
+        return mirror_orbits(pmask, pmask.field(self._potential),
+                             PAIR_SYMMETRIES)
+
+    @cached_property
+    def _reduced(self) -> StencilOperator:
         return self.orbits.stencil(-0.5 * self.h**2,
-                                   self.orbits.reduced.field(pot))
+                                   self.orbits.reduced.field(self._potential))
 
     @cached_property
     def com_threshold(self) -> float:
@@ -176,41 +155,19 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
                   sigma: float | None = None,
                   start: np.ndarray | None = None) -> EigenResult:
     """Smallest eigenpair of the pair operator A, solved on the fundamental
-    domain of its symmetry group G.
+    domain of its symmetry group (``spectral.Orbits.ground_state``); the
+    eigenvector is the G-invariant field on the product grid.
 
-    The reduced operator B = S^T A S (``TwoBodyProblem.operator``) is A
-    restricted to the G-invariant fields, an invariant subspace, so its
-    spectrum lies inside that of A. S is the isometry that maps a node u of
-    the domain onto the unit sum of its orbit, the m_u distinct nodes
-    sum_g e_{g u}/(sqrt|G| s_u), s_u = sqrt(|G| / m_u) the square root of
-    the size of u's stabilizer; B_uv = sqrt(m_u / m_v) k_uv A_uv, k_uv the
-    images of v adjacent to u (``spectral.Orbits.stencil``). A is a Z-matrix
-    that commutes with every g in G, so for a nonnegative ground vector v of
-    A, sum_g g v is a nonzero G-invariant ground vector: the smallest
-    eigenvalues agree, on any mask. V is evaluated on the lattice
-    separations, so A is exactly invariant, and the pivots that certify a
-    shift below lambda_1(B) certify it below lambda_1(A).
-
-    ``sigma`` is a shift estimate a little below lambda_1. The pivots of
-    its factor certify that it lies below; if they refuse it, the
-    Gershgorin shift of A is used, at the cost of one more factorization.
-    That shift is also the default, read from T B T^-1, T = diag(s), whose
-    rows are A's; B's own bound sits lower, at its weighted couplings next
-    to the fixed nodes, which would cost ARPACK more LU solves.
-    ``asymptotic_scan`` passes the problem's own decoupled value
-    -E_b + h^2 D_c with the lattice-matched E_b, lowered by
-    ``SHIFT_MARGIN`` E_b (one factorization per h when the pivots accept
-    it). ``start`` is a vector on the reduced mask, in the order of its
-    ``field``, that ARPACK starts from (see ``spectral.smallest_eigenpair``);
-    it saves LU solves and certifies nothing. The eigenvector is B's, a
-    field on the reduced mask: S v is the G-invariant product field, from
-    which ``leading_disc_error`` reads the discretization error.
+    ``sigma`` is a shift estimate a little below lambda_1, tried before the
+    Gershgorin floor of A's rows at the cost of one more factorization when
+    the factor refuses it. ``asymptotic_scan`` passes the problem's own
+    decoupled value -E_b + h^2 D_c with the lattice-matched E_b, lowered by
+    ``SHIFT_MARGIN`` E_b. ``start`` is a vector on the reduced mask, in the
+    order of its ``field``, that ARPACK starts from (see
+    ``spectral.smallest_eigenpair``); it saves LU solves and certifies
+    nothing.
     """
-    reduced = prob.operator()
-    floor = gershgorin_shift(prob.orbits.row_scaled(reduced.matrix))
-    return smallest_eigenpair(reduced, tol=tol,
-                              sigma=floor if sigma is None else (sigma, floor),
-                              start=start)
+    return prob.orbits.ground_state(prob.operator(), tol, sigma, start)
 
 
 def decoupled_lower_bound(prob: TwoBodyProblem, binding_energy: float) -> float:
@@ -251,18 +208,11 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem,
     reduced = prob.operator()
     # u = S^T t: its Rayleigh quotient against B bounds lambda_min(B) = E0
     # from above, as that of any nonzero vector does
-    u = _fold(trial, prob.orbits)
+    u = prob.orbits.fold(trial)
     nrm = float(u @ u)
     if nrm <= 0:
         raise TwoBodyError("trial state vanished; ell too large for the domain")
     return float(u @ (reduced.matrix @ u)) / nrm, u
-
-
-def _fold(field: np.ndarray, orbits: Orbits) -> np.ndarray:
-    """S^T f for an n x n product field f, on the fundamental domain of the
-    group of ``orbits``: sum_g f(g u) / (sqrt|G| s_u) at each node u."""
-    return (sum(field[image] for image in orbits.images)
-            / np.sqrt(orbits.order * orbits.stab))
 
 
 def _shift_estimate(prob: TwoBodyProblem) -> float:
@@ -280,15 +230,13 @@ def leading_disc_error(prob: TwoBodyProblem, ground: EigenResult) -> float:
     O(dx^4), so the eigenvalue error of -(h^2/2) Lap on the grid is, to
     leading order, (h^2/2)(dx^2/12)(||d_x^2 u||^2 + ||d_y^2 u||^2) for the
     unit eigenfunction u: the term that Richardson extrapolation cancels.
-    It is taken of the G-invariant product field F = S v, normalized, with
-    the second differences summed over the product domain's nodes. The
-    exact d^2 u vanishes on a Dirichlet wall, where u and Lap u do; the
-    difference on a wall node, -F_1/dx^2, would add a spurious O(dx) term.
+    It is taken of the G-invariant product field F that ``ground_energy``
+    returns, with the second differences summed over the product domain's
+    nodes. The exact d^2 u vanishes on a Dirichlet wall, where u and Lap u
+    do; the difference on a wall node, -F_1/dx^2, would add a spurious O(dx)
+    term.
     """
-    orbits = prob.orbits
-    v = np.asarray(ground.eigenvector.values)[orbits.reduced.inside]
-    # S v: v_u s_u / sqrt|G| on every image of u
-    sym = orbits.unfold(v * np.sqrt(orbits.stab / orbits.order))
+    sym = np.asarray(ground.eigenvector.values)
     dx = prob.mask.grid.spacing[0]
     inside = prob.product_mask().inside
     curvature = sum(np.sum(lattice_neg_laplacian(sym, dx, axis)[inside]**2)

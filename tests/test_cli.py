@@ -666,6 +666,31 @@ class TestRun:
         assert ("config error: h_list needs at least 3 distinct values"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.0, 1.0)],
+                             ids=["b<a", "b=a"])
+    def test_empty_scan_interval_refused_before_any_grid(
+            self, tmp_path, capsys, monkeypatch, a, b):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a product problem was built")
+
+        monkeypatch.setattr(twobody, "problem_at", no_grid)
+        cfg = json.loads(json.dumps(FUZZ_BASE["twobody-scan"]))
+        cfg["a"], cfg["b"] = a, b
+        assert cli.run("twobody-scan", cfg, str(tmp_path)) == 2
+        assert "config error: b must exceed a" in capsys.readouterr().err
+
+    def test_hardy_refuses_mask_file(self, tmp_path, capsys):
+        # hardy sets n on the domain at each n of n_list, which a mask file
+        # cannot take
+        mask_path = tmp_path / "mask.json"
+        mask_path.write_text(geo.mask_to_json(geo.interval(0.0, 1.0, n=51)))
+        cfg = {"domain": {"mask_file": str(mask_path)}, "n_list": [51]}
+        assert cli.run("hardy", cfg, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert ("config error: hardy rebuilds a builtin domain at each n of "
+                "n_list") in err
+        assert "unknown keys" not in err
+
     def test_unresolved_bound_state_names_the_grid(self, tmp_path, capsys):
         # depth 1e300: the bound state decays within 1e-150, far inside one
         # spacing of the 801-node box on [-16, 16]

@@ -75,7 +75,7 @@ def test_tracer_reports_every_layer(tmp_path, monkeypatch):
         assert max(metrics[name] for metrics in runs) > 0, name
     assert not hasattr(cli.run, "__wrapped__")  # the original is back
     # the pair operator is assembled and solved on the symmetric half only:
-    # no product mask holds more than the n (n + 1) / 2 nodes x >= y of the
+    # no product mask holds more than the n (n + 1) / 2 nodes y >= x of the
     # n interior nodes of its axis, and the largest operator the tracer
     # reads is the largest pair operator solved (the scan's continuum
     # relative state, 3999 unknowns, is its largest eigensolve overall)

@@ -581,6 +581,19 @@ class TestMirrorFold:
         assert res.residual == ref.residual and res.iterations == ref.iterations
         assert np.array_equal(res.eigenvector.values, ref.eigenvector.values)
 
+    @pytest.mark.parametrize("name", sorted(FLIP_MASKS))
+    def test_default_representatives_are_upper_halves(self, name):
+        # each orbit keeps its node of largest column-major flat index: for
+        # the single-axis flips, the nodes k >= n_a // 2 on each flipped axis
+        mask = FLIP_MASKS[name]()
+        orbits = sp.mirror_orbits(mask)
+        keep = mask.inside.copy()
+        for a in range(2):
+            if np.array_equal(mask.inside, np.flip(mask.inside, a)):
+                k = np.arange(mask.grid.n[a]).reshape([-1, 1] if a == 0 else [1, -1])
+                keep &= k >= mask.grid.n[a] // 2
+        assert np.array_equal(orbits.reduced.inside, keep)
+
     def test_one_dimensional_mask_is_not_folded(self):
         mask = interval_mask(201)
         assert np.array_equal(mask.inside, mask.inside[::-1])

@@ -26,10 +26,10 @@ def full_operator_and_fold(prob):
     product fields: the oracle of ``TwoBodyProblem.operator``, which must
     equal S^T A S.
 
-    G holds the exchange P(i, j) = (j, i) and, when ``prob.group_order`` is
-    4, the reflection R(i, j) = (n-1-j, n-1-i) and PR. S maps a node u to
+    G holds the exchange P(i, j) = (j, i) and, when ``prob.orbits.order``
+    is 4, the reflection R(i, j) = (n-1-j, n-1-i) and PR. S maps a node u to
     the unit sum of its orbit, sum of e_w over the distinct images w of u,
-    over sqrt(their number): e_ii on the diagonal of the half x >= y,
+    over sqrt(their number): e_ii on the diagonal of the half y >= x,
     (e_ij + e_ji)/sqrt(2) off it. V is taken on the lattice separations
     (i - j) dx / h, so A is exactly G-invariant.
     """
@@ -46,7 +46,7 @@ def full_operator_and_fold(prob):
     index[pmask.inside] = np.arange(pmask.count)
     group = [lambda i, j: (i, j), lambda i, j: (j, i),
              lambda i, j: (n - 1 - j, n - 1 - i),
-             lambda i, j: (n - 1 - i, n - 1 - j)][:prob.group_order]
+             lambda i, j: (n - 1 - i, n - 1 - j)][:prob.orbits.order]
     rows, cols, vals = [], [], []
     # the order of reduced.field
     for k, (i, j) in enumerate(zip(*np.nonzero(reduced.inside))):
@@ -73,13 +73,14 @@ def check_against_full_operator(prob):
             <= 4 * np.finfo(float).eps * scale)
 
     floors = []
+    shift = spectral.gershgorin_shift
 
     def recording(mat):
-        floors.append(spectral.gershgorin_shift(mat))
+        floors.append(shift(mat))
         return floors[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tb, "gershgorin_shift", recording)
+        mp.setattr(spectral, "gershgorin_shift", recording)
         res = tb.ground_energy(prob, tol=1e-9)
     ref_floor = spectral.gershgorin_shift(full.matrix)
     assert floors and abs(floors[0] - ref_floor) <= 1e-12 * abs(ref_floor)
@@ -108,7 +109,7 @@ def half_count(m):
 
 
 def quarter_count(m):
-    # x >= y and x + y <= a + b over m interior nodes a side
+    # y >= x and x + y >= a + b over m interior nodes a side
     return (m + 1) ** 2 // 4 if m % 2 else m * (m + 2) // 4
 
 
@@ -127,15 +128,16 @@ class TestGroundEnergy:
 
     def test_eigenvector_symmetric(self, pt_problem):
         # the scan interval is solved on the quarter; its ground vector v,
-        # mapped by S onto the invariant product fields, is an eigenvector of
-        # the full operator A to within the residual it was returned with (S
-        # is an isometry, and A S = S B)
-        assert pt_problem.group_order == 4
+        # returned mapped by S onto the invariant product fields, is an
+        # eigenvector of the full operator A to within the residual it was
+        # returned with (S is an isometry, and A S = S B)
+        assert pt_problem.orbits.order == 4
         res = tb.ground_energy(pt_problem, tol=1e-9)
-        full, fold = full_operator_and_fold(pt_problem)
-        reduced = pt_problem.operator().mask
-        v = np.asarray(res.eigenvector.values)[reduced.inside]
-        u = fold @ (v / np.linalg.norm(v))
+        full, _ = full_operator_and_fold(pt_problem)
+        f = np.asarray(res.eigenvector.values)
+        assert np.array_equal(f, f.T)  # invariant under the exchange
+        u = f[pt_problem.product_mask().inside]
+        u = u / np.linalg.norm(u)
         resid = np.linalg.norm(full.matrix @ u - res.eigenvalue * u)
         rounding = 64 * np.finfo(float).eps * full.norm_estimate()
         assert resid <= res.residual + rounding
@@ -208,7 +210,7 @@ class TestMirror:
         # solved on the quarter, which must be S^T A S to rounding, keep A's
         # Gershgorin shift, and find the smallest eigenvalue of A
         prob = mirrored_problem(n, w_kind)
-        assert prob.group_order == 4
+        assert prob.orbits.order == 4
         assert prob.operator().n_unknowns == quarter_count(n - 2)
         _, fold = full_operator_and_fold(prob)
         assert abs(fold.T @ fold - sparse.identity(fold.shape[1])).max() < 1e-15
@@ -221,8 +223,9 @@ class TestMirror:
         # vector agree, so fold and unfold carry every image
         quarter = mirrored_problem(n, "random")
         half = mirrored_problem(n, "random")
-        half.group_order = 2  # the cached value, set before any build
-        assert half.operator().n_unknowns == half_count(n - 2)
+        with pytest.MonkeyPatch.context() as mp:  # the exchange alone
+            mp.setattr(tb, "PAIR_SYMMETRIES", tb.PAIR_SYMMETRIES[:1])
+            assert half.operator().n_unknowns == half_count(n - 2)
         results = []
         for prob in (quarter, half):
             upper, trial = tb.twobody_trial_upper_bound(prob, q=1.0)
@@ -239,10 +242,12 @@ class TestMirror:
         rng = np.random.default_rng(n)
         for order in (4, 2):
             prob = mirrored_problem(n, None)
-            prob.group_order = order
-            _, fold = full_operator_and_fold(prob)
+            with pytest.MonkeyPatch.context() as mp:  # order / 2 generators
+                mp.setattr(tb, "PAIR_SYMMETRIES",
+                           tb.PAIR_SYMMETRIES[:order // 2])
+                _, fold = full_operator_and_fold(prob)
             f = rng.standard_normal((n, n))
-            folded = tb._fold(f, prob.orbits)
+            folded = prob.orbits.fold(f)
             ref = fold.T @ f[prob.product_mask().inside]
             assert np.max(np.abs(folded - ref)) <= 4e-15 * np.max(np.abs(f))
 
@@ -258,7 +263,7 @@ class TestMirror:
         mask = geo.interval(0.0, 0.9, grid=Grid.box(0.0, 1.0, 22))
         shifted = tb.TwoBodyProblem(mask, POSCHL_TELLER, None, prob.h)
         for case in (near, shifted):
-            assert case.group_order == 2
+            assert case.orbits.order == 2
             assert case.operator().n_unknowns == half_count(case.mask.count)
             check_against_full_operator(case)
 
@@ -269,8 +274,17 @@ class TestMirror:
         cfg = tb.TwoBodyScanConfig(micro_step=0.125)
         for h, count in ((0.07, 3249), (0.035, 13_110)):
             prob = tb.problem_at(cfg, h)
-            assert prob.group_order == 4
+            assert prob.orbits.order == 4
             assert prob.operator().n_unknowns == count
+
+    def test_scan_quarter_keeps_the_narrow_band(self):
+        # of the quarters of the h = 0.035 product grid, the one of largest
+        # column-major flat indices has band 114 in the natural node order;
+        # the row-major rule keeps a quarter of band 227, past
+        # spectral.MAX_CHOLESKY_BAND, whose factors would take SuperLU
+        prob = tb.problem_at(tb.TwoBodyScanConfig(micro_step=0.125), 0.035)
+        mat = prob.operator().matrix
+        assert spectral.shifted_factor(mat, spectral.gershgorin_shift(mat)).band == 114
 
 
 class TestBounds:
