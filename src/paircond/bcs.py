@@ -2,13 +2,14 @@
 one-body density, order-parameter extraction and the semiclassical
 term-by-term checks. One-dimensional domains only.
 
-Kernels are stored as dense node-pair matrices, but a trial kernel a
-vanishes beyond the separation cutoff: a[i, j] = 0 for |i - j| > b, and
-aa = a a dx vanishes beyond 2b. Everything computed from a trial kernel
-reads only that band: it is gathered diagonal by diagonal, aa is one BLAS
-product per slab of b rows against its 3b-column window, and every trace,
-row sum and three-point stencil runs over row slabs and the column window
-their band allows (``_slabs``).
+A trial kernel a vanishes beyond the separation cutoff: a[i, j] = 0 for
+|i - j| > b, and aa = a a dx vanishes beyond 2b. Both are stored on their
+band, one row per node (``BandKernel``: n (2b + 1) and n (4b + 1)
+entries), and no n x n array is made of them. a is gathered in one
+vectorized pass, aa is one BLAS product per slab of b rows through one
+dense slab window, and every trace, row sum and three-point stencil is a
+row-wise sum over the band rows (``_stencil_sum``), of a transpose where a
+trace needs one (``_band_transpose``).
 
 Center-of-mass bookkeeping: for box nodes x_i, x_j with spacing dx, the pair
 (i, j) maps to u = i + j (center X on a half-spacing lattice) and v = i - j
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .geometry import DomainMask, erode
 from .gp import gradient_energy
@@ -168,128 +170,150 @@ def center_values(vals) -> np.ndarray:
 
 
 @dataclass
+class BandKernel:
+    """A node-pair kernel K that vanishes beyond |i - j| <= band, stored by
+    rows: values[i, band + d] = K[i, i + d], shape (n, 2 band + 1), with
+    zeros where i + d leaves the box."""
+
+    values: np.ndarray = field(repr=False)
+
+    @property
+    def band(self) -> int:
+        return (self.values.shape[1] - 1) // 2
+
+    def dense(self) -> np.ndarray:
+        """K as an n x n array, every stored entry in place."""
+        n, width = self.values.shape
+        out = np.zeros((n, n + width - 1))
+        _shear(out, width)[...] = self.values
+        return out[:, self.band:self.band + n]
+
+
+@dataclass
 class TrialState:
+    """A trial state on its bands: a (``a_psi``) vanishes beyond |i - j| <=
+    b and aa = a a dx beyond 2b; aa is symmetric by construction."""
+
     cfg: BCSConfig
     psi: ScalarField
-    a_psi: PairKernel
-    aa: np.ndarray = field(repr=False)  # a a dx, the one product gamma needs
+    a_psi: BandKernel
+    aa: BandKernel  # a a dx, the one product gamma needs
     admissibility: tuple = (np.nan, np.nan)  # (min, max) of the block state
-    # half-bandwidth b: a vanishes beyond |i - j| <= b, aa beyond 2b
-    band: int | None = None  # None: a dense kernel, b = n - 1
-
-    def __post_init__(self):
-        if self.band is None:
-            self.band = self.aa.shape[0] - 1
-
-
-def _reach(wave: np.ndarray, n: int) -> int:
-    """Half-bandwidth of ``pair_kernel``'s output: the largest |v| of a
-    nonzero sample of the wave (-1 for none), at most n - 1."""
-    k = (wave.size - 1) // 2
-    return min(int(np.max(np.abs(np.flatnonzero(wave) - k), initial=-1)), n - 1)
 
 
 def pair_kernel(psi_half: np.ndarray, wave: np.ndarray,
-                inside: np.ndarray) -> np.ndarray:
+                inside: np.ndarray) -> BandKernel:
     """K[i, j] = psi_half[i + j] * wave(i - j) where nodes i and j are both
     inside, zero elsewhere: a center field on the half-spacing lattice
     (``center_values``) times a pair wave sampled at the separation counts
-    v = -k..k (zero beyond). Only the band |v| <= b (``_reach``) is
-    gathered, one diagonal j - i = d at a time: its entries (t, t + d) or
-    (t - d, t) have i + j = 2t + |d| and the single wave sample wave(-d).
+    v = -k..k (zero beyond). Only the band |v| <= b is gathered, b the
+    largest |v| of a nonzero sample (0 for none) and at most n - 1, in one
+    pass: entry (i, i + d) has i + j = 2i + d and the wave sample wave(-d),
+    so row i reads 2b + 1 consecutive entries of the centre field padded by
+    b, and of the mask padded by b.
     """
     n = inside.size
     k = (wave.size - 1) // 2
-    b = _reach(wave, n)
-    kern = np.zeros((n, n))
-    flat = kern.reshape(-1)
-    for d in range(-b, b + 1):
-        m = n - abs(d)
-        start = d if d >= 0 else -d * n
-        keep = inside[:m] & inside[abs(d):]
-        vals = psi_half[abs(d)::2][:m] * wave[k - d]
-        flat[start::n + 1][:m] = np.where(keep, vals, 0.0)
-    return kern
+    b = min(int(np.max(np.abs(np.flatnonzero(wave) - k), initial=0)), n - 1)
+    centre = np.pad(np.asarray(psi_half, dtype=float), b)
+    step = centre.strides[0]
+    rows = as_strided(centre, (n, 2 * b + 1), (2 * step, step))
+    both = inside[:, None] & sliding_window_view(np.pad(inside, b), 2 * b + 1)
+    return BandKernel(np.where(both, rows * wave[k - b:k + b + 1][::-1], 0.0))
 
 
-def _slabs(n: int, band: int):
-    """Row slabs [r0, r1) of height ``band`` (at least 1) of an n x n matrix
-    that vanishes beyond |i - j| <= band, each with the column window
-    [c0, c1) = [r0 - band, r1 + band), clipped to the box, that holds every
-    nonzero of its rows."""
-    band = max(band, 0)
-    m = max(band, 1)
+def _shear(mat: np.ndarray, width: int) -> np.ndarray:
+    """The view v[i, c] = mat[i, i + c], c < width, of a 2D array with at
+    least rows + width - 1 columns: where the rows of a band matrix put
+    their band when the matrix is dense."""
+    s0, s1 = mat.strides
+    return as_strided(mat, (mat.shape[0], width), (s0 + s1, s1))
+
+
+def _band_transpose(k: np.ndarray) -> np.ndarray:
+    """Band rows of K^T from band rows ``k`` of K, band b and width w = 2b +
+    1: K^T[i, i + d] = K[i + d, i] is entry (i + d, b - d) of ``k``. With b
+    zero rows above and below, that is flat entry (i + d + b) w + b - d =
+    i w + (b + d)(w - 1) + 2b, so the result is one strided read of the
+    flat array: from offset 2b, rows w and columns w - 1 entries apart."""
+    n, width = k.shape
+    b = (width - 1) // 2
+    padded = np.zeros((n + 2 * b, width))
+    padded[b:b + n] = k
+    flat = padded.reshape(-1)[2 * b:]
+    step = flat.strides[0]
+    return as_strided(flat, (n, width),
+                      (width * step, (width - 1) * step)).copy()
+
+
+def _band_square(k: np.ndarray, scale: float) -> np.ndarray:
+    """Band rows of (a a) scale, of band 2b, for the band rows ``k`` of a
+    symmetric kernel a of band b.
+
+    The upper band (columns j >= i) is one BLAS product per slab of b rows
+    [r0, r1): their entries reach columns [r0 - b, r1 + b), whose rows of a
+    reach [r0 - 2b, r1 + 2b). One dense window holds those rows of a over
+    those columns; it is made once and refilled by the same shear for every
+    slab, so the zeros outside the band are written once. Each upper entry
+    (i, i + e) is also written to (i + e, i), so the lower band mirrors the
+    upper one and the result is exactly symmetric: the a a of an exactly
+    symmetric a, up to the rounding of the products.
+    """
+    n, width = k.shape
+    b = (width - 1) // 2
+    m = max(b, 1)
+    wide = 2 * width - 1
+    # 2b spare rows take the mirrored zeros of entries beyond the box
+    out = np.zeros((n + 2 * b, wide))
+    flat = out.reshape(-1)
+    step = flat.strides[0]
+    window = np.zeros((m + 2 * b, m + 4 * b))
     for r0 in range(0, n, m):
-        r1 = min(r0 + m, n)
-        yield r0, r1, max(r0 - band, 0), min(r1 + band, n)
+        h = min(m, n - r0)
+        win = window[:h + 2 * b, :h + 4 * b]
+        # win[t, t + c] = a[r0 - b + t, r0 - 2b + t + c]: row t holds row
+        # r0 - b + t of a, column col holds column r0 - 2b + col
+        lo, hi = max(r0 - b, 0), min(r0 + h + b, n)
+        t0 = lo - (r0 - b)
+        _shear(win, width)[t0:t0 + hi - lo] = k[lo:hi]
+        win[t0 + hi - lo:] = 0.0  # rows past the box
+        prod = win[b:b + h, b:h + 3 * b] @ win[:, 2 * b:]
+        upper = _shear(prod, 2 * b + 1) * scale
+        out[r0:r0 + h, 2 * b:] = upper
+        # aa[i + e, i] = aa[i, i + e] is flat entry (i + e) wide + 2b - e
+        as_strided(flat[r0 * wide + 2 * b:], (h, 2 * b + 1),
+                   (wide * step, (wide - 1) * step))[...] = upper
+    return out[:n]
 
 
-def _band_product(a: np.ndarray, b: int, scale: float) -> np.ndarray:
-    """(a @ a) * scale for an n x n matrix a that vanishes beyond |i - j| <=
-    b; the product vanishes beyond 2b. Each slab of b rows of a is one BLAS
-    product of its 3b-column window [r0 - b, r1 + b) with those rows of a,
-    whose nonzeros lie in the 5b columns [r0 - 2b, r1 + 2b)."""
-    n = a.shape[0]
-    out = np.zeros((n, n))
-    if b < 0:
-        return out
-    for r0, r1, k0, k1 in _slabs(n, b):
-        j0, j1 = max(r0 - 2 * b, 0), min(r1 + 2 * b, n)
-        out[r0:r1, j0:j1] = (a[r0:r1, k0:k1] @ a[k0:k1, j0:j1]) * scale
-    return out
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
 
 
-def _row_sums(mat: np.ndarray, band: int, f) -> np.ndarray:
-    """Row sums of f(mat) for an n x n matrix whose f vanishes beyond
-    |i - j| <= band, read slab by slab."""
-    return np.concatenate([np.sum(f(mat[r0:r1, c0:c1]), axis=1)
-                           for r0, r1, c0, c1 in _slabs(mat.shape[0], band)])
-
-
-def _band_dot(x: np.ndarray, y: np.ndarray, band: int) -> float:
-    """sum_ij x_ij y_ij for n x n matrices that vanish beyond |i - j| <=
-    band (``y`` may be a transposed view)."""
-    return sum(float(np.sum(x[r0:r1, c0:c1] * y[r0:r1, c0:c1]))
-               for r0, r1, c0, c1 in _slabs(x.shape[0], band))
-
-
-def _stencil_sum(x: np.ndarray, y: np.ndarray, band: int, diag: np.ndarray,
+def _stencil_sum(x: np.ndarray, y: np.ndarray, diag: np.ndarray,
                  off: np.ndarray) -> float:
-    """sum_ij (T x)_ij y_ij for n x n matrices x and y that vanish beyond
-    |i - j| <= band (``y`` may be a transposed view), where T is the
-    symmetric tridiagonal matrix with diagonal ``diag`` (n) and T[i, i+1] =
-    T[i+1, i] = off[i] (n - 1): the three-point stencil on the rows of each
-    slab, over a window one column wider than the band on each side, which
-    holds the rows above and below the slab."""
-    n = x.shape[0]
-    total = 0.0
-    for r0, r1, c0, c1 in _slabs(n, band + 1):
-        tx = diag[r0:r1, None] * x[r0:r1, c0:c1]
-        lo = max(r0, 1)  # rows i >= lo have a row i - 1
-        tx[lo - r0:] += off[lo - 1:r1 - 1, None] * x[lo - 1:r1 - 1, c0:c1]
-        hi = min(r1, n - 1)  # rows i < hi have a row i + 1
-        tx[:hi - r0] += off[r0:hi, None] * x[r0 + 1:hi + 1, c0:c1]
-        total += float(np.sum(tx * y[r0:r1, c0:c1]))
-    return total
+    """sum_ij (T x)_ij y_ij for the band rows ``x`` and ``y`` of two kernels
+    of one band, where T is the symmetric tridiagonal matrix with diagonal
+    ``diag`` (n) and T[i, i+1] = T[i+1, i] = off[i] (n - 1). Entry (i, j)
+    sits one band column further right in row i - 1 and one further left in
+    row i + 1, so the sum is three row-wise dot products."""
+    return float(diag @ _row_dots(x, y)
+                 + off @ _row_dots(x[:-1, 1:], y[1:, :-1])
+                 + off @ _row_dots(x[1:, :-1], y[:-1, 1:]))
 
 
-def _separation_sum(cfg: BCSConfig, a: np.ndarray, band: int) -> float:
-    """sum_ij V((x_i - x_j)/h) a_ij^2 for a kernel that vanishes beyond
-    |i - j| <= band: every potential is radial, so V is evaluated once per
-    separation |d| dx and multiplies the squared norm of the diagonals +-d."""
-    if band < 0:
-        return 0.0
+def _separation_sum(cfg: BCSConfig, k: np.ndarray) -> float:
+    """sum_ij V((x_i - x_j)/h) a_ij^2 for the band rows ``k`` of a kernel:
+    every potential is radial, so V is evaluated once per band column,
+    at the separation |d| dx, and multiplies the column's sum of squares."""
+    b = (k.shape[1] - 1) // 2
     vfun = potential_from_descriptor(cfg.potential)
-    v_sep = vfun(np.arange(band + 1) * cfg.mask.grid.spacing[0] / cfg.h)
-    total = 0.0
-    for d in range(-band, band + 1):
-        diag = np.diagonal(a, d)
-        total += v_sep[abs(d)] * float(np.dot(diag, diag))
-    return total
+    v_sep = vfun(np.arange(-b, b + 1) * cfg.mask.grid.spacing[0] / cfg.h)
+    return float(np.sum(np.square(k), axis=0) @ v_sep)
 
 
 def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
-                        pair_wave_lattice, frame: COMFrame) -> np.ndarray:
+                        pair_wave_lattice, frame: COMFrame) -> BandKernel:
     """``pair_kernel`` for a pair wave given as a function of the separation
     count v (the continuum state's spline, say), sampled once per v."""
     n = frame.n
@@ -305,21 +329,24 @@ def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     The pair wave is sampled from the lattice-matched relative ground state,
     so the kinetic-plus-potential cancellation against mu is exact at this
     discretization. The cutoff makes a vanish beyond |x - y| = 1.5 ell, b
-    nodes, so a is gathered on its band and a a dx on the band 2b, slab by
-    slab (``_band_product``). ``psi`` must vanish outside the ell(h)-eroded
-    domain; the assembled block state is checked to have spectrum in [0, 1].
+    nodes, so a is gathered on its band and a a dx is formed on the band
+    2b, slab by slab (``_band_square``). ``psi`` must vanish outside the
+    ell(h)-eroded domain; the assembled block state is checked to have
+    spectrum in [0, 1].
     """
     _check_support(cfg, psi)
+    # the sampled pair wave is even only up to the eigensolve's rounding;
+    # made exactly even, a is exactly symmetric, as the mirrored lower band
+    # of aa takes it to be, and Tr(h aa), in which the stencil terms nearly
+    # cancel, stays that of the dense a a dx
     wave = lattice_pair_field(cfg.matched_state, cfg.phi, 1.0)
-    inside = cfg.mask.inside
-    a_mat = pair_kernel(center_values(psi.values), wave, inside)
-    b = _reach(wave, inside.size)
+    wave = 0.5 * (wave + wave[::-1])
+    a_psi = pair_kernel(center_values(psi.values), wave, cfg.mask.inside)
     # a a dx overflows only when ||A||_2 >> 1, and the admissibility check
     # below refuses every such state
     with np.errstate(over="ignore"):
-        aa = _band_product(a_mat, b, cfg.mask.grid.spacing[0])
-    grid = cfg.mask.grid
-    state = TrialState(cfg, psi, PairKernel(grid, grid, a_mat), aa, band=b)
+        aa = _band_square(a_psi.values, cfg.mask.grid.spacing[0])
+    state = TrialState(cfg, psi, a_psi, BandKernel(aa))
     lo, hi = admissibility_spectrum(state)
     if lo < -1e-9 or hi > 1 + 1e-9:
         raise BCSError(
@@ -360,7 +387,8 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     lies in [-rho, rho] (rho(A) <= ||A||_inf), and a zero row of A gives
     s = 0, where r = 1/2. So if A has a zero row and r(rho) <= 1/2, i.e.
     c^2 rho^4 + 2c rho^2 <= sqrt(h), the spectrum is exactly (0, 1), with no
-    eigensolve; otherwise one n x n eigvalsh of A decides. That condition is
+    eigensolve; otherwise the eigenvalues of A decide, from LAPACK's banded
+    symmetric eigensolver on its lower band. That condition is
     (c rho^2 + 1)^2 <= 1 + sqrt(h), so it is decided in its solved form rho
     <= rho* = sqrt((sqrt(1 + sqrt(h)) - 1) / c), in which no power of a
     huge rho overflows; sqrt(1 + sqrt(h)) - 1 is taken as sqrt(h) /
@@ -371,10 +399,17 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     rho_star = math.sqrt(root_h / (c * (math.sqrt(1.0 + root_h) + 1.0)))
     dx = state.cfg.mask.grid.spacing[0]
     a = state.a_psi.values
-    row_sums = _row_sums(a, state.band, lambda blk: np.abs(dx * blk))
+    row_sums = dx * np.sum(np.abs(a), axis=1)
     if row_sums.min() == 0.0 and row_sums.max() <= rho_star:
         return 0.0, 1.0
-    s = np.linalg.eigvalsh(dx * a)
+    # the lower band of A in LAPACK's layout, [j, i] = A[i + j, i]: the
+    # entries a dense eigvalsh reads
+    # imported here: at module import it loads scipy.linalg ahead of
+    # scipy.sparse, which cost 10-30 ms more per CLI start on a 2-core VM;
+    # spectral has loaded it by the time a trial state exists
+    from scipy import linalg
+    lower = _band_transpose(dx * a)[:, state.a_psi.band:].T
+    s = linalg.eigvals_banded(lower, lower=True)
     # r is +inf once c s^4 leaves the float range, and the state is refused
     with np.errstate(over="ignore"):
         g = s**2 + c * s**4
@@ -397,20 +432,21 @@ def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
     """Tr(h gamma) + int int V((x-y)/h) |a(x,y)|^2 dx dy, where Tr(h gamma)
     = Tr(h aa) + (1 + sqrt(h)) dx Tr(h aa aa) for the symmetric aa. The
     one-body h = -h^2 Lap + h^2 W - mu is the three-point stencil on the
-    rows of aa, and every sum runs over the band of a or aa."""
+    rows of aa: Tr(h aa) reads band columns 2b and 2b -+ 1 of aa, and every
+    sum runs over the band rows of a or aa."""
     dv = cfg.mask.grid.spacing[0]
-    aa, b = state.aa, state.band
+    aa, b2 = state.aa.values, state.aa.band
     h2 = cfg.h**2
     shift = -cfg.mu if cfg.W is None else h2 * np.asarray(cfg.W.values) - cfg.mu
     diag, off = _three_point(cfg.mask.inside, h2, 1.0 / dv**2, shift)
     # the diagonal of h aa, row by row: the stencil terms nearly cancel
-    h_aa = diag * np.diagonal(aa)
-    h_aa[1:] += off * np.diagonal(aa, 1)
-    h_aa[:-1] += off * np.diagonal(aa, -1)
+    h_aa = diag * aa[:, b2]
+    if b2 > 0:  # aa[i - 1, i] and aa[i + 1, i]
+        h_aa[1:] += off * aa[:-1, b2 + 1]
+        h_aa[:-1] += off * aa[1:, b2 - 1]
     trace = float(np.sum(h_aa))
-    quartic = (1.0 + math.sqrt(cfg.h)) * dv * _stencil_sum(aa, aa, 2 * b,
-                                                           diag, off)
-    v_term = _separation_sum(cfg, state.a_psi.values, b) * dv * dv
+    quartic = (1.0 + math.sqrt(cfg.h)) * dv * _stencil_sum(aa, aa, diag, off)
+    v_term = _separation_sum(cfg, state.a_psi.values) * dv * dv
     return (trace + quartic) * dv + v_term
 
 
@@ -419,10 +455,10 @@ def one_body_density(state: TrialState) -> ScalarField:
     the row sums of aa * aa (aa symmetric, read on its band); integrates to
     Tr(gamma)."""
     dv = state.cfg.mask.grid.spacing[0]
-    aa = state.aa
-    quartic = (1.0 + math.sqrt(state.cfg.h)) * dv * _row_sums(
-        aa, 2 * state.band, np.square)
-    vals = np.diag(aa) + quartic
+    aa = state.aa.values
+    quartic = (1.0 + math.sqrt(state.cfg.h)) * dv * np.sum(np.square(aa),
+                                                            axis=1)
+    vals = aa[:, state.aa.band] + quartic
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1e-300):
         raise BCSError("one-body density has a negative node")
     return ScalarField(state.cfg.mask.grid, vals)
@@ -537,9 +573,10 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     residual is a genuine center-of-mass expansion error: dimensionless, and
     O(h) for the field and quartic comparisons.
 
-    Every trace reads only the band of a_psi (|i - j| <= b) or of its square
-    (2b): the Laplacians are three-point stencils on the rows of a_psi and
-    of its transpose, and a a dx is the slab product of ``build_trial_state``.
+    Every trace reads only the band rows of a_psi (|i - j| <= b) or of its
+    square (2b): the Laplacians are three-point stencils on the rows of
+    a_psi and of its band transpose, and a a dx is the slab product of
+    ``build_trial_state``, symmetric by construction.
     A psi so large that a trace overflows gives a non-finite report, with
     no floating-point warning; the caller refuses it.
     """
@@ -551,7 +588,6 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     a_lat = lattice_pair_field(matched, cfg.phi, h)
     inside = cfg.mask.inside
     box = np.ones(inside.size, dtype=bool)
-    b = _reach(a_lat, inside.size)
     dv = cfg.mask.grid.spacing[0]
     h2, inv_dx2 = h**2, 1.0 / dv**2
     wdiag = np.asarray(cfg.W.values)
@@ -562,17 +598,19 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     g_bcs_a, g_0_a = compute_couplings(matched, a_lat)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        a_mat = pair_kernel(center_values(psi.values), a_lat / h, inside)
+        a_band = pair_kernel(center_values(psi.values), a_lat / h,
+                             inside).values
         norms = _field_norms(psi)
 
         # (i) quadratic trace: free product -Lap (three-point stencil on the
         # whole box), kernels vanish well inside
         neg_lap = _three_point(box, 1.0, inv_dx2)
-        neg_lap_a = (_stencil_sum(a_mat, a_mat, b, *neg_lap)
-                     + _stencil_sum(a_mat.T, a_mat.T, b, *neg_lap))
-        sq_rows = _row_sums(a_mat, b, np.square)
+        a_t = _band_transpose(a_band)
+        neg_lap_a = (_stencil_sum(a_band, a_band, *neg_lap)
+                     + _stencil_sum(a_t, a_t, *neg_lap))
+        sq_rows = np.sum(np.square(a_band), axis=1)
         lhs_i = (h2 * 0.5 * neg_lap_a - cfg.mu * float(np.sum(sq_rows))) * dv * dv
-        lhs_i += _separation_sum(cfg, a_mat, b) * dv * dv
+        lhs_i += _separation_sum(cfg, a_band) * dv * dv
         rhs_i = (
             norms["l2_sq"] * a_energy / h
             + a_norm_sq * (h / 4.0 * norms["grad_sq"]
@@ -589,11 +627,12 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
             (norms["l2_sq"] + norms["grad_sq"])
         res_w = abs(lhs_w - rhs_w) / max(wscale, 1e-300)
 
-        # (iii) quartic traces; hker = -h^2 Lap aa + (E_b + h^2 W) aa
-        aa = _band_product(a_mat, b, dv)
-        tr_q = _band_dot(aa, aa.T, 2 * b) * dv * dv  # Tr (a abar)^2
+        # (iii) quartic traces; hker = -h^2 Lap aa + (E_b + h^2 W) aa, and
+        # aa^T = aa
+        aa = _band_square(a_band, dv)
+        tr_q = float(np.sum(np.square(aa))) * dv * dv  # Tr (a abar)^2
         hker = _three_point(box, h2, inv_dx2, matched.E_b + h2 * wdiag)
-        tr_qh = _stencil_sum(aa, aa.T, 2 * b, *hker) * dv * dv
+        tr_qh = _stencil_sum(aa, aa, *hker) * dv * dv
 
         rhs_qh = g_bcs_a / h * norms["l4_4"]
         rhs_q = g_0_a / h * norms["l4_4"]

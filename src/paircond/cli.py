@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -317,18 +318,23 @@ def _pair_setup(cfg, q_default: float, d_of, mode_with_w: bool,
     mask = build_domain(_require(cfg, "domain", "config"))
     if mask.grid.dim != 1:
         raise ConfigError("pair-state experiments need a 1D domain")
-    n = mask.grid.n[0]
-    if n**2 > MAX_GRID_NODES:  # the dense n x n pair kernels
-        raise ConfigError(f"pair kernels of {n}x{n} entries exceed the "
-                          f"{MAX_GRID_NODES}-entry budget")
     w = build_w(cfg.get("w"), mask)
     pot = validate_potential(_require(cfg, "potential", "config"))
     q = _number(cfg, "q", q_default, positive=True)
     h_list = sorted(_coerce(_require(cfg, "h_list", "config"), [0.0], "h_list"),
                     reverse=True)
-    # each h's micro lattice and the eroded domain, before any solve
+    # the kernel budget, each h's micro lattice and the eroded domain,
+    # before any solve
     try:
         configs = [bcs.BCSConfig(mask, pot, w, h=h, D=0.0, q=q) for h in h_list]
+        # the widest pair kernel, aa = a a dx, holds n (4b + 1) band entries,
+        # where a reaches b = 1.5 ell / dx nodes at the largest ell
+        n = mask.grid.n[0]
+        ell = max(c.ell for c in configs)
+        b = min(math.floor(1.5 * ell / mask.grid.spacing[0]), n - 1)
+        if n * (4 * b + 1) > MAX_GRID_NODES:
+            raise ConfigError(f"pair kernels of {n}x{4 * b + 1} band entries "
+                              f"exceed the {MAX_GRID_NODES}-entry budget")
         for c in configs:
             pairing.micro_lattice_k_max(c.micro_step, c.micro_halfwidth)
         inner = erode(mask, configs[0].ell)
@@ -409,6 +415,9 @@ def _exp_hardy(cfg):
     if "mask_file" in spec:
         raise ConfigError("hardy rebuilds a builtin domain at each n of "
                           "n_list; a mask_file has one grid")
+    if "n" in spec:
+        raise ConfigError("hardy takes n from n_list; remove n from the "
+                          "domain")
     lam = _number(cfg, "lambda_offset", 0.0)
     tol = _number(cfg, "tol", 1e-8, positive=True)
     rows = []

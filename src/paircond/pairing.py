@@ -321,14 +321,35 @@ def compute_couplings(gs: RelativeGroundState, a: np.ndarray | None = None) -> t
     g_bcs = step^3 sum_m c_d(m) c(m) + E_b g_0. On the micro lattice these
     are exactly the lattice quartic traces; they converge quadratically in
     the step to the momentum integrals.
+
+    Both sums are taken by Parseval from one FFT. Zero-padded to M >= 2N
+    (N samples; M the power of two, a fast length), a has the DFT A_k, and
+    c, of lags |m| < N, is the cyclic autocorrelation of the padded a, with
+    DFT |A_k|^2; so sum_m c(m)^2 = M^-1 sum_k |A_k|^4. The cyclic
+    three-point -Lap of the padded a has DFT lam_k A_k, lam_k = (2 - 2
+    cos(2 pi k/M)) / step^2, taken as 4 sin^2(pi k/M) / step^2 without the
+    cancellation at small k; it differs from the padded -Lap a only on the
+    two pad nodes next to the ends, N and M - 1, where it reads
+    -a(N-1)/step^2 and -a(0)/step^2. So -Lap a has the DFT X_k = lam_k A_k
+    + (a(N-1) e^(-2 pi i k N/M) + a(0) e^(2 pi i k/M)) / step^2, and
+    sum_m c_d(m) c(m) = M^-1 sum_k Re(X_k conj(A_k)) |A_k|^2. The sums over
+    k run over the half spectrum of ``np.fft.rfft``, with the terms strictly
+    between 0 and M/2 counted twice.
     """
     if a is None:
         a = gs.alpha_star.values
     step = gs.step
-    c = np.correlate(a, a, mode="full")
-    cd = np.correlate(lattice_neg_laplacian(a, step), a, mode="full")
-    g_0 = float(np.sum(c * c)) * step**3
-    g_bcs = float(np.sum(cd * c)) * step**3 + gs.E_b * g_0
+    size = 1 << (2 * a.size - 1).bit_length()
+    spec = np.fft.rfft(a, size)
+    power = spec.real**2 + spec.imag**2
+    theta = 2.0 * np.pi / size * np.arange(power.size)
+    ends = a[-1] * np.exp(-1j * a.size * theta) + a[0] * np.exp(1j * theta)
+    lap = (4.0 * np.sin(0.5 * theta)**2 * power
+           + (ends * spec.conj()).real) / step**2
+    weight = np.full(power.size, 2.0 / size)
+    weight[[0, -1]] = 1.0 / size
+    g_0 = float(weight @ power**2) * step**3
+    g_bcs = float(weight @ (lap * power)) * step**3 + gs.E_b * g_0
     return g_bcs, g_0
 
 

@@ -204,7 +204,7 @@ def twobody_trial_upper_bound(prob: TwoBodyProblem,
     mode = onset_threshold(inner, tol=1e-11)
     wave = lattice_pair_field(prob.matched_state, ell / h, 1.0)
     trial = pair_kernel(center_values(mode.eigenvector.values), wave,
-                        prob.mask.inside)
+                        prob.mask.inside).dense()
     reduced = prob.operator()
     # u = S^T t: its Rayleigh quotient against B bounds lambda_min(B) = E0
     # from above, as that of any nonzero vector does

@@ -164,7 +164,8 @@ def test_07_decomposition_identities(bcs_domain, pt_state):
     frame = bcs.COMFrame.build(cfg)
     psi_half = frame.interpolate_to_centers(psi)
     amat = bcs._pair_kernel_matrix(
-        cfg, psi_half, lambda v: pt_state.evaluate(v * frame.dx / cfg.h), frame)
+        cfg, psi_half, lambda v: pt_state.evaluate(v * frame.dx / cfg.h),
+        frame).dense()
     alpha = PairKernel(bcs_domain.grid, bcs_domain.grid, amat)
     extracted, xi = bcs.extract_order_parameter(cfg, alpha)
     round_trip = float(np.max(np.abs(extracted.values - psi_half)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import linalg, sparse
 
 from conftest import POSCHL_TELLER
 from paircond import bcs
@@ -32,7 +32,7 @@ def product_kernel(cfg, psi_field, gs):
     mat = bcs._pair_kernel_matrix(
         cfg, psi_half,
         lambda v: gs.evaluate(v * frame.dx / cfg.h), frame,
-    )
+    ).dense()
     return PairKernel(cfg.mask.grid, cfg.mask.grid, mat), psi_half
 
 
@@ -41,8 +41,8 @@ class TestTrialState:
         cfg, _ = trial_setup
         zero = cfg.mask.field(np.zeros(cfg.mask.count))
         state = bcs.build_trial_state(cfg, zero)
-        assert np.all(state.a_psi.values == 0.0)
-        assert np.all(state.aa == 0.0)
+        assert np.all(state.a_psi.dense() == 0.0)
+        assert np.all(state.aa.dense() == 0.0)
         lo, hi = state.admissibility
         assert lo >= -1e-12 and hi <= 1 + 1e-12
         assert bcs.bcs_energy(cfg, state) == 0.0
@@ -56,18 +56,19 @@ class TestTrialState:
     def test_symmetric_kernel(self, trial_setup):
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
-        state.a_psi.check_symmetric(tol=1e-12)
+        grid = cfg.mask.grid
+        PairKernel(grid, grid, state.a_psi.dense()).check_symmetric(tol=1e-12)
 
     def test_support_inside_product_domain(self, trial_setup):
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
         inside = cfg.mask.inside
         both = inside[:, None] & inside[None, :]
-        assert np.all(state.a_psi.values[~both] == 0.0)
+        assert np.all(state.a_psi.dense()[~both] == 0.0)
         # separation cut: zero beyond 1.5 ell
         x = cfg.mask.grid.axis(0)
         far = np.abs(x[:, None] - x[None, :]) > 1.5 * cfg.ell + 1e-12
-        assert np.all(state.a_psi.values[far] == 0.0)
+        assert np.all(state.a_psi.dense()[far] == 0.0)
 
     def test_gamma_dominates_quartic(self, trial_setup):
         # gamma - a abar - (a abar)^2 = sqrt(h) (a abar)^2 >= 0, on the
@@ -75,7 +76,7 @@ class TestTrialState:
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
         dv = cfg.mask.grid.spacing[0]
-        a = state.a_psi.values
+        a = state.a_psi.dense()
         aa = a @ a * dv
         gap = bcs.one_body_density(state).values - np.diag(aa + aa @ aa * dv)
         assert np.min(gap) >= -1e-12 * np.max(np.diag(aa))
@@ -87,7 +88,7 @@ class TestTrialState:
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
         dv = cfg.mask.grid.spacing[0]
-        a = dv * state.a_psi.values
+        a = dv * state.a_psi.dense()
         aa = a @ a
         rho = bcs.one_body_density(state).values
         gap = dv * rho - np.diag(aa)
@@ -121,7 +122,7 @@ class TestEnergyAndDensity:
         rho = bcs.one_body_density(state)
         dv = cfg.mask.grid.spacing[0]
         assert np.min(rho.values) >= -1e-10
-        aa = state.aa
+        aa = state.aa.dense()
         gamma = aa + (1.0 + np.sqrt(cfg.h)) * (aa @ aa) * dv
         tr_gamma = float(np.trace(gamma)) * dv
         assert abs(np.sum(rho.values) * dv - tr_gamma) < 1e-12
@@ -261,15 +262,15 @@ class TestAdmissibility:
             row_max = np.max(np.sum(np.abs(a_op), axis=1))
             a_op *= rho_star(h) * (1.0 + near * 1e-6) / row_max
         g_op = a_op @ a_op + (1.0 + np.sqrt(h)) * np.linalg.matrix_power(a_op, 4)
-        grid = mask.grid
         state = bcs.TrialState(cfg, mask.field(np.zeros(mask.count)),
-                               PairKernel(grid, grid, a_op / dv), g_op / dv)
+                               bcs.BandKernel(band_rows(a_op / dv, n - 1)),
+                               bcs.BandKernel(band_rows(g_op / dv, n - 1)))
         block = np.block([[g_op, a_op], [a_op, np.eye(n) - g_op]])
         dense = np.linalg.eigvalsh(block)
         row_sums = np.sum(np.abs(a_op), axis=1)
         bound_decides = row_sums.min() == 0.0 and row_sums.max() <= rho_star(h)
-        with mock.patch.object(np.linalg, "eigvalsh",
-                               wraps=np.linalg.eigvalsh) as spy:
+        with mock.patch.object(linalg, "eigvals_banded",
+                               wraps=linalg.eigvals_banded) as spy:
             lo, hi = bcs.admissibility_spectrum(state)
         assert spy.called != bound_decides
         if bound_decides:
@@ -310,28 +311,52 @@ def dense_pair_kernel(psi_half, wave, inside):
     return kern
 
 
+def band_rows(mat, band):
+    """Reference layout of ``bcs.BandKernel``: rows[i, band + d] = mat[i, i + d]
+    for |d| <= band, zero where i + d leaves the box."""
+    n = mat.shape[0]
+    rows = np.zeros((n, 2 * band + 1))
+    for i in range(n):
+        for d in range(-band, band + 1):
+            if 0 <= i + d < n:
+                rows[i, band + d] = mat[i, i + d]
+    return rows
+
+
+def random_band(rng, n, band):
+    """A random n x n matrix that vanishes beyond |i - j| <= band."""
+    sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.where(sep <= band, rng.standard_normal((n, n)), 0.0)
+
+
 class TestBandedKernel:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            k=st.integers(0, 60), tail=st.integers(0, 60),
            dense_mask=st.booleans())
+    @example(seed=1, n=12, k=5, tail=5, dense_mask=True)
+    @example(seed=2, n=12, k=30, tail=0, dense_mask=False)
     def test_matches_dense_gather(self, seed, n, k, tail, dense_mask):
         # a wave of 2k + 1 samples whose outer ``tail`` samples on each side
-        # are zero; k >= n and k - tail >= n give bands wider than the grid
+        # are zero; k >= n and k - tail >= n give bands wider than the grid,
+        # tail > k a zero wave
         rng = np.random.default_rng(seed)
         inside = (np.ones(n, bool) if dense_mask
                   else rng.random(n) < rng.uniform(0.2, 0.9))
         psi_half = rng.standard_normal(2 * n - 1)
         wave = rng.standard_normal(2 * k + 1)
-        cut = min(tail, k)
+        cut = min(tail, k + 1)
         wave[:cut] = 0.0
         wave[wave.size - cut:] = 0.0
-        band = bcs.pair_kernel(psi_half, wave, inside)
-        assert np.array_equal(band, dense_pair_kernel(psi_half, wave, inside))
+        kern = bcs.pair_kernel(psi_half, wave, inside)
+        dense = dense_pair_kernel(psi_half, wave, inside)
+        assert np.array_equal(kern.dense(), dense)
+        assert kern.band == min(max(k - tail, 0), n - 1)
+        assert np.array_equal(kern.values, band_rows(dense, kern.band))
 
     def test_zero_wave(self):
         inside = np.array([False, True, True, True, False])
-        kern = bcs.pair_kernel(np.ones(9), np.zeros(7), inside)
+        kern = bcs.pair_kernel(np.ones(9), np.zeros(7), inside).dense()
         assert kern.shape == (5, 5) and not kern.any()
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -343,50 +368,94 @@ class TestBandedKernel:
     @example(seed=3, n=12, b=30, tail=2, dense_mask=True)
     def test_band_product_matches_dense(self, seed, n, b, tail, dense_mask):
         # a kernel of band b (b = -1: a zero wave; b >= n - 1: as wide as
-        # the grid) squared slab by slab against the dense product
+        # the grid) squared slab by slab against the dense product; the wave
+        # is even, as every pair wave is, so the kernel is symmetric
         rng = np.random.default_rng(seed)
         inside = (np.ones(n, bool) if dense_mask
                   else rng.random(n) < rng.uniform(0.2, 0.9))
         wave = np.zeros(2 * (max(b, 0) + tail) + 1)
         if b >= 0:
-            wave[tail:wave.size - tail] = rng.standard_normal(2 * b + 1)
-        a = bcs.pair_kernel(rng.standard_normal(2 * n - 1), wave, inside)
-        band = bcs._reach(wave, n)
-        assert band == min(b, n - 1)
+            half = rng.standard_normal(2 * b + 1)
+            wave[tail:wave.size - tail] = half + half[::-1]
+        kern = bcs.pair_kernel(rng.standard_normal(2 * n - 1), wave, inside)
+        band = kern.band
+        assert band == min(max(b, 0), n - 1)
+        a = kern.dense()
         dx = rng.uniform(0.01, 1.0)
-        aa = bcs._band_product(a, band, dx)
+        aa = bcs._band_square(kern.values, dx)
+        assert aa.shape == (n, 4 * band + 1)
         dense = (a @ a) * dx
-        assert np.max(np.abs(aa - dense)) <= 1e-12 * np.max(np.abs(dense))
-        sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        assert not aa[sep > 2 * band].any()
+        scale = np.max(np.abs(dense), initial=0.0)
+        # every entry of the band rows, and none beyond 2b once densified
+        assert np.max(np.abs(aa - band_rows(dense, 2 * band))) <= 1e-12 * scale
+        assert np.max(np.abs(bcs.BandKernel(aa).dense() - dense)) \
+            <= 1e-12 * scale
+        assert np.array_equal(aa, bcs._band_transpose(aa))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            band=st.integers(0, 45))
+    @example(seed=1, n=3, band=0)
+    @example(seed=2, n=10, band=9)
     def test_band_sums_match_dense(self, seed, n, band):
         # unrelated x and y of one band, y read through its transpose, and a
         # tridiagonal T with unequal entries
         rng = np.random.default_rng(seed)
-        sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        x, y = (np.where(sep <= band, rng.standard_normal((n, n)), 0.0)
-                for _ in range(2))
+        band = min(band, n - 1)
+        x, y = random_band(rng, n, band), random_band(rng, n, band)
+        rows_x, rows_y = band_rows(x, band), band_rows(y, band)
+        assert np.array_equal(bcs._band_transpose(rows_y), band_rows(y.T, band))
         diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
         t_mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         ref = np.sum((t_mat @ x) * y.T)
         scale = np.sum(np.abs(t_mat) @ np.abs(x) * np.abs(y.T))
-        assert abs(bcs._stencil_sum(x, y.T, band, diag, off) - ref) \
-            <= 1e-12 * scale
-        assert abs(bcs._band_dot(x, y, band) - np.sum(x * y)) \
-            <= 1e-12 * np.sum(np.abs(x * y))
-        assert np.allclose(bcs._row_sums(x, band, np.abs),
+        got = bcs._stencil_sum(rows_x, bcs._band_transpose(rows_y), diag, off)
+        assert abs(got - ref) <= 1e-12 * scale
+        assert np.allclose(np.sum(np.abs(rows_x), axis=1),
                            np.sum(np.abs(x), axis=1), rtol=1e-13, atol=0.0)
+        if n < 3:  # a grid has at least 3 nodes
+            return
+        mask = geo.interval(0.0, 1.0, n=n)
+        cfg = bcs.BCSConfig(mask, POSCHL_TELLER, None, h=0.3, D=0.0)
+        nodes = mask.grid.axis(0)
+        vmat = potential_from_descriptor(POSCHL_TELLER)(
+            (nodes[:, None] - nodes[None, :]) / cfg.h)
+        ref_v = np.sum(vmat * x**2)
+        assert abs(bcs._separation_sum(cfg, rows_x) - ref_v) \
+            <= 1e-12 * np.sum(np.abs(vmat) * x**2)
+
+    def test_banded_fallback_matches_dense(self, trial_setup):
+        # the trial kernel scaled until the norm bound cannot decide: the
+        # eigenvalues of the band matrix A against a dense eigvalsh of the
+        # block state
+        cfg, psi = trial_setup
+        state = bcs.build_trial_state(cfg, psi)
+        dv = cfg.mask.grid.spacing[0]
+        rows = state.a_psi.values
+        factor = 1.5 * rho_star(cfg.h) / np.max(np.sum(np.abs(dv * rows),
+                                                       axis=1))
+        scaled = bcs.TrialState(cfg, psi, bcs.BandKernel(factor * rows),
+                                state.aa)
+        with mock.patch.object(linalg, "eigvals_banded",
+                               wraps=linalg.eigvals_banded) as spy:
+            lo, hi = bcs.admissibility_spectrum(scaled)
+        assert spy.called
+        a_op = dv * scaled.a_psi.dense()
+        a2 = a_op @ a_op
+        g_op = a2 + (1.0 + np.sqrt(cfg.h)) * (a2 @ a2)
+        n = a_op.shape[0]
+        dense = np.linalg.eigvalsh(np.block([[g_op, a_op],
+                                             [a_op, np.eye(n) - g_op]]))
+        assert abs(lo - dense[0]) < 1e-12
+        assert abs(hi - dense[-1]) < 1e-12
+        assert hi > 1.0
 
     def test_energy_density_gamma_match_dense_gamma(self, trial_setup):
         # the formulas of a dense gamma = aa + (1 + sqrt(h)) (aa aa) dx
         cfg, psi = trial_setup
         state = bcs.build_trial_state(cfg, psi)
         dv = cfg.mask.grid.spacing[0]
-        a = state.a_psi.values
+        a = state.a_psi.dense()
         aa = (a @ a) * dv
         gamma = aa + (1.0 + np.sqrt(cfg.h)) * (aa @ aa) * dv
         x = cfg.mask.grid.axis(0)
@@ -409,7 +478,7 @@ def dense_semiclassics_terms(cfg, psi):
     dv = grid.spacing[0]
     a_lat = lattice_pair_field(matched, cfg.phi, h)
     a = bcs.pair_kernel(bcs.center_values(psi.values), a_lat / h,
-                        cfg.mask.inside)
+                        cfg.mask.inside).dense()
     lap = assemble_dirichlet(geo.DomainMask(grid, np.ones(grid.shape, bool)),
                              1.0).matrix
     ka = -(h**2) * 0.5 * (lap @ a + a @ lap.T)

@@ -380,6 +380,22 @@ class TestRun:
         assert "pair kernels" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.json")
 
+    def test_pair_band_budget_counts_band_entries(self, tmp_path, capsys):
+        # 2400 nodes: 5.76M dense entries, but aa holds 2400 x 1213 band
+        # entries at the largest ell (h = 0.1), inside the budget
+        cfg = {"domain": {"builtin": "interval", "a": 0.0, "b": 4.0,
+                          "n": 2400, "margin": 0.05},
+               "potential": {"kind": "poschl_teller"}, "amplitude": 0.3,
+               "h_list": [0.1, 0.07, 0.05]}
+        assert cli.run("bcs-trial", cfg, str(tmp_path / "in")) == 0
+        # 2882 nodes: 2882 x 1457 band entries, just over 2^22
+        cfg["domain"]["n"] = 2882
+        assert cli.run("bcs-trial", cfg, str(tmp_path / "over")) == 2
+        err = capsys.readouterr().err
+        assert ("config error: pair kernels of 2882x1457 band entries exceed "
+                "the 4194304-entry budget") in err
+        assert not os.path.exists(tmp_path / "over" / "report.json")
+
     @pytest.mark.parametrize("experiment, key, value, code, message", [
         # overflow in the kernel traces: rows and fits of nan
         ("semiclassics", "amplitude", 1e300, 3, "non-finite numbers in row 0"),
@@ -690,6 +706,15 @@ class TestRun:
         assert ("config error: hardy rebuilds a builtin domain at each n of "
                 "n_list") in err
         assert "unknown keys" not in err
+
+    def test_hardy_refuses_domain_n(self, tmp_path, capsys):
+        # n comes from n_list; an n in the domain would be silently dropped
+        cfg = {"domain": {"builtin": "interval", "margin": 0.25, "n": 301},
+               "n_list": [51]}
+        assert cli.run("hardy", cfg, str(tmp_path)) == 2
+        assert ("config error: hardy takes n from n_list"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "report.json")
 
     def test_unresolved_bound_state_names_the_grid(self, tmp_path, capsys):
         # depth 1e300: the bound state decays within 1e-150, far inside one

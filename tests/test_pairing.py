@@ -113,7 +113,38 @@ class TestDecayFit:
             pr.fit_decay_rate(fake)
 
 
+def correlate_couplings(gs, a=None):
+    """Reference for ``compute_couplings``: both sums from the lags of
+    ``np.correlate``, in O(N^2)."""
+    if a is None:
+        a = gs.alpha_star.values
+    step = gs.step
+    c = np.correlate(a, a, mode="full")
+    cd = np.correlate(pr.lattice_neg_laplacian(a, step), a, mode="full")
+    g_0 = float(np.sum(c * c)) * step**3
+    return float(np.sum(cd * c)) * step**3 + gs.E_b * g_0, g_0
+
+
 class TestCouplings:
+    def test_parseval_matches_correlate(self, pt_state):
+        for got, ref in zip(pr.compute_couplings(pt_state),
+                            correlate_couplings(pt_state)):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 51, 64, 1000, 1001])
+    def test_parseval_random_vectors(self, size):
+        # odd and even lengths, and ends that do not vanish: the two pad
+        # nodes next to the ends carry the correction to the cyclic -Lap
+        rng = np.random.default_rng(size)
+        g = Grid.box(-1.0, 1.0, max(size, 3))
+        gs = pr.RelativeGroundState(
+            potential=POSCHL_TELLER, E_b=1.3,
+            alpha_star=ScalarField(g, np.zeros(g.n[0])), L=1.0, residual=0.0)
+        a = rng.standard_normal(size) + 0.5
+        for got, ref in zip(pr.compute_couplings(gs, a),
+                            correlate_couplings(gs, a)):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
     def test_coupling_oracle(self, pt_state):
         # independent oracle: adaptive quadrature on the closed-form
         # transform pi sech(pi p / 2)/sqrt(2)
