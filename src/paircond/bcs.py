@@ -1,6 +1,6 @@
 """Discrete pair states on the product domain: trial states, their energy,
-one-body density, order-parameter extraction and the semiclassical
-term-by-term checks. One-dimensional domains only.
+one-body density and the semiclassical term-by-term checks.
+One-dimensional domains only.
 
 A trial kernel a vanishes beyond the separation cutoff: a[i, j] = 0 for
 |i - j| > b, and aa = a a dx vanishes beyond 2b. Both are stored on their
@@ -10,12 +10,6 @@ vectorized pass, aa is one BLAS product per slab of b rows through one
 dense slab window, and every trace, row sum and three-point stencil is a
 row-wise sum over the band rows (``_stencil_sum``), of a transpose where a
 trace needs one (``_band_transpose``).
-
-Center-of-mass bookkeeping: for box nodes x_i, x_j with spacing dx, the pair
-(i, j) maps to u = i + j (center X on a half-spacing lattice) and v = i - j
-(separation r = v*dx on a 2*dx lattice of fixed parity u mod 2). The change
-of variables is a relabeling of kernel entries, with quadrature weights
-(dx/2) * (2*dx) = dx^2, so all norm identities hold at machine precision.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .geometry import DomainMask, erode
 from .gp import gradient_energy
-from .grid import Grid, PairKernel, ScalarField
+from .grid import ScalarField
 from .pairing import (
     RelativeGroundState,
     compute_couplings,
@@ -37,8 +31,8 @@ from .pairing import (
     lattice_pair_field,
     matched_relative_state,
     potential_from_descriptor,
-    solve_relative,
 )
+from .spectral import three_point
 
 
 class BCSError(RuntimeError):
@@ -95,64 +89,10 @@ class BCSConfig:
         """Box of the matched state: room for the cutoff support 1.5 phi."""
         return max(20.0, 1.75 * self.phi)
 
-    def relative_state(self) -> RelativeGroundState:
-        if self.relative is None:
-            self.relative = solve_relative(self.potential)
-        return self.relative
-
     @cached_property
     def matched_state(self) -> RelativeGroundState:
         return matched_relative_state(self.potential, self.micro_step,
                                       self.micro_halfwidth)
-
-
-# ---------------------------------------------------------------------------
-# center-of-mass frame
-
-
-@dataclass
-class COMFrame:
-    """Index machinery for the (center, separation) relabeling of kernels."""
-
-    cfg: BCSConfig
-    inside: np.ndarray = field(repr=False)  # box-node interior indicator
-    x: np.ndarray = field(repr=False)  # box-node coordinates
-    dx: float = 0.0
-
-    @staticmethod
-    def build(cfg: BCSConfig) -> "COMFrame":
-        grid = cfg.mask.grid
-        return COMFrame(cfg, cfg.mask.inside.copy(), grid.axis(0),
-                        grid.spacing[0])
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def half_grid(self) -> Grid:
-        """Center-of-mass lattice with half the domain spacing."""
-        g = self.cfg.mask.grid
-        return Grid.box(g.lower[0], g.upper[0], 2 * self.n - 1)
-
-    def centers(self) -> np.ndarray:
-        return self.x[0] + 0.5 * self.dx * np.arange(2 * self.n - 1)
-
-    def pair_indices(self, u: int):
-        """Box index pairs (i, j) with i + j = u and both nodes interior;
-        returned with the separation index v = i - j (ascending)."""
-        i_lo = max(0, u - (self.n - 1))
-        i_hi = min(self.n - 1, u)
-        i = np.arange(i_lo, i_hi + 1)
-        j = u - i
-        keep = self.inside[i] & self.inside[j]
-        i, j = i[keep], j[keep]
-        return i, j, i - j
-
-    def interpolate_to_centers(self, psi: ScalarField) -> np.ndarray:
-        """Linear interpolation of a domain field onto the center lattice."""
-        if psi.grid != self.cfg.mask.grid:
-            raise BCSError("field lives on a different grid")
-        return center_values(psi.values)
 
 
 def center_values(vals) -> np.ndarray:
@@ -312,15 +252,6 @@ def _separation_sum(cfg: BCSConfig, k: np.ndarray) -> float:
     return float(np.sum(np.square(k), axis=0) @ v_sep)
 
 
-def _pair_kernel_matrix(cfg: BCSConfig, psi_half: np.ndarray,
-                        pair_wave_lattice, frame: COMFrame) -> BandKernel:
-    """``pair_kernel`` for a pair wave given as a function of the separation
-    count v (the continuum state's spline, say), sampled once per v."""
-    n = frame.n
-    return pair_kernel(psi_half, pair_wave_lattice(np.arange(1 - n, n)),
-                       frame.inside)
-
-
 def build_trial_state(cfg: BCSConfig, psi: ScalarField) -> TrialState:
     """Pair kernel a(x,y) = h^-1 psi((x+y)/2) * chi(|x-y|/ell) * h *
     alpha((x-y)/h) and the product a a from which the matching one-body
@@ -417,17 +348,6 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     return 0.5 - r, 0.5 + r
 
 
-def _three_point(inside: np.ndarray, c: float, inv_dx2: float,
-                 shift=0.0) -> tuple:
-    """(diagonal, off-diagonal) of the tridiagonal -c Lap + shift on the box
-    nodes, Dirichlet on ``inside``: rows and columns of outside nodes are
-    zero. Each diagonal entry is summed, 2 c/dx^2 + shift, before it
-    multiplies a kernel: the kinetic and potential parts nearly cancel."""
-    diag = np.where(inside, c * (2.0 * inv_dx2) + shift, 0.0)
-    off = np.where(inside[:-1] & inside[1:], -c * inv_dx2, 0.0)
-    return diag, off
-
-
 def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
     """Tr(h gamma) + int int V((x-y)/h) |a(x,y)|^2 dx dy, where Tr(h gamma)
     = Tr(h aa) + (1 + sqrt(h)) dx Tr(h aa aa) for the symmetric aa. The
@@ -438,7 +358,7 @@ def bcs_energy(cfg: BCSConfig, state: TrialState) -> float:
     aa, b2 = state.aa.values, state.aa.band
     h2 = cfg.h**2
     shift = -cfg.mu if cfg.W is None else h2 * np.asarray(cfg.W.values) - cfg.mu
-    diag, off = _three_point(cfg.mask.inside, h2, 1.0 / dv**2, shift)
+    diag, off = three_point(cfg.mask.inside, h2, 1.0 / dv**2, shift)
     # the diagonal of h aa, row by row: the stencil terms nearly cancel
     h_aa = diag * aa[:, b2]
     if b2 > 0:  # aa[i - 1, i] and aa[i + 1, i]
@@ -462,67 +382,6 @@ def one_body_density(state: TrialState) -> ScalarField:
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1e-300):
         raise BCSError("one-body density has a negative node")
     return ScalarField(state.cfg.mask.grid, vals)
-
-
-# ---------------------------------------------------------------------------
-# order-parameter extraction
-
-
-def extract_order_parameter(cfg: BCSConfig, alpha: PairKernel):
-    """Project a symmetric pair kernel on the relative ground state, fiber by
-    fiber in the center variable.
-
-    Returns (psi, xi): psi lives on the half-spacing center lattice (zero
-    where the fiber is empty); xi is the remainder kernel on the product
-    grid, fiberwise orthogonal to the pair wavefunction. The decomposition
-    satisfies |alpha|^2 = h^(2-d) |psi|^2 + |xi|^2 up to the quadrature
-    wobble of the sampled pair-wave normalization (~1e-9 relative).
-    """
-    if alpha.grid_x != cfg.mask.grid or alpha.grid_y != cfg.mask.grid:
-        raise BCSError("kernel lives on a different grid")
-    alpha.check_symmetric(tol=1e-10)
-    frame = COMFrame.build(cfg)
-    a_mat = np.asarray(alpha.values, dtype=float)
-    both = frame.inside[:, None] & frame.inside[None, :]
-    if np.any(np.abs(a_mat[~both]) > 0):
-        raise BCSError("kernel has support outside the product domain")
-
-    psi_vals = np.zeros(2 * frame.n - 1)
-    xi = np.zeros_like(a_mat)
-    for u, i, j, a_fiber in _fibers(cfg, frame):
-        slice_vals = a_mat[i, j]
-        # psi(X) = h^{-1} int alpha_*(r/h) alpha~(X, r) dr over the fiber
-        psi_vals[u] = (float(np.sum(a_fiber * slice_vals)) * (2.0 * frame.dx)
-                       / cfg.h)
-        xi[i, j] = slice_vals - psi_vals[u] * a_fiber  # h^{1-d} = 1 at d=1
-    psi_field = ScalarField(frame.half_grid(), psi_vals)
-    return psi_field, PairKernel(cfg.mask.grid, cfg.mask.grid, xi)
-
-
-def _fibers(cfg: BCSConfig, frame: COMFrame):
-    """Each nonempty center fiber u: (u, i, j, alpha_*((x_i - x_j)/h)), the
-    pair wave from the spline of the continuum relative state."""
-    gs = cfg.relative_state()
-    for u in range(2 * frame.n - 1):
-        i, j, v = frame.pair_indices(u)
-        if i.size:
-            yield u, i, j, gs.evaluate(v * frame.dx / cfg.h)
-
-
-def com_norm_split(cfg: BCSConfig, alpha: PairKernel, psi: ScalarField,
-                   xi: PairKernel) -> dict:
-    """Both sides of the norm identity for a decomposition from
-    ``extract_order_parameter``."""
-    dx = cfg.mask.grid.spacing[0]
-    norm_alpha = float(np.sum(np.abs(alpha.values) ** 2)) * dx * dx
-    norm_xi = float(np.sum(np.abs(xi.values) ** 2)) * dx * dx
-    norm_psi = float(np.sum(np.abs(psi.values) ** 2)) * (dx / 2.0)
-    return {
-        "alpha_sq": norm_alpha,
-        "psi_sq": norm_psi,
-        "xi_sq": norm_xi,
-        "identity_gap": norm_alpha - (cfg.h * norm_psi + norm_xi),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +444,11 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
     _check_support(cfg, psi)
     if cfg.W is None:
         raise BCSError("the field comparison needs a nonzero W")
+    # even only up to the eigensolve's rounding; made exactly even once, it
+    # gives both the kernel (exactly symmetric, as ``_band_square`` takes it
+    # to be) and the lattice quadratures that each identity compares it with
     a_lat = lattice_pair_field(matched, cfg.phi, h)
+    a_lat = 0.5 * (a_lat + a_lat[::-1])
     inside = cfg.mask.inside
     box = np.ones(inside.size, dtype=bool)
     dv = cfg.mask.grid.spacing[0]
@@ -604,7 +467,7 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
 
         # (i) quadratic trace: free product -Lap (three-point stencil on the
         # whole box), kernels vanish well inside
-        neg_lap = _three_point(box, 1.0, inv_dx2)
+        neg_lap = three_point(box, 1.0, inv_dx2)
         a_t = _band_transpose(a_band)
         neg_lap_a = (_stencil_sum(a_band, a_band, *neg_lap)
                      + _stencil_sum(a_t, a_t, *neg_lap))
@@ -631,7 +494,7 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
         # aa^T = aa
         aa = _band_square(a_band, dv)
         tr_q = float(np.sum(np.square(aa))) * dv * dv  # Tr (a abar)^2
-        hker = _three_point(box, h2, inv_dx2, matched.E_b + h2 * wdiag)
+        hker = three_point(box, h2, inv_dx2, matched.E_b + h2 * wdiag)
         tr_qh = _stencil_sum(aa, aa, *hker) * dv * dv
 
         rhs_qh = g_bcs_a / h * norms["l4_4"]

@@ -311,10 +311,11 @@ def _exp_twobody(cfg):
 def _pair_setup(cfg, q_default: float, d_of, mode_with_w: bool,
                 needs_w: bool = False) -> tuple:
     """What the pair-state experiments share, from the shared keys: one
-    ``BCSConfig`` per h (largest first), the domain eroded by ell(h) at the
-    largest h, and the onset mode there, which includes W only when
-    ``mode_with_w``. D is ``d_of`` its threshold. With ``needs_w``, a W that
-    is absent or zero everywhere is refused before any solve."""
+    ``BCSConfig`` per h (largest first), the domain eroded by the largest
+    ell(h) (ell = q h ln(1/h) peaks at h = 1/e, not at the largest h), and
+    the onset mode there, which includes W only when ``mode_with_w``. D is
+    ``d_of`` its threshold. With ``needs_w``, a W that is absent or zero
+    everywhere is refused before any solve."""
     mask = build_domain(_require(cfg, "domain", "config"))
     if mask.grid.dim != 1:
         raise ConfigError("pair-state experiments need a 1D domain")
@@ -337,7 +338,7 @@ def _pair_setup(cfg, q_default: float, d_of, mode_with_w: bool,
                               f"exceed the {MAX_GRID_NODES}-entry budget")
         for c in configs:
             pairing.micro_lattice_k_max(c.micro_step, c.micro_halfwidth)
-        inner = erode(mask, configs[0].ell)
+        inner = erode(mask, ell)
     except (bcs.BCSError, pairing.PairingError, GeometryError) as exc:
         raise ConfigError(str(exc)) from exc
     if needs_w and (w is None or not np.any(w.values)):

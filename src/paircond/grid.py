@@ -1,5 +1,4 @@
-"""Uniform Cartesian lattices, fields and pair kernels on them, and the L2
-pairing.
+"""Uniform Cartesian lattices, fields on them, and the L2 pairing.
 
 Grids are node-centered: the first and last node of every axis sit exactly on
 the box bounds. Quadrature (``Grid.weights``) is the tensor trapezoid rule,
@@ -143,34 +142,6 @@ class ScalarField:
     def check_finite(self):
         if not np.all(np.isfinite(self.values)):
             raise GridError("field contains non-finite values")
-
-
-@dataclass
-class PairKernel:
-    """Scalar per node pair of a product grid (same grid for both factors)."""
-
-    grid_x: Grid
-    grid_y: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        expected = self.grid_x.shape + self.grid_y.shape
-        if self.values.shape != expected:
-            raise GridError(
-                f"kernel shape {self.values.shape} does not match grids {expected}"
-            )
-
-    def check_symmetric(self, tol: float = 1e-12):
-        """Hermitian check: kernel(x, y) == conj(kernel(y, x))."""
-        if self.grid_x != self.grid_y:
-            raise GridError("symmetry check requires identical grids")
-        v = self.values
-        axes = tuple(range(v.ndim // 2, v.ndim)) + tuple(range(v.ndim // 2))
-        dev = np.max(np.abs(v - np.conj(np.transpose(v, axes))))
-        scale = max(np.max(np.abs(v)), 1.0)
-        if dev > tol * scale:
-            raise GridError(f"kernel not symmetric: max deviation {dev:.3e}")
 
 
 def _require_same_grid(f: ScalarField, g: ScalarField):

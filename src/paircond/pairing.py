@@ -9,7 +9,7 @@ works on its samples. ``solve_relative`` solves a fine box for continuum
 values; ``matched_relative_state`` solves the micro lattice (spacing / h)
 whose three-point stencil the product-grid kernels induce, where the
 couplings, the cut pair field and its energy are exact. A spline
-(``evaluate``) samples the state off its nodes, for extraction. The state
+(``evaluate``) samples the state off its nodes. The state
 decays exponentially, and ``solve_relative`` checks that it has at the box
 boundary.
 """
@@ -157,7 +157,7 @@ class RelativeGroundState:
     @cached_property
     def _spline(self):
         # imported here: scipy.interpolate loads scipy.optimize, about 0.2 s
-        # of every CLI start, and only order-parameter extraction needs it
+        # of every CLI start, and no experiment evaluates the spline
         from scipy.interpolate import CubicSpline
         return CubicSpline(self.grid.axis(0), self.alpha_star.values)
 

@@ -2,20 +2,25 @@
 
 Operators are second-order central-difference stencils restricted to the
 interior nodes of a mask, with zero Dirichlet values on the outside. A
-one-dimensional operator is tridiagonal, and its smallest eigenpair comes
-from one LAPACK call: bisection by Sturm counts (stebz) picks the eigenvalue
-of index 0, which certifies it as the smallest, and inverse iteration
-(stein) gives its vector. Every other operator takes ARPACK in shift-invert
-mode (Ericsson & Ruhe 1980; Lehoucq, Sorensen & Yang 1998) on one certified
-factor of the shifted matrix A - sigma I. The shift starts from the caller's
-estimate of the smallest eigenvalue lambda_1, a little below it: close to
-lambda_1, ARPACK needs the fewest solves. The factor is certified when it
-proves A - sigma I positive definite, that is sigma below every eigenvalue,
-and then the eigenvalue nearest sigma is the smallest. A shift the
-certificate refuses costs one more factorization, at the shift just under
-the Gershgorin lower bound, which lies below the spectrum by construction.
+one-dimensional operator is the tridiagonal (d, e) of ``three_point``, with
+no sparse matrix, and its smallest eigenpair comes from inverse iteration on
+LAPACK's LDL^T factor of T - sigma I (pttrf, pttrs; Parlett, The Symmetric
+Eigenvalue Problem, 1998, ch. 4). The shift sigma starts at the Gershgorin
+floor and is raised to rho - r (Rayleigh quotient rho, residual r) after each
+solve, but only where pttrf completes with a positive, finite diagonal: that
+factor proves sigma < lambda_1, so lambda_1 lies in (sigma, rho].
 
-Every factorization is a call of ``splu``, one certified factor for
+Every other operator takes ARPACK in shift-invert mode (Ericsson & Ruhe
+1980; Lehoucq, Sorensen & Yang 1998) on one certified factor of the shifted
+matrix A - sigma I. The shift starts from the caller's estimate of the
+smallest eigenvalue lambda_1, a little below it: close to lambda_1, ARPACK
+needs the fewest solves. The factor is certified when it proves
+A - sigma I positive definite, that is sigma below every eigenvalue, and
+then the eigenvalue nearest sigma is the smallest. A shift the certificate
+refuses costs one more factorization, at the shift just under the
+Gershgorin lower bound, which lies below the spectrum by construction.
+
+Every sparse factorization is a call of ``splu``, one certified factor for
 symmetric positive-definite matrices. A stencil in the natural node order
 has a narrow band, b = max |i - j| (1 in 1D, about the row width in 2D),
 and up to ``MAX_CHOLESKY_BAND`` it is factored by banded Cholesky (LAPACK
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.sparse.linalg import splu as superlu
 
@@ -53,7 +58,8 @@ from .geometry import DomainMask, GeometryError
 from .grid import ScalarField
 
 
-# LU solves that one eigensolve may make before it reports no convergence
+# LU solves (pttrs solves on a tridiagonal) that one eigensolve may make
+# before it reports no convergence
 MAX_LU_SOLVES = 400
 # ARPACK's Lanczos basis size on a solve given a start vector (clamped to the
 # operator's size); a solve with no start keeps ARPACK's default of 20
@@ -66,19 +72,49 @@ class SpectralError(RuntimeError):
 
 @dataclass
 class StencilOperator:
-    """Symmetric stencil c * Laplacian + potential + shift on a mask."""
+    """Symmetric stencil c * Laplacian + potential + shift on a mask: the
+    sparse ``csr`` matrix, or on a 1D mask the tridiagonal ``bands`` (d, e),
+    e = 0 across a gap, whose ``matrix`` is made only when asked for."""
 
     mask: DomainMask
-    matrix: sparse.csr_matrix
+    csr: sparse.csr_matrix | None = None
+    bands: tuple | None = None
+
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        if self.csr is None:
+            d, e = self.bands
+            self.csr = sparse.diags((e, d, e), (-1, 0, 1), format="csr")
+        return self.csr
 
     @property
     def n_unknowns(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self.bands is None else self.bands[0].size
 
     def norm_estimate(self) -> float:
         """Gershgorin bound on the spectral radius."""
-        m = self.matrix
-        return float(np.max(np.abs(m).sum(axis=1)))
+        if self.bands is None:
+            return float(np.max(np.abs(self.matrix).sum(axis=1)))
+        d, e = self.bands
+        return float(np.max(np.abs(d) + _radius(e)))
+
+
+def _radius(e: np.ndarray) -> np.ndarray:
+    """The Gershgorin radius |e_(i-1)| + |e_i| of each row of a tridiagonal
+    with couplings e."""
+    a = np.abs(e)
+    return np.concatenate((a, [0.0])) + np.concatenate(([0.0], a))
+
+
+def three_point(inside: np.ndarray, c: float, inv_dx2: float,
+                shift=0.0) -> tuple:
+    """(diagonal, off-diagonal) of the tridiagonal -c Lap + shift on the
+    nodes of a 1D box, Dirichlet on ``inside``: rows and columns of outside
+    nodes are zero. Each diagonal entry is summed, 2 c/dx^2 + shift, before
+    it is used: the kinetic and potential parts may nearly cancel."""
+    diag = np.where(inside, c * (2.0 * inv_dx2) + shift, 0.0)
+    off = np.where(inside[:-1] & inside[1:], -c * inv_dx2, 0.0)
+    return diag, off
 
 
 def assemble_dirichlet(
@@ -90,13 +126,21 @@ def assemble_dirichlet(
     """c Laplacian + potential + shift on the interior nodes of ``mask``, c =
     ``laplacian_coefficient``, with zero Dirichlet values outside: neighbours
     along axis a couple by c / h_a^2, and the diagonal is
-    c (-2 sum_a 1 / h_a^2), plus the potential, plus the shift."""
+    c (-2 sum_a 1 / h_a^2), plus the potential, plus the shift. On a 1D mask
+    the operator is its tridiagonal (d, e), from ``three_point``."""
     if mask.count == 0:
         raise GeometryError("mask has no interior nodes")
     if potential is not None and potential.grid != mask.grid:
         raise SpectralError("potential lives on a different grid")
     grid = mask.grid
     inside = mask.inside
+    pot = 0.0 if potential is None else np.asarray(potential.values)
+    if grid.dim == 1:
+        diag, off = three_point(inside, -laplacian_coefficient,
+                                1.0 / grid.spacing[0] ** 2, pot)
+        nodes = np.flatnonzero(inside)
+        return StencilOperator(mask, bands=(diag[nodes] + shift,
+                                            off[nodes[:-1]]))
     n_in = mask.count
     index = -np.ones(grid.shape, dtype=np.int64)
     index[inside] = np.arange(n_in)
@@ -120,7 +164,7 @@ def assemble_dirichlet(
 
     diag = laplacian_coefficient * diag
     if potential is not None:
-        diag = diag + np.asarray(potential.values)[inside]
+        diag = diag + pot[inside]
     if shift != 0.0:
         diag = diag + shift
     rows.append(np.arange(n_in))
@@ -292,8 +336,8 @@ def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None,
     for flips the nodes with k >= n_a // 2 along every flipped axis, and on
     the scan's product grid the quarter whose natural node order has the
     narrower band (114 against 227 at h = 0.035). A one-dimensional mask
-    gets the trivial group: its operator is tridiagonal and solved by one
-    LAPACK call, which halving would not speed up."""
+    gets the trivial group: its operator is the tridiagonal (d, e), whose
+    inverse iteration costs O(n) a step, and is not folded."""
     grid, inside, n = mask.grid, mask.inside, mask.grid.n
     if generators is None:
         generators = [((a,), False) for a in range(grid.dim)]
@@ -458,6 +502,88 @@ def _eigsh_lu(solve, n: int, what: str, shift_invert=None, **kwargs) -> tuple:
     return float(vals[0]), vecs[:, 0], solves
 
 
+def _tridiagonal_factor(d: np.ndarray, e: np.ndarray, sigma: float) -> tuple:
+    """LAPACK pttrf's L D L^T factor of T - sigma I, T the finite tridiagonal
+    (d, e), n >= 2. D is positive and finite, the certificate, only for
+    sigma below lambda_1(T) up to rounding (Higham 2002, Thm 10.3); anything
+    else raises SpectralError. pttrf passes a NaN, which ends in D[-1]."""
+    diag, off, info = lapack.dpttrf(d - sigma, e)
+    if info != 0 or not diag[-1] < np.inf:
+        raise SpectralError(f"shift {sigma:.6g} is not certified below the "
+                            "spectrum: its pttrf factor has a nonpositive "
+                            "or nonfinite pivot")
+    return diag, off
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, sigma: float,
+                       target, floor: float) -> tuple:
+    """(rho, v, sigma, solves) of one block of ``_tridiagonal_ground`` (no
+    zero coupling), from a shift sigma below its spectrum. Each step solves
+    (T - sigma I) w = v; as T w = v + sigma w, u = w / |w| has Rayleigh
+    quotient rho = sigma + c and residual r = |v - c w| / |w|, c = v.w / w.w.
+    sigma rises to rho - r where that factor is certified. The start is
+    positive in D T D, D = diag(+-1) making every coupling negative, so not
+    orthogonal to the ground vector. The iteration stops once r meets
+    ``target``(rho) and reaches ``floor`` or stops halving; a last factor
+    certifies lambda_1 > rho - target."""
+    if d.size == 1:  # exact
+        return float(d[0]), np.ones(1), sigma, 0
+    factor = _tridiagonal_factor(d, e, sigma)
+    v = np.concatenate(([1.0], np.cumprod(-np.sign(e))))
+    r_last = np.inf
+    for solves in range(1, MAX_LU_SOLVES + 1):
+        w = lapack.dpttrs(*factor, v)[0]
+        ww = w @ w
+        c = (v @ w) / ww
+        size, x = ww ** 0.5, v - c * w
+        rho, r = sigma + c, (x @ x) ** 0.5 / size
+        v = w / size
+        if r <= target(rho) and (r <= floor or 2 * r > r_last):
+            break
+        r_last = r
+        if rho - r > sigma:
+            try:
+                factor, sigma = _tridiagonal_factor(d, e, rho - r), rho - r
+            except SpectralError:  # rho - r is not below lambda_1
+                pass
+    else:
+        raise SpectralError(f"tridiagonal eigensolver failed to converge in "
+                            f"{MAX_LU_SOLVES} pttrs solves")
+    cut = rho - target(rho)
+    if cut > sigma:
+        try:
+            _tridiagonal_factor(d, e, cut)
+        except SpectralError as exc:
+            raise SpectralError(f"Rayleigh quotient {rho:.6g} is not certified "
+                                f"as the smallest eigenvalue: {exc}") from exc
+        sigma = cut
+    return rho, v, sigma, solves
+
+
+def _tridiagonal_ground(d: np.ndarray, e: np.ndarray, target,
+                        floor: float) -> tuple:
+    """(rho, v, sigma, solves): a unit ground vector v of the tridiagonal
+    (d, e), its Rayleigh quotient rho, a shift sigma certified below
+    lambda_1, and the pttrs solves. Like stebz, T splits at zero couplings;
+    each block is solved from T's Gershgorin floor by ``_inverse_iteration``,
+    and v is the vector of the block of least rho, zero elsewhere."""
+    lower = float(np.min(d - _radius(e)))
+    sigma = lower - 1e-3 * abs(lower) - floor
+    cuts = np.concatenate(([0], np.flatnonzero(e == 0) + 1, [d.size]))
+    best, sigmas, solves = None, [], 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rho, v, low, k = _inverse_iteration(d[lo:hi], e[lo:hi - 1], sigma,
+                                            target, floor)
+        sigmas.append(low)
+        solves += k
+        if best is None or rho < best[0]:
+            best = (rho, lo, hi, v)
+    rho, lo, hi, v = best
+    if hi - lo < d.size:
+        v = np.concatenate((np.zeros(lo), v, np.zeros(d.size - hi)))
+    return rho, v, min(sigmas), solves
+
+
 def smallest_eigenpair(
     op: StencilOperator,
     tol: float = 1e-10,
@@ -470,10 +596,13 @@ def smallest_eigenpair(
     ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est),
     and lam is its Rayleigh quotient.
 
-    A one-dimensional (tridiagonal) operator is solved by LAPACK stebz +
-    stein: bisection by Sturm counts picks the eigenvalue of index 0, so the
-    smallest, and inverse iteration gives its vector. No LU solve is made,
-    and ``iterations`` is 0.
+    A one-dimensional (tridiagonal) operator is solved by inverse iteration
+    on LAPACK pttrf/pttrs (``_tridiagonal_ground``): from the Gershgorin
+    floor, the shift is raised to rho - r after each solve wherever its
+    factor certifies it below lambda_1, and a last factor certifies
+    lambda_1 > lam - target. The iteration runs to the residual target and
+    on to the rounding floor. No sparse matrix is made; ``iterations``
+    counts the pttrs solves, ``MAX_LU_SOLVES`` caps those of each block.
 
     Every other operator takes ARPACK shift-invert on one certified factor
     of A - sigma I (``shifted_factor``), whose completion proves that sigma
@@ -493,8 +622,7 @@ def smallest_eigenpair(
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
-    mat = op.matrix
-    n = mat.shape[0]
+    n = op.n_unknowns
     arpack_start = {}
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -509,14 +637,29 @@ def smallest_eigenpair(
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
     # below the floating-point floor eps * ||A||
     eps_floor = 32 * np.finfo(float).eps * norm_est
-    if op.mask.grid.dim == 1 or n == 1:  # tridiagonal
-        try:
-            _, vecs = eigh_tridiagonal(mat.diagonal(), mat.diagonal(1),
-                                       select="i", select_range=(0, 0))
-        except LinAlgError as exc:  # stein: inverse iteration failed
-            raise SpectralError(f"tridiagonal eigensolver failed: {exc}") from exc
-        v, solves, how = vecs[:, 0], 0, "by stebz + stein"
+
+    def target_of(lam, unit=1.0, norm=norm_est, floor=eps_floor):
+        return max(tol * min(norm, max(unit, abs(lam))), floor)
+
+    # a power of two near ||A||_est: a residual, or a tridiagonal solved,
+    # scaled by it, exactly, cannot overflow for a huge potential
+    scale = np.frexp(norm_est)[1]
+    bands = op.bands
+    if bands is None and n == 1:
+        bands = (op.matrix.diagonal(), np.zeros(0))
+    if bands is not None:
+        d, e = bands
+        # the target in the scaled units, exactly
+        units = np.ldexp((1.0, norm_est, eps_floor), -scale)
+        _, v, _, solves = _tridiagonal_ground(
+            np.ldexp(d, -scale), np.ldexp(e, -scale),
+            lambda rho: target_of(rho, *units), units[2] / 32)
+        av = d * v
+        av[1:] += e * v[:-1]
+        av[:-1] += e * v[1:]
+        how = f"in {solves} pttrs solves"
     else:
+        mat = op.matrix
         for estimate in np.atleast_1d(() if sigma is None else sigma):
             try:
                 lu = shifted_factor(mat, estimate)
@@ -535,15 +678,12 @@ def smallest_eigenpair(
         _, v, solves = _eigsh_lu(lu.solve, n, f"eigensolver (shift {sigma:.6g})",
                                  shift_invert=mat, sigma=sigma, which="LM",
                                  tol=arpack_tol, **arpack_start)
+        av = mat @ v
         how = f"in {solves} LU solves (shift {sigma:.6g})"
-    av = mat @ v
     lam = float(v @ av)
-    # scaled by a power of two near ||A||_est, exactly, so that the sum of
-    # squares cannot overflow for a huge potential
-    scale = np.frexp(norm_est)[1]
     residual = float(np.ldexp(np.linalg.norm(np.ldexp(av - lam * v, -scale)),
                               scale))
-    target = max(tol * min(norm_est, max(1.0, abs(lam))), eps_floor)
+    target = target_of(lam)
     if residual > target:
         raise SpectralError(f"eigensolver did not converge {how}: residual "
                             f"{residual:.3e}, target {target:.3e}")

@@ -9,12 +9,19 @@ import numpy as np
 from scipy.integrate import quad
 
 from conftest import POSCHL_TELLER
+from order_parameter import (
+    COMFrame,
+    PairKernel,
+    com_norm_split,
+    extract_order_parameter,
+    pair_kernel_matrix,
+)
 from paircond import bcs
 from paircond import geometry as geo
 from paircond import gp
 from paircond import pairing as pr
 from paircond import twobody as tb
-from paircond.grid import Grid, PairKernel, ScalarField, inner_product
+from paircond.grid import Grid, ScalarField, inner_product
 from paircond.reporting import fit_power_law
 from paircond.spectral import hardy_quotient, onset_threshold
 
@@ -161,15 +168,15 @@ def test_07_decomposition_identities(bcs_domain, pt_state):
     inner = geo.erode(bcs_domain, cfg.ell)
     mode = onset_threshold(inner, tol=1e-10)
     psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
-    frame = bcs.COMFrame.build(cfg)
+    frame = COMFrame.build(cfg)
     psi_half = frame.interpolate_to_centers(psi)
-    amat = bcs._pair_kernel_matrix(
+    amat = pair_kernel_matrix(
         cfg, psi_half, lambda v: pt_state.evaluate(v * frame.dx / cfg.h),
         frame).dense()
     alpha = PairKernel(bcs_domain.grid, bcs_domain.grid, amat)
-    extracted, xi = bcs.extract_order_parameter(cfg, alpha)
+    extracted, xi = extract_order_parameter(cfg, alpha)
     round_trip = float(np.max(np.abs(extracted.values - psi_half)))
-    split = bcs.com_norm_split(cfg, alpha, extracted, xi)
+    split = com_norm_split(cfg, alpha, extracted, xi)
     identity = abs(split["identity_gap"]) / split["alpha_sq"]
 
     # nonconvex decay: two intervals, generic symmetric kernel
@@ -184,9 +191,9 @@ def test_07_decomposition_identities(bcs_domain, pt_state):
     def gap_ratios(h):
         c2 = bcs.BCSConfig(mask2, POSCHL_TELLER, None, h=h, D=0.0, q=1.0,
                            relative=pt_state)
-        psi_x, _ = bcs.extract_order_parameter(
+        psi_x, _ = extract_order_parameter(
             c2, PairKernel(grid, grid, kern))
-        fr = bcs.COMFrame.build(c2)
+        fr = COMFrame.build(c2)
         pts = mask2.interior_points()[:, 0]
         out = []
         for u, X in enumerate(fr.centers()):

@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 from scipy import linalg, sparse
 
 from conftest import POSCHL_TELLER
+from order_parameter import (
+    COMFrame,
+    PairKernel,
+    com_norm_split,
+    extract_order_parameter,
+    pair_kernel_matrix,
+)
 from paircond import bcs
 from paircond import geometry as geo
 from paircond import gp
-from paircond.grid import Grid, PairKernel, ScalarField
+from paircond.grid import Grid, ScalarField
 from paircond.pairing import lattice_pair_field, potential_from_descriptor
 from paircond.spectral import assemble_dirichlet, onset_threshold
 
@@ -27,9 +34,9 @@ def trial_setup(bcs_domain, pt_state):
 
 def product_kernel(cfg, psi_field, gs):
     """Uncut kernel psi((x+y)/2) alpha((x-y)/h) from the continuum state."""
-    frame = bcs.COMFrame.build(cfg)
+    frame = COMFrame.build(cfg)
     psi_half = frame.interpolate_to_centers(psi_field)
-    mat = bcs._pair_kernel_matrix(
+    mat = pair_kernel_matrix(
         cfg, psi_half,
         lambda v: gs.evaluate(v * frame.dx / cfg.h), frame,
     ).dense()
@@ -141,7 +148,7 @@ class TestExtraction:
         mode = onset_threshold(inner, tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
         alpha, psi_half = product_kernel(cfg, psi, pt_state)
-        extracted, xi = bcs.extract_order_parameter(cfg, alpha)
+        extracted, xi = extract_order_parameter(cfg, alpha)
         assert np.max(np.abs(extracted.values - psi_half)) < 1e-8
         dv = cfg.mask.grid.spacing[0]
         assert np.sqrt(np.sum(xi.values**2)) * dv < 1e-8
@@ -154,8 +161,8 @@ class TestExtraction:
         f = np.where(bcs_domain.inside, np.sin(np.pi * x / 4.0) ** 2, 0.0)
         kern = np.outer(f, f) * np.exp(-((x[:, None] - x[None, :]) / 0.3) ** 2)
         alpha = PairKernel(bcs_domain.grid, bcs_domain.grid, kern)
-        psi_x, xi = bcs.extract_order_parameter(cfg, alpha)
-        split = bcs.com_norm_split(cfg, alpha, psi_x, xi)
+        psi_x, xi = extract_order_parameter(cfg, alpha)
+        split = com_norm_split(cfg, alpha, psi_x, xi)
         assert abs(split["identity_gap"]) < 1e-8 * split["alpha_sq"]
 
     def test_fiber_orthogonality(self, bcs_domain, pt_state):
@@ -165,9 +172,9 @@ class TestExtraction:
         mode = onset_threshold(inner, tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
         alpha, _ = product_kernel(cfg, psi, pt_state)
-        _, xi = bcs.extract_order_parameter(cfg, alpha)
+        _, xi = extract_order_parameter(cfg, alpha)
         # <alpha_*(./h), xi(X, .)> on each center fiber X
-        frame = bcs.COMFrame.build(cfg)
+        frame = COMFrame.build(cfg)
         products = []
         for u in range(2 * frame.n - 1):
             i, j, v = frame.pair_indices(u)
@@ -183,7 +190,7 @@ class TestExtraction:
         idx = np.flatnonzero(bcs_domain.inside)
         kern[idx[10], idx[40]] = 1.0
         with pytest.raises(Exception):
-            bcs.extract_order_parameter(
+            extract_order_parameter(
                 cfg, PairKernel(bcs_domain.grid, bcs_domain.grid, kern))
 
     def test_nonconvex_exponential_decay(self, pt_state):
@@ -199,9 +206,9 @@ class TestExtraction:
         f = np.where(inside, np.sin(np.pi * np.clip(x, 0, 1)) + 0.5, 0.0)
         kern = np.outer(f, f)
         alpha = PairKernel(grid, grid, kern * (inside[:, None] & inside[None, :]))
-        psi_x, _ = bcs.extract_order_parameter(cfg, alpha)
+        psi_x, _ = extract_order_parameter(cfg, alpha)
 
-        frame = bcs.COMFrame.build(cfg)
+        frame = COMFrame.build(cfg)
         centers = frame.centers()
         dx = frame.dx
         rho = pt_state.rho_star
@@ -515,6 +522,38 @@ class TestSemiclassics:
         for name, terms in dense_semiclassics_terms(cfg, psi).items():
             scale = max(abs(t) for t in terms)
             assert abs(getattr(rep, name) - sum(terms)) <= 1e-12 * scale, name
+
+    def test_kernel_and_quadratures_share_one_even_wave(self, bcs_domain,
+                                                        pt_state, monkeypatch):
+        # the sampled pair wave is even only up to rounding; evened once, it
+        # makes the kernel exactly symmetric, as the mirrored band square
+        # takes it to be, and is the wave the couplings are summed from
+        x = bcs_domain.grid.axis(0)
+        w = ScalarField(bcs_domain.grid,
+                        np.where(bcs_domain.inside,
+                                 10.0 * np.exp(-((x - 2.0) / 0.5) ** 2), 0.0))
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=1.0,
+                            relative=pt_state)
+        mode = onset_threshold(geo.erode(bcs_domain, cfg.ell), tol=1e-10)
+        psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
+        kernels, waves = [], []
+        pair_kernel, couplings = bcs.pair_kernel, bcs.compute_couplings
+
+        def kernel_recording(*args):
+            kernel = pair_kernel(*args)
+            kernels.append(kernel.values)
+            return kernel
+
+        def couplings_recording(state, a):
+            waves.append(a)
+            return couplings(state, a)
+
+        monkeypatch.setattr(bcs, "pair_kernel", kernel_recording)
+        monkeypatch.setattr(bcs, "compute_couplings", couplings_recording)
+        bcs.semiclassics_check(cfg, psi)
+        assert len(kernels) == len(waves) == 1
+        assert np.array_equal(bcs._band_transpose(kernels[0]), kernels[0])
+        assert np.array_equal(waves[0], waves[0][::-1])
 
     def test_identity_small(self, bcs_domain, pt_state):
         x = bcs_domain.grid.axis(0)

@@ -97,7 +97,7 @@ class TestGridBasics:
             Grid.box(1.0, 0.0, 11)
 
     def test_kernel_symmetry_check(self):
-        from paircond.grid import PairKernel
+        from order_parameter import PairKernel
 
         g = Grid.box(0.0, 1.0, 8)
         k = PairKernel(g, g, np.eye(8))

@@ -310,8 +310,9 @@ class TestShift:
         assert abs(res.eigenvalue - lam[0]) <= 1e-10 * abs(lam[0])
 
     def test_tridiagonal_operator_makes_no_factor(self, monkeypatch):
-        # the narrow well of test_narrow_well_ground_state: stebz + stein
-        # solve it, with no LU factor and no ARPACK call
+        # the narrow well of test_narrow_well_ground_state: inverse
+        # iteration on pttrf/pttrs solves it in a handful of solves, with no
+        # sparse factor and no ARPACK call
         m = interval_mask(4001)
         w = np.zeros(4001)
         w[1001] = -2e4
@@ -325,7 +326,7 @@ class TestShift:
 
         monkeypatch.setattr(sp, "eigsh", counting_eigsh)
         res = sp.smallest_eigenpair(op)
-        assert factors == [] and arpack == [] and res.iterations == 0
+        assert factors == [] and arpack == [] and 0 < res.iterations <= 12
         norm = op.norm_estimate()
         target = max(1e-10 * min(norm, max(1.0, abs(res.eigenvalue))),
                      32 * np.finfo(float).eps * norm)
@@ -342,6 +343,128 @@ class TestShift:
                         which="LM", tol=1e-14)
         ref = vecs[:, 0] @ (op.matrix @ vecs[:, 0])
         assert abs(res.eigenvalue - ref) <= 1e-12 * abs(ref)
+
+
+def twin_mask(n, gap):
+    """Two equal intervals of n nodes, ``gap`` outside nodes apart, with an
+    outside node at each end."""
+    inside = np.zeros(2 * n + gap + 2, dtype=bool)
+    inside[1:n + 1] = inside[n + gap + 1:-1] = True
+    return geo.DomainMask(Grid.box(0.0, 1.0, inside.size), inside)
+
+
+class TestTridiagonal:
+    """A 1D operator is its tridiagonal (d, e), solved by inverse iteration
+    on pttrf/pttrs: lambda_1 lies between the last certified shift and the
+    returned Rayleigh quotient, and no sparse matrix is made."""
+
+    @staticmethod
+    def solve(op, monkeypatch):
+        """``smallest_eigenpair(op)`` and the shift that ``_tridiagonal_ground``
+        certified below lambda_1, in the operator's units."""
+        shifts = []
+        ground = sp._tridiagonal_ground
+
+        def recording(*args):
+            out = ground(*args)
+            shifts.append(out[2])
+            return out
+
+        monkeypatch.setattr(sp, "_tridiagonal_ground", recording)
+        res = sp.smallest_eigenpair(op)
+        monkeypatch.undo()
+        scale = np.frexp(op.norm_estimate())[1]
+        return res, float(np.ldexp(shifts[0], scale))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "split", "twin", "single"]),
+           coefficient=st.sampled_from([-1.0, -0.25, 1.0]),
+           scale=st.sampled_from([1e-3, 1.0, 1e4, 1e8, 1e12]))
+    def test_matches_dense_spectrum(self, seed, kind, coefficient, scale):
+        # one or two intervals; many components, single nodes among them;
+        # two equal components with equal potentials (lambda_1 twice); one
+        # node. Rough potentials up to 1e12, Laplacian couplings of either
+        # sign
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            m = random_1d_mask(rng, n=64)
+        elif kind == "split":
+            inside = rng.random(64) < 0.6
+            inside[[0, -1]] = False
+            inside[32] = True
+            m = geo.DomainMask(Grid.box(0.0, 1.0, 64), inside)
+        elif kind == "twin":
+            m = twin_mask(int(rng.integers(2, 30)), int(rng.integers(1, 4)))
+        else:
+            m = geo.DomainMask(Grid.box(0.0, 1.0, 5), np.arange(5) == 2)
+        w = scale * rng.standard_normal(m.grid.shape)
+        if kind == "twin":
+            w = 0.5 * (w + w[::-1])
+        with pytest.MonkeyPatch.context() as mp:
+            op = sp.assemble_dirichlet(m, coefficient, ScalarField(m.grid, w))
+            res, sigma = self.solve(op, mp)
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        norm = op.norm_estimate()
+        slack = 64 * np.finfo(float).eps * norm
+        target = max(1e-10 * min(norm, max(1.0, abs(res.eigenvalue))),
+                     32 * np.finfo(float).eps * norm)
+        assert sigma - slack < dense[0] <= res.eigenvalue + slack
+        assert res.residual <= target
+        assert abs(res.eigenvalue - dense[0]) <= res.residual + slack
+        if kind == "twin":
+            assert abs(dense[1] - dense[0]) <= slack
+        if m.count == 1:
+            assert (res.eigenvalue, res.residual, res.iterations) == (dense[0], 0, 0)
+
+    def test_overshooting_shift_is_refused(self, monkeypatch):
+        # every factor after the Gershgorin one is asked for at a shift
+        # between lambda_1 and lambda_2, close to lambda_2, from which
+        # inverse iteration would find lambda_2: each is refused, and so is
+        # the returned eigenvalue's certificate
+        m = interval_mask(51)
+        x = m.grid.axis(0)
+        op = sp.assemble_dirichlet(m, -1.0, ScalarField(m.grid, 40.0 * x))
+        factor = sp._tridiagonal_factor
+        tried = []
+
+        def overshooting(d, e, sigma):
+            if not tried:  # the Gershgorin shift
+                tried.append("floor")
+                return factor(d, e, sigma)
+            lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            try:
+                out = factor(d, e, lam[0] + 0.9 * (lam[1] - lam[0]))
+            except sp.SpectralError:
+                tried.append("refused")
+                raise
+            tried.append("accepted")
+            return out
+
+        monkeypatch.setattr(sp, "_tridiagonal_factor", overshooting)
+        with pytest.raises(sp.SpectralError, match="not certified as the smallest"):
+            sp.smallest_eigenpair(op)
+        assert tried[0] == "floor" and len(tried) > 2
+        assert set(tried[1:]) == {"refused"}
+
+    def test_relative_solve_builds_no_sparse_matrix(self, monkeypatch):
+        # every scipy.sparse matrix or array constructor raises: neither the
+        # assembly nor the solve of the relative pair problem makes one
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        for name in dir(sparse):
+            if name.endswith(("_matrix", "_array")) or name in (
+                    "diags", "eye", "identity", "spdiags"):
+                monkeypatch.setattr(sparse, name, refuse)
+        from paircond import pairing
+
+        potential = {"kind": "poschl_teller", "depth": 2.0}
+        state = pairing.solve_relative(potential, L=16.0, n=801)
+        assert abs(state.E_b - 1.0) < 1e-3
+        # the guard holds: the sparse matrix of a 1D operator is refused
+        with pytest.raises(AssertionError, match="scipy.sparse"):
+            pairing._box_operator(potential, 16.0, 801).matrix
 
 
 class TestStart:
