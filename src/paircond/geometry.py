@@ -259,18 +259,19 @@ def _rle_encode(bits: np.ndarray) -> list:
     return runs
 
 
+def _count(value) -> int:
+    """``value`` if it is a JSON integer >= 0, else GeometryError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise GeometryError(f"{value!r} is not a nonnegative integer count")
+    return value
+
+
 def _rle_decode(runs: list, size: int) -> np.ndarray:
-    bits = np.zeros(size, dtype=bool)
-    pos = 0
-    val = False
-    for run in runs:
-        if val:
-            bits[pos : pos + run] = True
-        pos += run
-        val = not val
-    if pos != size:
-        raise GeometryError(f"run-length data covers {pos} of {size} nodes")
-    return bits
+    runs = [_count(run) for run in runs]
+    if sum(runs) != size:
+        raise GeometryError(f"run-length data covers {sum(runs)} of {size} "
+                            "nodes")
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
 
 
 def mask_to_json(mask: DomainMask) -> str:
@@ -290,9 +291,9 @@ def mask_from_json(text: str) -> DomainMask:
         grid = Grid(
             tuple(float(v) for v in payload["lower"]),
             tuple(float(v) for v in payload["upper"]),
-            tuple(int(v) for v in payload["n"]),
+            tuple(_count(v) for v in payload["n"]),
         )
-        if int(payload["dim"]) != grid.dim:
+        if _count(payload["dim"]) != grid.dim:
             raise GeometryError("declared dim does not match bounds")
         inside = _rle_decode(payload["inside"], grid.size).reshape(grid.shape)
     except (KeyError, TypeError, GridError) as exc:

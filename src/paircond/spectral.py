@@ -12,18 +12,19 @@ factor proves sigma < lambda_1, so lambda_1 lies in (sigma, rho].
 
 Every other operator takes ARPACK in shift-invert mode (Ericsson & Ruhe
 1980; Lehoucq, Sorensen & Yang 1998) on one certified factor of the shifted
-matrix A - sigma I. The shift starts from the caller's estimate of the
-smallest eigenvalue lambda_1, a little below it: close to lambda_1, ARPACK
-needs the fewest solves. The factor is certified when it proves
-A - sigma I positive definite, that is sigma below every eigenvalue, and
-then the eigenvalue nearest sigma is the smallest. A shift the certificate
-refuses costs one more factorization, at the shift just under the
+matrix A - sigma I. The shift is the caller's one estimate of the smallest
+eigenvalue lambda_1, a little below it: close to lambda_1, ARPACK needs the
+fewest solves. The factor is certified when it proves A - sigma I positive
+definite, that is sigma below every eigenvalue, and then the eigenvalue
+nearest sigma is the smallest. With no estimate, or one the certificate
+refuses at the cost of one more factorization, the shift is just under the
 Gershgorin lower bound, which lies below the spectrum by construction.
 
-Every sparse factorization is a call of ``splu``, one certified factor for
-symmetric positive-definite matrices. A stencil in the natural node order
-has a narrow band, b = max |i - j| (1 in 1D, about the row width in 2D),
-and up to ``MAX_CHOLESKY_BAND`` it is factored by banded Cholesky (LAPACK
+Every sparse factorization is a call of ``splu`` (the 1D path's pttrf
+factors are not), one certified factor for symmetric positive-definite
+matrices. A stencil in the natural node order has a narrow band,
+b = max |i - j| (1 in 1D, about the row width in 2D), and up to
+``MAX_CHOLESKY_BAND`` it is factored by banded Cholesky (LAPACK
 pbtrf): the factor completes, with a positive, finite diagonal, only for a
 matrix that is positive definite up to rounding (Higham, Accuracy and
 Stability of Numerical Algorithms, 2002, Thm 10.3). A wider band (3D masks,
@@ -36,8 +37,8 @@ group (``mirror_orbits``, ``Orbits``): the onset solve and each condensate
 component on the flips of a two-dimensional mask, and ``twobody``'s pair
 operator on the exchange and reflection of its product domain.
 
-The Hardy quotient takes ARPACK on one certified factor in every dimension,
-and one more certified factor proves its largest eigenvalue from above.
+The Hardy quotient is 1 / lambda_1 of D K D, D = diag(dist), by the same
+solver, and one more certified factor proves it from above.
 
 Potentials may be any per-node finite field: integrability conditions of the
 continuum theory (W in some L^p class) have no pointwise meaning on a grid
@@ -290,14 +291,14 @@ class Orbits:
                      sigma: float | None = None,
                      start: np.ndarray | None = None) -> EigenResult:
         """Smallest eigenpair of A from ``op``, its isometric stencil B
-        (``stencil``): ``smallest_eigenpair`` of B, which tries the shift
-        estimate ``sigma`` first, then the Gershgorin floor of A's rows
-        (``row_scaled``), and starts from ``start``, a vector of B's length.
-        The eigenvector is S v, unfolded onto the whole grid as v / sqrt(m).
+        (``stencil``): ``smallest_eigenpair`` of B at the shift estimate
+        ``sigma``, or with none at the Gershgorin floor of A's rows
+        (``row_scaled``), started from ``start``, a vector of B's length. A
+        refused estimate falls back to B's own Gershgorin shift. The
+        eigenvector is S v, unfolded onto the whole grid as v / sqrt(m).
         With the trivial group B is A, and the floor the solver's default."""
-        if self.order > 1:
-            floor = gershgorin_shift(self.row_scaled(op.matrix))
-            sigma = floor if sigma is None else (sigma, floor)
+        if self.order > 1 and sigma is None:
+            sigma = gershgorin_shift(self.row_scaled(op.matrix))
         res = smallest_eigenpair(op, tol=tol, sigma=sigma, start=start)
         v = np.asarray(res.eigenvector.values)[self.reduced.inside]
         field = ScalarField(self.reduced.grid, self.unfold(v / np.sqrt(self.sizes)))
@@ -413,7 +414,7 @@ class splu:
     positive: there the positive, finite pivots are the certificate. Either
     way a refused matrix raises SpectralError, at no extra factorization.
 
-    Every factorization of the program is a call of this name, in
+    Every sparse factorization of the program is a call of this name, in
     ``spectral`` or as ``gp.splu``, which the benchmark's layer tracer and
     the tests wrap to count and time them. It is a class because the tracer
     also wraps every public function of a module: a function would be timed
@@ -475,31 +476,6 @@ def shifted_factor(mat: sparse.spmatrix, sigma: float) -> splu:
     mode the eigenvalue nearest sigma is then the smallest."""
     ident = sparse.identity(mat.shape[0], format="csr")
     return splu(mat - sigma * ident)
-
-
-def _eigsh_lu(solve, n: int, what: str, shift_invert=None, **kwargs) -> tuple:
-    """(eigenvalue, unit eigenvector, LU solves) of ``eigsh(k=1, rng=0)`` on
-    ``solve``, one LU solve per call: the shift-invert inverse of the matrix
-    ``shift_invert``, or else the operator itself. More than MAX_LU_SOLVES
-    solves, or an ArpackError, raise SpectralError naming ``what``."""
-    solves = 0
-
-    def counted(b):
-        nonlocal solves
-        if solves == MAX_LU_SOLVES:
-            raise SpectralError(
-                f"{what} did not converge in {MAX_LU_SOLVES} LU solves")
-        solves += 1
-        return solve(b)
-
-    op = LinearOperator((n, n), matvec=counted, dtype=float)
-    if shift_invert is not None:  # eigsh(A, OPinv=(A - sigma I)^-1)
-        op, kwargs["OPinv"] = shift_invert, op
-    try:
-        vals, vecs = eigsh(op, k=1, rng=0, **kwargs)
-    except ArpackError as exc:
-        raise SpectralError(f"{what} failed: {exc}") from exc
-    return float(vals[0]), vecs[:, 0], solves
 
 
 def _tridiagonal_factor(d: np.ndarray, e: np.ndarray, sigma: float) -> tuple:
@@ -587,7 +563,7 @@ def _tridiagonal_ground(d: np.ndarray, e: np.ndarray, target,
 def smallest_eigenpair(
     op: StencilOperator,
     tol: float = 1e-10,
-    sigma: float | tuple | None = None,
+    sigma: float | None = None,
     start: np.ndarray | None = None,
 ) -> EigenResult:
     """Lowest eigenpair, certified as the lowest.
@@ -608,10 +584,10 @@ def smallest_eigenpair(
     of A - sigma I (``shifted_factor``), whose completion proves that sigma
     lies below lambda_1. ``MAX_LU_SOLVES`` caps the solves with it;
     ``iterations`` reports them. ``sigma`` belongs to this path: a shift
-    estimate, a little below lambda_1, or a tuple of them in the order to
-    try. The first that the certificate admits is used, and each refused one
-    costs one factorization. The Gershgorin shift of A, which always lies
-    below, is the last resort and the default. ``start``, a nonzero vector
+    estimate a little below lambda_1. If the certificate refuses it, at the
+    cost of one factorization, or none is given, the shift is the Gershgorin
+    shift of A (``gershgorin_shift``), which always lies below and is
+    computed only then. ``start``, a nonzero vector
     of the operator's length, also belongs to this path: ARPACK starts from
     it, with a basis of ``START_NCV`` vectors in place of its default 20. A
     start close to the ground vector only saves solves: the certified shift,
@@ -660,24 +636,38 @@ def smallest_eigenpair(
         how = f"in {solves} pttrs solves"
     else:
         mat = op.matrix
-        for estimate in np.atleast_1d(() if sigma is None else sigma):
+        if sigma is not None:
             try:
-                lu = shifted_factor(mat, estimate)
+                lu = shifted_factor(mat, sigma)
             except SpectralError:  # the estimate is not below lambda_1
-                continue
-            sigma = float(estimate)
-            break
-        else:
+                sigma = None
+        if sigma is None:
             sigma = gershgorin_shift(mat)
             lu = shifted_factor(mat, sigma)
+        what = f"eigensolver (shift {sigma:.6g})"
+        solves = 0
+
+        def solve(b):
+            nonlocal solves
+            if solves == MAX_LU_SOLVES:
+                raise SpectralError(
+                    f"{what} did not converge in {MAX_LU_SOLVES} LU solves")
+            solves += 1
+            return lu.solve(b)
+
         # ARPACK stops when the Ritz estimate of (A - sigma I)^-1 is below
         # arpack_tol * |theta|, which bounds ||A v - lam v|| by
         # ||A - sigma I|| * arpack_tol: aim at the smallest target lam allows
         arpack_tol = (max(tol * min(norm_est, 1.0), eps_floor)
                       / (norm_est + abs(sigma)))
-        _, v, solves = _eigsh_lu(lu.solve, n, f"eigensolver (shift {sigma:.6g})",
-                                 shift_invert=mat, sigma=sigma, which="LM",
-                                 tol=arpack_tol, **arpack_start)
+        try:
+            _, vecs = eigsh(mat, k=1, sigma=sigma, which="LM", tol=arpack_tol,
+                            OPinv=LinearOperator((n, n), matvec=solve,
+                                                 dtype=float),
+                            rng=0, **arpack_start)
+        except ArpackError as exc:
+            raise SpectralError(f"{what} failed: {exc}") from exc
+        v = vecs[:, 0]
         av = mat @ v
         how = f"in {solves} LU solves (shift {sigma:.6g})"
     lam = float(v @ av)
@@ -723,38 +713,40 @@ def hardy_quotient(
 
     mu estimates sup over phi of int d^-2 |phi|^2 / (int |grad phi|^2 +
     lambda int |phi|^2); the implied boundary-decay constant is 2/sqrt(mu).
-    Nodes closer to the complement than one spacing get zero weight, which
-    caps the (never attained) continuum supremum on the grid.
-
-    mu is the largest eigenvalue of S K^-1 S, K = -Lap + lambda (which must
-    be positive definite) and S = diag sqrt(w), by ARPACK on the certified
-    factor of K (``splu``) to a residual of tol/2 mu. mu is a Rayleigh
-    quotient, so mu <= mu_max, and a completed certified factor of
-    K - W / (mu (1 + delta)) proves mu_max < mu (1 + delta). delta =
-    max(tol, 32 eps ||K||_est |phi|^2 / phi^T K phi), phi = K^-1 S v: below
-    that floor rounding could refuse a correct mu.
+    Every inside node lies a spacing or more from the complement, so
+    D = diag(d) is invertible, and phi = D u turns the problem into
+    u = mu D K D u, K = -Lap + lambda: mu = 1 / rho for the smallest
+    eigenpair (rho, u) of the symmetric Z-matrix D K D, by
+    ``smallest_eigenpair`` at the shift 0, whose factor proves K positive
+    definite. rho >= lambda_1 is a Rayleigh quotient, so mu <= mu_max, and a
+    completed certified factor of D K D - rho / (1 + delta) I, congruent to
+    K - W / (mu (1 + delta)), proves mu_max < mu (1 + delta). delta =
+    max(tol, 32 eps ||K||_est |D u|^2 / rho), unit u (= |phi|^2 /
+    phi^T K phi): below that floor rounding could refuse a correct mu.
     """
-    stiff = assemble_dirichlet(mask, -1.0, None, lambda_offset)
-    d = mask.dist[mask.inside]  # at least one spacing
-    ok = d >= min(mask.grid.spacing)
-    if not ok.any():
-        raise SpectralError("no interior nodes clear of the boundary band")
-    s = np.where(ok, 1.0 / d, 0.0)  # S, the square root of the weight
-
-    try:
-        lu = splu(stiff.matrix)
-    except SpectralError as exc:
+    op = assemble_dirichlet(mask, -1.0, None, lambda_offset)
+    norm = op.norm_estimate()
+    d = mask.dist[mask.inside]
+    if op.bands is not None:
+        diag, off = op.bands
+        op.bands = (d * d * diag, d[:-1] * d[1:] * off)
+    else:
+        mat = op.matrix
+        rows = np.repeat(np.arange(d.size), np.diff(mat.indptr))
+        mat.data *= d[rows] * d[mat.indices]
+    res = smallest_eigenpair(op, tol, sigma=0.0)
+    rho = res.eigenvalue
+    if not rho > 0:
         raise SpectralError(f"offset makes the gradient form indefinite "
-                            f"({exc}); increase lambda_offset") from exc
-    mu, v, _ = _eigsh_lu(lambda x: s * lu.solve(s * x), mask.count,
-                         "Hardy quotient", which="LA", tol=tol / 2)
-    phi = lu.solve(s * v)
-    delta = max(tol, 32 * np.finfo(float).eps * stiff.norm_estimate()
-                * float(phi @ phi) / float(phi @ (stiff.matrix @ phi)))
+                            f"(lambda_1(D K D) = {rho:.6g}); increase "
+                            "lambda_offset")
+    u = np.asarray(res.eigenvector.values)[mask.inside]
+    delta = max(tol, 32 * np.finfo(float).eps * norm
+                * float((d * u) @ (d * u)) / (float(u @ u) * rho))
     try:
-        splu(stiff.matrix - sparse.diags(s**2 / (mu * (1.0 + delta))))
+        shifted_factor(op.matrix, rho / (1.0 + delta))
     except SpectralError as exc:
-        raise SpectralError(f"Hardy quotient {mu:.6g} is not certified as the "
-                            f"largest: K - W / (mu (1 + {delta:.1e})) is "
-                            f"indefinite ({exc})") from exc
-    return mu
+        raise SpectralError(f"Hardy quotient {1.0 / rho:.6g} is not certified "
+                            f"as the largest: D K D - rho / (1 + {delta:.1e})"
+                            f" I is indefinite ({exc})") from exc
+    return 1.0 / rho

@@ -158,9 +158,10 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
     domain of its symmetry group (``spectral.Orbits.ground_state``); the
     eigenvector is the G-invariant field on the product grid.
 
-    ``sigma`` is a shift estimate a little below lambda_1, tried before the
-    Gershgorin floor of A's rows at the cost of one more factorization when
-    the factor refuses it. ``asymptotic_scan`` passes the problem's own
+    ``sigma`` is a shift estimate a little below lambda_1. With none the
+    solve shifts to the Gershgorin floor of A's rows; a refused one falls
+    back to the reduced operator's own Gershgorin shift, at the cost of one
+    more factorization. ``asymptotic_scan`` passes the problem's own
     decoupled value -E_b + h^2 D_c with the lattice-matched E_b, lowered by
     ``SHIFT_MARGIN`` E_b. ``start`` is a vector on the reduced mask, in the
     order of its ``field``, that ARPACK starts from (see

@@ -64,6 +64,24 @@ class TestDistance:
         assert np.max(np.abs(np.diff(d, axis=0))) <= dx + dx + 1e-12
         assert np.max(np.abs(np.diff(d, axis=1))) <= dy + dy + 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_inside_nodes_lie_a_spacing_from_the_complement(self, dim, data):
+        # any two nodes are at least the smallest spacing apart, so on any
+        # mask and any spacings d >= min(spacing) inside: spectral's Hardy
+        # quotient divides by d
+        n = data.draw(st.lists(st.integers(3, 12), min_size=dim, max_size=dim))
+        upper = data.draw(st.lists(st.floats(0.01, 100.0), min_size=dim,
+                                   max_size=dim))
+        grid = Grid.box([0.0] * dim, upper, n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        inside = rng.random(grid.shape) < data.draw(st.floats(0.05, 0.95))
+        inside.flat[data.draw(st.integers(0, grid.size - 1))] = True
+        inside.flat[data.draw(st.integers(0, grid.size - 1))] = False
+        mask = geo.DomainMask(grid, inside)
+        if mask.count:
+            assert np.all(mask.dist[mask.inside] >= min(grid.spacing))
+
     def test_degenerate_masks_rejected(self):
         g = Grid.box(0.0, 1.0, 11)
         for inside in (np.ones(11, dtype=bool), np.zeros(11, dtype=bool)):
@@ -167,6 +185,20 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(geo.GeometryError):
             geo.mask_from_json(json.dumps({"dim": 1, "lower": [0.0]}))
+
+    @pytest.mark.parametrize("n, runs", [
+        ([11], [3, 9, -1]),  # decoded to nodes 3-10 by sliced assignment
+        ([41, 41], [41 * 41 + 2, -2]),  # decoded to no interior node
+        ([11], [3, True, 7]),
+        ([11], [3, 1.0, 7]),
+        ([11.5], [3, 1, 7]),  # n truncated to 11
+        ([11], {"runs": 11}),
+    ])
+    def test_counts_must_be_nonnegative_integers(self, n, runs):
+        text = json.dumps({"dim": len(n), "lower": [0.0] * len(n),
+                           "upper": [1.0] * len(n), "n": n, "inside": runs})
+        with pytest.raises(geo.GeometryError):
+            geo.mask_from_json(text)
 
     def test_slit_square_has_slit(self):
         m = geo.slit_square(n=81)

@@ -302,11 +302,11 @@ class TestShift:
         assert len(calls) == 3
         assert refused.eigenvalue == base.eigenvalue
         assert refused.iterations == base.iterations
-        # the first estimate that the pivots admit is used, and no
-        # Gershgorin factor is made
-        near = lam[0] - 0.1 * (lam[1] - lam[0])
-        res = sp.smallest_eigenpair(op, sigma=(0.5 * (lam[0] + lam[1]), near))
-        assert len(calls) == 5
+        # an admitted estimate makes the one factor and no Gershgorin shift
+        floors = []
+        monkeypatch.setattr(sp, "gershgorin_shift", floors.append)
+        res = sp.smallest_eigenpair(op, sigma=lam[0] - 0.1 * (lam[1] - lam[0]))
+        assert len(calls) == 4 and floors == []
         assert abs(res.eigenvalue - lam[0]) <= 1e-10 * abs(lam[0])
 
     def test_tridiagonal_operator_makes_no_factor(self, monkeypatch):
@@ -525,11 +525,10 @@ HARDY_MASKS = {
 
 
 def hardy_dense(m):
-    """Largest eigenvalue of W phi = mu K phi by a dense generalized eigh,
-    with the weights of ``hardy_quotient``."""
+    """Largest eigenvalue of W phi = mu K phi, W = d^-2, by a dense
+    generalized eigh."""
     stiff = sp.assemble_dirichlet(m, -1.0).matrix.toarray()
-    d = m.dist[m.inside]
-    w = np.where(d >= min(m.grid.spacing), 1.0 / d**2, 0.0)
+    w = 1.0 / m.dist[m.inside] ** 2
     return eigh(np.diag(w), stiff, eigvals_only=True,
                 subset_by_index=[m.count - 1, m.count - 1])[0]
 
@@ -549,25 +548,24 @@ class TestHardy:
         assert abs(tight - sp.hardy_quotient(m, 0.0)) <= 1e-8 * tight
 
     def test_refuses_a_smaller_eigenvalue(self, monkeypatch):
-        # an eigensolve that returns the second-largest eigenvalue (2.0854
+        # a solve of D K D that hands back its second eigenpair (mu 2.0854
         # against 2.5625) fails the pivot check of the certificate
         m = interval_mask(201, pad=0.25)
 
-        def second_largest(a, k, **kwargs):
-            vals, vecs = eigsh(a, k=2, **kwargs)
-            return vals[:1], vecs[:, :1]
+        def second(op, tol, sigma=None):
+            vals, vecs = eigh(op.matrix.toarray(), subset_by_index=[1, 1])
+            return sp.EigenResult(vals[0], op.mask.field(vecs[:, 0]), 0.0, 0)
 
-        monkeypatch.setattr(sp, "eigsh", second_largest)
+        monkeypatch.setattr(sp, "smallest_eigenpair", second)
         with pytest.raises(sp.SpectralError, match="not certified"):
             sp.hardy_quotient(m, 0.0)
 
     def test_lu_solve_cap(self, monkeypatch):
-        # one cap serves both eigensolves (a 1D smallest eigenpair makes no
-        # LU solve)
-        m = interval_mask(201, pad=0.25)
+        # one cap serves every eigensolve: Hardy's on a 2D mask as much as
+        # a ground solve (a 1D one makes no LU solve)
         monkeypatch.setattr(sp, "MAX_LU_SOLVES", 5)
         with pytest.raises(sp.SpectralError, match="in 5 LU solves"):
-            sp.hardy_quotient(m, 0.0)
+            sp.hardy_quotient(HARDY_MASKS["square71"](), 0.0)
         with pytest.raises(sp.SpectralError, match="in 5 LU solves"):
             sp.smallest_eigenpair(sp.assemble_dirichlet(small_square(), -1.0))
 
@@ -590,6 +588,16 @@ class TestHardy:
         mu1 = sp.hardy_quotient(interval_mask(401, 0.0, 1.0, pad=0.2), 0.0)
         mu2 = sp.hardy_quotient(interval_mask(401, 0.0, 2.0, pad=0.4), 0.0)
         assert abs(mu1 - mu2) < 5e-3 * mu1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_unknown(self, dim):
+        # one node at distance 1/2 from the walls: mu = 1 / (d^2 K) with
+        # K = 2 dim / (1/2)^2 + lambda
+        grid = Grid.box([0.0] * dim, [1.0] * dim, [3] * dim)
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[(1,) * dim] = True
+        mu = sp.hardy_quotient(geo.DomainMask(grid, inside), 1.0)
+        assert mu == 1.0 / (0.25 * (8.0 * dim + 1.0))
 
     def test_indefinite_offset_rejected(self):
         m = interval_mask(201)

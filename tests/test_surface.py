@@ -134,3 +134,26 @@ def test_ndimage_only_in_geometry_and_only_on_first_use():
             elsewhere.append(module)
     assert not at_import, f"scipy.ndimage imported at module level: {at_import}"
     assert not elsewhere, f"modules other than geometry name ndimage: {elsewhere}"
+
+
+def test_eigsh_only_in_smallest_eigenpair():
+    # one eigen-solve path: ARPACK is imported once, by ``spectral``, and
+    # called only in ``smallest_eigenpair``, whose shift, certificate and
+    # solve cap every eigenvalue the program reports goes through
+    stray = []
+    for path in SOURCES:
+        tree = _parse(path)
+        module = os.path.basename(path)[:-3]
+        bare, attrs = named(tree)
+        uses = bare["eigsh"] + attrs["eigsh"]
+        for node in ast.walk(tree) if module == "spectral" else ():
+            if (isinstance(node, ast.alias) and node.name == "eigsh"
+                    and node.asname is None):
+                uses -= 1
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name == "smallest_eigenpair"):
+                inner_bare, inner_attrs = named(node)
+                uses -= inner_bare["eigsh"] + inner_attrs["eigsh"]
+        if uses:
+            stray.append(f"{module}: {uses}")
+    assert not stray, f"eigsh named outside smallest_eigenpair: {stray}"

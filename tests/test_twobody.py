@@ -182,6 +182,17 @@ class TestGroundEnergy:
         res, full = check_against_full_operator(prob)
         assert res.iterations <= smallest_eigenpair(full, tol=1e-9).iterations
 
+    def test_admitted_estimate_makes_no_gershgorin_floor(self, monkeypatch):
+        # the scan's ground solve at its shift estimate, which the factor
+        # admits, computes no Gershgorin floor of the operator or its rows
+        prob = tb.problem_at(tb.TwoBodyScanConfig(micro_step=0.125), 0.07)
+        sigma = tb._shift_estimate(prob)
+        floors = []
+        monkeypatch.setattr(spectral, "gershgorin_shift", floors.append)
+        res = tb.ground_energy(prob, tol=1e-9, sigma=sigma)
+        assert floors == []
+        assert res.residual <= 1e-9 * max(1.0, abs(res.eigenvalue))
+
     def test_trial_start_saves_lu_solves(self):
         # the h = 0.07 product problem at the scan's shift: started from the
         # diamond trial vector, ARPACK returns the unstarted eigenvalue in
