@@ -71,7 +71,11 @@ def _require(section: dict, key: str, where: str):
 def _coerce(value, like, where: str):
     """``value`` as finite numbers of the type of ``like`` (int or float): a
     number when ``like`` is a number, a nonempty list when ``like`` is a list
-    (a single number then counts as a list of one)."""
+    (a single number then counts as a list of one). Booleans and strings are
+    not numbers, and an int takes only integral values."""
+    if any(isinstance(v, (bool, str))
+           for v in (value if isinstance(value, list) else [value])):
+        raise ConfigError(f"{where} must be numeric, got {value!r}")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -83,6 +87,8 @@ def _coerce(value, like, where: str):
     limit = np.iinfo(np.int64).max if kind is int else np.inf
     if not np.all(np.abs(arr) < limit):  # false for NaN too
         raise ConfigError(f"{where} must be finite and in range, got {value!r}")
+    if kind is int and not np.all(arr == np.round(arr)):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     if isinstance(like, list):
         return [kind(v) for v in np.atleast_1d(arr)]
     return kind(arr)

@@ -266,6 +266,13 @@ def _count(value) -> int:
     return value
 
 
+def _bound(value) -> float:
+    """``value`` if it is a JSON number, else GeometryError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GeometryError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _rle_decode(runs: list, size: int) -> np.ndarray:
     runs = [_count(run) for run in runs]
     if sum(runs) != size:
@@ -289,8 +296,8 @@ def mask_from_json(text: str) -> DomainMask:
     payload = json.loads(text)
     try:
         grid = Grid(
-            tuple(float(v) for v in payload["lower"]),
-            tuple(float(v) for v in payload["upper"]),
+            tuple(_bound(v) for v in payload["lower"]),
+            tuple(_bound(v) for v in payload["upper"]),
             tuple(_count(v) for v in payload["n"]),
         )
         if _count(payload["dim"]) != grid.dim:

@@ -3,34 +3,31 @@
 Operators are second-order central-difference stencils restricted to the
 interior nodes of a mask, with zero Dirichlet values on the outside. A
 one-dimensional operator is the tridiagonal (d, e) of ``three_point``, with
-no sparse matrix, and its smallest eigenpair comes from inverse iteration on
-LAPACK's LDL^T factor of T - sigma I (pttrf, pttrs; Parlett, The Symmetric
-Eigenvalue Problem, 1998, ch. 4). The shift sigma starts at the Gershgorin
-floor and is raised to rho - r (Rayleigh quotient rho, residual r) after each
-solve, but only where pttrf completes with a positive, finite diagonal: that
-factor proves sigma < lambda_1, so lambda_1 lies in (sigma, rho].
+no sparse matrix.
 
-Every other operator takes ARPACK in shift-invert mode (Ericsson & Ruhe
-1980; Lehoucq, Sorensen & Yang 1998) on one certified factor of the shifted
-matrix A - sigma I. The shift is the caller's one estimate of the smallest
-eigenvalue lambda_1, a little below it: close to lambda_1, ARPACK needs the
-fewest solves. The factor is certified when it proves A - sigma I positive
-definite, that is sigma below every eigenvalue, and then the eigenvalue
-nearest sigma is the smallest. With no estimate, or one the certificate
-refuses at the cost of one more factorization, the shift is just under the
-Gershgorin lower bound, which lies below the spectrum by construction.
+Every smallest eigenpair comes from one loop of inverse iteration (Parlett,
+The Symmetric Eigenvalue Problem, 1998, ch. 4 and 11) on one certified
+factor of A - sigma I: LAPACK's L D L^T (pttrf, pttrs) on a tridiagonal,
+``splu`` on any other operator. A factor that completes proves sigma below
+every eigenvalue, so from a start not orthogonal to the ground vector the
+loop converges to lambda_1. The shift is the
+caller's estimate, a little below lambda_1, or the Gershgorin floor, which
+lies below the spectrum by construction. A tridiagonal step costs O(n), so
+there the shift rises to rho - r (Ritz value rho, residual r) wherever its
+factor is certified, and a last factor certifies lambda_1 > rho - target.
+Any other factor costs 10-30 solves, so there sigma stays and each step
+takes the Ritz pair of a window of three iterates.
 
-Every sparse factorization is a call of ``splu`` (the 1D path's pttrf
-factors are not), one certified factor for symmetric positive-definite
-matrices. A stencil in the natural node order has a narrow band,
-b = max |i - j| (1 in 1D, about the row width in 2D), and up to
-``MAX_CHOLESKY_BAND`` it is factored by banded Cholesky (LAPACK
-pbtrf): the factor completes, with a positive, finite diagonal, only for a
-matrix that is positive definite up to rounding (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, Thm 10.3). A wider band (3D masks,
-very wide 2D ones) keeps SuperLU's symmetric LU, whose pivots are all
-positive exactly when the matrix is positive definite (Sylvester's law of
-inertia).
+Every sparse factorization is a call of ``splu`` (the pttrf factors are
+not), one certified factor for symmetric positive-definite matrices. A
+stencil in the natural node order has a narrow band, b = max |i - j| (1 in
+1D, about the row width in 2D), and up to ``MAX_CHOLESKY_BAND`` it is
+factored by banded Cholesky (LAPACK pbtrf): the factor completes, with a
+positive, finite diagonal, only for a matrix that is positive definite up
+to rounding (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+Thm 10.3). A wider band (3D masks, very wide 2D ones) keeps SuperLU's
+symmetric LU, whose pivots are all positive exactly when the matrix is
+positive definite (Sylvester's law of inertia).
 
 A symmetric operator is solved on the fundamental domain of its symmetry
 group (``mirror_orbits``, ``Orbits``): the onset solve and each condensate
@@ -52,19 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.sparse.linalg import splu as superlu
 
 from .geometry import DomainMask, GeometryError
 from .grid import ScalarField
 
 
-# LU solves (pttrs solves on a tridiagonal) that one eigensolve may make
-# before it reports no convergence
+# solves with its factor (LU, or pttrs on a tridiagonal) that one eigensolve
+# may make before it reports no convergence
 MAX_LU_SOLVES = 400
-# ARPACK's Lanczos basis size on a solve given a start vector (clamped to the
-# operator's size); a solve with no start keeps ARPACK's default of 20
-START_NCV = 4
 
 
 class SpectralError(RuntimeError):
@@ -283,7 +276,7 @@ class Orbits:
         its rows are those of A, to which B is similar on the invariant
         fields, and its Gershgorin bound is A's. B's own bound sits lower,
         at its weighted couplings next to the fixed nodes, and a shift that
-        far below lambda_1 costs ARPACK more LU solves."""
+        far below lambda_1 costs the eigensolve more LU solves."""
         s = np.sqrt(self.stab)
         return sparse.diags(s) @ mat @ sparse.diags(1.0 / s)
 
@@ -293,12 +286,17 @@ class Orbits:
         """Smallest eigenpair of A from ``op``, its isometric stencil B
         (``stencil``): ``smallest_eigenpair`` of B at the shift estimate
         ``sigma``, or with none at the Gershgorin floor of A's rows
-        (``row_scaled``), started from ``start``, a vector of B's length. A
+        (``row_scaled``), started from ``start``, a vector of B's length, or
+        with none from S^T 1 = sqrt(m), the fold of the solver's start on A:
+        B's iteration is then A's restricted to the invariant fields. A
         refused estimate falls back to B's own Gershgorin shift. The
         eigenvector is S v, unfolded onto the whole grid as v / sqrt(m).
-        With the trivial group B is A, and the floor the solver's default."""
-        if self.order > 1 and sigma is None:
-            sigma = gershgorin_shift(self.row_scaled(op.matrix))
+        With the trivial group B is A, and the shift and start the solver's
+        defaults."""
+        if self.order > 1:
+            sigma = (gershgorin_shift(self.row_scaled(op.matrix))
+                     if sigma is None else sigma)
+            start = np.sqrt(self.sizes) if start is None else start
         res = smallest_eigenpair(op, tol=tol, sigma=sigma, start=start)
         v = np.asarray(res.eigenvector.values)[self.reduced.inside]
         field = ScalarField(self.reduced.grid, self.unfold(v / np.sqrt(self.sizes)))
@@ -393,8 +391,8 @@ SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 # band factor is 1.6-3x faster than SuperLU's at b = 79-199, but past
 # b = 130 each solve with it is slower, so its lead lasts about 200 solves
 # up to b = 129, 63 at b = 139, 37 at b = 159 and 24 at b = 199. A Newton
-# factor serves about 13 solves and a cold ARPACK start 20-40: past b = 150
-# the band loses on the latter.
+# factor serves about 13 solves and an eigensolve from the Gershgorin floor
+# 10-30: past b = 150 the band loses on the latter.
 MAX_CHOLESKY_BAND = 150
 
 
@@ -472,92 +470,28 @@ def gershgorin_shift(mat: sparse.spmatrix) -> float:
 
 def shifted_factor(mat: sparse.spmatrix, sigma: float) -> splu:
     """Certified factor of ``mat - sigma I`` (``splu``): its completion
-    proves that sigma lies below every eigenvalue of ``mat``. In shift-invert
-    mode the eigenvalue nearest sigma is then the smallest."""
+    proves that sigma lies below every eigenvalue of ``mat``."""
     ident = sparse.identity(mat.shape[0], format="csr")
     return splu(mat - sigma * ident)
 
 
-def _tridiagonal_factor(d: np.ndarray, e: np.ndarray, sigma: float) -> tuple:
+class _TridiagonalFactor:
     """LAPACK pttrf's L D L^T factor of T - sigma I, T the finite tridiagonal
-    (d, e), n >= 2. D is positive and finite, the certificate, only for
-    sigma below lambda_1(T) up to rounding (Higham 2002, Thm 10.3); anything
-    else raises SpectralError. pttrf passes a NaN, which ends in D[-1]."""
-    diag, off, info = lapack.dpttrf(d - sigma, e)
-    if info != 0 or not diag[-1] < np.inf:
-        raise SpectralError(f"shift {sigma:.6g} is not certified below the "
-                            "spectrum: its pttrf factor has a nonpositive "
-                            "or nonfinite pivot")
-    return diag, off
+    (d, e), n >= 2; ``solve(b)`` gives (T - sigma I)^-1 b by pttrs. D is
+    positive and finite, the certificate, only for sigma below lambda_1(T)
+    up to rounding (Higham 2002, Thm 10.3); anything else raises
+    SpectralError. pttrf passes a NaN, which ends in D[-1]."""
 
+    def __init__(self, d: np.ndarray, e: np.ndarray, sigma: float):
+        diag, off, info = lapack.dpttrf(d - sigma, e)
+        if info != 0 or not diag[-1] < np.inf:
+            raise SpectralError(f"shift {sigma:.6g} is not certified below the "
+                                "spectrum: its pttrf factor has a nonpositive "
+                                "or nonfinite pivot")
+        self._factor = diag, off
 
-def _inverse_iteration(d: np.ndarray, e: np.ndarray, sigma: float,
-                       target, floor: float) -> tuple:
-    """(rho, v, sigma, solves) of one block of ``_tridiagonal_ground`` (no
-    zero coupling), from a shift sigma below its spectrum. Each step solves
-    (T - sigma I) w = v; as T w = v + sigma w, u = w / |w| has Rayleigh
-    quotient rho = sigma + c and residual r = |v - c w| / |w|, c = v.w / w.w.
-    sigma rises to rho - r where that factor is certified. The start is
-    positive in D T D, D = diag(+-1) making every coupling negative, so not
-    orthogonal to the ground vector. The iteration stops once r meets
-    ``target``(rho) and reaches ``floor`` or stops halving; a last factor
-    certifies lambda_1 > rho - target."""
-    if d.size == 1:  # exact
-        return float(d[0]), np.ones(1), sigma, 0
-    factor = _tridiagonal_factor(d, e, sigma)
-    v = np.concatenate(([1.0], np.cumprod(-np.sign(e))))
-    r_last = np.inf
-    for solves in range(1, MAX_LU_SOLVES + 1):
-        w = lapack.dpttrs(*factor, v)[0]
-        ww = w @ w
-        c = (v @ w) / ww
-        size, x = ww ** 0.5, v - c * w
-        rho, r = sigma + c, (x @ x) ** 0.5 / size
-        v = w / size
-        if r <= target(rho) and (r <= floor or 2 * r > r_last):
-            break
-        r_last = r
-        if rho - r > sigma:
-            try:
-                factor, sigma = _tridiagonal_factor(d, e, rho - r), rho - r
-            except SpectralError:  # rho - r is not below lambda_1
-                pass
-    else:
-        raise SpectralError(f"tridiagonal eigensolver failed to converge in "
-                            f"{MAX_LU_SOLVES} pttrs solves")
-    cut = rho - target(rho)
-    if cut > sigma:
-        try:
-            _tridiagonal_factor(d, e, cut)
-        except SpectralError as exc:
-            raise SpectralError(f"Rayleigh quotient {rho:.6g} is not certified "
-                                f"as the smallest eigenvalue: {exc}") from exc
-        sigma = cut
-    return rho, v, sigma, solves
-
-
-def _tridiagonal_ground(d: np.ndarray, e: np.ndarray, target,
-                        floor: float) -> tuple:
-    """(rho, v, sigma, solves): a unit ground vector v of the tridiagonal
-    (d, e), its Rayleigh quotient rho, a shift sigma certified below
-    lambda_1, and the pttrs solves. Like stebz, T splits at zero couplings;
-    each block is solved from T's Gershgorin floor by ``_inverse_iteration``,
-    and v is the vector of the block of least rho, zero elsewhere."""
-    lower = float(np.min(d - _radius(e)))
-    sigma = lower - 1e-3 * abs(lower) - floor
-    cuts = np.concatenate(([0], np.flatnonzero(e == 0) + 1, [d.size]))
-    best, sigmas, solves = None, [], 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        rho, v, low, k = _inverse_iteration(d[lo:hi], e[lo:hi - 1], sigma,
-                                            target, floor)
-        sigmas.append(low)
-        solves += k
-        if best is None or rho < best[0]:
-            best = (rho, lo, hi, v)
-    rho, lo, hi, v = best
-    if hi - lo < d.size:
-        v = np.concatenate((np.zeros(lo), v, np.zeros(d.size - hi)))
-    return rho, v, min(sigmas), solves
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dpttrs(*self._factor, b)[0]
 
 
 def smallest_eigenpair(
@@ -572,34 +506,43 @@ def smallest_eigenpair(
     ||A v - lam v||_2 <= max(tol * min(||A||_est, max(1, |lam|)), 32 eps ||A||_est),
     and lam is its Rayleigh quotient.
 
-    A one-dimensional (tridiagonal) operator is solved by inverse iteration
-    on LAPACK pttrf/pttrs (``_tridiagonal_ground``): from the Gershgorin
-    floor, the shift is raised to rho - r after each solve wherever its
-    factor certifies it below lambda_1, and a last factor certifies
-    lambda_1 > lam - target. The iteration runs to the residual target and
-    on to the rounding floor. No sparse matrix is made; ``iterations``
-    counts the pttrs solves, ``MAX_LU_SOLVES`` caps those of each block.
+    Every operator is solved by one loop of inverse iteration (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 4) on a certified factor of
+    A - sigma I, whose completion proves sigma < lambda_1: pttrf
+    (``_TridiagonalFactor``) on a one-dimensional operator, with no sparse
+    matrix made, and ``splu`` (``shifted_factor``) on any other. ``sigma``
+    is a shift estimate a little below lambda_1. If its factor refuses it,
+    at the cost of that factorization, or none is given, the shift is the
+    Gershgorin floor (``gershgorin_shift``), which always lies below and is
+    computed only then. Each step solves (A - sigma I) w = v and takes the
+    Ritz pair of a window of iterates; the loop stops once the residual r
+    meets the target, and ``iterations`` counts its solves, at most
+    ``MAX_LU_SOLVES``. The operator's kind picks the accelerator:
 
-    Every other operator takes ARPACK shift-invert on one certified factor
-    of A - sigma I (``shifted_factor``), whose completion proves that sigma
-    lies below lambda_1. ``MAX_LU_SOLVES`` caps the solves with it;
-    ``iterations`` reports them. ``sigma`` belongs to this path: a shift
-    estimate a little below lambda_1. If the certificate refuses it, at the
-    cost of one factorization, or none is given, the shift is the Gershgorin
-    shift of A (``gershgorin_shift``), which always lies below and is
-    computed only then. ``start``, a nonzero vector
-    of the operator's length, also belongs to this path: ARPACK starts from
-    it, with a basis of ``START_NCV`` vectors in place of its default 20. A
-    start close to the ground vector only saves solves: the certified shift,
-    the cap and the residual target are the same. Like ARPACK's random
-    start, it must not be orthogonal to the ground vector; a nonnegative
-    start never is, as the ground vector of a stencil operator on a
-    connected mask is positive.
+    - A tridiagonal step costs O(n), so its window is w alone: rho = sigma
+      + c and r = |v - c w| / |w|, c = v.w / w.w, follow from A w = v +
+      sigma w with no product by A. sigma rises to rho - r wherever that
+      factor is certified, the loop runs on until r reaches the rounding
+      floor or stops halving, and a last factor certifies lambda_1 >
+      lam - target.
+    - Any other factor costs 10-30 solves, so sigma stays and the window
+      accelerates: the Rayleigh-Ritz pair of the span of v, w and the
+      previous v (an orthonormal basis Q by Householder QR, and the
+      smallest eigenpair of the 3 x 3 Q^T A Q), the locally optimal step of
+      LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by the
+      shifted inverse. The factor at sigma is the certificate.
+
+    ``start``, a nonzero vector of the operator's length, is where the loop
+    starts: a start close to the ground vector only saves solves, and it
+    must not be orthogonal to the ground vector. The default is positive in
+    D A D, D = diag(+-1) making every coupling of a tridiagonal negative,
+    and all ones on any other operator. A Z-matrix, as every stencil with a
+    negative Laplacian coefficient and D K D are, has a nonnegative ground
+    vector, to which no positive start is orthogonal.
     """
     if tol <= 0:
         raise SpectralError("tolerance must be positive")
     n = op.n_unknowns
-    arpack_start = {}
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (n,):
@@ -607,7 +550,6 @@ def smallest_eigenpair(
                                 f"operator of {n} unknowns")
         if not np.all(np.isfinite(start)) or not np.any(start):
             raise SpectralError("start vector must be finite and nonzero")
-        arpack_start = {"v0": start, "ncv": min(START_NCV, n)}
     norm_est = op.norm_estimate()
 
     # tighter than tol * ||A||_est (stiff stencils have huge norms), but not
@@ -617,66 +559,98 @@ def smallest_eigenpair(
     def target_of(lam, unit=1.0, norm=norm_est, floor=eps_floor):
         return max(tol * min(norm, max(unit, abs(lam))), floor)
 
-    # a power of two near ||A||_est: a residual, or a tridiagonal solved,
-    # scaled by it, exactly, cannot overflow for a huge potential
+    # the loop runs on A scaled by a power of two near 1 / ||A||_est,
+    # exactly: no solve, Ritz value or residual of it can overflow for a
+    # huge potential
     scale = np.frexp(norm_est)[1]
-    bands = op.bands
-    if bands is None and n == 1:
-        bands = (op.matrix.diagonal(), np.zeros(0))
-    if bands is not None:
-        d, e = bands
-        # the target in the scaled units, exactly
-        units = np.ldexp((1.0, norm_est, eps_floor), -scale)
-        _, v, _, solves = _tridiagonal_ground(
-            np.ldexp(d, -scale), np.ldexp(e, -scale),
-            lambda rho: target_of(rho, *units), units[2] / 32)
-        av = d * v
-        av[1:] += e * v[:-1]
-        av[:-1] += e * v[1:]
-        how = f"in {solves} pttrs solves"
+    units = np.ldexp((1.0, norm_est, eps_floor), -scale)
+    if op.bands is not None:
+        d, e = (np.ldexp(x, -scale) for x in op.bands)
+        mat, floor = None, units[2] / 32
+
+        def factor_at(shift):
+            return _TridiagonalFactor(d, e, shift)
+
+        def floor_shift():
+            lower = float(np.min(d - _radius(e)))
+            return lower - 1e-3 * abs(lower) - floor
+
+        v = np.concatenate(([1.0], np.cumprod(np.where(e > 0, -1.0, 1.0))))
     else:
-        mat = op.matrix
+        # A itself is factored and multiplied, and only the product scaled:
+        # |A q| <= ||A||_est for orthonormal q, and the window is blind to
+        # the scale of w
+        mat, floor, v = op.matrix, np.inf, np.ones(n)
+
+        def factor_at(shift):
+            return shifted_factor(mat, np.ldexp(shift, scale))
+
+        def floor_shift():
+            return np.ldexp(gershgorin_shift(mat), -scale)
+
+    if n == 1:  # exact, with no factor
+        v, sigma, solves = np.ones(1), np.nan, 0
+    else:
+        v = v if start is None else start
+        factor = None
         if sigma is not None:
+            sigma = np.ldexp(sigma, -scale)
             try:
-                lu = shifted_factor(mat, sigma)
+                factor = factor_at(sigma)
             except SpectralError:  # the estimate is not below lambda_1
-                sigma = None
-        if sigma is None:
-            sigma = gershgorin_shift(mat)
-            lu = shifted_factor(mat, sigma)
-        what = f"eigensolver (shift {sigma:.6g})"
-        solves = 0
-
-        def solve(b):
-            nonlocal solves
-            if solves == MAX_LU_SOLVES:
+                pass
+        if factor is None:
+            sigma = floor_shift()
+            factor = factor_at(sigma)
+        r_last, prev = np.inf, ()
+        for solves in range(1, MAX_LU_SOLVES + 1):
+            w = factor.solve(v)
+            if mat is None:
+                ww = w @ w
+                c = (v @ w) / ww
+                size, x = ww ** 0.5, v - c * w
+                rho, r = sigma + c, (x @ x) ** 0.5 / size
+                v = w / size
+            elif not np.all(np.isfinite(w)):  # the solve broke down
+                break
+            else:
+                q = np.linalg.qr(np.column_stack((v, w) + prev))[0]
+                aq = np.ldexp(mat @ q, -scale)
+                theta, c = np.linalg.eigh(q.T @ aq)
+                prev, v, rho = (v,), q @ c[:, 0], theta[0]
+                r = np.linalg.norm(aq @ c[:, 0] - rho * v)
+            if r <= target_of(rho, *units) and (r <= floor or 2 * r > r_last):
+                break
+            r_last = r
+            if mat is None and rho - r > sigma:
+                try:
+                    factor, sigma = factor_at(rho - r), rho - r
+                except SpectralError:  # rho - r is not below lambda_1
+                    pass
+        # converged on a tridiagonal: a last factor certifies lambda_1 >
+        # rho - target
+        if mat is None and r <= target_of(rho, *units) < rho - sigma:
+            try:
+                factor_at(rho - target_of(rho, *units))
+            except SpectralError as exc:
                 raise SpectralError(
-                    f"{what} did not converge in {MAX_LU_SOLVES} LU solves")
-            solves += 1
-            return lu.solve(b)
-
-        # ARPACK stops when the Ritz estimate of (A - sigma I)^-1 is below
-        # arpack_tol * |theta|, which bounds ||A v - lam v|| by
-        # ||A - sigma I|| * arpack_tol: aim at the smallest target lam allows
-        arpack_tol = (max(tol * min(norm_est, 1.0), eps_floor)
-                      / (norm_est + abs(sigma)))
-        try:
-            _, vecs = eigsh(mat, k=1, sigma=sigma, which="LM", tol=arpack_tol,
-                            OPinv=LinearOperator((n, n), matvec=solve,
-                                                 dtype=float),
-                            rng=0, **arpack_start)
-        except ArpackError as exc:
-            raise SpectralError(f"{what} failed: {exc}") from exc
-        v = vecs[:, 0]
-        av = mat @ v
-        how = f"in {solves} LU solves (shift {sigma:.6g})"
+                    f"Rayleigh quotient {np.ldexp(rho, scale):.6g} is not "
+                    f"certified as the smallest eigenvalue: {exc}") from exc
+    if op.bands is None:
+        av = op.matrix @ v
+    else:
+        diag, off = op.bands
+        av = diag * v
+        av[1:] += off * v[:-1]
+        av[:-1] += off * v[1:]
     lam = float(v @ av)
     residual = float(np.ldexp(np.linalg.norm(np.ldexp(av - lam * v, -scale)),
                               scale))
     target = target_of(lam)
-    if residual > target:
-        raise SpectralError(f"eigensolver did not converge {how}: residual "
-                            f"{residual:.3e}, target {target:.3e}")
+    if not residual <= target:
+        raise SpectralError(f"eigensolver did not converge in {solves} solves "
+                            f"at the shift {np.ldexp(sigma, scale):.6g}: "
+                            f"residual {residual:.3e}, target {target:.3e}")
 
     # sign fix: nonnegative integral
     if np.sum(v) < 0:

@@ -21,12 +21,12 @@ a quarter of the product grid; a scan's interval with no W always is.
 
 A scan makes one ground solve per h, and it starts close to its answer.
 The shift sits ``SHIFT_MARGIN`` E_b below the decoupled estimate
--E_b + h^2 D_c, and ARPACK starts from the diamond trial vector that gives
-the upper bound, with a small Lanczos basis (``spectral.START_NCV``). The
-completed factor (``spectral.splu``) still certifies the shift, and the
-residual target is the same as without a start. The discretization error
-that widens the lower side of the sandwich is read off the ground vector
-itself (``leading_disc_error``), with no second solve.
+-E_b + h^2 D_c, and the eigensolve starts from the diamond trial vector
+that gives the upper bound. The completed factor (``spectral.splu``) still
+certifies the shift, and the residual target is the same as without a
+start. The discretization error that widens the lower side of the sandwich
+is read off the ground vector itself (``leading_disc_error``), with no
+second solve.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
     more factorization. ``asymptotic_scan`` passes the problem's own
     decoupled value -E_b + h^2 D_c with the lattice-matched E_b, lowered by
     ``SHIFT_MARGIN`` E_b. ``start`` is a vector on the reduced mask, in the
-    order of its ``field``, that ARPACK starts from (see
+    order of its ``field``, that the eigensolve starts from (see
     ``spectral.smallest_eigenpair``); it saves LU solves and certifies
     nothing.
     """

@@ -164,6 +164,32 @@ class TestRun:
         with open(tmp_path / "out" / "report.json") as fh:
             assert abs(json.load(fh)["summary"]["dc"] - 2.4674) < 5e-3
 
+    @pytest.mark.parametrize("case", ["string_tol", "boolean_bounds",
+                                      "fractional_count", "boolean_value",
+                                      "mask_bounds"])
+    def test_non_numbers_are_config_errors(self, tmp_path, capsys, case):
+        # a numeric string, a boolean or a fractional count is not read as
+        # a number (each of these ran, and exited 0, on the value it parsed
+        # or truncated to)
+        interval = {"builtin": "interval", "n": 201}
+        cfg = {"domain": interval, "w": None}
+        if case == "string_tol":
+            cfg["tol"] = "1e-9"
+        elif case == "boolean_bounds":
+            cfg["domain"] = dict(interval, a=False, b=True)
+        elif case == "fractional_count":
+            interval["n"] = 201.7
+        elif case == "boolean_value":
+            cfg["w"] = {"kind": "constant", "value": True}
+        else:
+            payload = json.loads(geo.mask_to_json(geo.interval(0.0, 1.0, n=51)))
+            payload["lower"], payload["upper"] = ["0"], [True]
+            (tmp_path / "mask.json").write_text(json.dumps(payload))
+            cfg["domain"] = {"mask_file": str(tmp_path / "mask.json")}
+        assert cli.run("dc", cfg, str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_gp_min_experiment(self, tmp_path):
         cfg = {"domain": {"builtin": "interval", "n": 801}, "w": None,
                "D_offset": 1.0, "g": 1.0}
@@ -509,7 +535,7 @@ class TestRun:
         assert cli.run("dc", cfg, str(tmp_path)) == 3
         err = capfd.readouterr().err
         assert err.startswith("solver error: ") and err.count("\n") == 1
-        assert "failed to converge" in err
+        assert "did not converge in 400 solves" in err
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("amplitude", [1e150, 1e200, 1e300])

@@ -136,24 +136,28 @@ def test_ndimage_only_in_geometry_and_only_on_first_use():
     assert not elsewhere, f"modules other than geometry name ndimage: {elsewhere}"
 
 
-def test_eigsh_only_in_smallest_eigenpair():
-    # one eigen-solve path: ARPACK is imported once, by ``spectral``, and
-    # called only in ``smallest_eigenpair``, whose shift, certificate and
-    # solve cap every eigenvalue the program reports goes through
+def test_sparse_linalg_only_for_splu():
+    # one eigen-solve loop, on a pttrf or ``splu`` factor: of
+    # scipy.sparse.linalg the program takes SuperLU's ``splu`` and nothing
+    # else, by no route (no ARPACK, no LinearOperator, no iterative solver)
     stray = []
     for path in SOURCES:
-        tree = _parse(path)
         module = os.path.basename(path)[:-3]
-        bare, attrs = named(tree)
-        uses = bare["eigsh"] + attrs["eigsh"]
-        for node in ast.walk(tree) if module == "spectral" else ():
-            if (isinstance(node, ast.alias) and node.name == "eigsh"
-                    and node.asname is None):
-                uses -= 1
-            elif (isinstance(node, ast.FunctionDef)
-                  and node.name == "smallest_eigenpair"):
-                inner_bare, inner_attrs = named(node)
-                uses -= inner_bare["eigsh"] + inner_attrs["eigsh"]
-        if uses:
-            stray.append(f"{module}: {uses}")
-    assert not stray, f"eigsh named outside smallest_eigenpair: {stray}"
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                names = [alias.name for alias in node.names]
+                if source.startswith("scipy.sparse.linalg"):
+                    stray += [f"{module}: {source}.{name}" for name in names
+                              if (source, name) != ("scipy.sparse.linalg", "splu")]
+                elif source == "scipy.sparse" and "linalg" in names:
+                    stray.append(f"{module}: scipy.sparse.linalg")
+            elif isinstance(node, ast.Import):
+                stray += [f"{module}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("scipy.sparse.linalg")]
+            elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                  and isinstance(node.value, (ast.Name, ast.Attribute))
+                  and (getattr(node.value, "id", None)
+                       or node.value.attr) == "sparse"):
+                stray.append(f"{module}: sparse.linalg")
+    assert not stray, f"scipy.sparse.linalg used beyond splu: {stray}"
