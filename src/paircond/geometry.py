@@ -33,7 +33,8 @@ class GeometryError(ValueError):
 
 @dataclass
 class DomainMask:
-    """Boolean interior indicator on a grid plus a cached distance field."""
+    """Boolean interior indicator on a grid plus the distance fields of erosion
+    (``dist``) and dilation (``dist_outside``), each cached on first use."""
 
     grid: Grid
     inside: np.ndarray = field(repr=False)
@@ -49,6 +50,11 @@ class DomainMask:
     def dist(self) -> np.ndarray:
         """Distance from each inside node to the nearest outside node center."""
         return _distance_exact(self.inside, self.grid.spacing)
+
+    @cached_property
+    def dist_outside(self) -> np.ndarray:
+        """Distance from each outside node to the nearest inside node center."""
+        return _distance_exact(~self.inside, self.grid.spacing)
 
     @property
     def count(self) -> int:
@@ -137,7 +143,7 @@ def erode(mask: DomainMask, ell: float) -> DomainMask:
 
 
 def dilate(mask: DomainMask, ell: float) -> DomainMask:
-    """Exterior approximation: the mask plus outside nodes with dist(x, mask) < ell."""
+    """Exterior approximation: the mask plus outside nodes with dist(x, mask) <= ell."""
     if ell < 0:
         raise GeometryError("dilation length must be nonnegative")
     _check_nontrivial(mask)
@@ -148,10 +154,9 @@ def dilate(mask: DomainMask, ell: float) -> DomainMask:
         )
     if ell == 0:
         return DomainMask(mask.grid, mask.inside.copy())
-    dist_to_mask = _distance_exact(~mask.inside, mask.grid.spacing)
     # inclusive threshold: node-center distances overshoot the continuum
     # distance by up to one spacing, so <= keeps the result within one cell
-    inside = mask.inside | (dist_to_mask <= ell)
+    inside = mask.inside | (mask.dist_outside <= ell)
     return DomainMask(mask.grid, inside)
 
 

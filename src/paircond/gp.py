@@ -9,18 +9,19 @@ The minimizer is found by a globalized Newton iteration restricted to
 nonnegative real fields: minimizers are unique up to a global phase, and
 taking the modulus never increases the discrete energy, so the nonnegative
 representative is picked from the start. That start is the optimal
-single-mode field, or a given field such as the minimizer on a nearby mask.
+single-mode field, or a given field: a continuity scan passes each mask the
+minimizer on its neighbour in the nested chain of eroded or dilated masks.
 Each connected component of the mask is minimized on its own.
 
 The first Newton step factors the Hessian if it is positive definite,
 and else a positive-definite fallback that keeps only the nonnegative part
-of its diagonal curvature; either factor is ``spectral.splu``, whose
-completion certifies it. Steps are inexact after the first: the loop keeps
-its last factor and solves each later step by conjugate gradients
-preconditioned with it, to a relative residual min(0.1, sqrt(residual))
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). Near the
-minimizer the Hessian changes little between steps, so a few CG iterations
-replace a factorization. The Hessian is factored anew only when CG fails.
+of its diagonal curvature; either factor is ``spectral.splu`` of the
+stencil and that diagonal, whose completion certifies it. Steps are
+inexact after the first: the loop keeps its last factor and solves each
+later step by conjugate gradients preconditioned with it, to a relative
+residual min(0.1, sqrt(residual)) (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982). Near the minimizer the Hessian changes little
+between steps, so a few CG iterations replace a factorization. The Hessian is factored anew only when CG fails.
 
 A two-dimensional component whose inside and W are exactly invariant under
 flips along grid axes is minimized on the fundamental domain of that flip
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .geometry import DomainMask, dilate, erode, label_components
 from .grid import ScalarField
@@ -267,9 +267,6 @@ def minimize_gp(
         h1 = float(np.sqrt(4.0 * kin + np.sum(m * v**2) * dv))
         return energy, el, float(np.linalg.norm(sqrt_m * el)) * np.sqrt(dv), h1
 
-    def factorize(curvature):
-        return splu(stiff + sparse.diags(m * curvature))
-
     def preconditioned_cg(factor, curvature, rhs, eta):
         """Solution of the Hessian system to relative residual eta, or None
         when CG meets nonpositive curvature (of the Hessian or of the kept
@@ -324,9 +321,9 @@ def minimize_gp(
         if direction is None or not float(grad @ direction) < 0.0:
             factor = None  # dropped before the new one is built
             try:
-                factor = factorize(curvature)
+                factor = splu(stiff, m * curvature)
             except SpectralError:  # H is not positive definite
-                factor = factorize(np.maximum(curvature, 0.0))
+                factor = splu(stiff, m * np.maximum(curvature, 0.0))
             direction = factor.solve(-grad)
         # the Gateaux derivative along the direction is 2 <m el, direction> dv
         slope = 2.0 * float(grad @ direction) * dv
@@ -407,27 +404,29 @@ def continuity_scan(
     The orderings E(dilated) <= E(domain) <= E(eroded) are enforced.
 
     ``mode`` is the onset eigenpair of the base mask, as in ``minimize_gp``.
-    The minimizations on the eroded and dilated masks start from the base
-    minimizer, restricted or zero-extended. Erosion can split a component
-    and dilation can join components, so ``minimize_gp`` takes each
-    component of the new mask apart; a component where that start is zero
-    (a dilated mask may lie above its threshold while the base does not)
-    starts from its own onset mode.
+    The masks are nested and their minimizers lie close, a continuation
+    path: walking ell upwards, each minimization starts from the minimizer
+    of the previous mask on its side (eroded or dilated), restricted or
+    zero-extended, and the first on each side from the base minimizer.
+    Erosion can split a component and dilation can join components, so
+    ``minimize_gp`` takes each component of the new mask apart; a component
+    where that start is zero (a dilated mask may lie above its threshold
+    while the base does not) starts from its own onset mode.
     """
     base = minimize_gp(prob, tol=tol, mode=mode)
 
-    def energy_on(mask: DomainMask) -> float:
-        start = mask.field(base.psi.values)
-        return minimize_gp(prob.with_mask(mask), tol=tol, initial=start).energy
+    def minimize_on(mask: DomainMask, near: GPSolution) -> GPSolution:
+        return minimize_gp(prob.with_mask(mask), tol=tol,
+                           initial=mask.field(near.psi.values))
 
     rows = []
     slack = max(1e-10, 100 * tol)
+    inner = outer = base  # the last minimizers on either side
     for ell in sorted(set(float(e) for e in ells)):
-        if ell == 0.0:
-            e_int = e_ext = base.energy
-        else:
-            e_int = energy_on(erode(prob.mask, ell))
-            e_ext = energy_on(dilate(prob.mask, ell))
+        if ell != 0.0:
+            inner = minimize_on(erode(prob.mask, ell), inner)
+            outer = minimize_on(dilate(prob.mask, ell), outer)
+        e_int, e_ext = inner.energy, outer.energy
         if e_ext > base.energy + slack or base.energy > e_int + slack:
             raise GPError(
                 f"domain-monotonicity ordering violated at ell={ell}: "

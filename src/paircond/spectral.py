@@ -397,16 +397,18 @@ MAX_CHOLESKY_BAND = 150
 
 
 class splu:
-    """Certified factor of a symmetric matrix that must be positive definite;
-    ``solve(b)`` gives A^-1 b, ``band`` is the matrix's b = max |i - j| and
+    """Certified factor of A + diag(``diag``), A symmetric, which must be
+    positive definite; ``diag`` is a number or one entry per row.
+    ``solve(b)`` gives the inverse times b, ``band`` is b = max |i - j| and
     ``nnz`` counts the entries the factor stores.
 
-    A matrix of band b = max |i - j| up to ``MAX_CHOLESKY_BAND`` is factored
-    in place by banded Cholesky, LAPACK pbtrf on its lower band, a
-    Fortran-order (b + 1, n) array, and solved by pbtrs. The factor completes
-    with a positive, finite diagonal only for a matrix that is positive
-    definite up to rounding (Higham 2002, Thm 10.3); that completed factor is
-    the certificate. A wider band takes SuperLU's symmetric LU (``SYMMETRIC_LU``)
+    Up to ``MAX_CHOLESKY_BAND`` the lower band, a Fortran-order (b + 1, n)
+    array, is packed straight from A's CSR arrays with ``diag`` added to its
+    first row, so no sparse matrix is made, factored in place by banded
+    Cholesky (LAPACK pbtrf) and solved by pbtrs. The factor completes with a
+    positive, finite diagonal only for a matrix that is positive definite up
+    to rounding (Higham 2002, Thm 10.3); that completed factor is the
+    certificate. A wider band takes SuperLU's symmetric LU (``SYMMETRIC_LU``)
     with its pivots on the diagonal, so U = D L^T, and by Sylvester's law of
     inertia the matrix is positive definite exactly when every pivot is
     positive: there the positive, finite pivots are the certificate. Either
@@ -419,25 +421,29 @@ class splu:
     twice.
     """
 
-    def __init__(self, mat: sparse.spmatrix):
-        coo = sparse.coo_matrix(mat)
-        n = coo.shape[0]
-        band = int(np.max(np.abs(coo.row - coo.col), initial=0))
+    def __init__(self, mat: sparse.spmatrix, diag=0.0):
+        mat = mat.tocsr()
+        n = mat.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+        cols = mat.indices
+        band = int(np.max(np.abs(rows - cols), initial=0))
         self.band, self._lu = band, None
         if band <= MAX_CHOLESKY_BAND:
-            low = coo.row >= coo.col
-            rows, cols = coo.row[low], coo.col[low]
+            low = rows >= cols
+            rows, cols = rows[low], cols[low]
             # ab[i - j, j] = A[i, j], the lower band storage of pbtrf, in
             # Fortran order; duplicate entries add up as in the sparse matrix
             ab = np.bincount(cols * (band + 1) + (rows - cols),
-                             weights=coo.data[low],
+                             weights=mat.data[low],
                              minlength=(band + 1) * n).reshape(n, band + 1).T
+            ab[0] += diag
             self._band, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
             self.nnz = ab.size
             pivots = self._band[0] if info == 0 else np.array([np.nan])
             how = (f"its banded Cholesky factor (band {band}) does not "
                    "complete with a positive, finite diagonal")
         else:
+            mat = mat + sparse.diags(np.broadcast_to(diag, n))
             try:
                 self._lu = superlu(sparse.csc_matrix(mat), **SYMMETRIC_LU)
             except RuntimeError as exc:  # SuperLU: exactly singular
@@ -461,18 +467,21 @@ def gershgorin_shift(mat: sparse.spmatrix) -> float:
     """Shift sigma just under the Gershgorin lower bound of ``mat``, so below
     every eigenvalue: ``mat - sigma I`` is strictly diagonally dominant with a
     positive diagonal. The bound holds as well for any matrix whose spectrum
-    lies inside that of ``mat``."""
-    diag = mat.diagonal()
-    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
-    lower = float(np.min(diag - radius))
+    lies inside that of ``mat``. A radius sums only off-diagonal magnitudes:
+    no diagonal near the float maximum is subtracted from itself."""
+    mat = mat.tocsr()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    off = rows != mat.indices
+    radius = np.bincount(rows[off], weights=np.abs(mat.data[off]),
+                         minlength=mat.shape[0])
+    lower = float(np.min(mat.diagonal() - radius))
     return lower - 1e-3 * (abs(lower) + 1.0)
 
 
 def shifted_factor(mat: sparse.spmatrix, sigma: float) -> splu:
-    """Certified factor of ``mat - sigma I`` (``splu``): its completion
-    proves that sigma lies below every eigenvalue of ``mat``."""
-    ident = sparse.identity(mat.shape[0], format="csr")
-    return splu(mat - sigma * ident)
+    """Certified factor of ``mat - sigma I``, ``splu(mat, -sigma)``: its
+    completion proves that sigma lies below every eigenvalue of ``mat``."""
+    return splu(mat, -sigma)
 
 
 class _TridiagonalFactor:
@@ -612,6 +621,7 @@ def smallest_eigenpair(
                 rho, r = sigma + c, (x @ x) ** 0.5 / size
                 v = w / size
             elif not np.all(np.isfinite(w)):  # the solve broke down
+                v = v / np.linalg.norm(v)  # the start may not be a unit vector
                 break
             else:
                 q = np.linalg.qr(np.column_stack((v, w) + prev))[0]

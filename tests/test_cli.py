@@ -501,6 +501,20 @@ class TestRun:
                                    select="i", select_range=(0, 0))[0]
         assert abs(dc - ref) <= 1e-12 * abs(ref)
 
+    def test_dc_of_w_near_float_max(self, tmp_path, capsys):
+        # under the suite's RuntimeWarning-as-error filter: the Gershgorin
+        # radius of a row sums its couplings alone, so W = 1.7e308 on the
+        # diagonal (inf once row-scaled at the box's centre) is never
+        # subtracted from itself as inf - inf
+        cfg = {"domain": {"builtin": "box", "n": 21},
+               "w": {"kind": "constant", "value": 1.7e308}}
+        assert cli.run("dc", cfg, str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "report.json") as fh:
+            dc = json.load(fh)["summary"]["dc"]
+        # -(1/4) Lap adds about 4.9 to W, far below one ulp of 1.7e308
+        assert abs(dc - 1.7e308) <= 1e-10 * 1.7e308
+
     @pytest.mark.parametrize("depth", [-5e4, -1e5, -2e5])
     def test_dc_of_narrow_well(self, tmp_path, capsys, depth):
         # a one-node well on 10001 nodes, far below the rest of the

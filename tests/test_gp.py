@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
@@ -329,6 +330,76 @@ class TestContinuity:
             assert e_large <= e_small + 1e-10
 
 
+class TestWarmStart:
+    """Each mask of a continuity scan starts from the minimizer of the
+    previous mask on its side, eroded or dilated: the chain crosses one
+    step of ell at a time, not the whole gap from the base mask."""
+
+    @staticmethod
+    def problem():
+        # the slit square of the condensate-continuity benchmark, ell = 2, 3
+        # and 4 cells
+        mask = geo.slit_square(81)
+        mode = onset_threshold(mask, tol=1e-11)
+        ells = [k * mask.grid.spacing[0] for k in (2, 3, 4)]
+        return gp.GPProblem(mask, None, mode.eigenvalue + 1.0, 1.0), mode, ells
+
+    def test_factor_and_solve_counts_pinned(self):
+        # started each from the base minimizer, the six masks took 10
+        # Hessian factors and 144 factor solves in all, and each dilated mask
+        # refused an indefinite first factor; along the chain only the first
+        # dilated mask refuses one
+        prob, mode, ells = self.problem()
+        _, counts = counted(lambda: gp.continuity_scan(prob, ells, mode=mode))
+        assert counts == {"factorizations": 8, "solves": 92}
+
+    def test_energies_match_starts_from_the_base(self):
+        prob, mode, ells = self.problem()
+        rep = gp.continuity_scan(prob, ells, mode=mode)
+        base = gp.minimize_gp(prob, mode=mode)
+        for row in rep.sorted_rows():
+            for col, morph in ((1, geo.erode), (2, geo.dilate)):
+                mask = morph(prob.mask, row[0])
+                ref = gp.minimize_gp(prob.with_mask(mask),
+                                     initial=mask.field(base.psi.values)).energy
+                assert abs(row[col] - ref) <= 1e-12 * abs(ref)
+
+
+class TestFactorsBuildNoSparseMatrix:
+    def test_newton_and_shifted_factors(self, monkeypatch):
+        # every scipy.sparse matrix or array constructor raises while the
+        # Newton loop and a shifted factor run: each factor is packed from
+        # the stencil and its diagonal, with no sparse sum made per factor
+        mask = geo.slit_square(41)
+        mode = onset_threshold(mask, tol=1e-11)
+        prob = gp.GPProblem(mask, None, mode.eigenvalue + 30.0, 1.0)
+        expected = gp.minimize_gp(prob, mode=mode)
+        # the stencils, the one sparse matrix of each solve, are made first
+        orbits = spectral.mirror_orbits(mask)
+        stencil = orbits.stencil(-0.25, isometric=False)
+        monkeypatch.setattr(orbits, "stencil", lambda *args, **kwargs: stencil)
+        monkeypatch.setattr(gp, "mirror_orbits", lambda *args: orbits)
+        op = spectral.assemble_dirichlet(mask, -0.25)
+        sigma = spectral.gershgorin_shift(op.matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        for name in dir(sparse):
+            if name.endswith(("_matrix", "_array")) or name in (
+                    "diags", "eye", "identity", "spdiags"):
+                monkeypatch.setattr(sparse, name, refuse)
+        sol, counts = counted(lambda: gp.minimize_gp(prob, mode=mode))
+        assert counts["factorizations"] > 1
+        assert sol.energy == expected.energy
+        b = np.ones(op.n_unknowns)
+        x = spectral.shifted_factor(op.matrix, sigma).solve(b)
+        np.testing.assert_allclose(op.matrix @ x - sigma * x, b, rtol=1e-12)
+        # the guard holds: a sparse sum of the stencil and a diagonal is refused
+        with pytest.raises(AssertionError, match="scipy.sparse"):
+            op.matrix + sparse.diags(np.ones(op.n_unknowns))
+
+
 # continuity_scan rows of the n = 41 slit square at D = D_c + 30, g = 1, ells
 # 0.03, 0.07 and 0.11, as computed with a fresh Hessian factor at every
 # Newton step (before the factor was kept)
@@ -403,10 +474,11 @@ class TestFirstStep:
                 events.append("solve")
                 return self.lu.solve(b)
 
-        def recording(mat):
-            hessians.append(mat.toarray())
+        def recording(mat, diag=0.0):
+            hessians.append(mat.toarray()
+                            + np.diag(np.broadcast_to(diag, mat.shape[0])))
             try:
-                lu = splu(mat)
+                lu = splu(mat, diag)
             except spectral.SpectralError:
                 events.append("refused")
                 raise

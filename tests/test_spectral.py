@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,19 @@ class TestEigenSolver:
                             lambda self, b: np.full_like(b, np.nan))
         with pytest.raises(sp.SpectralError, match="did not converge in 1 solves"):
             sp.smallest_eigenpair(sp.assemble_dirichlet(small_square(), -1.0))
+
+    def test_breakdown_reports_the_unit_start_residual(self, monkeypatch):
+        # a breakdown on the first step reports the residual of the start
+        # scaled to a unit vector, at most ||A||_est, and not that of the
+        # all-ones start itself (5.8e5 on this square, where ||A||_est is
+        # 3.2e3)
+        monkeypatch.setattr(sp.splu, "solve",
+                            lambda self, b: np.full_like(b, np.nan))
+        op = sp.assemble_dirichlet(small_square(), -1.0)
+        with pytest.raises(sp.SpectralError) as info:
+            sp.smallest_eigenpair(op)
+        residual = float(re.search(r"residual (\S+),", str(info.value))[1])
+        assert 0.0 < residual <= op.norm_estimate()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_single_unknown(self, dim):
@@ -270,6 +285,46 @@ class TestCertifiedFactor:
         assert calls == [1]
         ref = np.linalg.eigvalsh(op.matrix.toarray())[0]
         assert abs(res.eigenvalue - ref) <= 1e-10 * abs(ref)
+
+    def test_diagonal_is_packed_as_the_sparse_sum(self):
+        # splu(A, d) adds d to the band's diagonal: bit for bit the band
+        # factor of the summed sparse matrix, and shifted_factor that of
+        # A - sigma I
+        op = self.operator()
+        sigma = sp.gershgorin_shift(op.matrix)
+        d = np.random.default_rng(3).uniform(0.0, 50.0, op.n_unknowns) - sigma
+        packed = sp.splu(op.matrix, d)
+        assert packed.band > 1 and packed._lu is None
+        assert np.array_equal(packed._band,
+                              sp.splu(op.matrix + sparse.diags(d))._band)
+        ident = sparse.identity(op.n_unknowns, format="csr")
+        assert np.array_equal(sp.shifted_factor(op.matrix, sigma)._band,
+                              sp.splu(op.matrix - sigma * ident)._band)
+
+    def test_diagonal_past_the_band_limit_keeps_superlu_pivots(self):
+        # band 169 > MAX_CHOLESKY_BAND: SuperLU factors A + diag(d), with
+        # the pivots of the summed sparse matrix
+        grid = Grid.box([0, 0, 0], [1, 1, 1], [5, 15, 15])
+        mask = geo.box_mask([0, 0, 0], [1, 1, 1], grid)
+        op = sp.assemble_dirichlet(mask, -0.25)
+        sigma = sp.gershgorin_shift(op.matrix)
+        d = np.random.default_rng(4).uniform(0.0, 50.0, op.n_unknowns) - sigma
+        ident = sparse.identity(op.n_unknowns, format="csr")
+        for factor, ref in ((sp.splu(op.matrix, d),
+                             sp.splu(op.matrix + sparse.diags(d))),
+                            (sp.shifted_factor(op.matrix, sigma),
+                             sp.splu(op.matrix - sigma * ident))):
+            assert factor.band == 169 > sp.MAX_CHOLESKY_BAND
+            assert np.array_equal(factor._lu.U.diagonal(), ref._lu.U.diagonal())
+
+    def test_indefinite_diagonal_is_refused(self, factor_path):
+        # a diagonal that pushes one node's row below zero
+        op = self.operator()
+        d = np.full(op.n_unknowns, -sp.gershgorin_shift(op.matrix))
+        sp.splu(op.matrix, d)  # positive definite as it stands
+        d[op.n_unknowns // 2] = -2.0 * op.norm_estimate()
+        with pytest.raises(sp.SpectralError, match="not positive definite"):
+            sp.splu(op.matrix, d)
 
     @pytest.mark.parametrize("shape", [(12, 9), (9, 12), (30, 5), (40,)])
     def test_band_is_the_row_width(self, shape):
