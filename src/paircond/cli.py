@@ -26,13 +26,20 @@ from .geometry import (
     erode,
     mask_from_json,
 )
-from .grid import MAX_GRID_NODES, GridError, ScalarField
+from .grid import (
+    MAX_GRID_NODES,
+    REQUIRED,
+    UNSET,
+    ConfigError,
+    GridError,
+    Key,
+    ScalarField,
+    positive,
+    read_kind,
+    read_section,
+)
 from .reporting import FitError, ScanReport, fit_power_law
 from .spectral import SpectralError, hardy_quotient, onset_threshold
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 # every solver tolerance is relative; above this one, a start that is far
@@ -53,87 +60,65 @@ SOLVER_ERRORS = (
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config schema
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _tolerance(tol, name: str):
+    """Range rule of a solver tolerance: positive and at most ``MAX_TOL``."""
+    positive(tol, name)
+    if tol > MAX_TOL:
+        raise ConfigError(f"{name} must be at most {MAX_TOL:g}, got {tol!r}: "
+                          f"a looser tolerance lets a solver stop before it "
+                          f"has converged")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return section[key]
+def _scan_h(h_list, name: str):
+    """Range rule of the twobody-scan h_list: positive, with the three
+    distinct values that the fits of asymptotic_scan need."""
+    positive(h_list, name)
+    if len(set(h_list)) < 3:
+        raise ConfigError(f"{name} needs at least 3 distinct values, got "
+                          f"{h_list}")
 
 
-def _coerce(value, like, where: str):
-    """``value`` as finite numbers of the type of ``like`` (int or float): a
-    number when ``like`` is a number, a nonempty list when ``like`` is a list
-    (a single number then counts as a list of one). Booleans and strings are
-    not numbers, and an int takes only integral values."""
-    if any(isinstance(v, (bool, str))
-           for v in (value if isinstance(value, list) else [value])):
-        raise ConfigError(f"{where} must be numeric, got {value!r}")
+def _potential(spec: dict, name: str):
+    """Range rule of a potential: a descriptor that pairing reads."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be numeric, got {value!r}") from exc
-    if arr.ndim > np.ndim(like) or arr.size == 0:
-        shape = "a nonempty list" if isinstance(like, list) else "a number"
-        raise ConfigError(f"{where} must be {shape}, got {value!r}")
-    kind = int if np.asarray(like).dtype.kind == "i" else float
-    limit = np.iinfo(np.int64).max if kind is int else np.inf
-    if not np.all(np.abs(arr) < limit):  # false for NaN too
-        raise ConfigError(f"{where} must be finite and in range, got {value!r}")
-    if kind is int and not np.all(arr == np.round(arr)):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if isinstance(like, list):
-        return [kind(v) for v in np.atleast_1d(arr)]
-    return kind(arr)
+        pairing.potential_from_descriptor(spec)
+    except pairing.PairingError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _number(section: dict, key: str, default, where: str = "config",
-            positive: bool = False):
-    """Optional numeric key, coerced to the type and shape of its default;
-    with ``positive``, a scalar that must be positive. A ``tol`` key must
-    also be at most ``MAX_TOL``."""
-    value = _coerce(section.get(key, default), default, f"{key} in {where}")
-    if positive and not value > 0:
-        raise ConfigError(f"{key} in {where} must be positive, got {value!r}")
-    if key == "tol" and value > MAX_TOL:
-        raise ConfigError(f"tol in {where} must be at most {MAX_TOL:g}, got "
-                          f"{value!r}: a looser tolerance lets a solver stop "
-                          f"before it has converged")
-    return value
+OBJECT, OBJECT_OR_NULL, UNSET_FLOAT = Key({}), Key({}, None), Key(0.0, UNSET)
+POTENTIAL = Key({}, REQUIRED, _potential)
+DOMAIN_W = {"domain": OBJECT, "w": OBJECT_OR_NULL}
+D_KEYS = {"D": UNSET_FLOAT, "D_offset": UNSET_FLOAT}
+
+# experiment -> (function, config table): the table, as grid.read_section
+# reads it, maps each key to its default, or to a Key where the default
+# alone does not give its kind or range; the function takes what it reads
+SCHEMA = {}
+
+
+def _experiment(name: str, table: dict):
+    """Register the decorated function as experiment ``name``, on
+    ``table``."""
+    def register(fn):
+        SCHEMA[name] = (fn, table)
+        return fn
+    return register
 
 
 def build_domain(spec: dict):
-    if not isinstance(spec, dict):
-        raise ConfigError("domain must be an object")
     if "mask_file" in spec:
-        _check_keys(spec, {"mask_file"}, "domain")
-        path = spec["mask_file"]
-        if not isinstance(path, str):  # open() would take an int as an fd
-            raise ConfigError(f"mask_file must be a path, got {path!r}")
+        path = read_section(spec, {"mask_file": Key("")},
+                            "domain")["mask_file"]
         try:
             with open(path, encoding="utf-8") as fh:
                 return mask_from_json(fh.read())
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or mask
             raise ConfigError(f"cannot read mask file: {exc}") from exc
-    builtin = _require(spec, "builtin", "domain")
-    if not isinstance(builtin, str) or builtin not in BUILTIN_DOMAINS:
-        raise ConfigError(f"unknown builtin domain {builtin!r}")
-    make, defaults = BUILTIN_DOMAINS[builtin]
-    params = {k: v for k, v in spec.items() if k != "builtin"}
-    _check_keys(params, set(defaults), "domain")
-    kwargs = {}
-    for key, default in defaults.items():
-        value = params.get(key, default)
-        # None stands for "not given" only where the default is None
-        kwargs[key] = (None if value is None and default is None
-                       else _coerce(value, default, f"{key} in domain"))
+    make, kwargs = read_kind(spec, BUILTIN_DOMAINS, "domain", tag="builtin")
     try:
         # looked up on the module, so that a wrapper rebound there sees it
         return getattr(geometry, make.__name__)(**kwargs)
@@ -141,61 +126,52 @@ def build_domain(spec: dict):
         raise ConfigError(f"cannot build domain: {exc}") from exc
 
 
+def _constant(grid, value):
+    return np.full(grid.shape, value)
+
+
+def _bump(grid, height, center, width):
+    if len(center) not in (1, grid.dim):
+        raise ConfigError(f"w.center needs one entry, or one per axis of "
+                          f"the domain ({grid.dim}), got {center}")
+    mesh = grid.meshgrid()
+    r2 = sum((mesh[a] - center[min(a, len(center) - 1)]) ** 2
+             for a in range(grid.dim))
+    # a float64 square: inf for a huge width, where a float raises, and
+    # 0 for a width whose square underflows; then r2 / 0 is taken as
+    # +inf off the centre and 0 on it, leaving a one-node bump. An
+    # overflow, in the square or the quotient, is the inf it should be.
+    with np.errstate(over="ignore"):
+        w2 = np.float64(width) ** 2
+        scaled = np.divide(r2, w2, out=np.where(r2 > 0, np.inf, 0.0),
+                           where=w2 > 0)
+    return height * np.exp(-scaled)
+
+
+# w kind -> (values on a grid, parameter table); zero is no field
+W_KINDS = {
+    "zero": (None, {}),
+    "constant": (_constant, {"value": Key(0.0)}),
+    "bump": (_bump, {"height": 1.0, "center": [0.5],
+                     "width": Key(0.0, 0.2, positive)}),
+}
+
+
 def build_w(spec, mask) -> ScalarField | None:
     if spec is None:
         return None
-    if not isinstance(spec, dict):
-        raise ConfigError("w must be an object or null")
-    kind = _require(spec, "kind", "w")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    mesh = mask.grid.meshgrid()
-    if kind == "zero":
-        _check_keys(params, set(), "w")
-        return None
-    if kind == "constant":
-        _check_keys(params, {"value"}, "w")
-        value = _coerce(_require(params, "value", "w"), 0.0, "value in w")
-        vals = np.full(mask.grid.shape, value)
-    elif kind == "bump":
-        _check_keys(params, {"height", "center", "width"}, "w")
-        height = _number(params, "height", 1.0, "w")
-        center = np.asarray(_number(params, "center", [0.5], "w"))
-        width = _number(params, "width", 0.2, "w", positive=True)
-        r2 = sum((mesh[a] - center[min(a, center.size - 1)]) ** 2
-                 for a in range(mask.grid.dim))
-        # a float64 square: inf for a huge width, where a float raises, and
-        # 0 for a width whose square underflows; then r2 / 0 is taken as
-        # +inf off the centre and 0 on it, leaving a one-node bump. An
-        # overflow, in the square or the quotient, is the inf it should be.
-        with np.errstate(over="ignore"):
-            w2 = np.float64(width) ** 2
-            scaled = np.divide(r2, w2, out=np.where(r2 > 0, np.inf, 0.0),
-                               where=w2 > 0)
-        vals = height * np.exp(-scaled)
-    else:
-        raise ConfigError(f"unknown w kind {kind!r}")
-    return mask.field(vals)
-
-
-def validate_potential(spec) -> dict:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("potential must be an object with a 'kind'")
-    try:
-        pairing.potential_from_descriptor(spec)
-    except pairing.PairingError as exc:
-        raise ConfigError(str(exc)) from exc
-    return spec
+    make, params = read_kind(spec, W_KINDS, "w")
+    return None if make is None else mask.field(make(mask.grid, **params))
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiments, each on the values that its SCHEMA table reads
 
 
-def _exp_dc(cfg):
-    mask = build_domain(_require(cfg, "domain", "config"))
-    w = build_w(cfg.get("w"), mask)
-    _check_keys(cfg, {"domain", "w", "tol"}, "config")
-    res = onset_threshold(mask, w, tol=_number(cfg, "tol", 1e-10, positive=True))
+@_experiment("dc", {**DOMAIN_W, "tol": Key(0.0, 1e-10, _tolerance)})
+def _exp_dc(args):
+    mask = build_domain(args["domain"])
+    res = onset_threshold(mask, build_w(args["w"], mask), tol=args["tol"])
     return {
         "dc": res.eigenvalue,
         "residual": res.residual,
@@ -203,13 +179,12 @@ def _exp_dc(cfg):
     }
 
 
-def _exp_relative(cfg):
-    _check_keys(cfg, {"potential", "L", "n", "tol"}, "config")
-    pot = validate_potential(_require(cfg, "potential", "config"))
-    L, n = _number(cfg, "L", 20.0), _number(cfg, "n", 4001)
-    tol = _number(cfg, "tol", 1e-10, positive=True)
+@_experiment("relative", {"potential": POTENTIAL, "L": 20.0, "n": 4001,
+                         "tol": Key(0.0, 1e-10, _tolerance)})
+def _exp_relative(args):
     try:
-        gs = pairing.solve_relative(pot, L=L, n=n, tol=tol)
+        gs = pairing.solve_relative(args["potential"], L=args["L"],
+                                    n=args["n"], tol=args["tol"])
     except GridError as exc:  # the box grid refused L or n
         raise ConfigError(f"cannot build the relative box: {exc}") from exc
     return {
@@ -221,27 +196,24 @@ def _exp_relative(cfg):
     }
 
 
-def _resolve_d(cfg):
+def _resolve_d(args):
     """D as a function of the onset threshold: absolute ('D') or an offset
-    above it ('D_offset', default 1)."""
-    if "D" in cfg and "D_offset" in cfg:
+    above it ('D_offset', 1 when neither is given)."""
+    if "D" in args and "D_offset" in args:
         raise ConfigError("give either D or D_offset, not both")
-    if "D" in cfg:
-        d_val = _number(cfg, "D", 0.0)
-        return lambda threshold: d_val
-    offset = _number(cfg, "D_offset", 1.0)
-    return lambda threshold: threshold + offset
+    if "D" in args:
+        return lambda threshold: args["D"]
+    return lambda threshold: threshold + args.get("D_offset", 1.0)
 
 
-def _gp_setup(cfg, ells=()):
+def _gp_setup(args, ells=()):
     """Domain, W, the onset mode and the GP problem of the condensate
     experiments; the domain eroded and dilated by each nonzero ell in
     ``ells`` is built once before the onset solve, to refuse an ell that
     empties the domain or leaves its box."""
-    mask = build_domain(_require(cfg, "domain", "config"))
-    w = build_w(cfg.get("w"), mask)
-    g = _number(cfg, "g", 1.0, positive=True)
-    d_of = _resolve_d(cfg)
+    mask = build_domain(args["domain"])
+    w = build_w(args["w"], mask)
+    d_of = _resolve_d(args)
     try:
         for ell in ells:
             if ell != 0.0:  # continuity_scan reuses the base minimizer there
@@ -250,14 +222,14 @@ def _gp_setup(cfg, ells=()):
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
     mode = onset_threshold(mask, w, tol=1e-11)
-    return gp.GPProblem(mask, w, d_of(mode.eigenvalue), g), mode
+    return gp.GPProblem(mask, w, d_of(mode.eigenvalue), args["g"]), mode
 
 
-def _exp_gp_min(cfg):
-    _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "tol"}, "config")
-    tol = _number(cfg, "tol", 1e-9, positive=True)
-    prob, mode = _gp_setup(cfg)
-    sol = gp.minimize_gp(prob, tol=tol, mode=mode)
+@_experiment("gp-min", {**DOMAIN_W, **D_KEYS, "g": Key(0.0, 1.0, positive),
+                       "tol": Key(0.0, 1e-9, _tolerance)})
+def _exp_gp_min(args):
+    prob, mode = _gp_setup(args)
+    sol = gp.minimize_gp(prob, tol=args["tol"], mode=mode)
     theta, ub = gp.one_mode_upper_bound(prob, mode=mode)
     norm_sq = float(np.sum(sol.psi.values**2) * prob.mask.grid.node_weight)
     return {
@@ -272,68 +244,54 @@ def _exp_gp_min(cfg):
     }
 
 
-def _exp_continuity(cfg):
-    _check_keys(cfg, {"domain", "w", "D", "D_offset", "g", "ells", "tol"},
-                "config")
-    ells = _coerce(_require(cfg, "ells", "config"), [0.0], "ells")
-    tol = _number(cfg, "tol", 1e-9, positive=True)
-    prob, mode = _gp_setup(cfg, ells)
-    return gp.continuity_scan(prob, ells, tol=tol, mode=mode)
+@_experiment("continuity", {**DOMAIN_W, **D_KEYS,
+                           "g": Key(0.0, 1.0, positive), "ells": Key([0.0]),
+                           "tol": Key(0.0, 1e-9, _tolerance)})
+def _exp_continuity(args):
+    prob, mode = _gp_setup(args, args["ells"])
+    return gp.continuity_scan(prob, args["ells"], tol=args["tol"], mode=mode)
 
 
-def _exp_twobody(cfg):
-    _check_keys(cfg, {"potential", "a", "b", "h_list", "micro_step", "q",
-                      "tol"}, "config")
-    pot = validate_potential(_require(cfg, "potential", "config"))
+@_experiment("twobody-scan", {"potential": POTENTIAL, "a": 0.0, "b": 1.0,
+                             "h_list": Key([0.0], REQUIRED, _scan_h),
+                             "micro_step": Key(0.0, 0.125, positive),
+                             "q": Key(0.0, 1.5, positive),
+                             "tol": Key(0.0, 1e-9, _tolerance)})
+def _exp_twobody(args):
     scan_cfg = twobody.TwoBodyScanConfig(
-        a=_number(cfg, "a", 0.0),
-        b=_number(cfg, "b", 1.0),
-        potential=pot,
-        micro_step=_number(cfg, "micro_step", 0.125, positive=True),
-        q=_number(cfg, "q", 1.5, positive=True),
-        tol=_number(cfg, "tol", 1e-9, positive=True),
-    )
+        a=args["a"], b=args["b"], potential=args["potential"],
+        micro_step=args["micro_step"], q=args["q"], tol=args["tol"])
     if scan_cfg.b <= scan_cfg.a:
         raise ConfigError(f"b must exceed a, got a={scan_cfg.a}, "
                           f"b={scan_cfg.b}")
-    h_list = _coerce(_require(cfg, "h_list", "config"), [0.0], "h_list")
-    if min(h_list) <= 0.0:
-        raise ConfigError(f"h_list values must be positive, got {h_list}")
-    if len(set(h_list)) < 3:  # the fits of asymptotic_scan need three
-        raise ConfigError(f"h_list needs at least 3 distinct values, got "
-                          f"{h_list}")
     # each h's product grid, micro lattice and trial support, before any solve
     try:
-        for h in h_list:
+        for h in args["h_list"]:
             prob = twobody.problem_at(scan_cfg, h)
             pairing.micro_lattice_k_max(prob.micro_step)
             twobody.trial_support(prob, scan_cfg.q)
     except (twobody.TwoBodyError, GridError, GeometryError,
             pairing.PairingError) as exc:
         raise ConfigError(str(exc)) from exc
-    return twobody.asymptotic_scan(scan_cfg, h_list)
+    return twobody.asymptotic_scan(scan_cfg, args["h_list"])
 
 
-def _pair_setup(cfg, q_default: float, d_of, mode_with_w: bool,
+def _pair_setup(args, d_of, mode_with_w: bool,
                 needs_w: bool = False) -> tuple:
-    """What the pair-state experiments share, from the shared keys: one
-    ``BCSConfig`` per h (largest first), the domain eroded by the largest
-    ell(h) (ell = q h ln(1/h) peaks at h = 1/e, not at the largest h), and
-    the onset mode there, which includes W only when ``mode_with_w``. D is
-    ``d_of`` its threshold. With ``needs_w``, a W that is absent or zero
-    everywhere is refused before any solve."""
-    mask = build_domain(_require(cfg, "domain", "config"))
-    if mask.grid.dim != 1:
-        raise ConfigError("pair-state experiments need a 1D domain")
-    w = build_w(cfg.get("w"), mask)
-    pot = validate_potential(_require(cfg, "potential", "config"))
-    q = _number(cfg, "q", q_default, positive=True)
-    h_list = sorted(_coerce(_require(cfg, "h_list", "config"), [0.0], "h_list"),
-                    reverse=True)
-    # the kernel budget, each h's micro lattice and the eroded domain,
-    # before any solve
+    """What the pair-state experiments share: one ``BCSConfig`` per h
+    (largest first), the domain eroded by the largest ell(h) (ell = q h
+    ln(1/h) peaks at h = 1/e, not at the largest h), and the onset mode
+    there, which includes W only when ``mode_with_w``. D is ``d_of`` its
+    threshold. With ``needs_w``, a W that is absent or zero everywhere is
+    refused before any solve."""
+    mask = build_domain(args["domain"])
+    w = build_w(args["w"], mask)
+    h_list = sorted(args["h_list"], reverse=True)
+    # the domain's dimension (BCSConfig takes only 1D), the kernel budget,
+    # each h's micro lattice and the eroded domain, before any solve
     try:
-        configs = [bcs.BCSConfig(mask, pot, w, h=h, D=0.0, q=q) for h in h_list]
+        configs = [bcs.BCSConfig(mask, args["potential"], w, h=h, D=0.0,
+                                 q=args["q"]) for h in h_list]
         # the widest pair kernel, aa = a a dx, holds n (4b + 1) band entries,
         # where a reaches b = 1.5 ell / dx nodes at the largest ell
         n = mask.grid.n[0]
@@ -356,12 +314,12 @@ def _pair_setup(cfg, q_default: float, d_of, mode_with_w: bool,
     return configs, inner, mode
 
 
-def _exp_bcs_trial(cfg):
-    _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
-                      "amplitude", "h_list"}, "config")
-    d_of = _resolve_d(cfg)
-    amp = _number(cfg, "amplitude", 0.3)
-    configs, _, mode = _pair_setup(cfg, 1.5, d_of, mode_with_w=True)
+@_experiment("bcs-trial", {**DOMAIN_W, "potential": POTENTIAL, **D_KEYS,
+                          "q": Key(0.0, 1.5, positive), "amplitude": 0.3,
+                          "h_list": Key([0.0])})
+def _exp_bcs_trial(args):
+    d_of, amp = _resolve_d(args), args["amplitude"]
+    configs, _, mode = _pair_setup(args, d_of, mode_with_w=True)
     first = configs[0]
     psi = ScalarField(first.mask.grid, amp * mode.eigenvector.values)
 
@@ -387,13 +345,13 @@ def _exp_bcs_trial(cfg):
     return report
 
 
-def _exp_semiclassics(cfg):
-    _check_keys(cfg, {"domain", "w", "potential", "D", "q", "amplitude",
-                      "h_list"}, "config")
-    d_val = _number(cfg, "D", 1.0)
-    amp = _number(cfg, "amplitude", 0.5)
-    configs, _, mode = _pair_setup(cfg, 1.0, lambda _: d_val,
-                                   mode_with_w=False, needs_w=True)
+@_experiment("semiclassics", {**DOMAIN_W, "potential": POTENTIAL, "D": 1.0,
+                             "q": Key(0.0, 1.0, positive), "amplitude": 0.5,
+                             "h_list": Key([0.0])})
+def _exp_semiclassics(args):
+    d_val, amp = args["D"], args["amplitude"]
+    configs, _, mode = _pair_setup(args, lambda _: d_val, mode_with_w=False,
+                                   needs_w=True)
     psi = ScalarField(configs[0].mask.grid, amp * mode.eigenvector.values)
 
     def point(c):
@@ -414,23 +372,22 @@ def _exp_semiclassics(cfg):
     return report
 
 
-def _exp_hardy(cfg):
-    _check_keys(cfg, {"domain", "lambda_offset", "n_list", "tol"}, "config")
-    spec = _require(cfg, "domain", "config")
-    if not isinstance(spec, dict):
-        raise ConfigError("domain must be an object")
+@_experiment("hardy", {"domain": OBJECT, "lambda_offset": 0.0,
+                      "n_list": [101, 201, 401],
+                      "tol": Key(0.0, 1e-8, _tolerance)})
+def _exp_hardy(args):
+    spec = args["domain"]
     if "mask_file" in spec:
         raise ConfigError("hardy rebuilds a builtin domain at each n of "
                           "n_list; a mask_file has one grid")
     if "n" in spec:
         raise ConfigError("hardy takes n from n_list; remove n from the "
                           "domain")
-    lam = _number(cfg, "lambda_offset", 0.0)
-    tol = _number(cfg, "tol", 1e-8, positive=True)
+    lam = args["lambda_offset"]
     rows = []
-    for n in _number(cfg, "n_list", [101, 201, 401]):
+    for n in args["n_list"]:
         mask = build_domain({**spec, "n": n})
-        mu = hardy_quotient(mask, lambda_offset=lam, tol=tol)
+        mu = hardy_quotient(mask, lambda_offset=lam, tol=args["tol"])
         rows.append((n, mu, 2.0 / np.sqrt(mu)))
     return ScanReport(
         columns=["n", "mu_hat", "hardy_constant"],
@@ -439,10 +396,10 @@ def _exp_hardy(cfg):
     )
 
 
-def _exp_density(cfg):
-    _check_keys(cfg, {"domain", "w", "potential", "D", "D_offset", "q",
-                      "h_list"}, "config")
-    configs, inner, mode = _pair_setup(cfg, 1.5, _resolve_d(cfg),
+@_experiment("density", {**DOMAIN_W, "potential": POTENTIAL, **D_KEYS,
+                        "q": Key(0.0, 1.5, positive), "h_list": Key([0.0])})
+def _exp_density(args):
+    configs, inner, mode = _pair_setup(args, _resolve_d(args),
                                        mode_with_w=False)
     first = configs[0]
     mask = first.mask
@@ -480,20 +437,6 @@ def _exp_density(cfg):
     return report
 
 
-DRIVERS = {
-    "dc": _exp_dc,
-    "relative": _exp_relative,
-    "gp-min": _exp_gp_min,
-    "continuity": _exp_continuity,
-    "twobody-scan": _exp_twobody,
-    "bcs-trial": _exp_bcs_trial,
-    "semiclassics": _exp_semiclassics,
-    "hardy": _exp_hardy,
-    "density": _exp_density,
-}
-EXPERIMENTS = tuple(DRIVERS)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -506,16 +449,14 @@ def _non_finite(summary: dict) -> list:
 
 def run(experiment: str, config: dict, out_dir: str) -> int:
     """Run one experiment; returns the process exit code."""
-    if experiment not in DRIVERS:
+    if experiment not in SCHEMA:
         print(f"unknown experiment {experiment!r}; choose from "
-              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print("config root must be a JSON object", file=sys.stderr)
+              f"{', '.join(SCHEMA)}", file=sys.stderr)
         return 2
     t0 = time.time()
     try:
-        result = DRIVERS[experiment](config)
+        experiment_fn, table = SCHEMA[experiment]
+        result = experiment_fn(read_section(config, table))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -560,14 +501,14 @@ def main(argv=None) -> int:
         description="desk-scale experiments on pair condensation with "
                     "Dirichlet walls",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=SCHEMA)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="paircond-out", help="output directory")
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     return run(args.experiment, config, args.out)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridError, ScalarField
+from .grid import ConfigError, Grid, GridError, ScalarField, as_number
 
 
 class GeometryError(ValueError):
@@ -182,7 +182,7 @@ def box_mask(lower, upper, grid: Grid | None = None, n=201,
     up = np.atleast_1d(np.asarray(upper, dtype=float))
     if grid is None:
         pad = margin if margin is not None else 0.0
-        grid = Grid.box(lo - pad, up + pad, np.resize(np.asarray(n), lo.size))
+        grid = Grid.box(lo - pad, up + pad, n)
     mesh = grid.meshgrid()
     inside = np.ones(grid.shape, dtype=bool)
     for a in range(grid.dim):
@@ -231,8 +231,8 @@ def slit_square(n: int = 241) -> DomainMask:
     return DomainMask(grid, inside)
 
 
-# config name -> (constructor, keyword defaults); the defaults name the
-# parameters a config may set, and a list default takes a number or a list
+# config name -> (constructor, its key table as grid.read_section reads it:
+# each parameter a config may set, with its default)
 BUILTIN_DOMAINS = {
     "interval": (interval, {"a": 0.0, "b": 1.0, "n": 801, "margin": None}),
     "box": (box_mask, {"lower": [0.0, 0.0], "upper": [1.0, 1.0],
@@ -271,13 +271,6 @@ def _count(value) -> int:
     return value
 
 
-def _bound(value) -> float:
-    """``value`` if it is a JSON number, else GeometryError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GeometryError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _rle_decode(runs: list, size: int) -> np.ndarray:
     runs = [_count(run) for run in runs]
     if sum(runs) != size:
@@ -301,13 +294,13 @@ def mask_from_json(text: str) -> DomainMask:
     payload = json.loads(text)
     try:
         grid = Grid(
-            tuple(_bound(v) for v in payload["lower"]),
-            tuple(_bound(v) for v in payload["upper"]),
+            tuple(as_number(payload["lower"], [0.0], "lower")),
+            tuple(as_number(payload["upper"], [0.0], "upper")),
             tuple(_count(v) for v in payload["n"]),
         )
         if _count(payload["dim"]) != grid.dim:
             raise GeometryError("declared dim does not match bounds")
         inside = _rle_decode(payload["inside"], grid.size).reshape(grid.shape)
-    except (KeyError, TypeError, GridError) as exc:
+    except (KeyError, TypeError, GridError, ConfigError) as exc:
         raise GeometryError(f"malformed mask JSON: {exc}") from exc
     return DomainMask(grid, inside)

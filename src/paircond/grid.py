@@ -6,6 +6,10 @@ which reduces to a plain ``prod(spacing)`` node sum for every field that
 vanishes on the box boundary (all physically relevant fields here do). A
 grid refuses more than ``MAX_GRID_NODES`` nodes when it is constructed,
 before any array exists.
+
+The JSON values a run reads pass through one reader, ``read_section``, and
+one number rule, ``as_number``; both refuse a bad value with
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ MAX_GRID_NODES = 2**22
 
 class GridError(ValueError):
     """Usage error in grid or field construction/combination."""
+
+
+class ConfigError(ValueError):
+    """A JSON value that its table refuses."""
 
 
 def _as_axis_tuple(value, dim, dtype):
@@ -66,9 +74,9 @@ class Grid:
 
     @staticmethod
     def box(lower, upper, n) -> "Grid":
-        """Build a grid from scalars (1D) or per-axis sequences."""
-        n_arr = np.asarray(n).reshape(-1)
-        dim = n_arr.size
+        """Build a grid from scalars (1D) or per-axis sequences, with one
+        axis per entry of ``lower``."""
+        dim = np.size(lower)
         return Grid(
             _as_axis_tuple(lower, dim, float),
             _as_axis_tuple(upper, dim, float),
@@ -144,15 +152,104 @@ class ScalarField:
             raise GridError("field contains non-finite values")
 
 
-def _require_same_grid(f: ScalarField, g: ScalarField):
-    if f.grid != g.grid:
-        raise GridError("fields live on different grids")
+# ---------------------------------------------------------------------------
+# JSON values
 
 
-def inner_product(f: ScalarField, g: ScalarField) -> complex | float:
-    """L2 pairing, conjugate-linear in the first argument."""
-    _require_same_grid(f, g)
-    total = np.sum(np.conj(f.values) * g.values * f.grid.weights())
-    if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
-        return total
-    return float(total)
+def as_number(value, like, name: str):
+    """The one number rule of the JSON a run reads: ``value`` as finite
+    numbers of the type of ``like`` (int, or else float): a number when
+    ``like`` is a number or null, a nonempty list when it is a list (a single
+    number then counts as a list of one). Booleans and strings are not
+    numbers, and an int takes only integral values. ``name`` names the value
+    in the ``ConfigError`` that refuses it."""
+    listed = isinstance(like, list)
+    items = value if listed and isinstance(value, list) else [value]
+    if not items or not all(isinstance(v, (int, float))
+                            and not isinstance(v, bool) for v in items):
+        shape = "a nonempty list of numbers" if listed else "a number"
+        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    try:
+        numbers = [float(v) for v in items]
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{name} must be finite and in range") from exc
+    kind = int if type(like[0] if listed else like) is int else float
+    limit = 2**63 - 1 if kind is int else math.inf
+    if not all(abs(v) < limit for v in numbers):  # false for NaN too
+        raise ConfigError(f"{name} must be finite and in range, got {value!r}")
+    if kind is int and not all(v == round(v) for v in numbers):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    numbers = [kind(v) for v in numbers]
+    return numbers if listed else numbers[0]
+
+
+# the default of a key that a section must give, and of one that it may
+# leave unset (then absent from what ``read_section`` returns)
+REQUIRED, UNSET = object(), object()
+
+
+class Key:
+    """A key of a JSON section: a value ``like`` of its kind (0.0, 0, [0.0]
+    or [0] for ``as_number``, {} an object, "" a string), its ``default``
+    (``REQUIRED``, ``UNSET`` or the value of an absent key) and its range
+    ``rule``, called on the value read and the key's name, which raises
+    ``ConfigError`` for a value out of range."""
+
+    def __init__(self, like, default=REQUIRED, rule=None):
+        self.like, self.default, self.rule = like, default, rule
+
+
+def positive(value, name: str):
+    """Range rule: every number of ``value`` is positive."""
+    if not min(value if isinstance(value, list) else [value]) > 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
+def read_section(section, table: dict, where: str = "") -> dict:
+    """The values of the JSON object ``section`` by ``table``, key -> Key
+    (or a bare default, for Key(default, default)). Unknown keys and missing
+    required ones are refused; each value is read in its key's kind (an
+    object or a string as it is) and checked by its rule; an absent key
+    takes its default. Null stands for an absent key only where the default
+    is null. ``where`` names the section in messages ("" for the root)."""
+    place = where or "config"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{place} must be an object")
+    unknown = set(section) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown keys in {place}: {sorted(unknown)}")
+    values = {}
+    for key, entry in table.items():
+        spec = entry if isinstance(entry, Key) else Key(entry, entry)
+        value = section.get(key, spec.default)
+        name = f"{where}.{key}" if where else key
+        if value is REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {place}")
+        if value is UNSET:
+            continue
+        if value is None and spec.default is None:
+            values[key] = None
+        elif isinstance(spec.like, (dict, str)):
+            if not isinstance(value, type(spec.like)):
+                kind = "a string" if spec.like == "" else "an object"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
+            values[key] = value
+        else:
+            values[key] = as_number(value, spec.like, name)
+        if spec.rule:
+            spec.rule(values[key], name)
+    return values
+
+
+def read_kind(section, kinds: dict, where: str, tag: str = "kind") -> tuple:
+    """(maker, values) of the JSON object ``section`` whose ``tag`` names an
+    entry of ``kinds``, name -> (maker, table): the rest of the section read
+    by that table (``read_section``)."""
+    if not isinstance(section, dict) or tag not in section:
+        raise ConfigError(f"{where} must be an object with a {tag!r}")
+    name = section[tag]
+    if not isinstance(name, str) or name not in kinds:
+        raise ConfigError(f"unknown {where} {tag} {name!r}")
+    make, table = kinds[name]
+    rest = {k: v for k, v in section.items() if k != tag}
+    return make, read_section(rest, table, where)

@@ -8,8 +8,7 @@ One type, ``RelativeGroundState``, holds the state; one set of lattice sums
 works on its samples. ``solve_relative`` solves a fine box for continuum
 values; ``matched_relative_state`` solves the micro lattice (spacing / h)
 whose three-point stencil the product-grid kernels induce, where the
-couplings, the cut pair field and its energy are exact. A spline
-(``evaluate``) samples the state off its nodes. The state
+couplings, the cut pair field and its energy are exact. The state
 decays exponentially, and ``solve_relative`` checks that it has at the box
 boundary.
 """
@@ -22,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import box_mask
-from .grid import MAX_GRID_NODES, Grid, ScalarField
+from .grid import (MAX_GRID_NODES, ConfigError, Grid, Key, ScalarField,
+                   positive, read_kind)
 from .spectral import StencilOperator, assemble_dirichlet, smallest_eigenpair
 
 # the decay-rate fit: radial shells, the fit window in units of L, and the
@@ -40,74 +40,52 @@ class PairingError(RuntimeError):
 # potential descriptors
 
 
+def _poschl_teller(depth, width):
+    return lambda r: -depth / np.cosh(r / width) ** 2
+
+
+def _square_well(depth, halfwidth):
+    return lambda r: np.where(r < halfwidth, -depth, 0.0)
+
+
+def _gaussian_well(depth, width):
+    return lambda r: -depth * np.exp(-(r**2) / (2 * width**2))
+
+
+def _table(x, v):
+    xs, vs = np.asarray(x), np.asarray(v)
+    if xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0):
+        raise PairingError("table potential needs x and v of one length, at "
+                           "least 2, x strictly increasing")
+    return lambda r: np.interp(r, xs, vs, left=0.0, right=0.0)
+
+
+# potential kind -> (maker of its radial profile, parameter table, as
+# grid.read_section reads it)
+POTENTIALS = {
+    "poschl_teller": (_poschl_teller,
+                      {"depth": 2.0, "width": Key(0.0, 1.0, positive)}),
+    "square_well": (_square_well,
+                    {"depth": Key(0.0), "halfwidth": Key(0.0, 1.0, positive)}),
+    "gaussian_well": (_gaussian_well,
+                      {"depth": Key(0.0), "width": Key(0.0, 1.0, positive)}),
+    "table": (_table, {"x": Key([0.0]), "v": Key([0.0])}),
+}
+
+
 def potential_from_descriptor(desc: dict):
     """Return a callable V(x), applied elementwise to an array of
-    separations, from a JSON-style descriptor.
-
-    Supported kinds: poschl_teller {depth, width}, square_well {depth,
-    halfwidth}, gaussian_well {depth, width}, table {x, v} (radial linear
-    interpolation, zero outside the tabulated range). All are reflection
-    symmetric by construction. Every parameter must be a finite number,
-    widths positive and table radii strictly increasing; anything else
-    raises ``PairingError``.
-    """
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise PairingError("potential descriptor must be a dict with a 'kind'")
-    kind = desc["kind"]
-    params = {k: v for k, v in desc.items() if k != "kind"}
-
-    def radius(x):
-        return np.abs(np.asarray(x, dtype=float))
-
-    if kind == "poschl_teller":
-        depth = _parameter(params, "depth", 2.0)
-        width = _parameter(params, "width", 1.0, positive=True)
-        _reject_extra(kind, params)
-        return lambda x: -depth / np.cosh(radius(x) / width) ** 2
-    if kind == "square_well":
-        depth = _parameter(params, "depth")
-        halfwidth = _parameter(params, "halfwidth", 1.0, positive=True)
-        _reject_extra(kind, params)
-        return lambda x: np.where(radius(x) < halfwidth, -depth, 0.0)
-    if kind == "gaussian_well":
-        depth = _parameter(params, "depth")
-        width = _parameter(params, "width", 1.0, positive=True)
-        _reject_extra(kind, params)
-        return lambda x: -depth * np.exp(-(radius(x) ** 2) / (2 * width**2))
-    if kind == "table":
-        try:
-            xs = np.asarray(params.pop("x"), dtype=float)
-            vs = np.asarray(params.pop("v"), dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PairingError("table potential needs numeric x and v arrays") from exc
-        _reject_extra(kind, params)
-        if (xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2
-                or not np.all(np.isfinite(vs) & np.isfinite(xs))
-                or not np.all(np.diff(xs) > 0)):
-            raise PairingError("table potential needs matching 1D arrays of "
-                               "finite x and v, x strictly increasing")
-        return lambda x: np.interp(radius(x), xs, vs, left=0.0, right=0.0)
-    raise PairingError(f"unknown potential kind {kind!r}")
-
-
-def _parameter(params: dict, key: str, default: float | None = None,
-               positive: bool = False) -> float:
-    """Pop ``key`` from ``params`` as a finite (and, if asked, positive)
-    number; required when there is no default."""
-    value = params.pop(key, default)
+    separations, from a JSON-style descriptor: its ``kind`` names an entry
+    of ``POTENTIALS``, whose table reads the other keys (a ``table``
+    interpolates its radial samples linearly, and is zero beyond them).
+    Every potential is radial, so reflection symmetric. A descriptor that
+    the table or the maker refuses raises ``PairingError``."""
     try:
-        number = float(value)  # None, for a missing required key, fails
-    except (TypeError, ValueError):
-        number = np.nan
-    if not np.isfinite(number) or (positive and not number > 0):
-        raise PairingError(f"potential parameter {key!r} must be a finite"
-                           f"{' positive' if positive else ''} number, got {value!r}")
-    return number
-
-
-def _reject_extra(kind, params):
-    if params:
-        raise PairingError(f"unknown parameters for {kind!r}: {sorted(params)}")
+        make, params = read_kind(desc, POTENTIALS, "potential")
+    except ConfigError as exc:
+        raise PairingError(str(exc)) from exc
+    profile = make(**params)
+    return lambda x: profile(np.abs(np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +97,8 @@ class RelativeGroundState:
     """Bound state of the relative operator -Lap + V on the box [-L, L].
 
     On an odd node count 2 k_max + 1 the nodes are the lattice s = k * step,
-    |k| <= k_max, on which the lattice sums work. The decay rate, the pair
-    (g_bcs, g_0) and the spline of ``evaluate`` are computed when first
-    needed, then cached.
+    |k| <= k_max, on which the lattice sums work. The decay rate and the
+    pair (g_bcs, g_0) are computed when first needed, then cached.
     """
 
     potential: dict
@@ -154,21 +131,6 @@ class RelativeGroundState:
     def g_0(self) -> float:
         return self._couplings[1]
 
-    @cached_property
-    def _spline(self):
-        # imported here: scipy.interpolate loads scipy.optimize, about 0.2 s
-        # of every CLI start, and no experiment evaluates the spline
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.grid.axis(0), self.alpha_star.values)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Sample the pair wavefunction at arbitrary points (spline, zero
-        outside the box)."""
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros_like(pts)
-        ok = np.abs(pts) <= self.L
-        out[ok] = self._spline(pts[ok])
-        return out
 
 
 def _box_operator(potential: dict, L: float, n: int) -> StencilOperator:

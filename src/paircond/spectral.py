@@ -276,9 +276,13 @@ class Orbits:
         its rows are those of A, to which B is similar on the invariant
         fields, and its Gershgorin bound is A's. B's own bound sits lower,
         at its weighted couplings next to the fixed nodes, and a shift that
-        far below lambda_1 costs the eigensolve more LU solves."""
+        far below lambda_1 costs the eigensolve more LU solves. The diagonal
+        is B's, copied: recomputed as (s a_ii) / s it overflows once a_ii
+        is within a factor s of the float maximum."""
         s = np.sqrt(self.stab)
-        return sparse.diags(s) @ mat @ sparse.diags(1.0 / s)
+        scaled = (sparse.diags(s) @ mat @ sparse.diags(1.0 / s)).tocsr()
+        scaled.setdiag(mat.diagonal())
+        return scaled
 
     def ground_state(self, op: StencilOperator, tol: float,
                      sigma: float | None = None,

@@ -3,7 +3,7 @@ import pytest
 
 from paircond import geometry as geo
 from paircond import pairing
-from paircond.grid import Grid
+from paircond.grid import Grid, GridError
 
 POSCHL_TELLER = {"kind": "poschl_teller", "depth": 2.0}
 
@@ -41,6 +41,17 @@ def padded_interval():
 def bcs_domain():
     """Wide 1D domain used by pair-state scans (room for ell(h) erosion)."""
     return geo.interval(0.0, 4.0, grid=Grid.box(-0.05, 4.05, 604))
+
+
+def inner_product(f, g) -> complex | float:
+    """L2 pairing of two fields on one grid, conjugate-linear in the
+    first."""
+    if f.grid != g.grid:
+        raise GridError("fields live on different grids")
+    total = np.sum(np.conj(f.values) * g.values * f.grid.weights())
+    if np.iscomplexobj(f.values) or np.iscomplexobj(g.values):
+        return total
+    return float(total)
 
 
 def random_1d_mask(rng, n=48):

@@ -12,6 +12,7 @@ of variables is a relabeling of kernel entries, with quadrature weights
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from paircond.bcs import BandKernel, BCSConfig, BCSError, center_values, pair_kernel
 from paircond.grid import Grid, GridError, ScalarField
@@ -131,14 +132,29 @@ def extract_order_parameter(cfg: BCSConfig, alpha: PairKernel):
     return psi_field, PairKernel(cfg.mask.grid, cfg.mask.grid, xi)
 
 
+def pair_wave(gs):
+    """The pair wavefunction of the relative state ``gs`` off its nodes: a
+    cubic spline of its samples, zero outside the box."""
+    spline = CubicSpline(gs.grid.axis(0), gs.alpha_star.values)
+
+    def wave(points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        out = np.zeros_like(pts)
+        ok = np.abs(pts) <= gs.L
+        out[ok] = spline(pts[ok])
+        return out
+
+    return wave
+
+
 def _fibers(cfg: BCSConfig, frame: COMFrame):
     """Each nonempty center fiber u: (u, i, j, alpha_*((x_i - x_j)/h)), the
     pair wave from the spline of the continuum relative state."""
-    gs = cfg.relative or solve_relative(cfg.potential)
+    wave = pair_wave(cfg.relative or solve_relative(cfg.potential))
     for u in range(2 * frame.n - 1):
         i, j, v = frame.pair_indices(u)
         if i.size:
-            yield u, i, j, gs.evaluate(v * frame.dx / cfg.h)
+            yield u, i, j, wave(v * frame.dx / cfg.h)
 
 
 def com_norm_split(cfg: BCSConfig, alpha: PairKernel, psi: ScalarField,

@@ -8,20 +8,21 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from conftest import POSCHL_TELLER
+from conftest import POSCHL_TELLER, inner_product
 from order_parameter import (
     COMFrame,
     PairKernel,
     com_norm_split,
     extract_order_parameter,
     pair_kernel_matrix,
+    pair_wave,
 )
 from paircond import bcs
 from paircond import geometry as geo
 from paircond import gp
 from paircond import pairing as pr
 from paircond import twobody as tb
-from paircond.grid import Grid, ScalarField, inner_product
+from paircond.grid import Grid, ScalarField
 from paircond.reporting import fit_power_law
 from paircond.spectral import hardy_quotient, onset_threshold
 
@@ -170,9 +171,9 @@ def test_07_decomposition_identities(bcs_domain, pt_state):
     psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
     frame = COMFrame.build(cfg)
     psi_half = frame.interpolate_to_centers(psi)
+    wave = pair_wave(pt_state)
     amat = pair_kernel_matrix(
-        cfg, psi_half, lambda v: pt_state.evaluate(v * frame.dx / cfg.h),
-        frame).dense()
+        cfg, psi_half, lambda v: wave(v * frame.dx / cfg.h), frame).dense()
     alpha = PairKernel(bcs_domain.grid, bcs_domain.grid, amat)
     extracted, xi = extract_order_parameter(cfg, alpha)
     round_trip = float(np.max(np.abs(extracted.values - psi_half)))

@@ -13,6 +13,7 @@ from order_parameter import (
     com_norm_split,
     extract_order_parameter,
     pair_kernel_matrix,
+    pair_wave,
 )
 from paircond import bcs
 from paircond import geometry as geo
@@ -36,9 +37,9 @@ def product_kernel(cfg, psi_field, gs):
     """Uncut kernel psi((x+y)/2) alpha((x-y)/h) from the continuum state."""
     frame = COMFrame.build(cfg)
     psi_half = frame.interpolate_to_centers(psi_field)
+    wave = pair_wave(gs)
     mat = pair_kernel_matrix(
-        cfg, psi_half,
-        lambda v: gs.evaluate(v * frame.dx / cfg.h), frame,
+        cfg, psi_half, lambda v: wave(v * frame.dx / cfg.h), frame,
     ).dense()
     return PairKernel(cfg.mask.grid, cfg.mask.grid, mat), psi_half
 
@@ -175,11 +176,12 @@ class TestExtraction:
         _, xi = extract_order_parameter(cfg, alpha)
         # <alpha_*(./h), xi(X, .)> on each center fiber X
         frame = COMFrame.build(cfg)
+        alpha_star = pair_wave(pt_state)
         products = []
         for u in range(2 * frame.n - 1):
             i, j, v = frame.pair_indices(u)
             if i.size:
-                wave = pt_state.evaluate(v * frame.dx / cfg.h)
+                wave = alpha_star(v * frame.dx / cfg.h)
                 products.append(np.sum(wave * xi.values[i, j]) * 2.0 * frame.dx)
         assert products and np.max(np.abs(products)) < 1e-10
 

@@ -10,9 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from paircond import cli, gp, pairing, spectral, twobody
+from paircond import cli, gp, grid, pairing, spectral, twobody
 from paircond import geometry as geo
 from paircond.grid import Grid
 from paircond.reporting import FitError, fit_power_law
@@ -166,14 +168,28 @@ class TestRun:
 
     @pytest.mark.parametrize("case", ["string_tol", "boolean_bounds",
                                       "fractional_count", "boolean_value",
-                                      "mask_bounds"])
+                                      "mask_bounds", "boolean_width",
+                                      "string_depth", "string_halfwidth",
+                                      "table_strings"])
     def test_non_numbers_are_config_errors(self, tmp_path, capsys, case):
         # a numeric string, a boolean or a fractional count is not read as
-        # a number (each of these ran, and exited 0, on the value it parsed
-        # or truncated to)
+        # a number (each of these ran, and exited 0 or 3, on the value it
+        # parsed or truncated to)
         interval = {"builtin": "interval", "n": 201}
         cfg = {"domain": interval, "w": None}
-        if case == "string_tol":
+        experiment = "dc"
+        potentials = {
+            "boolean_width": {"kind": "poschl_teller", "width": True},
+            "string_depth": {"kind": "poschl_teller", "depth": "1"},
+            "string_halfwidth": {"kind": "square_well", "depth": 2.0,
+                                 "halfwidth": "1"},
+            "table_strings": {"kind": "table", "x": ["0", "1", "2"],
+                              "v": [True, False, True]},
+        }
+        if case in potentials:
+            experiment = "relative"
+            cfg = {"potential": potentials[case], "L": 16.0, "n": 801}
+        elif case == "string_tol":
             cfg["tol"] = "1e-9"
         elif case == "boolean_bounds":
             cfg["domain"] = dict(interval, a=False, b=True)
@@ -186,7 +202,7 @@ class TestRun:
             payload["lower"], payload["upper"] = ["0"], [True]
             (tmp_path / "mask.json").write_text(json.dumps(payload))
             cfg["domain"] = {"mask_file": str(tmp_path / "mask.json")}
-        assert cli.run("dc", cfg, str(tmp_path / "out")) == 2
+        assert cli.run(experiment, cfg, str(tmp_path / "out")) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not os.path.exists(tmp_path / "out")
 
@@ -387,6 +403,17 @@ class TestRun:
                         "w": None, "ells": [0.03, 1e300]}),
         ("continuity", {"domain": {"builtin": "slit_square", "n": 41},
                         "w": None, "ells": [0.03, 0.15]}),
+        # per-axis lists longer than the domain's dimension (each ran on its
+        # leading entries)
+        ("dc", {"domain": {"builtin": "interval", "n": 201},
+                "w": {"kind": "bump", "center": [0.5, 0.1, 9.0]}}),
+        ("dc", {"domain": {"builtin": "box", "n": [41, 41, 41]}, "w": None}),
+        # integers beyond the float range (each was an OverflowError)
+        ("dc", {"domain": {"builtin": "interval", "n": 10**400}, "w": None}),
+        ("dc", {"domain": {"builtin": "interval", "n": 201}, "w": None,
+                "tol": 10**400}),
+        ("relative", {"potential": {"kind": "poschl_teller",
+                                    "depth": 10**400}}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2
@@ -504,8 +531,7 @@ class TestRun:
     def test_dc_of_w_near_float_max(self, tmp_path, capsys):
         # under the suite's RuntimeWarning-as-error filter: the Gershgorin
         # radius of a row sums its couplings alone, so W = 1.7e308 on the
-        # diagonal (inf once row-scaled at the box's centre) is never
-        # subtracted from itself as inf - inf
+        # diagonal is never subtracted from itself
         cfg = {"domain": {"builtin": "box", "n": 21},
                "w": {"kind": "constant", "value": 1.7e308}}
         assert cli.run("dc", cfg, str(tmp_path)) == 0
@@ -876,6 +902,19 @@ class TestRun:
                          "--out", str(tmp_path / "out")])
         assert code == 0
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}",
+                                      b'{"tol": 1' + b"0" * 5000 + b"}"],
+                             ids=["not_utf8", "int_past_digit_limit"])
+    def test_main_unreadable_config(self, tmp_path, capsys, text):
+        # each was a traceback: a UnicodeDecodeError, and the ValueError of
+        # Python's limit on the digits of an integer it parses
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        assert cli.main(["dc", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read config: ")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_main_bad_json(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -966,3 +1005,139 @@ def test_fuzzed_new_key_never_tracebacks(where, value):
     code, err = run_fuzzed(*where, value)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+# every key of every base: a key of the config root, or (section, key) of
+# its domain, w or potential
+FUZZ_PATHS = []
+for _exp, _base in FUZZ_BASE.items():
+    for _key, _value in _base.items():
+        FUZZ_PATHS.append((_exp, (_key,)))
+        if isinstance(_value, dict):
+            FUZZ_PATHS += [(_exp, (_key, sub)) for sub in _value]
+# the keys whose default is null, which a null value leaves unset
+NULL_DEFAULTS = {("w",), ("domain", "margin")}
+
+
+def mutations(experiment, path) -> list:
+    """(name, value) of each mutation that the key at ``path`` of the base
+    of ``experiment`` must refuse ("extra key" adds a key beside it)."""
+    value = FUZZ_BASE[experiment]
+    for key in path:
+        value = value[key]
+    out = [("boolean", True), ("numeric string", "1"), ("nan", float("nan")),
+           ("nested list", [[1.0]]), ("extra key", None)]
+    first = value[0] if isinstance(value, list) else value
+    if isinstance(first, int) and not isinstance(first, bool):
+        out.append(("fraction", first + 0.5))
+    if path not in NULL_DEFAULTS:
+        out.append(("null", None))
+    return out
+
+
+FUZZ_MUTATIONS = [(exp, path, m) for exp, path in FUZZ_PATHS
+                  for m in mutations(exp, path)]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(FUZZ_MUTATIONS))
+def test_mutated_key_is_a_config_error(case):
+    """The CLI contract on every key of every base, the nested ones too: a
+    boolean, a numeric string, NaN, a nested list, an extra key, a fraction
+    for an int and a null where the default is not null are each a config
+    error (exit 2) that writes no output."""
+    experiment, path, (mutation, value) = case
+    cfg = json.loads(json.dumps(FUZZ_BASE[experiment]))
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    if mutation == "extra key":
+        section["extra"] = 1.0
+    else:
+        section[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.run(experiment, cfg, os.path.join(tmp, "out"))
+        wrote = os.path.exists(os.path.join(tmp, "out"))
+    assert (code, err.getvalue()[:14], wrote) == (2, "config error: ", False), \
+        (experiment, path, mutation, err.getvalue())
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
+
+
+def readme_command_line() -> str:
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return text[text.index("## Command line"):
+                text.index("## Numerical conventions")]
+
+
+def table_rows(text, header) -> list:
+    """Cells, stripped of backticks, of each row of the markdown table whose
+    header row starts with ``header``."""
+    lines = text[text.index(header):].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip().strip("`") for c in line.strip("|").split("|")])
+    return rows
+
+
+def readme_cells(entry) -> tuple:
+    """(kind, default) of a key table entry as the README writes them."""
+    spec = entry if isinstance(entry, grid.Key) else grid.Key(entry, entry)
+    like = spec.like
+    if isinstance(like, dict):
+        kind = "object or null" if spec.default is None else "object"
+    elif isinstance(like, str):
+        kind = "string"
+    else:
+        first = like[0] if isinstance(like, list) else like
+        kind = "int" if type(first) is int else "float"
+        kind = f"list of {kind}" if isinstance(like, list) else kind
+    if spec.default is grid.REQUIRED or spec.default is grid.UNSET:
+        return kind, "required" if spec.default is grid.REQUIRED else "unset"
+    return kind, json.dumps(spec.default)
+
+
+def test_readme_key_tables_match_the_schema():
+    text = readme_command_line()
+    listed = {(exp, key): (kind, default) for exp, key, kind, default, _
+              in table_rows(text, "| experiment | key |")}
+    assert listed == {(exp, key): readme_cells(entry)
+                      for exp, (_, table) in cli.SCHEMA.items()
+                      for key, entry in table.items()}
+    listed = {tuple(row[:3]): tuple(row[3:5])
+              for row in table_rows(text, "| section | selector |")}
+    expected = {("domain", "—", "mask_file"): ("string", "required")}
+    for section, tag, kinds in (("domain", "builtin", geo.BUILTIN_DOMAINS),
+                                ("w", "kind", cli.W_KINDS),
+                                ("potential", "kind", pairing.POTENTIALS)):
+        expected.update({(section, f"{tag}: {name}", key): readme_cells(entry)
+                         for name, (_, table) in kinds.items()
+                         for key, entry in table.items()})
+    assert listed == expected
+
+
+def test_readme_examples_pass_the_schema():
+    # read only: the domain, w and potential by their kind tables, no solve
+    examples = re.findall(r"```json\n(.*?)```\s*run as `paircond (\S+) ",
+                          readme_command_line(), re.S)
+    assert [exp for _, exp in examples] == ["dc", "twobody-scan"]
+    for body, experiment in examples:
+        cfg = json.loads(body)
+        args = grid.read_section(cfg, cli.SCHEMA[experiment][1])
+        assert {k: args[k] for k in cfg} == cfg
+        if "domain" in args:
+            grid.read_kind(args["domain"], geo.BUILTIN_DOMAINS, "domain",
+                           "builtin")
+        if args.get("w") is not None:
+            grid.read_kind(args["w"], cli.W_KINDS, "w")
+        if "potential" in args:
+            grid.read_kind(args["potential"], pairing.POTENTIALS,
+                           "potential")

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import random_1d_mask, random_2d_mask
+from conftest import inner_product, random_1d_mask, random_2d_mask
 from paircond import geometry as geo
 from paircond import gp, spectral
-from paircond.grid import Grid, ScalarField, inner_product
+from paircond.grid import Grid, ScalarField
 from paircond.reporting import fit_power_law
 from paircond.spectral import onset_threshold
 

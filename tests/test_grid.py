@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from paircond.grid import (
-    Grid,
-    GridError,
-    ScalarField,
-    inner_product,
-)
+from conftest import inner_product
+from paircond.grid import Grid, GridError, ScalarField
 
 
 def field_1d(n, fn, lo=0.0, hi=1.0):

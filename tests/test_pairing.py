@@ -87,6 +87,18 @@ class TestSolveRelative:
         with pytest.raises(pr.PairingError):
             pr.potential_from_descriptor({"kind": "poschl_teller", "shape": 2})
 
+    @pytest.mark.parametrize("params", [
+        {"kind": "poschl_teller", "width": True},
+        {"kind": "poschl_teller", "depth": "1"},
+        {"kind": "square_well", "depth": 1.0, "halfwidth": [1.0]},
+        {"kind": "table", "x": ["0", "1", "2"], "v": [True, False, True]},
+        {"kind": "table", "x": [0.0, 1.0, 2.0], "v": [-1.0, 0.0]},
+    ])
+    def test_parameters_read_by_the_number_rule(self, params):
+        # booleans, strings, a list for a number and tables of two lengths
+        with pytest.raises(pr.PairingError):
+            pr.potential_from_descriptor(params)
+
 
 class TestDecayFit:
     def test_gaussian_field_rejected(self, pt_state):

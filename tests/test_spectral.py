@@ -766,6 +766,19 @@ class TestMirrorFold:
         ref = sp.gershgorin_shift(sp.assemble_dirichlet(mask, -0.25, w).matrix)
         assert abs(floor - ref) <= 1e-12 * abs(ref)
 
+    def test_row_scaled_diagonal_is_the_stencils(self):
+        # W near the float maximum on the 21^2 box: recomputed as
+        # (s a_ii) / s, the diagonal of 19 of the 100 folded nodes was inf
+        mask = geo.box_mask([0, 0], [1, 1], n=21)
+        w = mask.field(np.full(mask.grid.shape, 1.7e308))
+        orbits = sp.mirror_orbits(mask, w)
+        stencil = orbits.stencil(-0.25, w).matrix
+        scaled = orbits.row_scaled(stencil)
+        assert np.all(np.isfinite(scaled.diagonal()))
+        assert np.array_equal(scaled.diagonal(), stencil.diagonal())
+        whole = sp.assemble_dirichlet(mask, -0.25, w).matrix
+        assert sp.gershgorin_shift(scaled) == sp.gershgorin_shift(whole)
+
     @pytest.mark.parametrize("name", sorted(FLIP_MASKS))
     def test_onset_is_smallest_of_whole_operator(self, name):
         # solved on the fundamental domain: the smallest eigenvalue of the
