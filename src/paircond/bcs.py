@@ -23,13 +23,14 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .geometry import DomainMask, erode
 from .gp import gradient_energy
-from .grid import ScalarField
+from .grid import MAX_GRID_NODES, ConfigError, ScalarField
 from .pairing import (
     RelativeGroundState,
     compute_couplings,
     lattice_pair_energy,
     lattice_pair_field,
     matched_relative_state,
+    micro_lattice_k_max,
     potential_from_descriptor,
 )
 from .spectral import three_point
@@ -47,8 +48,13 @@ class BCSConfig:
     E_b is the binding energy of the micro-lattice relative problem matched
     to this grid and h (see ``matched_relative_state``); it converges to the
     continuum binding energy quadratically in spacing/h. The domain shrink
-    used by trial supports is ell(h) = q h ln(1/h). ``relative`` may pass
-    the continuum relative state, solved when first needed otherwise.
+    used by trial supports is ell(h) = q h ln(1/h).
+
+    A config refuses its own input with ``ConfigError`` before any array
+    exists: a domain that is not 1D, h outside (0, 1), a micro lattice that
+    ``micro_lattice_k_max`` refuses, and pair kernels over the
+    ``MAX_GRID_NODES`` budget. The widest, aa = a a dx, holds n (4b + 1)
+    band entries, where a reaches b = 1.5 ell / dx nodes.
     """
 
     mask: DomainMask
@@ -57,15 +63,20 @@ class BCSConfig:
     h: float
     D: float
     q: float = 6.0
-    relative: RelativeGroundState | None = None
 
     def __post_init__(self):
         if self.mask.grid.dim != 1:
-            raise BCSError("pair-state kernels are supported in d=1 only")
+            raise ConfigError("pair-state kernels are supported in d=1 only")
         if not 0 < self.h < 1:
-            raise BCSError("scale ratio h must lie in (0, 1)")
+            raise ConfigError("scale ratio h must lie in (0, 1)")
         if self.W is not None and self.W.grid != self.mask.grid:
             raise BCSError("W lives on a different grid")
+        n = self.mask.grid.n[0]
+        b = math.floor(min(1.5 * self.ell / self.mask.grid.spacing[0], n - 1))
+        if n * (4 * b + 1) > MAX_GRID_NODES:
+            raise ConfigError(f"pair kernels of {n}x{4 * b + 1} band entries "
+                              f"exceed the {MAX_GRID_NODES}-entry budget")
+        micro_lattice_k_max(self.micro_step, self.micro_halfwidth)
 
     @property
     def mu(self) -> float:

@@ -2,15 +2,17 @@
 reports out.
 
 Usage: paircond <experiment> --config cfg.json [--out DIR].
-Exit codes: 0 success, 2 config validation error, 3 solver failure. A fixed
-config reproduces byte-identical CSV output.
+Exit codes: 0 success, 2 config validation error, 3 solver failure. The code
+follows the error's type alone: an input check raises ``ConfigError`` where
+it runs, in this module or in a library, and a failure found by solving
+raises its module's error. A fixed config reproduces byte-identical CSV
+output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -19,19 +21,11 @@ import numpy as np
 
 from . import __version__
 from . import bcs, geometry, gp, pairing, twobody
-from .geometry import (
-    BUILTIN_DOMAINS,
-    GeometryError,
-    dilate,
-    erode,
-    mask_from_json,
-)
+from .geometry import BUILTIN_DOMAINS, dilate, erode, mask_from_json
 from .grid import (
-    MAX_GRID_NODES,
     REQUIRED,
     UNSET,
     ConfigError,
-    GridError,
     Key,
     ScalarField,
     positive,
@@ -49,8 +43,6 @@ MAX_TOL = 1e-3
 
 SOLVER_ERRORS = (
     SpectralError,
-    GeometryError,
-    GridError,
     pairing.PairingError,
     gp.GPError,
     bcs.BCSError,
@@ -83,10 +75,14 @@ def _scan_h(h_list, name: str):
 
 def _potential(spec: dict, name: str):
     """Range rule of a potential: a descriptor that pairing reads."""
-    try:
-        pairing.potential_from_descriptor(spec)
-    except pairing.PairingError as exc:
-        raise ConfigError(str(exc)) from exc
+    pairing.potential_from_descriptor(spec)
+
+
+def _nonzero(value, name: str):
+    """Range rule of a trial amplitude: a zero state makes every row 0,
+    which leaves nothing to fit."""
+    if value == 0:
+        raise ConfigError(f"{name} must be nonzero, got {value!r}")
 
 
 OBJECT, OBJECT_OR_NULL, UNSET_FLOAT = Key({}), Key({}, None), Key(0.0, UNSET)
@@ -119,11 +115,8 @@ def build_domain(spec: dict):
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or mask
             raise ConfigError(f"cannot read mask file: {exc}") from exc
     make, kwargs = read_kind(spec, BUILTIN_DOMAINS, "domain", tag="builtin")
-    try:
-        # looked up on the module, so that a wrapper rebound there sees it
-        return getattr(geometry, make.__name__)(**kwargs)
-    except (GridError, GeometryError) as exc:
-        raise ConfigError(f"cannot build domain: {exc}") from exc
+    # looked up on the module, so that a wrapper rebound there sees it
+    return getattr(geometry, make.__name__)(**kwargs)
 
 
 def _constant(grid, value):
@@ -182,11 +175,8 @@ def _exp_dc(args):
 @_experiment("relative", {"potential": POTENTIAL, "L": 20.0, "n": 4001,
                          "tol": Key(0.0, 1e-10, _tolerance)})
 def _exp_relative(args):
-    try:
-        gs = pairing.solve_relative(args["potential"], L=args["L"],
-                                    n=args["n"], tol=args["tol"])
-    except GridError as exc:  # the box grid refused L or n
-        raise ConfigError(f"cannot build the relative box: {exc}") from exc
+    gs = pairing.solve_relative(args["potential"], L=args["L"], n=args["n"],
+                                tol=args["tol"])
     return {
         "E_b": gs.E_b,
         "rho_star": gs.rho_star,
@@ -214,13 +204,10 @@ def _gp_setup(args, ells=()):
     mask = build_domain(args["domain"])
     w = build_w(args["w"], mask)
     d_of = _resolve_d(args)
-    try:
-        for ell in ells:
-            if ell != 0.0:  # continuity_scan reuses the base minimizer there
-                erode(mask, ell)
-                dilate(mask, ell)
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
+    for ell in ells:
+        if ell != 0.0:  # continuity_scan reuses the base minimizer there
+            erode(mask, ell)
+            dilate(mask, ell)
     mode = onset_threshold(mask, w, tol=1e-11)
     return gp.GPProblem(mask, w, d_of(mode.eigenvalue), args["g"]), mode
 
@@ -264,15 +251,6 @@ def _exp_twobody(args):
     if scan_cfg.b <= scan_cfg.a:
         raise ConfigError(f"b must exceed a, got a={scan_cfg.a}, "
                           f"b={scan_cfg.b}")
-    # each h's product grid, micro lattice and trial support, before any solve
-    try:
-        for h in args["h_list"]:
-            prob = twobody.problem_at(scan_cfg, h)
-            pairing.micro_lattice_k_max(prob.micro_step)
-            twobody.trial_support(prob, scan_cfg.q)
-    except (twobody.TwoBodyError, GridError, GeometryError,
-            pairing.PairingError) as exc:
-        raise ConfigError(str(exc)) from exc
     return twobody.asymptotic_scan(scan_cfg, args["h_list"])
 
 
@@ -287,24 +265,11 @@ def _pair_setup(args, d_of, mode_with_w: bool,
     mask = build_domain(args["domain"])
     w = build_w(args["w"], mask)
     h_list = sorted(args["h_list"], reverse=True)
-    # the domain's dimension (BCSConfig takes only 1D), the kernel budget,
-    # each h's micro lattice and the eroded domain, before any solve
-    try:
-        configs = [bcs.BCSConfig(mask, args["potential"], w, h=h, D=0.0,
-                                 q=args["q"]) for h in h_list]
-        # the widest pair kernel, aa = a a dx, holds n (4b + 1) band entries,
-        # where a reaches b = 1.5 ell / dx nodes at the largest ell
-        n = mask.grid.n[0]
-        ell = max(c.ell for c in configs)
-        b = min(math.floor(1.5 * ell / mask.grid.spacing[0]), n - 1)
-        if n * (4 * b + 1) > MAX_GRID_NODES:
-            raise ConfigError(f"pair kernels of {n}x{4 * b + 1} band entries "
-                              f"exceed the {MAX_GRID_NODES}-entry budget")
-        for c in configs:
-            pairing.micro_lattice_k_max(c.micro_step, c.micro_halfwidth)
-        inner = erode(mask, ell)
-    except (bcs.BCSError, pairing.PairingError, GeometryError) as exc:
-        raise ConfigError(str(exc)) from exc
+    # each BCSConfig refuses its own input, and the eroded domain is built,
+    # before any solve
+    configs = [bcs.BCSConfig(mask, args["potential"], w, h=h, D=0.0,
+                             q=args["q"]) for h in h_list]
+    inner = erode(mask, max(c.ell for c in configs))
     if needs_w and (w is None or not np.any(w.values)):
         raise ConfigError("w must be nonzero somewhere on the domain (field "
                           "term)")
@@ -315,7 +280,8 @@ def _pair_setup(args, d_of, mode_with_w: bool,
 
 
 @_experiment("bcs-trial", {**DOMAIN_W, "potential": POTENTIAL, **D_KEYS,
-                          "q": Key(0.0, 1.5, positive), "amplitude": 0.3,
+                          "q": Key(0.0, 1.5, positive),
+                          "amplitude": Key(0.0, 0.3, _nonzero),
                           "h_list": Key([0.0])})
 def _exp_bcs_trial(args):
     d_of, amp = _resolve_d(args), args["amplitude"]
@@ -346,7 +312,8 @@ def _exp_bcs_trial(args):
 
 
 @_experiment("semiclassics", {**DOMAIN_W, "potential": POTENTIAL, "D": 1.0,
-                             "q": Key(0.0, 1.0, positive), "amplitude": 0.5,
+                             "q": Key(0.0, 1.0, positive),
+                             "amplitude": Key(0.0, 0.5, _nonzero),
                              "h_list": Key([0.0])})
 def _exp_semiclassics(args):
     d_val, amp = args["D"], args["amplitude"]

@@ -24,11 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ConfigError, Grid, GridError, ScalarField, as_number
+from .grid import ConfigError, Grid, ScalarField, as_number
 
 
-class GeometryError(ValueError):
-    """Usage error in mask construction or morphology."""
+class GeometryError(ConfigError):
+    """A mask, mask file or morphology that its input cannot give."""
 
 
 @dataclass
@@ -301,6 +301,6 @@ def mask_from_json(text: str) -> DomainMask:
         if _count(payload["dim"]) != grid.dim:
             raise GeometryError("declared dim does not match bounds")
         inside = _rle_decode(payload["inside"], grid.size).reshape(grid.shape)
-    except (KeyError, TypeError, GridError, ConfigError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise GeometryError(f"malformed mask JSON: {exc}") from exc
     return DomainMask(grid, inside)

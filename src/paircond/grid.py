@@ -9,7 +9,8 @@ before any array exists.
 
 The JSON values a run reads pass through one reader, ``read_section``, and
 one number rule, ``as_number``; both refuse a bad value with
-``ConfigError``.
+``ConfigError``, the type of every input error (``GridError`` and
+``geometry.GeometryError`` derive from it).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import numpy as np
 MAX_GRID_NODES = 2**22
 
 
-class GridError(ValueError):
-    """Usage error in grid or field construction/combination."""
-
-
 class ConfigError(ValueError):
-    """A JSON value that its table refuses."""
+    """An input the program refuses: the run exits 2 on it, wherever the
+    check that raises it runs."""
+
+
+class GridError(ConfigError):
+    """A grid or field that cannot be built from the sizes it is given."""
 
 
 def _as_axis_tuple(value, dim, dtype):

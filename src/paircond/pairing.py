@@ -33,7 +33,8 @@ MAX_LOG_RESIDUAL = 0.25
 
 
 class PairingError(RuntimeError):
-    """Relative-problem failure (no bound state, bad box, misfit decay)."""
+    """Relative-problem failure found by solving (no bound state, no decay
+    at the box edge, misfit decay)."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,14 +50,27 @@ def _square_well(depth, halfwidth):
 
 
 def _gaussian_well(depth, width):
-    return lambda r: -depth * np.exp(-(r**2) / (2 * width**2))
+    def profile(r):
+        # exp(-inf) = 0 where r^2 / (2 width^2) overflows
+        with np.errstate(over="ignore"):
+            return -depth * np.exp(-(r**2) / (2 * width**2))
+    return profile
+
+
+def _gaussian_width(width, name: str):
+    """Range rule of a Gaussian width: positive, and 2 width^2, which the
+    profile divides by, a normal float (width about 1e-154 to 1e154)."""
+    positive(width, name)
+    if not np.finfo(float).tiny <= 2 * width * width < np.inf:
+        raise ConfigError(f"{name} must keep 2 width^2 a normal float "
+                          f"(width about 1e-154 to 1e154), got {width!r}")
 
 
 def _table(x, v):
     xs, vs = np.asarray(x), np.asarray(v)
     if xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0):
-        raise PairingError("table potential needs x and v of one length, at "
-                           "least 2, x strictly increasing")
+        raise ConfigError("table potential needs x and v of one length, at "
+                          "least 2, x strictly increasing")
     return lambda r: np.interp(r, xs, vs, left=0.0, right=0.0)
 
 
@@ -68,7 +82,8 @@ POTENTIALS = {
     "square_well": (_square_well,
                     {"depth": Key(0.0), "halfwidth": Key(0.0, 1.0, positive)}),
     "gaussian_well": (_gaussian_well,
-                      {"depth": Key(0.0), "width": Key(0.0, 1.0, positive)}),
+                      {"depth": Key(0.0),
+                       "width": Key(0.0, 1.0, _gaussian_width)}),
     "table": (_table, {"x": Key([0.0]), "v": Key([0.0])}),
 }
 
@@ -79,11 +94,8 @@ def potential_from_descriptor(desc: dict):
     of ``POTENTIALS``, whose table reads the other keys (a ``table``
     interpolates its radial samples linearly, and is zero beyond them).
     Every potential is radial, so reflection symmetric. A descriptor that
-    the table or the maker refuses raises ``PairingError``."""
-    try:
-        make, params = read_kind(desc, POTENTIALS, "potential")
-    except ConfigError as exc:
-        raise PairingError(str(exc)) from exc
+    the table or the maker refuses raises ``ConfigError``."""
+    make, params = read_kind(desc, POTENTIALS, "potential")
     profile = make(**params)
     return lambda x: profile(np.abs(np.asarray(x, dtype=float)))
 
@@ -175,20 +187,21 @@ def solve_relative(
 
 def micro_lattice_k_max(step: float, halfwidth: float = 20.0) -> int:
     """k_max = round(halfwidth / step) of the micro lattice s = k * step.
-    Refuses, before any array exists, a nonpositive step, k_max < 8 and more
-    than ``MAX_GRID_NODES`` nodes (2 k_max + 1 <= M exactly when halfwidth /
-    step < (M - 1)/2, which also refuses an infinite ratio)."""
+    Refuses with ``ConfigError``, before any array exists, a nonpositive
+    step, k_max < 8 and more than ``MAX_GRID_NODES`` nodes (2 k_max + 1 <= M
+    exactly when halfwidth / step < (M - 1)/2, which also refuses an
+    infinite ratio)."""
     if not step > 0:
-        raise PairingError("lattice step must be positive")
+        raise ConfigError("lattice step must be positive")
     ratio = halfwidth / step
     if not ratio < (MAX_GRID_NODES - 1) / 2:
-        raise PairingError(
+        raise ConfigError(
             f"micro lattice of step {step:.3g} over the halfwidth "
             f"{halfwidth:.3g} exceeds the {MAX_GRID_NODES}-node budget"
         )
     k_max = int(round(ratio))
     if k_max < 8:
-        raise PairingError("micro lattice too coarse for the box halfwidth")
+        raise ConfigError("micro lattice too coarse for the box halfwidth")
     return k_max
 
 

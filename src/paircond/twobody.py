@@ -1,22 +1,21 @@
 """Linear pair operator on the product domain: ground energy, the decoupled
 reference value, the diamond trial state, and the small-h asymptotic scan.
 
-The operator is (h^2/2)(-Lap_x + W(x) - Lap_y + W(y)) + V((x-y)/h) on the
-product of a one-dimensional Dirichlet domain with itself; as a grid object
-it is an ordinary 2D stencil problem with potential (h^2/2)(W(x) + W(y)) +
-V((x-y)/h) and Laplacian coefficient -h^2/2. Pure-relative functions feel
-the three-point stencil at micro step spacing/h, so scans refine the grid
-proportionally to h (fixed micro step) and quote slopes against the
-lattice-matched binding energy; that cancels the relative-direction
-discretization error, which would otherwise swamp the h^2 level being
-measured.
+The operator is (h^2/2)(-Lap_x - Lap_y) + V((x-y)/h) on the product of a
+one-dimensional Dirichlet domain with itself; as a grid object it is an
+ordinary 2D stencil problem with potential V((x-y)/h) and Laplacian
+coefficient -h^2/2. Pure-relative functions feel the three-point stencil at
+micro step spacing/h, so scans refine the grid proportionally to h (fixed
+micro step) and quote slopes against the lattice-matched binding energy;
+that cancels the relative-direction discretization error, which would
+otherwise swamp the h^2 level being measured.
 
 The operator A is assembled and solved only on the fundamental domain of
 its symmetry group G (``spectral.Orbits``). The potential is even in x - y,
-so A commutes with the exchange P of x and y; when the mask and W are
-symmetric about the domain's midpoint, exactly, A also commutes with the
-reflection R(x, y) = (a+b-y, a+b-x), and the fundamental domain is about
-a quarter of the product grid; a scan's interval with no W always is.
+so A commutes with the exchange P of x and y; when the mask is symmetric
+about the domain's midpoint, exactly, A also commutes with the reflection
+R(x, y) = (a+b-y, a+b-x), and the fundamental domain is about a quarter of
+the product grid; a scan's interval always is.
 ``spectral.mirror_orbits`` finds G from ``PAIR_SYMMETRIES``.
 
 A scan makes one ground solve per h, and it starts close to its answer.
@@ -39,12 +38,13 @@ import numpy as np
 
 from .bcs import center_values, pair_kernel
 from .geometry import DomainMask, erode, interval
-from .grid import Grid, ScalarField
+from .grid import ConfigError, Grid
 from .pairing import (
     RelativeGroundState,
     lattice_neg_laplacian,
     lattice_pair_field,
     matched_relative_state,
+    micro_lattice_k_max,
     potential_from_descriptor,
     solve_relative,
 )
@@ -60,8 +60,8 @@ from .spectral import (
 # counts all n^2 nodes of the product grid, not the fundamental domain that
 # is solved: the trial kernel and the unfolded ground field are dense n x n
 MAX_PRODUCT_UNKNOWNS = 400_000
-# fewest nodes on a scan's domain axis at any h; the CLI refuses a config
-# that asks for fewer before any solve
+# fewest nodes on a scan's domain axis at any h; a scan that asks for fewer
+# is refused before any solve
 MIN_AXIS_NODES = 17
 # the ground solve's shift sits this fraction of E_b below its estimate of
 # lambda_1, -E_b + h^2 D_c; on [0, 1] with Poschl-Teller wells of depth 1.9
@@ -75,30 +75,31 @@ PAIR_SYMMETRIES = (((), True), ((0, 1), True))
 
 
 class TwoBodyError(RuntimeError):
-    """Product-problem construction or solver failure."""
+    """Product-problem failure found by solving."""
 
 
 @dataclass
 class TwoBodyProblem:
     """Pair operator data on a d=1 domain; the product stencil, the matched
     relative state and the centre-of-mass threshold are computed when first
-    asked for, then cached."""
+    asked for, then cached. A problem refuses its own input with
+    ``ConfigError`` before any array exists: a domain that is not 1D, a
+    product grid over ``MAX_PRODUCT_UNKNOWNS`` and a micro lattice that
+    ``micro_lattice_k_max`` refuses."""
 
     mask: DomainMask
     potential: dict
-    W: ScalarField | None
     h: float
 
     def __post_init__(self):
         if self.mask.grid.dim != 1:
-            raise TwoBodyError("product eigensolves are supported in d=1 only")
+            raise ConfigError("product eigensolves are supported in d=1 only")
         if self.mask.count**2 > MAX_PRODUCT_UNKNOWNS:
-            raise TwoBodyError(
+            raise ConfigError(
                 f"product grid at h={self.h} has {self.mask.count**2} "
                 f"nodes, over the {MAX_PRODUCT_UNKNOWNS} budget"
             )
-        if self.W is not None and self.W.grid != self.mask.grid:
-            raise TwoBodyError("W lives on a different grid")
+        micro_lattice_k_max(self.micro_step)
 
     @property
     def micro_step(self) -> float:
@@ -121,16 +122,12 @@ class TwoBodyProblem:
     @cached_property
     def _potential(self) -> np.ndarray:
         # V on the lattice separations |i - j| dx / h, so exactly invariant
-        # under P, and under R when W is
+        # under P and R
         n = self.mask.grid.n[0]
         i, j = np.indices((n, n))
         k = np.arange(n)
         vfun = potential_from_descriptor(self.potential)
-        pot = vfun(k * self.mask.grid.spacing[0] / self.h)[np.abs(i - j)]
-        if self.W is not None:
-            w = np.asarray(self.W.values)
-            pot = pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
-        return pot
+        return vfun(k * self.mask.grid.spacing[0] / self.h)[np.abs(i - j)]
 
     @cached_property
     def orbits(self) -> Orbits:
@@ -147,8 +144,8 @@ class TwoBodyProblem:
 
     @cached_property
     def com_threshold(self) -> float:
-        """Ground eigenvalue of the quarter-Laplacian plus W on the domain."""
-        return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
+        """Ground eigenvalue of the quarter-Laplacian on the domain."""
+        return onset_threshold(self.mask, tol=1e-11).eigenvalue
 
 
 def ground_energy(prob: TwoBodyProblem, tol: float = 1e-9,
@@ -185,7 +182,8 @@ def trial_support(prob: TwoBodyProblem, q: float) -> tuple:
     ell = q * prob.h * math.log(1.0 / prob.h)
     dx = prob.mask.grid.spacing[0]
     if ell < 4 * dx:
-        raise TwoBodyError(f"ell(h)={ell:.4g} under-resolved (4 dx = {4 * dx:.4g})")
+        raise ConfigError(f"ell(h)={ell:.4g} under-resolved "
+                          f"(4 dx = {4 * dx:.4g})")
     return ell, erode(prob.mask, ell)
 
 
@@ -247,14 +245,13 @@ def leading_disc_error(prob: TwoBodyProblem, ground: EigenResult) -> float:
 
 @dataclass
 class TwoBodyScanConfig:
-    """Scan template: domain endpoints, potential, W profile (callable or
-    None), micro step and trial-support exponent."""
+    """Scan template: domain endpoints, potential, micro step and
+    trial-support exponent."""
 
     a: float = 0.0
     b: float = 1.0
     potential: dict = field(default_factory=lambda: {"kind": "poschl_teller",
                                                      "depth": 2.0})
-    w_profile: object = None
     micro_step: float = 0.125
     q: float = 1.5
     tol: float = 1e-9
@@ -268,22 +265,17 @@ def problem_at(cfg: TwoBodyScanConfig, h: float) -> TwoBodyProblem:
     dx_target = cfg.micro_step * h
     steps = width / dx_target if dx_target > 0 else math.inf
     if not math.isfinite(steps):
-        raise TwoBodyError(f"micro step {cfg.micro_step} at h={h} is too "
-                           "small to lay a grid")
+        raise ConfigError(f"micro step {cfg.micro_step} at h={h} is too "
+                          "small to lay a grid")
     n = int(round(steps)) + 1
     if n < MIN_AXIS_NODES:
-        raise TwoBodyError(
+        raise ConfigError(
             f"micro step {cfg.micro_step} at h={h} leaves {n} of the "
             f"{MIN_AXIS_NODES} nodes the product grid needs on "
             f"[{cfg.a}, {cfg.b}]"
         )
-    grid = Grid.box(cfg.a, cfg.b, n)
-    mask = interval(cfg.a, cfg.b, grid=grid)
-    w = None
-    if cfg.w_profile is not None:
-        x = grid.axis(0)
-        w = ScalarField(grid, np.where(mask.inside, cfg.w_profile(x), 0.0))
-    return TwoBodyProblem(mask, cfg.potential, w, h)
+    mask = interval(cfg.a, cfg.b, grid=Grid.box(cfg.a, cfg.b, n))
+    return TwoBodyProblem(mask, cfg.potential, h)
 
 
 def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
@@ -301,11 +293,15 @@ def asymptotic_scan(cfg: TwoBodyScanConfig, h_list) -> ScanReport:
     max(tol, machine epsilon) max(1, |E0|), cannot resolve h^2 D_c is
     refused: its slopes would be rounding alone. Each h
     costs one ground solve. The residual exponent nu_hat is fitted from the
-    three smallest h only.
+    three smallest h only. Every h's problem and trial support is built
+    before the first solve, so a config that one of them refuses raises
+    ``ConfigError`` before any solve.
     """
     h_list = sorted(set(float(h) for h in h_list), reverse=True)
     if len(h_list) < 3:
-        raise TwoBodyError("need at least 3 scale ratios")
+        raise ConfigError("need at least 3 scale ratios")
+    for h in h_list:
+        trial_support(problem_at(cfg, h), cfg.q)
     e_b_continuum = solve_relative(cfg.potential).E_b
     rows = []
     residuals = []

@@ -150,7 +150,7 @@ def pair_wave(gs):
 def _fibers(cfg: BCSConfig, frame: COMFrame):
     """Each nonempty center fiber u: (u, i, j, alpha_*((x_i - x_j)/h)), the
     pair wave from the spline of the continuum relative state."""
-    wave = pair_wave(cfg.relative or solve_relative(cfg.potential))
+    wave = pair_wave(solve_relative(cfg.potential))
     for u in range(2 * frame.n - 1):
         i, j, v = frame.pair_indices(u)
         if i.size:

@@ -136,7 +136,7 @@ def test_06_bcs_gp_upper_bound(bcs_domain, pt_state):
     h_list = [0.1, 0.07, 0.05, 0.035]
     q = 1.5
     cfg0 = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=h_list[0], D=0.0,
-                         q=q, relative=pt_state)
+                         q=q)
     inner = geo.erode(bcs_domain, cfg0.ell)
     mode = onset_threshold(inner, tol=1e-10)
     psi = ScalarField(bcs_domain.grid, 0.30 * mode.eigenvector.values)
@@ -146,8 +146,7 @@ def test_06_bcs_gp_upper_bound(bcs_domain, pt_state):
     diffs = []
     adm_ok = True
     for h in h_list:
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=h, D=d_val,
-                            q=q, relative=pt_state)
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=h, D=d_val, q=q)
         state = bcs.build_trial_state(cfg, psi)
         lo, hi = state.admissibility
         adm_ok &= lo >= -1e-9 and hi <= 1 + 1e-9
@@ -164,8 +163,7 @@ def test_06_bcs_gp_upper_bound(bcs_domain, pt_state):
 def test_07_decomposition_identities(bcs_domain, pt_state):
     t0 = time.monotonic()
     # round trip and norm identity on the wide interval
-    cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0, q=2.0,
-                        relative=pt_state)
+    cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0, q=2.0)
     inner = geo.erode(bcs_domain, cfg.ell)
     mode = onset_threshold(inner, tol=1e-10)
     psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
@@ -190,8 +188,7 @@ def test_07_decomposition_identities(bcs_domain, pt_state):
     rho = pt_state.rho_star
 
     def gap_ratios(h):
-        c2 = bcs.BCSConfig(mask2, POSCHL_TELLER, None, h=h, D=0.0, q=1.0,
-                           relative=pt_state)
+        c2 = bcs.BCSConfig(mask2, POSCHL_TELLER, None, h=h, D=0.0, q=1.0)
         psi_x, _ = extract_order_parameter(
             c2, PairKernel(grid, grid, kern))
         fr = COMFrame.build(c2)
@@ -223,15 +220,14 @@ def test_07_decomposition_identities(bcs_domain, pt_state):
            dt, 120.0)
 
 
-def test_08_semiclassics(bcs_domain, pt_state):
+def test_08_semiclassics(bcs_domain):
     t0 = time.monotonic()
     x = bcs_domain.grid.axis(0)
     w = ScalarField(bcs_domain.grid,
                     np.where(bcs_domain.inside,
                              10.0 * np.exp(-((x - 2.0) / 0.5) ** 2), 0.0))
     q = 1.0
-    cfg0 = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=q,
-                         relative=pt_state)
+    cfg0 = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=q)
     inner = geo.erode(bcs_domain, cfg0.ell)
     mode = onset_threshold(inner, tol=1e-10)
     psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
@@ -239,8 +235,7 @@ def test_08_semiclassics(bcs_domain, pt_state):
     ids, fields, q_es, qs = [], [], [], []
     for h in h_list:
         rep = bcs.semiclassics_check(
-            bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=h, D=1.0, q=q,
-                          relative=pt_state), psi)
+            bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=h, D=1.0, q=q), psi)
         ids.append(rep.identity_residual)
         fields.append(rep.field_residual)
         q_es.append(rep.quartic_energy_residual)
@@ -336,7 +331,7 @@ def test_11_one_body_density(bcs_domain, pt_state):
     q = 1.5
     h_list = [0.1, 0.07, 0.05]
     cfg0 = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=h_list[0], D=0.0,
-                         q=q, relative=pt_state)
+                         q=q)
     inner = geo.erode(bcs_domain, cfg0.ell)
     mode = onset_threshold(inner, tol=1e-10)
     d_val = mode.eigenvalue + 1.0
@@ -350,8 +345,7 @@ def test_11_one_body_density(bcs_domain, pt_state):
 
     errs1, errs2, n_rel = [], [], None
     for h in h_list:
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=h, D=d_val,
-                            q=q, relative=pt_state)
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=h, D=d_val, q=q)
         state = bcs.build_trial_state(cfg, psi_star)
         rho = bcs.one_body_density(state).values
         errs1.append(abs(np.sum(rho * ind) * dv / h

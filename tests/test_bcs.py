@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,9 +25,8 @@ from paircond.spectral import assemble_dirichlet, onset_threshold
 
 
 @pytest.fixture(scope="module")
-def trial_setup(bcs_domain, pt_state):
-    cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=2.0, q=1.5,
-                        relative=pt_state)
+def trial_setup(bcs_domain):
+    cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=2.0, q=1.5)
     inner = geo.erode(bcs_domain, cfg.ell)
     mode = onset_threshold(inner, tol=1e-10)
     psi = ScalarField(bcs_domain.grid, 0.4 * mode.eigenvector.values)
@@ -112,12 +112,12 @@ class TestTrialState:
 class TestEnergyAndDensity:
     def test_energy_negative_above_threshold(self, bcs_domain, pt_state):
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0,
-                            q=1.5, relative=pt_state)
+                            q=1.5)
         inner = geo.erode(bcs_domain, cfg.ell)
         mode = onset_threshold(inner, tol=1e-10)
         d_val = mode.eigenvalue + 1.0
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=d_val,
-                            q=1.5, relative=pt_state)
+                            q=1.5)
         theta, _ = gp.one_mode_upper_bound(
             gp.GPProblem(inner, None, d_val, pt_state.g_bcs), mode=mode)
         psi = ScalarField(bcs_domain.grid, theta * mode.eigenvector.values)
@@ -144,7 +144,7 @@ class TestEnergyAndDensity:
 class TestExtraction:
     def test_round_trip(self, bcs_domain, pt_state):
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0,
-                            q=2.0, relative=pt_state)
+                            q=2.0)
         inner = geo.erode(bcs_domain, cfg.ell)
         mode = onset_threshold(inner, tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
@@ -154,10 +154,10 @@ class TestExtraction:
         dv = cfg.mask.grid.spacing[0]
         assert np.sqrt(np.sum(xi.values**2)) * dv < 1e-8
 
-    def test_norm_identity(self, bcs_domain, pt_state):
+    def test_norm_identity(self, bcs_domain):
         # generic two-hump kernel, not of trial form
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0,
-                            q=2.0, relative=pt_state)
+                            q=2.0)
         x = bcs_domain.grid.axis(0)
         f = np.where(bcs_domain.inside, np.sin(np.pi * x / 4.0) ** 2, 0.0)
         kern = np.outer(f, f) * np.exp(-((x[:, None] - x[None, :]) / 0.3) ** 2)
@@ -168,7 +168,7 @@ class TestExtraction:
 
     def test_fiber_orthogonality(self, bcs_domain, pt_state):
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0,
-                            q=2.0, relative=pt_state)
+                            q=2.0)
         inner = geo.erode(bcs_domain, cfg.ell)
         mode = onset_threshold(inner, tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
@@ -185,9 +185,8 @@ class TestExtraction:
                 products.append(np.sum(wave * xi.values[i, j]) * 2.0 * frame.dx)
         assert products and np.max(np.abs(products)) < 1e-10
 
-    def test_asymmetric_kernel_rejected(self, bcs_domain, pt_state):
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0,
-                            relative=pt_state)
+    def test_asymmetric_kernel_rejected(self, bcs_domain):
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=0.0)
         kern = np.zeros((bcs_domain.grid.n[0],) * 2)
         idx = np.flatnonzero(bcs_domain.inside)
         kern[idx[10], idx[40]] = 1.0
@@ -203,8 +202,7 @@ class TestExtraction:
         inside = ((x > 0.0) & (x < 0.4)) | ((x > 0.6) & (x < 1.0))
         mask = geo.DomainMask(grid, inside)
         h = 0.05
-        cfg = bcs.BCSConfig(mask, POSCHL_TELLER, None, h=h, D=0.0, q=1.0,
-                            relative=pt_state)
+        cfg = bcs.BCSConfig(mask, POSCHL_TELLER, None, h=h, D=0.0, q=1.0)
         f = np.where(inside, np.sin(np.pi * np.clip(x, 0, 1)) + 0.5, 0.0)
         kern = np.outer(f, f)
         alpha = PairKernel(grid, grid, kern * (inside[:, None] & inside[None, :]))
@@ -257,7 +255,9 @@ class TestAdmissibility:
         # largest absolute row sum just below or above rho_star instead
         rng = np.random.default_rng(seed)
         mask = geo.interval(0.0, 1.0, n=n)
-        cfg = bcs.BCSConfig(mask, POSCHL_TELLER, None, h=h, D=0.0)
+        # the spectrum reads only h and the grid of its config; BCSConfig
+        # would refuse the coarser of these grids for their micro lattice
+        cfg = SimpleNamespace(h=h, mask=mask)
         dv = mask.grid.spacing[0]
         m = rng.standard_normal((n, n))
         a_op = m + m.T
@@ -510,13 +510,12 @@ def dense_semiclassics_terms(cfg, psi):
 
 class TestSemiclassics:
     @pytest.mark.parametrize("h, q", [(0.05, 1.0), (0.1, 1.5)])
-    def test_traces_match_dense(self, bcs_domain, pt_state, h, q):
+    def test_traces_match_dense(self, bcs_domain, h, q):
         x = bcs_domain.grid.axis(0)
         w = ScalarField(bcs_domain.grid,
                         np.where(bcs_domain.inside,
                                  10.0 * np.exp(-((x - 2.0) / 0.5) ** 2), 0.0))
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=h, D=1.0, q=q,
-                            relative=pt_state)
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=h, D=1.0, q=q)
         inner = geo.erode(bcs_domain, cfg.ell)
         mode = onset_threshold(inner, tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
@@ -526,7 +525,7 @@ class TestSemiclassics:
             assert abs(getattr(rep, name) - sum(terms)) <= 1e-12 * scale, name
 
     def test_kernel_and_quadratures_share_one_even_wave(self, bcs_domain,
-                                                        pt_state, monkeypatch):
+                                                        monkeypatch):
         # the sampled pair wave is even only up to rounding; evened once, it
         # makes the kernel exactly symmetric, as the mirrored band square
         # takes it to be, and is the wave the couplings are summed from
@@ -534,8 +533,7 @@ class TestSemiclassics:
         w = ScalarField(bcs_domain.grid,
                         np.where(bcs_domain.inside,
                                  10.0 * np.exp(-((x - 2.0) / 0.5) ** 2), 0.0))
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=1.0,
-                            relative=pt_state)
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=1.0)
         mode = onset_threshold(geo.erode(bcs_domain, cfg.ell), tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
         kernels, waves = [], []
@@ -557,16 +555,14 @@ class TestSemiclassics:
         assert np.array_equal(bcs._band_transpose(kernels[0]), kernels[0])
         assert np.array_equal(waves[0], waves[0][::-1])
 
-    def test_identity_small(self, bcs_domain, pt_state):
+    def test_identity_small(self, bcs_domain):
         x = bcs_domain.grid.axis(0)
         w = ScalarField(bcs_domain.grid,
                         np.where(bcs_domain.inside,
                                  10.0 * np.exp(-((x - 2.0) / 0.5) ** 2), 0.0))
-        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.05, D=1.0, q=1.0,
-                            relative=pt_state)
+        cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, w, h=0.05, D=1.0, q=1.0)
         inner = geo.erode(bcs_domain, bcs.BCSConfig(
-            bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=1.0,
-            relative=pt_state).ell)
+            bcs_domain, POSCHL_TELLER, w, h=0.1, D=1.0, q=1.0).ell)
         mode = onset_threshold(inner, tol=1e-10)
         psi = ScalarField(bcs_domain.grid, 0.5 * mode.eigenvector.values)
         rep = bcs.semiclassics_check(cfg, psi)
@@ -574,20 +570,20 @@ class TestSemiclassics:
         assert rep.field_residual < 1e-2
         assert rep.quartic_residual < 0.1
 
-    def test_chi_one_limit(self, bcs_domain, pt_state):
+    def test_chi_one_limit(self, bcs_domain):
         # with the cutoff plateau covering the whole pair function, the
         # relative-energy term in the identity reduces to solver precision
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.05, D=1.0,
-                            q=1.5, relative=pt_state)
+                            q=1.5)
         matched = cfg.matched_state
         from paircond.pairing import lattice_pair_energy, lattice_pair_field
 
         a_uncut = lattice_pair_field(matched, 1e9, cfg.h)
         assert abs(lattice_pair_energy(matched, a_uncut)) < 1e-10 * cfg.h**2
 
-    def test_norm_bounded_by_h(self, bcs_domain, pt_state):
+    def test_norm_bounded_by_h(self, bcs_domain):
         cfg = bcs.BCSConfig(bcs_domain, POSCHL_TELLER, None, h=0.07, D=1.0,
-                            q=1.5, relative=pt_state)
+                            q=1.5)
         from paircond.pairing import lattice_pair_field
 
         matched = cfg.matched_state

@@ -414,6 +414,12 @@ class TestRun:
                 "tol": 10**400}),
         ("relative", {"potential": {"kind": "poschl_teller",
                                     "depth": 10**400}}),
+        # grids too coarse to hold a node of the domain, refused where the
+        # operator is assembled (each exited 3)
+        ("dc", {"domain": {"builtin": "lshape", "n": 3}, "w": None}),
+        ("dc", {"domain": {"builtin": "slit_square", "n": 3}, "w": None}),
+        ("gp-min", {"domain": {"builtin": "lshape", "n": 3}, "w": None}),
+        ("gp-min", {"domain": {"builtin": "slit_square", "n": 3}, "w": None}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2
@@ -481,6 +487,10 @@ class TestRun:
         # a well so deep that its state is too narrow for the decay fit; the
         # eigensolver's residual check must not overflow before the fit
         ("relative", ("potential", "depth"), 1e300, 3, "fit window"),
+        # a zero trial state has all-zero rows and nothing to fit (each
+        # exited 3 from the fit)
+        ("bcs-trial", "amplitude", 0.0, 2, "amplitude must be nonzero"),
+        ("semiclassics", "amplitude", 0.0, 2, "amplitude must be nonzero"),
     ])
     def test_exit_code_of_degenerate_values(self, tmp_path, capsys, experiment,
                                             key, value, code, message):
@@ -527,6 +537,20 @@ class TestRun:
         ref = eigvalsh_tridiagonal(0.5 / dx2 + w, np.full(x.size - 1, -0.25 / dx2),
                                    select="i", select_range=(0, 0))[0]
         assert abs(dc - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-160, 1e200])
+    def test_gaussian_width_out_of_float_range(self, tmp_path, capsys, width):
+        # 2 width^2 underflows (a divide-by-zero warning, then exit 3) or
+        # overflows (an OverflowError traceback): each is a config error
+        cfg = {"potential": {"kind": "gaussian_well", "depth": 1.0,
+                             "width": width}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run("relative", cfg, str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2 and not caught, (err, caught)
+        assert "config error: potential.width must keep 2 width^2" in err
+        assert not os.listdir(tmp_path)
 
     def test_dc_of_w_near_float_max(self, tmp_path, capsys):
         # under the suite's RuntimeWarning-as-error filter: the Gershgorin

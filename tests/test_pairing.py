@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from conftest import POSCHL_TELLER, PT_G_0, PT_G_BCS
 from paircond import pairing as pr
-from paircond.grid import Grid, ScalarField
+from paircond.grid import ConfigError, Grid, ScalarField
 
 
 class TestSolveRelative:
@@ -80,12 +80,19 @@ class TestSolveRelative:
         assert abs(gs.E_b - 1.0) < 5e-3
 
     def test_unknown_kind(self):
-        with pytest.raises(pr.PairingError):
+        with pytest.raises(ConfigError):
             pr.potential_from_descriptor({"kind": "lennard_jones"})
 
     def test_unknown_params(self):
-        with pytest.raises(pr.PairingError):
+        with pytest.raises(ConfigError):
             pr.potential_from_descriptor({"kind": "poschl_teller", "shape": 2})
+
+    def test_narrow_gaussian_is_quiet(self):
+        # 2 width^2 is a normal float, but r^2 / (2 width^2) overflows off
+        # the centre: there V is -depth exp(-inf) = 0, with no warning
+        v = pr.potential_from_descriptor({"kind": "gaussian_well",
+                                          "depth": 1.0, "width": 2e-154})
+        assert v(np.array([0.0, 1e-3, 20.0])).tolist() == [-1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("params", [
         {"kind": "poschl_teller", "width": True},
@@ -96,7 +103,7 @@ class TestSolveRelative:
     ])
     def test_parameters_read_by_the_number_rule(self, params):
         # booleans, strings, a list for a number and tables of two lengths
-        with pytest.raises(pr.PairingError):
+        with pytest.raises(ConfigError):
             pr.potential_from_descriptor(params)
 
 
@@ -306,7 +313,7 @@ class TestMatchedState:
         (0.0, "positive"), (3.0, "too coarse"), (1e-300, "budget"),
     ])
     def test_micro_lattice_refused_before_solving(self, step, match):
-        with pytest.raises(pr.PairingError, match=match):
+        with pytest.raises(ConfigError, match=match):
             pr.micro_lattice_k_max(step, 20.0)
 
     def test_couplings_computed_once(self, monkeypatch):

@@ -161,3 +161,22 @@ def test_sparse_linalg_only_for_splu():
                        or node.value.attr) == "sparse"):
                 stray.append(f"{module}: sparse.linalg")
     assert not stray, f"scipy.sparse.linalg used beyond splu: {stray}"
+
+
+def test_cli_rewraps_no_error_as_a_config_error():
+    # the exit code follows the error's type: every input check raises
+    # ConfigError where it runs, so no handler of the CLI turns another
+    # error into one, except where it reads a config or mask file
+    tree = _parse(os.path.join(ROOT, "src", "paircond", "cli.py"))
+    rewraps = []
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler):
+            continue
+        caught = ast.unparse(handler.type) if handler.type else ""
+        raised = {node.id for raise_ in ast.walk(handler)
+                  if isinstance(raise_, ast.Raise) and raise_.exc is not None
+                  for node in ast.walk(raise_.exc)
+                  if isinstance(node, ast.Name)}
+        if "ConfigError" in raised and caught != "(OSError, ValueError)":
+            rewraps.append(f"line {handler.lineno}: except {caught}")
+    assert not rewraps, f"handlers that re-raise as ConfigError: {rewraps}"

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,10 @@ from conftest import POSCHL_TELLER, random_1d_mask
 from paircond import geometry as geo
 from paircond import spectral
 from paircond import twobody as tb
-from paircond.grid import Grid, ScalarField
+from paircond.grid import ConfigError, Grid, ScalarField
 from paircond.pairing import potential_from_descriptor
-from paircond.spectral import assemble_dirichlet, smallest_eigenpair
+from paircond.spectral import (assemble_dirichlet, onset_threshold,
+                               smallest_eigenpair)
 
 POTENTIALS = [
     POSCHL_TELLER,
@@ -18,6 +22,42 @@ POTENTIALS = [
     {"kind": "gaussian_well", "depth": 2.5, "width": 0.7},
     {"kind": "table", "x": [0.0, 0.5, 1.5], "v": [-3.0, -1.0, 0.0]},
 ]
+
+
+@dataclass
+class FieldProblem(tb.TwoBodyProblem):
+    """The pair problem with an external field W: (h^2/2)(W(x) + W(y)) is
+    added to its potential, and W to its centre-of-mass threshold. No
+    experiment puts a field on the pair operator; a W that is no mirror
+    image of itself, or one only to rounding, tests the fold's symmetry
+    search and the scan's sandwich on a harder problem."""
+
+    W: ScalarField | None = None
+
+    @cached_property
+    def _potential(self) -> np.ndarray:
+        pot = tb.TwoBodyProblem._potential.func(self)
+        if self.W is None:
+            return pot
+        w = np.asarray(self.W.values)
+        return pot + 0.5 * self.h**2 * (w[:, None] + w[None, :])
+
+    @cached_property
+    def com_threshold(self) -> float:
+        return onset_threshold(self.mask, self.W, tol=1e-11).eigenvalue
+
+
+def scan_with_field(monkeypatch, profile):
+    """Make ``asymptotic_scan`` solve the ``FieldProblem`` of the W given by
+    the function ``profile`` on each h's interval."""
+    problem_at = tb.problem_at
+
+    def with_field(cfg, h):
+        prob = problem_at(cfg, h)
+        w = prob.mask.field(profile(prob.mask.grid.axis(0)))
+        return FieldProblem(prob.mask, prob.potential, h, w)
+
+    monkeypatch.setattr(tb, "problem_at", with_field)
 
 
 def full_operator_and_fold(prob):
@@ -37,7 +77,7 @@ def full_operator_and_fold(prob):
     n = pmask.grid.n[0]
     sep = np.subtract.outer(np.arange(n), np.arange(n)) * pmask.grid.spacing[0]
     pot = potential_from_descriptor(prob.potential)(sep / prob.h)
-    if prob.W is not None:
+    if getattr(prob, "W", None) is not None:
         w = np.asarray(prob.W.values)
         pot = pot + 0.5 * prob.h**2 * (w[:, None] + w[None, :])
     full = assemble_dirichlet(pmask, -0.5 * prob.h**2, pmask.field(pot))
@@ -100,8 +140,8 @@ def mirrored_problem(n, w_kind, h_cells=8.0):
     elif w_kind == "random":
         values = 5.0 * np.random.default_rng(n).standard_normal(n)
         w = mask.field(values + values[::-1])
-    return tb.TwoBodyProblem(mask, POSCHL_TELLER, w,
-                             h_cells * mask.grid.spacing[0])
+    return FieldProblem(mask, POSCHL_TELLER, h_cells * mask.grid.spacing[0],
+                        w)
 
 
 def half_count(m):
@@ -148,8 +188,8 @@ class TestGroundEnergy:
         c = 3.0
         w = ScalarField(pt_problem.mask.grid,
                         np.where(pt_problem.mask.inside, c, 0.0))
-        shifted = tb.TwoBodyProblem(pt_problem.mask, POSCHL_TELLER, w,
-                                    pt_problem.h)
+        shifted = FieldProblem(pt_problem.mask, POSCHL_TELLER, pt_problem.h,
+                               w)
         e = tb.ground_energy(shifted, tol=1e-10).eigenvalue
         assert abs(e - base - pt_problem.h**2 * c) < 1e-9
 
@@ -157,7 +197,7 @@ class TestGroundEnergy:
         # V == 0: two decoupled Dirichlet modes at h^2 pi^2 on (0, 1)
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 101))
         zero_v = {"kind": "table", "x": [0.0, 1.0], "v": [0.0, 0.0]}
-        prob = tb.TwoBodyProblem(mask, zero_v, None, 0.1)
+        prob = tb.TwoBodyProblem(mask, zero_v, 0.1)
         res = tb.ground_energy(prob, tol=1e-10)
         dx = mask.grid.spacing[0]
         lam1 = 4.0 / dx**2 * np.sin(np.pi * dx / 2) ** 2  # discrete mode
@@ -178,7 +218,7 @@ class TestGroundEnergy:
         rng = np.random.default_rng(seed)
         mask = random_1d_mask(rng, n=22)
         w = mask.field(w_scale * rng.standard_normal(22))
-        prob = tb.TwoBodyProblem(mask, pot, w, h_cells * mask.grid.spacing[0])
+        prob = FieldProblem(mask, pot, h_cells * mask.grid.spacing[0], w)
         res, full = check_against_full_operator(prob)
         assert res.iterations <= smallest_eigenpair(full, tol=1e-9).iterations
 
@@ -221,8 +261,8 @@ class TestGroundEnergy:
 
     def test_memory_guard(self):
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 1001))
-        with pytest.raises(tb.TwoBodyError, match="budget"):
-            tb.TwoBodyProblem(mask, POSCHL_TELLER, None, 0.05)
+        with pytest.raises(ConfigError, match="budget"):
+            tb.TwoBodyProblem(mask, POSCHL_TELLER, 0.05)
 
 
 class TestMirror:
@@ -281,10 +321,10 @@ class TestMirror:
         prob = mirrored_problem(22, "random")
         values = np.array(prob.W.values)
         values[5] = np.nextafter(values[5], np.inf)
-        near = tb.TwoBodyProblem(prob.mask, POSCHL_TELLER,
-                                 prob.mask.field(values), prob.h)
+        near = FieldProblem(prob.mask, POSCHL_TELLER, prob.h,
+                            prob.mask.field(values))
         mask = geo.interval(0.0, 0.9, grid=Grid.box(0.0, 1.0, 22))
-        shifted = tb.TwoBodyProblem(mask, POSCHL_TELLER, None, prob.h)
+        shifted = tb.TwoBodyProblem(mask, POSCHL_TELLER, prob.h)
         for case in (near, shifted):
             assert case.orbits.order == 2
             assert case.operator().n_unknowns == half_count(case.mask.count)
@@ -329,7 +369,7 @@ class TestBounds:
         # nodes (1 - O(dx^2): 0.9967 at 21 nodes, 0.99987 at 101)
         mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 41))
         zero_v = {"kind": "table", "x": [0.0, 1.0], "v": [0.0, 0.0]}
-        prob = tb.TwoBodyProblem(mask, zero_v, None, 0.1)
+        prob = tb.TwoBodyProblem(mask, zero_v, 0.1)
         res = tb.ground_energy(prob, tol=1e-10)
         dx = mask.grid.spacing[0]
         mu = 4.0 / dx**2 * np.sin(np.pi * dx / 2) ** 2
@@ -346,7 +386,7 @@ class TestBounds:
         energies, estimates = [], []
         for n in (115, 229):
             mask = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, n))
-            prob = tb.TwoBodyProblem(mask, POSCHL_TELLER, None, 0.07)
+            prob = tb.TwoBodyProblem(mask, POSCHL_TELLER, 0.07)
             res = tb.ground_energy(prob, tol=1e-10,
                                    sigma=tb._shift_estimate(prob))
             energies.append(res.eigenvalue)
@@ -375,7 +415,6 @@ class TestBounds:
         h = pt_problem.h
         ell = 1.5 * h * np.log(1 / h)
         from paircond.pairing import smoothstep_cutoff
-        from paircond.spectral import onset_threshold
 
         inner = geo.erode(pt_problem.mask, ell)
         mode = onset_threshold(inner, tol=1e-10)
@@ -399,7 +438,7 @@ class TestBounds:
     def test_under_resolved_ell_rejected(self):
         cfg = tb.TwoBodyScanConfig(micro_step=0.125)
         prob = tb.problem_at(cfg, 0.05)
-        with pytest.raises(tb.TwoBodyError, match="under-resolved"):
+        with pytest.raises(ConfigError, match="under-resolved"):
             tb.twobody_trial_upper_bound(prob, q=0.05)
 
 
@@ -408,11 +447,11 @@ class TestScan:
         h = 0.1
         mask1 = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 201))
         e_fine = tb.ground_energy(
-            tb.TwoBodyProblem(mask1, POSCHL_TELLER, None, h), tol=1e-10
+            tb.TwoBodyProblem(mask1, POSCHL_TELLER, h), tol=1e-10
         ).eigenvalue
         mask2 = geo.interval(0.0, 1.0, grid=Grid.box(0.0, 1.0, 301))
         e_finer = tb.ground_energy(
-            tb.TwoBodyProblem(mask2, POSCHL_TELLER, None, h), tol=1e-10
+            tb.TwoBodyProblem(mask2, POSCHL_TELLER, h), tol=1e-10
         ).eigenvalue
         assert abs(e_fine - e_finer) < 1e-4
 
@@ -444,10 +483,9 @@ class TestScan:
         # so the pivots refuse it and the Gershgorin shift runs instead, at
         # one more factorization per h (one ground solve each): the scan
         # passes its sandwich check either way, with the same energies
-        cfg = tb.TwoBodyScanConfig(
-            micro_step=0.125,
-            w_profile=lambda x: 100.0 * np.exp(-((x - 0.5) / 0.2) ** 2),
-        )
+        cfg = tb.TwoBodyScanConfig(micro_step=0.125)
+        scan_with_field(monkeypatch,
+                        lambda x: 100.0 * np.exp(-((x - 0.5) / 0.2) ** 2))
         h_list = [0.1, 0.085, 0.07]
         factors = []
         splu = spectral.splu
@@ -470,15 +508,14 @@ class TestScan:
 
     def test_needs_three_points(self):
         cfg = tb.TwoBodyScanConfig()
-        with pytest.raises(tb.TwoBodyError):
+        with pytest.raises(ConfigError):
             tb.asymptotic_scan(cfg, [0.1, 0.05])
 
-    def test_scan_with_field_matches_threshold(self):
+    def test_scan_with_field_matches_threshold(self, monkeypatch):
         # slope tends to the ground eigenvalue of the quarter-Laplacian
         # plus W, computed independently by the spectral module
-        cfg = tb.TwoBodyScanConfig(
-            micro_step=0.125,
-            w_profile=lambda x: 10.0 * np.exp(-((x - 0.5) / 0.2) ** 2),
-        )
+        cfg = tb.TwoBodyScanConfig(micro_step=0.125)
+        scan_with_field(monkeypatch,
+                        lambda x: 10.0 * np.exp(-((x - 0.5) / 0.2) ** 2))
         rep = tb.asymptotic_scan(cfg, [0.1, 0.07, 0.05, 0.035, 0.025])
         assert rep.metadata["threshold_rel_error"] < 0.03
