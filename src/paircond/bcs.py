@@ -8,8 +8,7 @@ band, one row per node (``BandKernel``: n (2b + 1) and n (4b + 1)
 entries), and no n x n array is made of them. a is gathered in one
 vectorized pass, aa is one BLAS product per slab of b rows through one
 dense slab window, and every trace, row sum and three-point stencil is a
-row-wise sum over the band rows (``_stencil_sum``), of a transpose where a
-trace needs one (``_band_transpose``).
+row-wise sum over the band rows (``_stencil_sum``).
 """
 
 from __future__ import annotations
@@ -181,22 +180,6 @@ def _shear(mat: np.ndarray, width: int) -> np.ndarray:
     return as_strided(mat, (mat.shape[0], width), (s0 + s1, s1))
 
 
-def _band_transpose(k: np.ndarray) -> np.ndarray:
-    """Band rows of K^T from band rows ``k`` of K, band b and width w = 2b +
-    1: K^T[i, i + d] = K[i + d, i] is entry (i + d, b - d) of ``k``. With b
-    zero rows above and below, that is flat entry (i + d + b) w + b - d =
-    i w + (b + d)(w - 1) + 2b, so the result is one strided read of the
-    flat array: from offset 2b, rows w and columns w - 1 entries apart."""
-    n, width = k.shape
-    b = (width - 1) // 2
-    padded = np.zeros((n + 2 * b, width))
-    padded[b:b + n] = k
-    flat = padded.reshape(-1)[2 * b:]
-    step = flat.strides[0]
-    return as_strided(flat, (n, width),
-                      (width * step, (width - 1) * step)).copy()
-
-
 def _band_square(k: np.ndarray, scale: float) -> np.ndarray:
     """Band rows of (a a) scale, of band 2b, for the band rows ``k`` of a
     symmetric kernel a of band b.
@@ -344,13 +327,14 @@ def admissibility_spectrum(state: TrialState) -> tuple:
     row_sums = dx * np.sum(np.abs(a), axis=1)
     if row_sums.min() == 0.0 and row_sums.max() <= rho_star:
         return 0.0, 1.0
-    # the lower band of A in LAPACK's layout, [j, i] = A[i + j, i]: the
-    # entries a dense eigvalsh reads
+    # the lower band of A in LAPACK's layout, [j, i] = A[i + j, i], which is
+    # A[i, i + j] for the exactly symmetric kernel: the entries a dense
+    # eigvalsh reads
     # imported here: at module import it loads scipy.linalg ahead of
     # scipy.sparse, which cost 10-30 ms more per CLI start on a 2-core VM;
     # spectral has loaded it by the time a trial state exists
     from scipy import linalg
-    lower = _band_transpose(dx * a)[:, state.a_psi.band:].T
+    lower = (dx * a)[:, state.a_psi.band:].T
     s = linalg.eigvals_banded(lower, lower=True)
     # r is +inf once c s^4 leaves the float range, and the state is refused
     with np.errstate(over="ignore"):
@@ -479,9 +463,8 @@ def semiclassics_check(cfg: BCSConfig, psi: ScalarField) -> SemiclassicsReport:
         # (i) quadratic trace: free product -Lap (three-point stencil on the
         # whole box), kernels vanish well inside
         neg_lap = three_point(box, 1.0, inv_dx2)
-        a_t = _band_transpose(a_band)
-        neg_lap_a = (_stencil_sum(a_band, a_band, *neg_lap)
-                     + _stencil_sum(a_t, a_t, *neg_lap))
+        # a is symmetric: its stencil along y is the one along x
+        neg_lap_a = 2.0 * _stencil_sum(a_band, a_band, *neg_lap)
         sq_rows = np.sum(np.square(a_band), axis=1)
         lhs_i = (h2 * 0.5 * neg_lap_a - cfg.mu * float(np.sum(sq_rows))) * dv * dv
         lhs_i += _separation_sum(cfg, a_band) * dv * dv

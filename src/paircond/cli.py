@@ -64,9 +64,9 @@ def _tolerance(tol, name: str):
                           f"has converged")
 
 
-def _scan_h(h_list, name: str):
-    """Range rule of the twobody-scan h_list: positive, with the three
-    distinct values that the fits of asymptotic_scan need."""
+def _fit_h(h_list, name: str):
+    """Range rule of an h_list that a power law is fitted over: positive,
+    with the three distinct values that a fit needs."""
     positive(h_list, name)
     if len(set(h_list)) < 3:
         raise ConfigError(f"{name} needs at least 3 distinct values, got "
@@ -240,7 +240,7 @@ def _exp_continuity(args):
 
 
 @_experiment("twobody-scan", {"potential": POTENTIAL, "a": 0.0, "b": 1.0,
-                             "h_list": Key([0.0], REQUIRED, _scan_h),
+                             "h_list": Key([0.0], REQUIRED, _fit_h),
                              "micro_step": Key(0.0, 0.125, positive),
                              "q": Key(0.0, 1.5, positive),
                              "tol": Key(0.0, 1e-9, _tolerance)})
@@ -282,7 +282,7 @@ def _pair_setup(args, d_of, mode_with_w: bool,
 @_experiment("bcs-trial", {**DOMAIN_W, "potential": POTENTIAL, **D_KEYS,
                           "q": Key(0.0, 1.5, positive),
                           "amplitude": Key(0.0, 0.3, _nonzero),
-                          "h_list": Key([0.0])})
+                          "h_list": Key([0.0], REQUIRED, _fit_h)})
 def _exp_bcs_trial(args):
     d_of, amp = _resolve_d(args), args["amplitude"]
     configs, _, mode = _pair_setup(args, d_of, mode_with_w=True)
@@ -314,7 +314,7 @@ def _exp_bcs_trial(args):
 @_experiment("semiclassics", {**DOMAIN_W, "potential": POTENTIAL, "D": 1.0,
                              "q": Key(0.0, 1.0, positive),
                              "amplitude": Key(0.0, 0.5, _nonzero),
-                             "h_list": Key([0.0])})
+                             "h_list": Key([0.0], REQUIRED, _fit_h)})
 def _exp_semiclassics(args):
     d_val, amp = args["D"], args["amplitude"]
     configs, _, mode = _pair_setup(args, lambda _: d_val, mode_with_w=False,

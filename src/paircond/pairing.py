@@ -42,7 +42,11 @@ class PairingError(RuntimeError):
 
 
 def _poschl_teller(depth, width):
-    return lambda r: -depth / np.cosh(r / width) ** 2
+    def profile(r):
+        # -depth / inf = -0 where r / width, its cosh or the square overflows
+        with np.errstate(over="ignore"):
+            return -depth / np.cosh(r / width) ** 2
+    return profile
 
 
 def _square_well(depth, halfwidth):

@@ -116,12 +116,17 @@ def assemble_dirichlet(
     laplacian_coefficient: float = -1.0,
     potential: ScalarField | None = None,
     shift: float = 0.0,
+    columns: np.ndarray | None = None,
 ) -> StencilOperator:
     """c Laplacian + potential + shift on the interior nodes of ``mask``, c =
-    ``laplacian_coefficient``, with zero Dirichlet values outside: neighbours
-    along axis a couple by c / h_a^2, and the diagonal is
-    c (-2 sum_a 1 / h_a^2), plus the potential, plus the shift. On a 1D mask
-    the operator is its tridiagonal (d, e), from ``three_point``."""
+    ``laplacian_coefficient``, with zero Dirichlet values outside: the
+    diagonal is c (-2 sum_a 1 / h_a^2), plus the potential, plus the shift,
+    and each edge from a row node to a neighbour y along axis a adds c / h_a^2
+    in column ``columns[y]``, where that is >= 0. ``columns`` numbers the
+    grid's nodes, by default the mask's own nodes in the order of its
+    ``field``; couplings that land in one column add up (``Orbits.stencil``).
+    On a 1D mask the operator is its tridiagonal (d, e), from
+    ``three_point``, and ``columns`` is not read: no 1D mask is folded."""
     if mask.count == 0:
         raise GeometryError("mask has no interior nodes")
     if potential is not None and potential.grid != mask.grid:
@@ -138,6 +143,8 @@ def assemble_dirichlet(
     n_in = mask.count
     index = -np.ones(grid.shape, dtype=np.int64)
     index[inside] = np.arange(n_in)
+    columns = index if columns is None else columns
+    numbered = columns >= 0
 
     diag = np.zeros(n_in)
     rows, cols, vals = [], [], []
@@ -148,13 +155,12 @@ def assemble_dirichlet(
         sl_hi = [slice(None)] * grid.dim
         sl_lo[a] = slice(0, -1)
         sl_hi[a] = slice(1, None)
-        both = inside[tuple(sl_lo)] & inside[tuple(sl_hi)]
-        i_lo = index[tuple(sl_lo)][both]
-        i_hi = index[tuple(sl_hi)][both]
-        coupling = np.full(i_lo.size, laplacian_coefficient * inv_h2)
-        rows.extend((i_lo, i_hi))
-        cols.extend((i_hi, i_lo))
-        vals.extend((coupling, coupling))
+        lo, hi = tuple(sl_lo), tuple(sl_hi)
+        for x, y in ((lo, hi), (hi, lo)):
+            edge = inside[x] & numbered[y]
+            rows.append(index[x][edge])
+            cols.append(columns[y][edge])
+            vals.append(np.full(cols[-1].size, laplacian_coefficient * inv_h2))
 
     diag = laplacian_coefficient * diag
     if potential is not None:
@@ -173,11 +179,11 @@ def assemble_dirichlet(
 
 @dataclass
 class Orbits:
-    """The orbits of a group G of grid symmetries on its fundamental domain
-    ``reduced``, one node of each orbit: ``images`` holds, for each g in G
-    (the identity first), the index arrays of the image of every node of
-    ``reduced``, in the order of its ``field``; ``stab`` the size of each
-    node's stabilizer. A node's orbit has m = |G| / stab distinct nodes.
+    """The orbits of a group G of ``order`` grid symmetries on its
+    fundamental domain ``reduced``, one node of each orbit: ``index`` gives
+    every grid node its orbit, as the row of that orbit's node in the order
+    of ``reduced.field``, and -1 off the mask. A node's orbit has m
+    (``sizes``) distinct nodes, and its stabilizer |G| / m elements.
 
     Every ground solve of the program is reduced this way, by the
     symmetry-adapted reduction of Fassler & Stiefel (Group Theoretical
@@ -195,31 +201,25 @@ class Orbits:
     """
 
     reduced: DomainMask
-    images: tuple
-    stab: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.images)
+    index: np.ndarray
+    order: int
 
     @property
     def sizes(self) -> np.ndarray:
         """The orbit size m of each node."""
-        return (self.order // self.stab).astype(float)
+        return np.bincount(self.index[self.index >= 0]).astype(float)
 
     def fold(self, values: np.ndarray) -> np.ndarray:
-        """S^T f for an array f on the whole grid: sum_g f(g u) /
-        sqrt(|G| stab_u) at each node u of the fundamental domain."""
-        return (sum(values[image] for image in self.images)
-                / np.sqrt(self.order * self.stab))
+        """S^T f for an array f on the whole grid: the sum of f over each
+        orbit, over sqrt(m)."""
+        inside = self.index >= 0
+        return (np.bincount(self.index[inside], weights=values[inside])
+                / np.sqrt(self.sizes))
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """The G-invariant array on the whole grid that takes ``values[u]``
-        on every image of node u."""
-        out = np.zeros(self.reduced.grid.shape)
-        for image in self.images:
-            out[image] = values
-        return out
+        on every node of the orbit of node u."""
+        return np.append(values, 0.0)[self.index]
 
     def stencil(self, laplacian_coefficient: float = -1.0,
                 potential: ScalarField | None = None,
@@ -227,59 +227,34 @@ class Orbits:
         """The stencil A of ``assemble_dirichlet`` on the G-invariant mask,
         restricted to the G-invariant fields, on the fundamental domain:
         B = S^T A S, B_uv = sqrt(m_u / m_v) sum_{y in orbit(v)} A_uy, with
-        the isometry S of the class docstring. For u != v the sum is
-        k_uv A_uv, with k_uv the number of distinct images of v adjacent to
-        u; for u = v it adds the images of u adjacent to u, which occur only
-        across the middle of an even-length flipped axis. With
-        ``isometric`` false it is M^(1/2) B M^(1/2), M = diag(m): the
-        operator on the node values of an invariant field, m_u k_uv A_uv off
-        the diagonal, whose integer weights keep it exactly symmetric and
-        exactly A for the trivial group. A potential must be G-invariant.
+        the isometry S of the class docstring. The sum is the stencil
+        assembled with ``index`` as its columns: each neighbour y of u adds
+        its coupling in the column of its orbit, and on the diagonal when y
+        lies in u's own orbit, which occurs only across the middle of an
+        even-length flipped axis. With ``isometric`` false it is
+        M^(1/2) B M^(1/2), M = diag(m): the operator on the node values of
+        an invariant field, m_u sum_{y in orbit(v)} A_uy, whose integer
+        weights keep it exactly symmetric and exactly A for the trivial
+        group. A potential must be G-invariant.
         """
-        op = assemble_dirichlet(self.reduced, laplacian_coefficient, potential)
-        if self.order == 1:
-            return op
-        mat, m = op.matrix, self.sizes
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        cols = mat.indices
-        # k_uv off the diagonal, and on it the couplings of u to its images;
-        # an image of v other than v that is adjacent to u lies off the
-        # domain, so only the rows of nodes next to the rest of the mask can
-        # have k_uv > 1 or a self term
-        rest = (self.unfold(np.ones(m.size)) > 0) & ~self.reduced.inside
-        edge = np.zeros_like(rest)
-        for a in range(rest.ndim):
-            lo, hi = [slice(None)] * rest.ndim, [slice(None)] * rest.ndim
-            lo[a], hi[a] = slice(0, -1), slice(1, None)
-            edge[tuple(lo)] |= rest[tuple(hi)]
-            edge[tuple(hi)] |= rest[tuple(lo)]
-        e = np.flatnonzero(edge[self.reduced.inside][rows])
-        u, v = rows[e], cols[e]
-        coupling = laplacian_coefficient / np.asarray(self.reduced.grid.spacing) ** 2
-        hits, to_u = np.zeros(e.size, dtype=int), np.zeros(e.size)
-        for image in self.images:
-            step = np.abs(np.stack([g[v] - x[u] for g, x in zip(image, self.images[0])]))
-            hit = step.sum(axis=0) == 1
-            hits += hit
-            to_u += np.where(hit, coupling @ step, 0.0)
-        # each distinct image is hit once per element of its stabilizer
-        k, to_self = np.ones(cols.size), np.zeros(cols.size)
-        on_diag = u == v
-        k[e] = np.where(on_diag, 1, hits // self.stab[v])
-        to_self[e] = np.where(on_diag, to_u / self.stab[u], 0.0)
-        mat.data += to_self
-        mat.data *= (np.sqrt(m[rows] / m[cols]) if isometric else m[rows]) * k
+        op = assemble_dirichlet(self.reduced, laplacian_coefficient, potential,
+                                columns=self.index)
+        if self.order > 1:
+            mat, m = op.matrix, self.sizes
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            mat.data *= (np.sqrt(m[rows] / m[mat.indices]) if isometric
+                         else m[rows])
         return op
 
     def row_scaled(self, mat: sparse.spmatrix) -> sparse.spmatrix:
-        """T B T^-1 with T = diag(sqrt(stab)) for the isometric stencil B:
-        its rows are those of A, to which B is similar on the invariant
+        """T B T^-1 with T = diag(sqrt(|G| / m)) for the isometric stencil
+        B: its rows are those of A, to which B is similar on the invariant
         fields, and its Gershgorin bound is A's. B's own bound sits lower,
         at its weighted couplings next to the fixed nodes, and a shift that
         far below lambda_1 costs the eigensolve more LU solves. The diagonal
         is B's, copied: recomputed as (s a_ii) / s it overflows once a_ii
         is within a factor s of the float maximum."""
-        s = np.sqrt(self.stab)
+        s = np.sqrt(self.order / self.sizes)
         scaled = (sparse.diags(s) @ mat @ sparse.diags(1.0 / s)).tocsr()
         scaled.setdiag(mat.diagonal())
         return scaled
@@ -307,21 +282,6 @@ class Orbits:
         return EigenResult(res.eigenvalue, field, res.residual, res.iterations)
 
 
-def orbit_map(reduced: DomainMask, maps) -> Orbits:
-    """The orbits of the group of node maps ``maps`` (the identity first;
-    each takes the index arrays of nodes and returns those of their images)
-    on its fundamental domain ``reduced``."""
-    nodes = np.nonzero(reduced.inside)
-    images = tuple(tuple(g(*nodes)) for g in maps)
-    stab = np.zeros(nodes[0].size, dtype=int)
-    for image in images:
-        fixed = image[0] == nodes[0]
-        for a, b in zip(image[1:], nodes[1:]):
-            fixed &= a == b
-        stab += fixed
-    return Orbits(reduced, images, stab)
-
-
 def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None,
                   generators=None) -> Orbits:
     """The orbits of the grid symmetries that map ``mask`` and the
@@ -335,13 +295,14 @@ def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None,
     order 1, 2 or 4 on a plane; ``twobody`` passes the exchange and the
     reflection of its product domain. The generators that hold generate G
     in subset order: the identity, then each generator times every element
-    before it. Each orbit keeps its node of largest column-major flat index:
-    for flips the nodes with k >= n_a // 2 along every flipped axis, and on
-    the scan's product grid the quarter whose natural node order has the
-    narrower band (114 against 227 at h = 0.035). A one-dimensional mask
-    gets the trivial group: its operator is the tridiagonal (d, e), whose
-    inverse iteration costs O(n) a step, and is not folded."""
-    grid, inside, n = mask.grid, mask.inside, mask.grid.n
+    before it. Each orbit keeps its node of largest column-major flat index,
+    the largest over G of the flat index at g(k): for flips the nodes with
+    k >= n_a // 2 along every flipped axis, and on the scan's product grid
+    the quarter whose natural node order has the narrower band (114 against
+    227 at h = 0.035). A one-dimensional mask gets the trivial group: its
+    operator is the tridiagonal (d, e), whose inverse iteration costs O(n)
+    a step, and is not folded."""
+    grid, inside = mask.grid, mask.inside
     if generators is None:
         generators = [((a,), False) for a in range(grid.dim)]
 
@@ -360,22 +321,16 @@ def mirror_orbits(mask: DomainMask, potential: ScalarField | None = None,
         if all(np.array_equal(f, moved(f, axes, swap)) for f in fields):
             # commuting involutions: a product flips the symmetric difference
             group += [(flips ^ set(axes), t != swap) for flips, t in group]
+    number = -np.ones(grid.shape, dtype=np.int64)
     if len(group) == 1:
-        return orbit_map(mask, (lambda *nodes: nodes,))
+        number[inside] = np.arange(mask.count)
+        return Orbits(mask, number, 1)
     flat = np.arange(inside.size).reshape(inside.shape, order="F")
-    keep = inside.copy()
-    for e in group[1:]:
-        keep &= flat >= moved(flat, *e)
-
-    def node_map(flips, swap):
-        def g(*nodes):
-            out = [n[a] - 1 - k if a in flips else k for a, k in enumerate(nodes)]
-            if swap:
-                out[:2] = out[1::-1]
-            return tuple(out)
-        return g
-
-    return orbit_map(DomainMask(grid, keep), [node_map(*e) for e in group])
+    rep = np.max([moved(flat, *e) for e in group], axis=0)
+    keep = inside & (flat == rep)
+    number[keep] = np.arange(np.count_nonzero(keep))
+    index = np.where(inside, number.ravel(order="F")[rep], -1)
+    return Orbits(DomainMask(grid, keep), index, len(group))
 
 
 @dataclass

@@ -420,6 +420,21 @@ class TestRun:
         ("dc", {"domain": {"builtin": "slit_square", "n": 3}, "w": None}),
         ("gp-min", {"domain": {"builtin": "lshape", "n": 3}, "w": None}),
         ("gp-min", {"domain": {"builtin": "slit_square", "n": 3}, "w": None}),
+        # power laws over h fitted to fewer than three distinct h (each
+        # exited 3 after its solves)
+        ("bcs-trial", {"domain": {"builtin": "interval", "n": 200}, "w": None,
+                       "potential": {"kind": "poschl_teller"}, "h_list": 0.1}),
+        ("bcs-trial", {"domain": {"builtin": "interval", "n": 200}, "w": None,
+                       "potential": {"kind": "poschl_teller"},
+                       "h_list": [0.1, 0.1, 0.07]}),
+        ("semiclassics", {"domain": {"builtin": "interval", "n": 200},
+                          "w": {"kind": "bump", "height": 10.0},
+                          "potential": {"kind": "poschl_teller"},
+                          "h_list": 0.1}),
+        ("semiclassics", {"domain": {"builtin": "interval", "n": 200},
+                          "w": {"kind": "bump", "height": 10.0},
+                          "potential": {"kind": "poschl_teller"},
+                          "h_list": [0.1, 0.1, 0.07]}),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, experiment, cfg):
         assert cli.run(experiment, cfg, str(tmp_path)) == 2

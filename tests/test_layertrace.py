@@ -13,6 +13,8 @@ import io
 import os
 import sys
 
+import numpy as np
+
 from paircond import cli, geometry, gp, pairing, spectral
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -90,6 +92,10 @@ def test_tracer_reports_every_layer(tmp_path, monkeypatch):
     # largest eigensolve is the onset solve on the fundamental domain
     half = spectral.mirror_orbits(geometry.slit_square(21)).reduced
     assert half.count < geometry.slit_square(21).count
+    # the folded stencil is assembled by assemble_dirichlet, where the
+    # tracer times it, on the half itself
+    assert any(np.array_equal(m.inside, half.inside) for m in run_masks[3])
+    assert runs[3]["spectral.assemblies"] > 0
     assert runs[3]["spectral.factorizations"] == 1
     assert runs[3]["gp.factorizations"] == 1
     assert runs[3]["spectral.unknowns_max"] == half.count

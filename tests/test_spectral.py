@@ -11,6 +11,7 @@ from scipy.sparse.linalg import eigsh
 from conftest import random_1d_mask, random_2d_mask
 from paircond import geometry as geo
 from paircond import spectral as sp
+from paircond import twobody as tb
 from paircond.grid import Grid, ScalarField
 from paircond.reporting import fit_power_law
 
@@ -725,18 +726,33 @@ FLIP_MASKS = {
 }
 
 
-def orbit_isometry(mask, orbits):
+def mask_flips(mask):
+    """The flips k -> n_a - 1 - k of the grid axes that map the mask onto
+    itself, as node maps."""
+    n = mask.grid.n
+    flips = [lambda i, j: (n[0] - 1 - i, j), lambda i, j: (i, n[1] - 1 - j)]
+    return [g for a, g in enumerate(flips)
+            if np.array_equal(mask.inside, np.flip(mask.inside, a))]
+
+
+def orbit_isometry(mask, orbits, generators):
     """S: column u is the unit sum of the orbit of node u of the fundamental
-    domain, sum of e_y over its distinct images y, over sqrt(their number),
-    in the unknowns of the whole mask; built node by node."""
+    domain under the group of the node maps ``generators``, sum of e_y over
+    its distinct images y, over sqrt(their number), in the unknowns of the
+    whole mask; built node by node."""
     index = np.full(mask.grid.shape, -1)
     index[mask.inside] = np.arange(mask.count)
     s = np.zeros((mask.count, orbits.reduced.count))
-    for u in range(orbits.reduced.count):
-        orbit = {tuple(int(x[u]) for x in image) for image in orbits.images}
-        for node in orbit:
-            assert index[node] >= 0, "an image left the mask"
-            s[index[node], u] = 1.0 / np.sqrt(len(orbit))
+    for u, node in enumerate(zip(*np.nonzero(orbits.reduced.inside))):
+        orbit = {tuple(int(k) for k in node)}
+        while True:
+            grown = orbit | {g(*y) for y in orbit for g in generators}
+            if grown == orbit:
+                break
+            orbit = grown
+        for y in orbit:
+            assert index[y] >= 0, "an image left the mask"
+            s[index[y], u] = 1.0 / np.sqrt(len(orbit))
     return s
 
 
@@ -750,7 +766,7 @@ class TestMirrorFold:
         orbits = sp.mirror_orbits(mask, w)
         assert orbits.order == (2 if name == "slit" else 4)
         full = sp.assemble_dirichlet(mask, -0.25, w).matrix.toarray()
-        s = orbit_isometry(mask, orbits)
+        s = orbit_isometry(mask, orbits, mask_flips(mask))
         assert np.allclose(s.T @ s, np.eye(s.shape[1]), rtol=0, atol=1e-15)
         folded = s.T @ full @ s
         scale = np.max(np.abs(full))
@@ -765,6 +781,36 @@ class TestMirrorFold:
         floor = sp.gershgorin_shift(orbits.row_scaled(orbits.stencil(-0.25, w).matrix))
         ref = sp.gershgorin_shift(sp.assemble_dirichlet(mask, -0.25, w).matrix)
         assert abs(floor - ref) <= 1e-12 * abs(ref)
+
+    def test_odd_product_grid_centre_sums_four_couplings(self):
+        # the exchange (i, j) -> (j, i) and the reflection (i, j) ->
+        # (n-1-j, n-1-i) on an odd square grid: the centre node is fixed,
+        # and its four neighbours share one orbit, so its column of B adds
+        # four couplings c / h^2 and B = sqrt(1 / 4) 4 c / h^2 = 2 c / h^2
+        n = 11
+        grid = Grid.box([0.0, 0.0], [1.0, 1.0], [n, n])
+        mask = geo.box_mask([0.0, 0.0], [1.0, 1.0], grid=grid)
+        i, j = np.indices(grid.shape)
+        w = mask.field(0.1 * (i - j) ** 2)  # even in i - j
+        orbits = sp.mirror_orbits(mask, w, generators=tb.PAIR_SYMMETRIES)
+        assert orbits.order == 4
+        full = sp.assemble_dirichlet(mask, -0.25, w).matrix.toarray()
+        s = orbit_isometry(mask, orbits, [lambda i, j: (j, i),
+                                          lambda i, j: (n - 1 - j, n - 1 - i)])
+        assert np.allclose(s.T @ s, np.eye(s.shape[1]), rtol=0, atol=1e-15)
+        b = orbits.stencil(-0.25, w).matrix.toarray()
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(b - s.T @ full @ s)) <= 4 * np.finfo(float).eps * scale
+        row = np.full(grid.shape, -1)
+        row[orbits.reduced.inside] = np.arange(orbits.reduced.count)
+        c = n // 2
+        # the orbit keeps one of the four neighbours
+        centre = row[c, c]
+        neighbour = max(row[c + 1, c], row[c - 1, c], row[c, c + 1], row[c, c - 1])
+        assert centre >= 0 and neighbour >= 0
+        assert orbits.sizes[centre] == 1 and orbits.sizes[neighbour] == 4
+        assert b[centre, neighbour] == 2 * (-0.25 / grid.spacing[0] ** 2)
+        assert np.count_nonzero(b[centre]) == 2
 
     def test_row_scaled_diagonal_is_the_stencils(self):
         # W near the float maximum on the 21^2 box: recomputed as
